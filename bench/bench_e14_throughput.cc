@@ -3,16 +3,20 @@
 // workload (every item seeded on queue 0, all other workers must steal),
 // across BOTH queue backends (locked reference vs lock-free Chase-Lev).
 //
-//   E14a (alloc audit): a single-threaded micro-harness drives the full
-//       selection + steal path (SnapshotInto + TrySteal with a reusable
-//       StealScratch) through thousands of SUCCESSFUL batched steals and
-//       counts global operator-new calls inside the measured region. The
-//       steady-state expectation is exactly zero: snapshots refill in place,
-//       the candidate list and batch buffer reuse their capacity, and the
-//       eligibility callback is a non-allocating FunctionRef. Queue state is
-//       restored between iterations OUTSIDE the counted region (un-steal via
-//       StealTailLocked, so the deques return to the identical internal
-//       layout and never creep across chunk boundaries).
+//   E14a (alloc audit): a single-threaded micro-harness drives the worker
+//       loop's locked-backend item cycle through thousands of SUCCESSFUL
+//       batched steals and counts global operator-new calls inside the
+//       measured region: selection + steal (SnapshotInto + TrySteal with a
+//       reusable StealScratch, landing the first item as the thief's running
+//       item), the thief executing the batch through the owner path
+//       (FinishCurrentAndPop, which pops the thief's queue HEAD while the
+//       landing pushed at its tail), and the victim refilled at its tail
+//       (PushBatchExternal). The steady-state expectation is exactly zero:
+//       snapshots refill in place, the candidate list and batch buffer reuse
+//       their capacity, the eligibility callback is a non-allocating
+//       FunctionRef, and the ready rings never shrink. (A std::deque fails
+//       this cycle: its tail-push/head-pop churn allocates a node every 12
+//       items.)
 //   E14b (throughput): closed-system executor runs, N items on queue 0,
 //       measuring drained items/ms for steal_one (max_steal_batch = 1),
 //       steal_half (cap 8) and the locked_selection ablation, plus the same
@@ -86,7 +90,7 @@ runtime::WorkItem Item(uint64_t id, uint64_t units = 1) {
   return runtime::WorkItem{.id = id, .work_units = units, .weight = 1024};
 }
 
-// --- E14a: steady-state allocation audit of the selection + steal path ------
+// --- E14a: steady-state allocation audit of the worker loop's item cycle ----
 
 struct AllocAudit {
   uint64_t attempts = 0;
@@ -99,44 +103,49 @@ AllocAudit RunAllocAudit(uint64_t attempts) {
   runtime::ConcurrentMachine machine(2);
   // 10 vs 4: gap 6, so every attempt is a SUCCESSFUL batch of floor(6/2) = 3
   // items — the most allocation-prone path (filter, choice, locked snapshot,
-  // batch removal, batch push).
-  for (uint64_t id = 1; id <= 10; ++id) {
-    machine.queue(0).Push(Item(id));
+  // batch removal, batch landing).
+  uint64_t next_id = 1;
+  for (; next_id <= 10; ++next_id) {
+    machine.queue(0).Push(Item(next_id));
   }
-  for (uint64_t id = 11; id <= 14; ++id) {
-    machine.queue(1).Push(Item(id));
+  for (; next_id <= 14; ++next_id) {
+    machine.queue(1).Push(Item(next_id));
   }
   const auto policy = policies::MakeThreadCount();
   Rng rng(1);
   runtime::StealCounters counters;
   runtime::StealScratch scratch;
   LoadSnapshot snapshot;
-  std::vector<runtime::WorkItem> unsteal;
+  std::vector<runtime::WorkItem> refill(8);
   const runtime::StealOptions options{.recheck = true, .max_batch = 8};
 
-  // Moves the stolen batch back (thief tail -> victim tail) so every
-  // iteration starts from the identical queue state. Runs uncounted.
-  auto restore = [&](uint32_t moved) {
-    if (moved == 0) {
-      return;
+  // One worker-loop cycle: steal (landing the first item as running), run
+  // the batch's worth of items through the owner path, refill the victim.
+  // Both queues end where they started: victim 10 queued, thief 4 queued.
+  auto cycle = [&](runtime::StealObservation& observation) {
+    machine.SnapshotInto(snapshot);
+    runtime::WorkItem landed;
+    if (!machine.TrySteal(*policy, 1, snapshot, rng, options, counters, nullptr, nullptr,
+                          &observation, &scratch, &landed)) {
+      return false;
     }
-    unsteal.clear();
-    {
-      LockGuard guard(machine.queue(1).lock());
-      machine.queue(1).StealTailLocked([](const runtime::WorkItem&) { return true; }, moved,
-                                       unsteal);
+    runtime::ConcurrentRunQueue& thief = machine.queue(1);
+    for (uint32_t i = 1; i < observation.items_moved; ++i) {
+      thief.FinishCurrentAndPop();
     }
-    LockGuard guard(machine.queue(0).lock());
-    machine.queue(0).PushBatchLocked(unsteal.data(), static_cast<uint32_t>(unsteal.size()));
+    thief.FinishCurrent();
+    for (uint32_t i = 0; i < observation.items_moved; ++i) {
+      refill[i] = Item(next_id++);
+    }
+    machine.queue(0).PushBatchExternal(refill.data(), observation.items_moved);
+    return true;
   };
 
-  // Warmup: every scratch vector reaches its high-water capacity.
+  // Warmup: every scratch vector and ready ring reaches its high-water
+  // capacity.
   for (int i = 0; i < 256; ++i) {
-    machine.SnapshotInto(snapshot);
     runtime::StealObservation observation;
-    machine.TrySteal(*policy, 1, snapshot, rng, options, counters, nullptr, nullptr,
-                     &observation, &scratch);
-    restore(observation.items_moved);
+    cycle(observation);
   }
 
   AllocAudit audit;
@@ -145,15 +154,12 @@ AllocAudit RunAllocAudit(uint64_t attempts) {
   for (uint64_t i = 0; i < attempts; ++i) {
     runtime::StealObservation observation;
     g_count_allocs.store(true, std::memory_order_relaxed);
-    machine.SnapshotInto(snapshot);
-    const bool ok = machine.TrySteal(*policy, 1, snapshot, rng, options, counters, nullptr,
-                                     nullptr, &observation, &scratch);
+    const bool ok = cycle(observation);
     g_count_allocs.store(false, std::memory_order_relaxed);
     if (ok) {
       ++audit.successes;
       audit.items_moved += observation.items_moved;
     }
-    restore(observation.items_moved);
   }
   audit.allocs = g_allocs.load();
   return audit;
@@ -323,7 +329,7 @@ int Main(int argc, char** argv) {
   const int repeat = std::atoi(FlagValue(argc, argv, "repeat", "3").c_str());
   const std::string out = FlagValue(argc, argv, "out", "BENCH_e14_throughput.json");
 
-  bench::Section("E14a — steady-state allocation audit (selection + steal)");
+  bench::Section("E14a — steady-state allocation audit (steal, owner pop, refill)");
   const AllocAudit audit = RunAllocAudit(20000);
   const double per_attempt =
       static_cast<double>(audit.allocs) / static_cast<double>(audit.attempts);

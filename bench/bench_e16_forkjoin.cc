@@ -11,8 +11,8 @@
 //       The first drain warms the arena and the queue to their high-water
 //       marks OUTSIDE the counted region; the audited rerun must allocate
 //       exactly zero on the chase_lev backend (fixed ring). The locked
-//       backend row is the ablation contrast: std::deque chunk churn makes
-//       its count nonzero by design, so it is reported, not gated.
+//       backend row is reported, not gated: its ready ring is allocation-free
+//       once the warm-up drain has grown it to its high-water size.
 //   E16b (spawn throughput + tree steal bound): fib(30, cutoff 18) and
 //       mergesort(1M) on the real executor, W workers, both backends,
 //       measuring completed tasks/ms and steal traffic. The fib tree is the

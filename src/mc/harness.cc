@@ -161,6 +161,7 @@ std::vector<std::function<void()>> StealHarness::MakeBodies() {
                                  .deque_capacity = config_.deque_capacity,
                                  .broken_steal_order = config_.broken_steal_order});
   counters_.assign(n, StealCounters{});
+  held_.assign(n, std::nullopt);
   initial_item_ids_.clear();
   epoch_ = 0;
   producer_done_ = false;
@@ -241,7 +242,7 @@ BodyFactory StealHarness::Factory() {
   return [this] { return MakeBodies(); };
 }
 
-void StealHarness::StealOnce(uint32_t worker, Rng& rng) {
+bool StealHarness::StealOnce(uint32_t worker, Rng& rng, WorkItem* run_next) {
   Scheduler* scheduler = ActiveScheduler();
   OPTSCHED_CHECK(scheduler != nullptr);
   // The snapshot marker precedes the seqlock reads: a steal interleaved into
@@ -257,7 +258,8 @@ void StealHarness::StealOnce(uint32_t worker, Rng& rng) {
                                       .max_batch = config_.max_steal_batch,
                                       .break_batch_bound = config_.break_batch_bound};
   const bool ok = machine_->TrySteal(*policy_, worker, snapshot, rng, options,
-                                     counters_[worker], &topology_, &victim, &observation);
+                                     counters_[worker], &topology_, &victim, &observation,
+                                     /*scratch=*/nullptr, run_next);
   const StealCounters& after = counters_[worker];
   if (ok) {
     // arg1 is the effective victim depth: on chase_lev the victim may have
@@ -279,13 +281,21 @@ void StealHarness::StealOnce(uint32_t worker, Rng& rng) {
   } else {
     scheduler->Note(kUserStealEmptyFilter);
   }
+  return ok;
 }
 
 void StealHarness::BalanceBody(uint32_t worker) {
   Scheduler* scheduler = ActiveScheduler();
   Rng rng(config_.seed * 0x9e3779b97f4a7c15ull + worker + 1);
   for (uint32_t attempt = 0; attempt < config_.attempts_per_worker; ++attempt) {
-    StealOnce(worker, rng);
+    // The executor's landing steal while this worker holds nothing; once it
+    // holds a running item, later steals land plainly (a running worker
+    // never steals in the executor, but balance mode keeps attempting).
+    WorkItem landed;
+    const bool holding = held_[worker].has_value();
+    if (StealOnce(worker, rng, holding ? nullptr : &landed) && !holding) {
+      held_[worker] = landed;
+    }
     scheduler->Yield();  // attempt boundary: a free switch point
   }
 }
@@ -294,19 +304,26 @@ void StealHarness::DrainBody(uint32_t worker) {
   Scheduler* scheduler = ActiveScheduler();
   Rng rng(config_.seed * 0x9e3779b97f4a7c15ull + worker + 1);
   uint32_t steal_attempts = 0;
+  // The executor's item path: one pop, then the fused finish+pop per item,
+  // and a steal that lands its first item as the running one. Only this
+  // worker pushes to its own queue (by landing), so an empty fused pop or a
+  // failed steal leaves nothing to re-pop.
+  std::optional<WorkItem> item = machine_->queue(worker).PopForRun();
   for (;;) {
-    std::optional<WorkItem> item = machine_->queue(worker).PopForRun();
     if (item.has_value()) {
       scheduler->Note(kUserExecuteItem, static_cast<int64_t>(item->id));
       scheduler->Yield();  // the item "runs" here
-      machine_->queue(worker).FinishCurrent();
+      item = machine_->queue(worker).FinishCurrentAndPop();
       continue;
     }
     if (steal_attempts >= config_.attempts_per_worker) {
       return;
     }
     ++steal_attempts;
-    StealOnce(worker, rng);
+    WorkItem landed;
+    if (StealOnce(worker, rng, &landed)) {
+      item = landed;
+    }
     scheduler->Yield();
   }
 }
@@ -793,6 +810,10 @@ std::vector<PropertyReport> StealHarness::Evaluate(const ExecutionResult& result
   }
   for (uint32_t q = 0; q < num_workers(); ++q) {
     runtime::ConcurrentRunQueue& queue = machine_->queue(q);
+    if (held_[q].has_value()) {
+      seen.push_back(held_[q]->id);
+      queue.FinishCurrent();
+    }
     while (std::optional<WorkItem> item = queue.PopForRun()) {
       seen.push_back(item->id);
       queue.FinishCurrent();

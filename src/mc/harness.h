@@ -109,6 +109,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -223,7 +224,9 @@ class StealHarness {
   // mailboxes; peers drain dealt batches, execute, and steal when empty.
   void DealerBody();
   void DealPeerBody(uint32_t worker);
-  void StealOnce(uint32_t worker, Rng& rng);
+  // One full steal attempt with its outcome notes. `run_next` is forwarded
+  // to TrySteal (the executor's landing steal); returns TrySteal's result.
+  bool StealOnce(uint32_t worker, Rng& rng, runtime::WorkItem* run_next = nullptr);
 
   Config config_;
   Topology topology_;
@@ -231,6 +234,10 @@ class StealHarness {
   std::unique_ptr<runtime::ConcurrentMachine> machine_;
   std::vector<runtime::StealCounters> counters_;
   std::vector<uint64_t> initial_item_ids_;
+  // "balance" mode: the item a worker's first steal landed as its running
+  // item. Balance workers never execute, so it stays running until
+  // Evaluate's conservation drain finishes it.
+  std::vector<std::optional<runtime::WorkItem>> held_;
   // The escalation/wakeup epoch word for "epoch" and "wakeup" modes.
   std::uint64_t epoch_ = 0;
   // "wakeup" mode: set by the producer strictly after its last push, then

@@ -1,6 +1,7 @@
 #include "src/runtime/concurrent_machine.h"
 
 #include <algorithm>
+#include <cstddef>
 
 #include "src/base/check.h"
 #include "src/base/mutex.h"
@@ -31,6 +32,16 @@ bool ParseQueueBackend(std::string_view name, QueueBackend& out) {
 ConcurrentRunQueue::ConcurrentRunQueue(QueueBackend backend, uint32_t deque_capacity,
                                        bool broken_steal_order)
     : backend_(backend) {
+  // The kLocked hot line (see the header): lock word, running slot, weights
+  // and published load within the first 64 bytes of the object.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Winvalid-offsetof"
+  static_assert(offsetof(ConcurrentRunQueue, lock_) % kCacheLineSize == 0 &&
+                    offsetof(ConcurrentRunQueue, published_) + sizeof(published_) -
+                            offsetof(ConcurrentRunQueue, lock_) <=
+                        kCacheLineSize,
+                "the kLocked lock, running slot, weights and published load must share one line");
+#pragma GCC diagnostic pop
   if (backend_ == QueueBackend::kChaseLev) {
     deque_ = std::make_unique<ChaseLevDeque>(deque_capacity, broken_steal_order);
   }
@@ -57,8 +68,7 @@ std::optional<WorkItem> ConcurrentRunQueue::PopForRunLockedBackend() {
   if (ready_.empty()) {
     return std::nullopt;
   }
-  WorkItem item = ready_.front();
-  ready_.pop_front();
+  const WorkItem item = ready_.PopFront();
   queued_weight_ -= item.weight;
   running_ = true;
   running_weight_ = item.weight;
@@ -140,6 +150,28 @@ void ConcurrentRunQueue::FinishCurrent() {
                     std::memory_order_relaxed);
   fin_tasks_.store(fin_tasks_.load(std::memory_order_relaxed) + 1,  // order: single-writer-store
                    std::memory_order_relaxed);
+}
+
+std::optional<WorkItem> ConcurrentRunQueue::FinishCurrentAndPop() {
+  if (backend_ == QueueBackend::kChaseLev) {
+    FinishCurrent();
+    return PopForRun();
+  }
+  LockGuard guard(lock_);
+  OPTSCHED_CHECK(running_);
+  if (ready_.empty()) {
+    running_ = false;
+    running_weight_ = 0;
+    PublishLocked();
+    return std::nullopt;
+  }
+  // The finished item's running slot passes straight to the next one:
+  // running_ stays set and the task count drops by one, in one publish.
+  const WorkItem item = ready_.PopFront();
+  queued_weight_ -= item.weight;
+  running_weight_ = item.weight;
+  PublishLocked();
+  return item;
 }
 
 void ConcurrentRunQueue::Push(WorkItem item) {
@@ -243,8 +275,7 @@ uint32_t ConcurrentRunQueue::TakeOwnerBatch(uint32_t max_items, std::vector<Work
     // Tail-first, the end StealTailLocked robs from: the dealer sheds the
     // items a thief would have taken, with one publish for the whole batch.
     while (taken < max_items && !ready_.empty()) {
-      const WorkItem item = ready_.back();
-      ready_.pop_back();
+      const WorkItem item = ready_.PopBack();
       queued_weight_ -= item.weight;
       out.push_back(item);
       ++taken;
@@ -330,16 +361,16 @@ OPTSCHED_HOT_PATH uint32_t ConcurrentRunQueue::StealTailLocked(
     FunctionRef<bool(const WorkItem&)> eligible, uint32_t max_items,
     std::vector<WorkItem>& out) {
   uint32_t taken = 0;
-  // Newest-first scan by index (erase invalidates deque iterators). Skipped
-  // items stay skipped: the batch only tightens the loads as it grows, so an
-  // item the rule rejected at a wider gap cannot become eligible later.
+  // Newest-first scan by index. Skipped items stay skipped: the batch only
+  // tightens the loads as it grows, so an item the rule rejected at a wider
+  // gap cannot become eligible later.
   for (size_t i = ready_.size(); i > 0 && taken < max_items;) {
     --i;
     if (!eligible(ready_[i])) {
       continue;
     }
     const WorkItem item = ready_[i];
-    ready_.erase(ready_.begin() + static_cast<std::ptrdiff_t>(i));
+    ready_.Erase(i);
     queued_weight_ -= item.weight;
     // optsched-lint: allow(hot-path-alloc): scratch batch at high-water capacity after warmup (E14 alloc audit)
     out.push_back(item);
@@ -353,16 +384,18 @@ OPTSCHED_HOT_PATH uint32_t ConcurrentRunQueue::StealTailLocked(
     // Robbery observation for the owner's deal gate (StolenCount). No
     // SyncPoint: the mutation happens inside the held-lock critical section,
     // whose release is already the checker's decision point — adding one
-    // would perturb every committed locked-backend golden schedule.
+    // would perturb every committed locked-backend golden schedule. Every
+    // writer holds lock_, so a plain load+store replaces the locked RMW.
     // order: locked-critical-section
-    locked_stolen_count_.fetch_add(taken, std::memory_order_relaxed);
+    locked_stolen_count_.store(locked_stolen_count_.load(std::memory_order_relaxed) + taken,
+                               std::memory_order_relaxed);
   }
   return taken;
 }
 
 void ConcurrentRunQueue::PushLocked(WorkItem item) {
   queued_weight_ += item.weight;
-  ready_.push_back(item);
+  ready_.PushBack(item);
   PublishLocked();
 }
 
@@ -373,10 +406,24 @@ OPTSCHED_HOT_PATH void ConcurrentRunQueue::PushBatchLocked(const WorkItem* items
   }
   for (uint32_t i = 0; i < count; ++i) {
     queued_weight_ += items[i].weight;
-    // optsched-lint: allow(hot-path-alloc): deque blocks are recycled across pop/push cycles; audited allocation-free by bench_e14
-    ready_.push_back(items[i]);
   }
+  // The ring grows only past its high-water size and never shrinks (E14a
+  // audits the steady state allocation-free).
+  ready_.PushBatch(items, count);
   PublishLocked();
+}
+
+OPTSCHED_HOT_PATH WorkItem ConcurrentRunQueue::LandAndRunLocked(const WorkItem* items,
+                                                                uint32_t count) {
+  OPTSCHED_DCHECK(count > 0 && !running_);
+  running_ = true;
+  running_weight_ = items[0].weight;
+  if (count > 1) {
+    PushBatchLocked(items + 1, count - 1);
+  } else {
+    PublishLocked();
+  }
+  return items[0];
 }
 
 OPTSCHED_HOT_PATH ChaseLevDeque::TopPeek ConcurrentRunQueue::PeekSteal() const {
@@ -415,6 +462,26 @@ OPTSCHED_HOT_PATH void ConcurrentRunQueue::CommitStealAccounting(uint32_t items,
   // the header — the checker still discharges the end-state properties.
   stolen_tasks_.fetch_add(items, std::memory_order_relaxed);  // order: steal-commit-batch
   stolen_weight_.fetch_add(weight, std::memory_order_relaxed);  // order: steal-commit-batch
+}
+
+OPTSCHED_HOT_PATH WorkItem ConcurrentRunQueue::LandAndRunOwner(const WorkItem* items,
+                                                               uint32_t count) {
+  OPTSCHED_DCHECK(backend_ == QueueBackend::kChaseLev && count > 0);
+  PushBatchOwner(items, count - 1);
+  const WorkItem& run = items[count - 1];
+  // The running item is counted in own_enq like a pushed one (tasks =
+  // enqueued − finished − stolen − dealt covers running items too); only
+  // the running flag and its weight attribution are added.
+  mc_hooks::SyncPoint(mc_hooks::SyncOp::kDequeLoadWrite, this);
+  // order: single-writer-store
+  own_enq_tasks_.store(own_enq_tasks_.load(std::memory_order_relaxed) + 1,
+                       std::memory_order_relaxed);
+  // order: single-writer-store
+  own_enq_weight_.store(own_enq_weight_.load(std::memory_order_relaxed) + run.weight,
+                        std::memory_order_relaxed);
+  running_a_.store(1, std::memory_order_relaxed);  // order: single-writer-store
+  running_weight_a_.store(run.weight, std::memory_order_relaxed);  // order: single-writer-store
+  return run;
 }
 
 ConcurrentMachine::ConcurrentMachine(uint32_t num_queues, const MachineOptions& options)
@@ -493,7 +560,8 @@ uint64_t ConcurrentMachine::TotalSeqlockWrites() const {
 OPTSCHED_HOT_PATH bool ConcurrentMachine::TrySteal(
     const BalancePolicy& policy, CpuId thief, const LoadSnapshot& snapshot, Rng& rng,
     const StealOptions& options, StealCounters& counters, const Topology* topology,
-    CpuId* victim_out, StealObservation* observation_out, StealScratch* scratch) {
+    CpuId* victim_out, StealObservation* observation_out, StealScratch* scratch,
+    WorkItem* run_next) {
   StealScratch local_scratch;  // tests and the mc harness may not thread one
   StealScratch& s = scratch != nullptr ? *scratch : local_scratch;
 
@@ -513,16 +581,16 @@ OPTSCHED_HOT_PATH bool ConcurrentMachine::TrySteal(
 
   if (options_.backend == QueueBackend::kChaseLev) {
     return TryStealChaseLev(policy, thief, snapshot, victim, options, counters, topology,
-                            observation_out, s);
+                            observation_out, s, run_next);
   }
   return TryStealLocked(policy, thief, snapshot, victim, options, counters, topology,
-                        observation_out, s);
+                        observation_out, s, run_next);
 }
 
 OPTSCHED_HOT_PATH bool ConcurrentMachine::TryStealLocked(
     const BalancePolicy& policy, CpuId thief, const LoadSnapshot& snapshot, CpuId victim,
     const StealOptions& options, StealCounters& counters, const Topology* topology,
-    StealObservation* observation_out, StealScratch& s) {
+    StealObservation* observation_out, StealScratch& s, WorkItem* run_next) {
   // --- Stealing phase (two locks, queue-index order) -------------------------
   ConcurrentRunQueue& victim_queue = *queues_[victim];
   ConcurrentRunQueue& thief_queue = *queues_[thief];
@@ -536,6 +604,9 @@ OPTSCHED_HOT_PATH bool ConcurrentMachine::TryStealLocked(
   DualLockGuard guard(lower_queue.lock(), higher_queue.lock());
   victim_queue.lock().AssertHeld();
   thief_queue.lock().AssertHeld();
+  // Checked before anything moves, like PopForRun's single-current check.
+  OPTSCHED_CHECK_MSG(run_next == nullptr || !thief_queue.RunningLocked(),
+                     "owner already runs an item");
 
   // Exact loads for the locked pair; other cores stay as the (stale) snapshot
   // observed them — a thief can only be sure of what it locked. The copy
@@ -595,7 +666,11 @@ OPTSCHED_HOT_PATH bool ConcurrentMachine::TryStealLocked(
     ++counters.failed_no_task;
     return false;
   }
-  thief_queue.PushBatchLocked(s.batch.data(), moved);
+  if (run_next != nullptr) {
+    *run_next = thief_queue.LandAndRunLocked(s.batch.data(), moved);
+  } else {
+    thief_queue.PushBatchLocked(s.batch.data(), moved);
+  }
   ++counters.successes;
   counters.items_stolen += moved;
   if (observation_out != nullptr) {
@@ -614,9 +689,12 @@ OPTSCHED_HOT_PATH bool ConcurrentMachine::TryStealLocked(
 OPTSCHED_HOT_PATH bool ConcurrentMachine::TryStealChaseLev(
     const BalancePolicy& policy, CpuId thief, const LoadSnapshot& snapshot, CpuId victim,
     const StealOptions& options, StealCounters& counters, const Topology* topology,
-    StealObservation* observation_out, StealScratch& s) {
+    StealObservation* observation_out, StealScratch& s, WorkItem* run_next) {
   ConcurrentRunQueue& victim_queue = *queues_[victim];
   ConcurrentRunQueue& thief_queue = *queues_[thief];
+  // The thief reads its own running flag: single writer, so exact.
+  OPTSCHED_CHECK_MSG(run_next == nullptr || thief_queue.RunningRelaxed() == 0,
+                     "owner already runs an item");
 
   // --- Optimistic re-check (no locks exist to take) --------------------------
   // Refresh the pair's published loads; other cores stay as the (stale)
@@ -720,7 +798,11 @@ OPTSCHED_HOT_PATH bool ConcurrentMachine::TryStealChaseLev(
     return false;
   }
   // The thief owns its queue: landing the batch is an owner push.
-  thief_queue.PushBatchOwner(s.batch.data(), moved);
+  if (run_next != nullptr) {
+    *run_next = thief_queue.LandAndRunOwner(s.batch.data(), moved);
+  } else {
+    thief_queue.PushBatchOwner(s.batch.data(), moved);
+  }
   ++counters.successes;
   counters.items_stolen += moved;
   if (observation_out != nullptr) {

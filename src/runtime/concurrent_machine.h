@@ -5,8 +5,8 @@
 // synchronization substrates (docs/runtime.md#queue-backends):
 //
 //   * QueueBackend::kLocked — the reference/ablation backend: a
-//     spinlock-protected deque plus a seqlock-published load. The SELECTION
-//     phase reads loads of all cores lock-free (possibly stale — the
+//     spinlock-protected ready ring plus a seqlock-published load. The
+//     SELECTION phase reads loads of all cores lock-free (possibly stale — the
 //     optimistic part); the STEALING phase locks exactly the thief's and the
 //     victim's queues (queue-index order), re-checks the policy's filter
 //     against the now-exact loads of the pair, and migrates a batch with
@@ -30,9 +30,10 @@
 // Hot-path cost model (docs/runtime.md): the selection + steal path performs
 // ZERO heap allocations in the steady state on both backends. Snapshots
 // refill caller-owned buffers in place, the eligibility gate allocates
-// nothing, and the steal batch lands in a reusable scratch vector. Per-queue
-// synchronization state is cache-line padded so a thief's load polling never
-// false-shares with the owner's queue mutations.
+// nothing, and the steal batch lands in a reusable scratch vector. On
+// kLocked the owner pays one lock hold and one publish per item
+// (FinishCurrentAndPop), and a thief lands the first stolen item as its
+// running item inside the steal's two-lock section.
 
 #ifndef OPTSCHED_SRC_RUNTIME_CONCURRENT_MACHINE_H_
 #define OPTSCHED_SRC_RUNTIME_CONCURRENT_MACHINE_H_
@@ -49,6 +50,7 @@
 #include "src/base/thread_annotations.h"
 #include "src/core/policy.h"
 #include "src/runtime/chase_lev_deque.h"
+#include "src/runtime/item_ring.h"
 #include "src/runtime/seqlock.h"
 #include "src/runtime/spinlock.h"
 #include "src/runtime/work_item.h"
@@ -58,7 +60,7 @@ namespace optsched::runtime {
 
 // Which synchronization substrate backs each run queue.
 enum class QueueBackend {
-  kLocked,    // spinlock-protected deque + seqlock-published load (reference)
+  kLocked,    // spinlock-protected ready ring + seqlock-published load (reference)
   kChaseLev,  // bounded lock-free Chase-Lev deque + counter-published load
 };
 
@@ -96,6 +98,11 @@ class ConcurrentRunQueue {
   std::optional<WorkItem> PopForRun() OPTSCHED_EXCLUDES(lock_);
   // Declares the current item finished; load drops accordingly.
   void FinishCurrent() OPTSCHED_EXCLUDES(lock_);
+  // FinishCurrent() followed by PopForRun(), fused: kLocked does both under
+  // one lock hold with one publish, so the intermediate "finished, nothing
+  // popped" state is never published — no lock holder could have observed
+  // it anyway. kChaseLev runs the two calls back to back.
+  std::optional<WorkItem> FinishCurrentAndPop() OPTSCHED_EXCLUDES(lock_);
   // Enqueues a new item from ANY thread (kLocked: tail under the lock;
   // kChaseLev: the inbox — only the owner may touch the deque's bottom).
   void Push(WorkItem item) OPTSCHED_EXCLUDES(lock_);
@@ -154,6 +161,13 @@ class ConcurrentRunQueue {
   void PushLocked(WorkItem item) OPTSCHED_REQUIRES(lock_);
   // Appends `count` items and publishes the new load once.
   void PushBatchLocked(const WorkItem* items, uint32_t count) OPTSCHED_REQUIRES(lock_);
+  // Whether the owner currently runs an item (PopForRun..FinishCurrent).
+  bool RunningLocked() const OPTSCHED_REQUIRES(lock_) { return running_; }
+  // Steal landing with run-next (TrySteal's `run_next`): items[0] becomes
+  // the owner's running item — the one PopForRun would have taken next from
+  // an empty queue — and the rest are appended; one publish. The owner must
+  // not be running. Returns the running item.
+  WorkItem LandAndRunLocked(const WorkItem* items, uint32_t count) OPTSCHED_REQUIRES(lock_);
 
   // --- Cross-core steal support: kChaseLev -----------------------------------
   // Observe the victim's top-of-deque (no locks). The peek carries the top
@@ -175,6 +189,11 @@ class ConcurrentRunQueue {
   // per batch.
   bool TakeStealDeferred(const ChaseLevDeque::TopPeek& peek);
   void CommitStealAccounting(uint32_t items, int64_t weight);
+  // Owner-side steal landing with run-next: items[count - 1] — the item
+  // PopForRun would take from the bottom — becomes the running item, the rest
+  // are pushed at bottom (PushBatchOwner). A bottom push plus a run-flag
+  // store. The owner must not be running. Returns the running item.
+  WorkItem LandAndRunOwner(const WorkItem* items, uint32_t count) OPTSCHED_EXCLUDES(lock_);
   // Published task count / inbox depth / running flag, relaxed. The steal
   // gate combines peek.size + running + inbox into its victim load so the
   // judged load is anchored to the same top index the CAS validates.
@@ -231,14 +250,17 @@ class ConcurrentRunQueue {
 
   const QueueBackend backend_;
 
-  // The owner's lock + deque and the thieves' read-mostly published load are
-  // split onto separate cache lines: a thief polling published_ must not
-  // contend with the owner pushing/popping ready_, and the lock word must not
-  // share a line with either (lock handoff invalidates it constantly).
+  // kLocked hot line: the lock word, the running slot, both weights and the
+  // published load share ONE 64-byte line (pinned by a static_assert in the
+  // constructor). Every critical section writes the lock word and publishes,
+  // so with the published load on a line of its own each owner item and each
+  // steal dirtied two lines, the second of which every thief's snapshot also
+  // reads. On one line a critical section dirties one. Measured on
+  // burst_locked (4-vCPU Xeon VM, 7 runs of 8 s each): moving the published
+  // load back to its own line costs ~8% of items_per_s (EXPERIMENTS.md E19).
   // On kChaseLev the lock guards only the INBOX (external submissions); the
   // deque itself is lock-free.
   alignas(kCacheLineSize) mutable SpinLock lock_;
-  std::deque<WorkItem> ready_ OPTSCHED_GUARDED_BY(lock_);
   bool running_ OPTSCHED_GUARDED_BY(lock_) = false;
   int64_t running_weight_ OPTSCHED_GUARDED_BY(lock_) = 0;
   int64_t queued_weight_ OPTSCHED_GUARDED_BY(lock_) = 0;
@@ -246,11 +268,13 @@ class ConcurrentRunQueue {
   // the seqlock IS the synchronization, so no GUARDED_BY — the write-side
   // discipline is the REQUIRES on PublishLocked plus the lint rule
   // seqlock-write-context.
-  alignas(kCacheLineSize) Seqlock<LoadPair> published_;
-  // kLocked robbery counter behind StolenCount(): bumped under lock_ by
-  // StealTailLocked, read lock-free by the owner's deal gate. Mutated only
-  // inside the steal critical section, whose lock handoff is already the
-  // checker's decision point.
+  Seqlock<LoadPair> published_;
+  ItemRing ready_ OPTSCHED_GUARDED_BY(lock_);
+  // kLocked robbery counter behind StolenCount(): written only by
+  // StealTailLocked under lock_ (so single-writer load+store, no RMW), read
+  // lock-free by the owner's deal gate. Mutated only inside the steal
+  // critical section, whose lock handoff is already the checker's decision
+  // point.
   // mc: kDequeLoadRead, kDequeLoadWrite
   std::atomic<uint64_t> locked_stolen_count_{0};
 
@@ -416,12 +440,17 @@ class ConcurrentMachine {
   // not just the thief. `observation_out` (if given) is filled on success
   // (see StealObservation). `scratch` (if given) supplies the reusable
   // buffers that make the attempt allocation-free; null falls back to
-  // call-local buffers (tests, harness).
+  // call-local buffers (tests, harness). `run_next` (if given) lands one
+  // stolen item as the thief's RUNNING item and receives it — the item a
+  // PopForRun right after the steal would have returned — so the thief runs
+  // it without another pop; the thief must not be running. On kLocked the
+  // landing happens inside the two-lock section (one publish for the
+  // thief). Null keeps the plain landing: every item queued.
   bool TrySteal(const BalancePolicy& policy, CpuId thief, const LoadSnapshot& snapshot,
                 Rng& rng, const StealOptions& options, StealCounters& counters,
                 const Topology* topology = nullptr, CpuId* victim_out = nullptr,
                 StealObservation* observation_out = nullptr,
-                StealScratch* scratch = nullptr);
+                StealScratch* scratch = nullptr, WorkItem* run_next = nullptr);
 
   // Sum of SeqlockReadRetries over all queues.
   uint64_t TotalSeqlockReadRetries() const;
@@ -432,12 +461,12 @@ class ConcurrentMachine {
   bool TryStealLocked(const BalancePolicy& policy, CpuId thief, const LoadSnapshot& snapshot,
                       CpuId victim, const StealOptions& options, StealCounters& counters,
                       const Topology* topology, StealObservation* observation_out,
-                      StealScratch& s);
+                      StealScratch& s, WorkItem* run_next);
   bool TryStealChaseLev(const BalancePolicy& policy, CpuId thief,
                         const LoadSnapshot& snapshot, CpuId victim,
                         const StealOptions& options, StealCounters& counters,
                         const Topology* topology, StealObservation* observation_out,
-                        StealScratch& s);
+                        StealScratch& s, WorkItem* run_next);
 
   const MachineOptions options_;
   std::vector<std::unique_ptr<ConcurrentRunQueue>> queues_;

@@ -330,10 +330,11 @@ void Executor::SubmitBatch(uint32_t queue_index, const std::vector<WorkItem>& it
   }
   submitted_items_.fetch_add(items.size(), std::memory_order_relaxed);  // order: reporting-counter
   remaining_items_.fetch_add(items.size(), std::memory_order_release);
-  for (const WorkItem& item : items) {
-    machine_.queue(queue_index).Push(item);
-  }
-  // One wakeup bump per batch, after the last push (see Submit).
+  // One external batch push: one lock hold and one publish (kLocked), and
+  // the ready ring grows once to exactly the batch instead of doubling its
+  // way up item by item.
+  machine_.queue(queue_index).PushBatchExternal(items.data(), static_cast<uint32_t>(items.size()));
+  // One wakeup bump per batch, after the push (see Submit).
   mc_hooks::SyncPoint(mc_hooks::SyncOp::kEpochBump, &wakeup_epoch_);
   wakeup_epoch_.fetch_add(1, std::memory_order_release);
 }
@@ -584,6 +585,16 @@ OPTSCHED_HOT_PATH void Executor::WorkerMain(uint32_t worker_index, WorkerStats& 
   // watchdog's timebase so the merged stream interleaves correctly.
   const auto trace_now_us = [&] { return (NowNs() - run_start_ns_) / 1000; };
 
+  // Fail-stop exit for an injected crash; the caller holds no item.
+  const auto crash = [&] {
+    ++stats.crashes;
+    if (ring != nullptr) {
+      ring->TryPush({.time = trace_now_us(), .type = trace::EventType::kCrash,
+                     .cpu = worker_index});
+    }
+    state.store(kCrashed, std::memory_order_release);
+  };
+
   // True when the wakeup epoch moved past the value sampled at the loop top
   // — new work was published after this worker's last empty re-check.
   const auto wakeup_stale = [&](uint64_t wakeup_before) {
@@ -642,27 +653,32 @@ OPTSCHED_HOT_PATH void Executor::WorkerMain(uint32_t worker_index, WorkerStats& 
     }
   };
 
-  while (keep_running()) {
-    // Sample the wakeup epoch FIRST: everything below (own-queue pop,
-    // mailbox check, steal filter) is an empty re-check relative to this
-    // sample, so a submit that lands anywhere after it cannot be slept
-    // through — park() compares against this very value.
-    mc_hooks::SyncPoint(mc_hooks::SyncOp::kEpochLoad, &wakeup_epoch_);
-    const uint64_t wakeup_before = wakeup_epoch_.load(std::memory_order_acquire);
-    // Crash seam: only at the loop top, where no item is held — fail-stop
-    // between scheduling decisions, so the shared queues stay consistent and
-    // the supervisor can respawn this slot without losing work.
-    if (injector != nullptr && injector->CrashWorker(worker_index)) {
-      ++stats.crashes;
-      if (ring != nullptr) {
-        ring->TryPush({.time = trace_now_us(), .type = trace::EventType::kCrash,
-                       .cpu = worker_index});
+  // The item this worker runs, carried between iterations: popped at the
+  // loop top, or handed over by the previous item's fused finish+pop, or
+  // landed by a steal. It is already the queue's running item, so the loop
+  // never exits, parks or crashes while holding one — a carried item runs
+  // to completion even past a RunFor deadline.
+  std::optional<WorkItem> item;
+  uint64_t wakeup_before = 0;
+  while (item.has_value() || keep_running()) {
+    if (!item.has_value()) {
+      // Sample the wakeup epoch FIRST: everything below (own-queue pop,
+      // mailbox check, steal filter) is an empty re-check relative to this
+      // sample, so a submit that lands anywhere after it cannot be slept
+      // through — park() compares against this very value.
+      mc_hooks::SyncPoint(mc_hooks::SyncOp::kEpochLoad, &wakeup_epoch_);
+      wakeup_before = wakeup_epoch_.load(std::memory_order_acquire);
+      // Crash seam: only where no item is held — fail-stop between
+      // scheduling decisions, so the shared queues stay consistent and the
+      // supervisor can respawn this slot without losing work.
+      if (injector != nullptr && injector->CrashWorker(worker_index)) {
+        crash();
+        return;
       }
-      state.store(kCrashed, std::memory_order_release);
-      return;
+      // Run everything queued locally first.
+      item = own.PopForRun();
     }
-    // Run everything queued locally first.
-    if (std::optional<WorkItem> item = own.PopForRun(); item.has_value()) {
+    if (item.has_value()) {
       if (item->task != 0) {
         // Structured-parallelism item: the task layer runs the body and
         // flushes any spawned children back through SubmitFromWorker before
@@ -674,38 +690,64 @@ OPTSCHED_HOT_PATH void Executor::WorkerMain(uint32_t worker_index, WorkerStats& 
       } else {
         DoWork(item->work_units, config_.spin_per_unit);
       }
-      own.FinishCurrent();
       ++stats.items_executed;
       stats.units_executed += item->work_units;
       if (item->arrival_ns != 0) {
         const uint64_t now = NowNs();
         stats.sojourn_ns.Add(now > item->arrival_ns ? now - item->arrival_ns : 0);
       }
+      // The next item's wakeup sample and crash seam run here, in front of
+      // the fused finish+pop (its pop is the empty re-check when the queue
+      // ran dry), so CrashWorker is still asked once per item and a crash
+      // finishes the executed item without popping another.
+      mc_hooks::SyncPoint(mc_hooks::SyncOp::kEpochLoad, &wakeup_epoch_);
+      wakeup_before = wakeup_epoch_.load(std::memory_order_acquire);
+      // Nothing more is popped by a worker about to crash or past a RunFor
+      // deadline. A closed run needs no deadline check here: queued items
+      // keep remaining_items_ above zero.
+      const bool crashing = injector != nullptr && injector->CrashWorker(worker_index);
+      if (crashing || (deadline_mode_ && stop_.load(std::memory_order_acquire))) {
+        own.FinishCurrent();
+        item.reset();
+      } else {
+        item = own.FinishCurrentAndPop();
+      }
       remaining_items_.fetch_sub(1, std::memory_order_acq_rel);
+      if (crashing) {
+        crash();
+        return;
+      }
       fruitless = 0;
       backoff_spins = 0;
+      // Items the cadences below moved into the own queue: with no carried
+      // item they are popped at the loop top, never left behind by a park.
+      bool refilled = false;
       // Sustained-load drain cadence: a never-empty runqueue must not starve
       // the mailbox, so pull a batch every N executed items too.
       if (ingress != nullptr &&
           ++executed_since_drain >= config_.ingress_drain_interval_items) {
         executed_since_drain = 0;
         if (ingress->PendingFor(worker_index) > 0) {
-          DrainIngress(worker_index, stats, drain_batch, ring);
+          refilled |= DrainIngress(worker_index, stats, drain_batch, ring) > 0;
         }
       }
       // Deal check cadence: recipient duty first (a busy worker bounds its
       // own deal-mailbox sojourn, same rule as the ingress cadence above),
-      // then the dealer-side round — with no item held, so a crash between
-      // rounds stays fail-stop.
+      // then the dealer-side round. The carried next item is already
+      // running, and TakeOwnerBatch never touches the running slot.
       if (dealing && ++executed_since_deal >= config_.deal.check_interval_items) {
         executed_since_deal = 0;
         if (config_.deal_sink->DealtPendingFor(worker_index) > 0) {
-          DrainDealt(worker_index, stats, deal_batch, ring);
+          refilled |= DrainDealt(worker_index, stats, deal_batch, ring) > 0;
         }
         DealRound(worker_index, own, stats, deal_window, deal_snapshot, deal_batch,
                   deal_pending_scratch, ring);
       }
-      continue;
+      // With no next item the fused pop was this round's empty own-queue
+      // re-check: go straight to the round boundary below.
+      if (item.has_value() || refilled || !keep_running()) {
+        continue;
+      }
     }
     // Round boundary (queue empty): dealt items beat stolen items — they
     // are already ours, pushed here precisely because we looked idle.
@@ -758,9 +800,15 @@ OPTSCHED_HOT_PATH void Executor::WorkerMain(uint32_t worker_index, WorkerStats& 
         const uint64_t steal_start = NowNs();
         const uint64_t attempts_before = stats.steals.attempts;
         CpuId victim = 0;
+        // A successful steal lands its first item as this worker's running
+        // item, so the next iteration runs it without another pop.
+        WorkItem landed;
         stole = machine_.TrySteal(*policy_, worker_index, snapshot, rng, steal_options,
                                   stats.steals, topology_, &victim,
-                                  /*observation_out=*/nullptr, &steal_scratch);
+                                  /*observation_out=*/nullptr, &steal_scratch, &landed);
+        if (stole) {
+          item = landed;
+        }
         // An unchanged attempt count means the filter was empty: no steal
         // phase ran, so there is no latency to attribute and no outcome to
         // trace.

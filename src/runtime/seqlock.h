@@ -73,7 +73,10 @@ class Seqlock {
     }
     std::atomic_thread_fence(std::memory_order_release);
     sequence_.store(seq + 2, std::memory_order_release);  // even: stable
-    writes_.fetch_add(1, std::memory_order_relaxed);  // order: reporting-counter
+    // Writers are serialized, so the count is single-writer: load+store, no
+    // lock-prefixed RMW on every publish.
+    // order: seq-writer-serialized
+    writes_.store(writes_.load(std::memory_order_relaxed) + 1, std::memory_order_relaxed);
     mc_hooks::SyncPoint(mc_hooks::SyncOp::kSeqWriteEnd, this);
   }
 

@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <string>
 #include <thread>
@@ -153,6 +154,106 @@ TEST_P(BackendMatrix, TakeOwnerBatchReachesInboxResidents) {
   EXPECT_EQ(queue.ReadLoad().task_count, 0);
   EXPECT_EQ(queue.ExactLoad().task_count, 0);
   EXPECT_EQ(window.size(), 4u);
+}
+
+TEST_P(BackendMatrix, FinishCurrentAndPopHandsTheRunningSlotOn) {
+  ConcurrentRunQueue queue(GetParam());
+  std::vector<WorkItem> batch;
+  for (uint64_t id = 1; id <= 3; ++id) {
+    batch.push_back(Item(id, 100 * static_cast<uint32_t>(id)));
+  }
+  queue.PushBatchOwner(batch.data(), 3);
+  std::optional<WorkItem> item = queue.PopForRun();
+  ASSERT_TRUE(item.has_value());
+  std::vector<uint64_t> ids;
+  int64_t tasks = 3;
+  int64_t weight = 600;
+  while (item.has_value()) {
+    ids.push_back(item->id);
+    tasks -= 1;
+    weight -= item->weight;
+    const uint64_t writes_before = queue.SeqlockWriteCount();
+    // The finished item leaves the load and the next one (if any) runs,
+    // with exactly one publish on kLocked.
+    item = queue.FinishCurrentAndPop();
+    EXPECT_EQ(queue.SeqlockWriteCount() - writes_before,
+              GetParam() == QueueBackend::kLocked ? 1u : 0u);
+    const runtime::LoadPair published = queue.ReadLoad();
+    const runtime::LoadPair exact = queue.ExactLoad();
+    EXPECT_EQ(published.task_count, tasks);
+    EXPECT_EQ(published.weighted_load, weight);
+    EXPECT_EQ(exact.task_count, tasks);
+    EXPECT_EQ(exact.weighted_load, weight);
+  }
+  std::sort(ids.begin(), ids.end());
+  EXPECT_EQ(ids, (std::vector<uint64_t>{1, 2, 3}));
+  // An empty fused pop leaves the owner not running: a plain pop and a
+  // later push/pop cycle work as before.
+  EXPECT_FALSE(queue.PopForRun().has_value());
+  queue.Push(Item(9));
+  item = queue.PopForRun();
+  ASSERT_TRUE(item.has_value());
+  EXPECT_EQ(item->id, 9u);
+  EXPECT_FALSE(queue.FinishCurrentAndPop().has_value());
+  EXPECT_EQ(queue.ReadLoad().task_count, 0);
+}
+
+TEST_P(BackendMatrix, StealLandsThePoppedItemAsRunning) {
+  // Two identical machines, one stealing with the plain landing and then
+  // popping, one landing with run-next: the thief must end up running the
+  // same item with the same queue behind it, and the landing must keep the
+  // published load exact.
+  const auto policy = policies::MakeThreadCount();
+  const runtime::StealOptions options{.recheck = true, .max_batch = 8};
+  auto seeded = [&] {
+    auto machine = std::make_unique<runtime::ConcurrentMachine>(
+        2, runtime::MachineOptions{.backend = GetParam()});
+    std::vector<WorkItem> load;
+    for (uint64_t id = 1; id <= 9; ++id) {
+      load.push_back(Item(id));
+    }
+    machine->queue(1).PushBatchOwner(load.data(), static_cast<uint32_t>(load.size()));
+    return machine;
+  };
+  auto drain = [](ConcurrentRunQueue& queue, std::optional<WorkItem> item) {
+    std::vector<uint64_t> ids;
+    while (item.has_value()) {
+      ids.push_back(item->id);
+      item = queue.FinishCurrentAndPop();
+    }
+    return ids;
+  };
+
+  auto plain = seeded();
+  Rng plain_rng(3);
+  runtime::StealCounters plain_counters;
+  ASSERT_TRUE(plain->TrySteal(*policy, 0, plain->Snapshot(), plain_rng, options,
+                              plain_counters));
+  const std::vector<uint64_t> plain_ids =
+      drain(plain->queue(0), plain->queue(0).PopForRun());
+
+  auto landing = seeded();
+  Rng landing_rng(3);
+  runtime::StealCounters landing_counters;
+  runtime::StealObservation observation;
+  WorkItem landed;
+  ASSERT_TRUE(landing->TrySteal(*policy, 0, landing->Snapshot(), landing_rng, options,
+                                landing_counters, nullptr, nullptr, &observation, nullptr,
+                                &landed));
+  EXPECT_EQ(observation.items_moved, 4u);  // steal-half of 9 vs 0
+  if (GetParam() == QueueBackend::kLocked) {
+    EXPECT_LE(observation.seqlock_writes, 2u);  // publish batching holds
+  }
+  ConcurrentRunQueue& thief = landing->queue(0);
+  EXPECT_EQ(thief.ReadLoad().task_count, 4);
+  EXPECT_EQ(thief.ExactLoad().task_count, 4);
+  EXPECT_EQ(thief.ReadLoad().weighted_load, 4 * 1024);
+  EXPECT_EQ(thief.ExactLoad().weighted_load, 4 * 1024);
+  // Running the landed item first, then the fused pops, visits exactly the
+  // items in the order the plain landing's pops would.
+  EXPECT_EQ(drain(thief, landed), plain_ids);
+  EXPECT_EQ(thief.ReadLoad().task_count, 0);
+  EXPECT_EQ(landing->queue(1).ReadLoad().task_count, 5);
 }
 
 TEST(BackendMatrixChaseLev, RingOverflowSpillsToInboxWithoutLosingItems) {

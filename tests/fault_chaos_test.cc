@@ -9,6 +9,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <vector>
 
 #include "src/core/balancer.h"
 #include "src/core/conservation.h"
@@ -272,6 +274,100 @@ TEST(ChaosExecutor, DrainsEverythingThroughCrashesAndAborts) {
     EXPECT_EQ(w.steals.attempts,
               w.steals.successes + w.steals.failed_recheck + w.steals.failed_no_task);
   }
+}
+
+// Records how often each item id ran. Items carry task = 1 so the executor
+// routes them here instead of the calibrated spin.
+class LedgerRunner : public runtime::TaskRunner {
+ public:
+  explicit LedgerRunner(size_t items) : runs_(items) {}
+  void RunItem(const runtime::WorkItem& item, runtime::Executor& /*executor*/,
+               uint32_t /*worker*/) override {
+    runs_[item.id].fetch_add(1, std::memory_order_relaxed);
+    for (volatile int spin = 0; spin < 200; ++spin) {
+    }
+  }
+  int64_t OutstandingFor(uint32_t /*worker*/) const override { return 0; }
+  // Ids that did not run exactly once (read after the run joined).
+  size_t Mismatches() const {
+    size_t bad = 0;
+    for (const auto& runs : runs_) {
+      bad += runs.load(std::memory_order_relaxed) != 1 ? 1 : 0;
+    }
+    return bad;
+  }
+
+ private:
+  std::vector<std::atomic<uint32_t>> runs_;
+};
+
+std::vector<runtime::WorkItem> LedgerItems(uint64_t count) {
+  std::vector<runtime::WorkItem> items;
+  for (uint64_t id = 0; id < count; ++id) {
+    items.push_back(runtime::WorkItem{.id = id, .work_units = 1, .weight = 1024, .task = 1});
+  }
+  return items;
+}
+
+uint64_t Executed(const runtime::ExecutorReport& report) {
+  uint64_t executed = 0;
+  for (const runtime::WorkerStats& w : report.workers) {
+    executed += w.items_executed;
+  }
+  return executed;
+}
+
+// Regression: a worker carries the next item out of each fused finish+pop
+// (and out of each landing steal). Crashing or exiting while holding it
+// would leave its queue's running slot set, and the respawned worker's
+// first pop would abort with "owner already runs an item". The crash seam
+// sits in front of the fused pop, so every crash leaves no item behind and
+// every id runs exactly once.
+TEST(ChaosExecutor, CrashesNeverStrandACarriedItem) {
+  constexpr uint64_t kItems = 20000;
+  LedgerRunner runner(kItems);
+  runtime::ExecutorConfig config;
+  config.num_workers = 3;
+  config.seed = 11;
+  config.task_runner = &runner;
+  config.fault_plan.crash_rate = 0.002;  // a few dozen crashes per run
+  config.fault_plan.crash_restart_us = 50;
+  config.fault_plan.seed = 11;
+  runtime::Executor executor(policies::MakeThreadCount(), config);
+  const std::vector<runtime::WorkItem> items = LedgerItems(kItems);
+  // Most work on queue 0 (owner pops, thieves land batches), some elsewhere.
+  executor.Seed(0, std::vector<runtime::WorkItem>(items.begin(), items.begin() + 16000));
+  executor.Seed(1, std::vector<runtime::WorkItem>(items.begin() + 16000, items.end()));
+  const runtime::ExecutorReport report = executor.Run();
+  SCOPED_TRACE(report.ToString());
+  EXPECT_GT(report.total_crashes(), 0u);
+  EXPECT_EQ(Executed(report), kItems);
+  EXPECT_EQ(runner.Mismatches(), 0u);
+}
+
+// Regression: a RunFor deadline lands while workers carry popped items.
+// They run them to completion and pop nothing more, instead of exiting with
+// the running slot set (the next Run() would trip the single-current check)
+// or draining their whole queue past the deadline. The two runs together
+// execute every id exactly once.
+TEST(ChaosExecutor, RunForDeadlineThenRunKeepsTheLedgerExact) {
+  constexpr uint64_t kItems = 400000;
+  LedgerRunner runner(kItems);
+  runtime::ExecutorConfig config;
+  config.num_workers = 3;
+  config.task_runner = &runner;
+  runtime::Executor executor(policies::MakeThreadCount(), config);
+  const std::vector<runtime::WorkItem> items = LedgerItems(kItems);
+  executor.Seed(0, std::vector<runtime::WorkItem>(items.begin(), items.begin() + kItems / 2));
+  executor.Seed(2, std::vector<runtime::WorkItem>(items.begin() + kItems / 2, items.end()));
+  const runtime::ExecutorReport first = executor.RunFor(/*duration_ms=*/5);
+  SCOPED_TRACE(first.ToString());
+  ASSERT_GT(first.items_left_unexecuted, 0u) << "the deadline must cut the drain short";
+  EXPECT_EQ(Executed(first) + first.items_left_unexecuted, kItems);
+  const runtime::ExecutorReport second = executor.Run();
+  EXPECT_EQ(second.total_items, first.items_left_unexecuted);
+  EXPECT_EQ(Executed(first) + Executed(second), kItems);
+  EXPECT_EQ(runner.Mismatches(), 0u);
 }
 
 TEST(ChaosExecutor, BackoffEngagesAndStaysBounded) {
