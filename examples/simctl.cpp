@@ -107,6 +107,11 @@ void PrintUsage(const char* prog) {
   std::printf("  --mc-fanout=N       forkjoin harness: children per internal node (default 2)\n");
   std::printf("  --mc-broken-join    fault mode: plain load/store join decrement loses a\n");
   std::printf("                      concurrent arrival (join-fires-exactly-once cex)\n");
+  std::printf("  --mc-broken-termination-order  fault mode: the quiescence sum reads the\n");
+  std::printf("                      submitted counts before the executed ones\n");
+  std::printf("                      (no-premature-exit cex, forkjoin harness)\n");
+  std::printf("  --mc-broken-wakeup-gate  fault mode: owners announce idle after their last\n");
+  std::printf("                      re-check (no-lost-wakeup cex, wakeup harness)\n");
   std::printf("  --mc-deal-window=N  deal harness: items the dealer takes per deal round (default 2)\n");
   std::printf("  --mc-broken-deal-window  fault mode: dealer drops the mailbox-refused tail\n");
   std::printf("                      of its window (no-lost-dealt-items cex)\n");
@@ -229,6 +234,8 @@ int RunMcExplore(int argc, char** argv) {
   const int fanout = std::atoi(FlagValue(argc, argv, "mc-fanout", "2").c_str());
   config.fanout = fanout >= 1 ? static_cast<uint32_t>(fanout) : 2;
   config.broken_join_counter = HasFlag(argc, argv, "mc-broken-join");
+  config.broken_termination_order = HasFlag(argc, argv, "mc-broken-termination-order");
+  config.broken_wakeup_gate = HasFlag(argc, argv, "mc-broken-wakeup-gate");
   const int deal_window = std::atoi(FlagValue(argc, argv, "mc-deal-window", "2").c_str());
   config.deal_window = deal_window >= 1 ? static_cast<uint32_t>(deal_window) : 2;
   config.broken_deal_window = HasFlag(argc, argv, "mc-broken-deal-window");
@@ -263,6 +270,8 @@ int RunMcExplore(int argc, char** argv) {
       {"mc-tree-depth", forkjoin_mode, "the forkjoin harness"},
       {"mc-fanout", forkjoin_mode, "the forkjoin harness"},
       {"mc-broken-join", forkjoin_mode, "the forkjoin harness"},
+      {"mc-broken-termination-order", forkjoin_mode, "the forkjoin harness"},
+      {"mc-broken-wakeup-gate", config.mode == "wakeup", "the wakeup harness"},
       {"mc-mailbox", mailbox_mode, "the ingress, wakeup and deal harnesses"},
       {"mc-deal-window", deal_mode, "the deal harness"},
       {"mc-broken-deal-window", deal_mode, "the deal harness"},

@@ -20,14 +20,17 @@ namespace {
 
 // "forkjoin" mode sink: the real src/task join protocol runs unmodified; only
 // the spawn destination changes — batches land on the runner's own machine
-// queue (the executor's PushBatchOwner path) and every spawn/fork/fire is
-// announced to the checker.
+// queue (the executor's PushBatchOwner path), counted first exactly like
+// Executor::SubmitFromWorker, and every spawn/fork/fire is announced to the
+// checker.
 class McTaskSink final : public task::SpawnSink {
  public:
   explicit McTaskSink(ConcurrentMachine& machine) : machine_(machine) {}
 
   void SubmitBatch(uint32_t worker, const WorkItem* items, uint32_t count) override {
-    machine_.queue(worker).PushBatchOwner(items, count);
+    runtime::ConcurrentRunQueue& own = machine_.queue(worker);
+    runtime::TerminationCounts::AddSubmitted(own.counts(), count);
+    own.PushBatchOwner(items, count);
     Scheduler* scheduler = ActiveScheduler();
     for (uint32_t i = 0; i < count; ++i) {
       scheduler->Note(kUserTaskSpawn, static_cast<int64_t>(items[i].id), worker);
@@ -99,6 +102,8 @@ StealHarness::Config StealHarness::Config::FromSchedule(const Schedule& schedule
   config.tree_depth = schedule.tree_depth;
   config.fanout = schedule.fanout;
   config.broken_join_counter = schedule.broken_join_counter;
+  config.broken_termination_order = schedule.broken_termination_order;
+  config.broken_wakeup_gate = schedule.broken_wakeup_gate;
   config.deal_window = schedule.deal_window;
   config.broken_deal_window = schedule.broken_deal_window;
   return config;
@@ -124,7 +129,11 @@ StealHarness::StealHarness(Config config)
   } else {
     OPTSCHED_CHECK_MSG(!config_.broken_join_counter,
                        "broken_join_counter is a forkjoin fault knob");
+    OPTSCHED_CHECK_MSG(!config_.broken_termination_order,
+                       "broken_termination_order is a forkjoin fault knob");
   }
+  OPTSCHED_CHECK_MSG(config_.mode == "wakeup" || !config_.broken_wakeup_gate,
+                     "broken_wakeup_gate is a wakeup fault knob");
   if (config_.mode == "deal") {
     // Worker 0 is the dealer; dealing needs at least one peer, a non-empty
     // take window, and a bounded mailbox to refuse into.
@@ -182,7 +191,10 @@ std::vector<std::function<void()>> StealHarness::MakeBodies() {
     }
   }
   task_graph_.reset();
+  termination_.reset();
   if (config_.mode == "forkjoin") {
+    termination_ =
+        std::make_unique<runtime::TerminationCounts>(config_.broken_termination_order);
     // Every internal node allocates one continuation plus `fanout` children;
     // chunked handout wastes up to one chunk per worker, covered by slack.
     const uint64_t internal = UniformTreeInternalNodes(config_.tree_depth, config_.fanout);
@@ -195,10 +207,14 @@ std::vector<std::function<void()>> StealHarness::MakeBodies() {
     root.env[0] = config_.tree_depth;
     root.env[1] = config_.fanout;
     const WorkItem root_item = task_graph_->ItemFor(root);
+    // Seeded like Executor::Seed: external count first, then the push.
+    termination_->AddExternal(1);
     machine_->queue(0).PushBatchOwner(&root_item, 1);
     initial_item_ids_.push_back(root_item.id);
   }
   mailboxes_.reset();
+  gate_ = std::make_unique<runtime::WakeupGate>();
+  notify_in_flight_ = false;
   next_ingress_id_ = next_id;
   if (config_.mode == "ingress" || config_.mode == "wakeup") {
     // Fresh mailboxes per execution; no notify callback — the owners poll
@@ -332,23 +348,37 @@ void StealHarness::ForkJoinBody(uint32_t worker) {
   Scheduler* scheduler = ActiveScheduler();
   Rng rng(config_.seed * 0x9e3779b97f4a7c15ull + worker + 1);
   McTaskSink sink(*machine_);
+  runtime::ConcurrentRunQueue& own = machine_->queue(worker);
   uint32_t fruitless = 0;
   for (;;) {
     // Own queue first: spawns always land on the spawner's own queue, so a
-    // worker that drains itself before exiting can never strand a task —
-    // the termination argument for the whole mode.
-    std::optional<WorkItem> item = machine_->queue(worker).PopForRun();
+    // worker that drains itself before exiting never strands its own tasks.
+    std::optional<WorkItem> item = own.PopForRun();
     if (item.has_value()) {
       scheduler->Note(kUserExecuteItem, static_cast<int64_t>(item->id));
       scheduler->Yield();  // the body "runs" here
       // The real join protocol: fork/spawn/complete, with kTaskJoinDec a
       // decision point, so the checker drives every last-arriver race.
       task_graph_->RunItemOn(*item, worker, sink);
-      machine_->queue(worker).FinishCurrent();
+      own.FinishCurrent();
+      // WorkerMain's order: the executed bump follows the body and every
+      // flush it made.
+      runtime::TerminationCounts::AddExecuted(own.counts(), 1);
+      scheduler->Note(kUserItemDone, static_cast<int64_t>(item->id));
       fruitless = 0;
       continue;
     }
-    if (task_graph_->done() || fruitless >= config_.attempts_per_worker) {
+    // The executor's closed-run exit: an idle worker leaves once the
+    // quiescence sum reads drained — every count load a decision point.
+    const runtime::TerminationCounts::Sums sums = termination_->Read(*machine_);
+    if (sums.executed == sums.submitted) {
+      scheduler->Note(kUserQuiescent, static_cast<int64_t>(sums.executed),
+                      static_cast<int64_t>(sums.submitted));
+      return;
+    }
+    // Budget exhausted: a bound on the exploration, not a termination
+    // claim (the checker cannot model an unbounded idle loop).
+    if (fruitless >= config_.attempts_per_worker) {
       return;
     }
     ++fruitless;
@@ -550,43 +580,47 @@ void StealHarness::IngressBody(uint32_t worker) {
 void StealHarness::WakeupProducerBody() {
   Scheduler* scheduler = ActiveScheduler();
   const uint32_t n = num_workers();
+  const auto notify = [&] {
+    // NotifyIngress: the shipped gate — fence, idle-count load, and a bump
+    // only when some owner announced itself idle.
+    if (gate_->Notify()) {
+      scheduler->Note(kUserEpochBump, static_cast<int64_t>(gate_->PeekEpoch()));
+    }
+    notify_in_flight_ = false;
+  };
   for (uint32_t i = 0; i < config_.attempts_per_worker; ++i) {
     const uint32_t target = 1 + (i % (n - 1));
     const uint64_t id = next_ingress_id_++;
     const WorkItem item{.id = id, .work_units = 1, .weight = 1024};
     if (mailboxes_->Push(target, item)) {
+      notify_in_flight_ = true;
       scheduler->Note(kUserMailboxPush, static_cast<int64_t>(id), target);
     } else {
       scheduler->Note(kUserMailboxShed, static_cast<int64_t>(id), target);
     }
-    // NotifyIngress's ordering contract: the epoch bump strictly follows the
-    // item becoming mailbox-visible, so an owner that parks on a pre-push
-    // sample is always released and re-drains.
-    scheduler->OnSync(SyncOp::kEpochBump, &epoch_);
-    ++epoch_;
-    scheduler->Note(kUserEpochBump, static_cast<int64_t>(epoch_));
+    // NotifyIngress's ordering contract: the notify strictly follows the
+    // item becoming mailbox-visible.
+    notify();
     scheduler->Yield();
   }
   // The executor's quit-path ordering: done becomes observable strictly
-  // after the last push, then one final bump releases any owner that parked
-  // between that push's bump and this flag flipping.
+  // after the last push, then one final notify releases any owner that
+  // parked between that push's notify and this flag flipping.
   producer_done_ = true;
-  scheduler->OnSync(SyncOp::kEpochBump, &epoch_);
-  ++epoch_;
-  scheduler->Note(kUserEpochBump, static_cast<int64_t>(epoch_));
+  notify();
 }
 
 void StealHarness::WakeupWorkerBody(uint32_t worker) {
   Scheduler* scheduler = ActiveScheduler();
   std::vector<WorkItem> drained;
+  bool announced = false;
   for (;;) {
     // WorkerMain's ordering contract in miniature: sample the wakeup word
     // FIRST, then look for work. A notify landing after the sample moves the
-    // epoch past it and turns the park below into a no-op; one landing
-    // before the drain is simply seen by the drain. Sampling after the drain
-    // instead would open the classic lost-wakeup window.
-    scheduler->OnSync(SyncOp::kEpochLoad, &epoch_);
-    const uint64_t sample = epoch_;
+    // epoch past it (the owner is announced by the time it parks) and turns
+    // the park below into a no-op; one landing before the drain is simply
+    // seen by the drain.
+    const uint64_t sample = gate_->Sample();
     bool progress = false;
     if (mailboxes_->PendingFor(worker) > 0) {
       drained.clear();
@@ -608,25 +642,50 @@ void StealHarness::WakeupWorkerBody(uint32_t worker) {
       progress = true;
     }
     if (progress) {
+      if (announced) {
+        gate_->Retract();
+        announced = false;
+      }
       continue;
     }
-    if (!producer_done_) {
-      // Park on the top-of-loop sample. If any bump (push or quit kick)
-      // happened after the sample the predicate is already true and this
-      // wake is immediate — the lost-wakeup-free property under test.
-      scheduler->Note(kUserPark);
-      scheduler->BlockUntil(SyncOp::kEpochLoad, &epoch_,
-                            [this, sample] { return epoch_ != sample; });
-      scheduler->Note(kUserWake);
-      continue;
+    if (producer_done_) {
+      // done was set strictly after the producer's last push, so one more
+      // pending check closes the race where that push landed after our
+      // drain above — without it an owner could exit over a stranded item.
+      if (mailboxes_->PendingFor(worker) > 0) {
+        continue;
+      }
+      if (announced) {
+        gate_->Retract();
+      }
+      return;
     }
-    // done was set strictly after the producer's last push, so one more
-    // pending check closes the race where that push landed after our drain
-    // above — without it an owner could exit over a stranded item.
-    if (mailboxes_->PendingFor(worker) > 0) {
-      continue;
+    if (!announced) {
+      gate_->Announce();
+      announced = true;
+      if (!config_.broken_wakeup_gate) {
+        // The shipped order: go round once more, so the park rests on a
+        // sample and a re-check taken after the announcement.
+        continue;
+      }
+      // broken_wakeup_gate: park on this round's sample, taken before the
+      // announcement — a notify between that sample and the announcement
+      // reads no idle owner and skips the bump.
     }
-    return;
+    // Park on the loop-top sample. If any bump happened after it the
+    // predicate is already true and this wake is immediate. Blocking while
+    // an item sits in the mailbox with no notify on its way is a lost
+    // wakeup: nothing would ever release this owner for it. (The mailbox's
+    // lifetime tallies are hook-free, so this check adds no decision point.)
+    const ingress::BoundedMailbox& mailbox = mailboxes_->mailbox(worker);
+    const uint64_t resident = mailbox.total_pushed() - mailbox.total_drained();
+    if (gate_->PeekEpoch() == sample && !notify_in_flight_ && resident > 0) {
+      scheduler->Note(kUserLostWakeup, worker, static_cast<int64_t>(resident));
+    }
+    scheduler->Note(kUserPark);
+    scheduler->BlockUntil(SyncOp::kEpochLoad, gate_->epoch_word(),
+                          [this, sample] { return gate_->PeekEpoch() != sample; });
+    scheduler->Note(kUserWake);
   }
 }
 
@@ -678,6 +737,8 @@ Schedule StealHarness::MakeSchedule(const std::vector<uint32_t>& choices) const 
   schedule.tree_depth = config_.tree_depth;
   schedule.fanout = config_.fanout;
   schedule.broken_join_counter = config_.broken_join_counter;
+  schedule.broken_termination_order = config_.broken_termination_order;
+  schedule.broken_wakeup_gate = config_.broken_wakeup_gate;
   schedule.deal_window = config_.deal_window;
   schedule.broken_deal_window = config_.broken_deal_window;
   schedule.choices = choices;
@@ -725,6 +786,25 @@ std::vector<PropertyReport> StealHarness::Evaluate(const ExecutionResult& result
     }
     add("epoch-wakeup", holds, std::move(detail));
     return reports;
+  }
+
+  // --- no-lost-wakeup: judged from the park events alone, so it is reported
+  // ahead of termination — a lost wakeup usually ends in exactly the
+  // deadlock below (the owner parks and nothing ever bumps again), and this
+  // names the cause.
+  if (config_.mode == "wakeup") {
+    bool holds = true;
+    std::string detail;
+    for (const McEvent& event : result.events) {
+      if (event.user_kind == kUserLostWakeup) {
+        holds = false;
+        detail = StrFormat("owner %lld parked with %lld mailbox items and no notify on its way",
+                           static_cast<long long>(event.arg0),
+                           static_cast<long long>(event.arg1));
+        break;
+      }
+    }
+    add("no-lost-wakeup", holds, std::move(detail));
   }
 
   if (result.deadlock || result.step_limit_hit) {
@@ -923,6 +1003,32 @@ std::vector<PropertyReport> StealHarness::Evaluate(const ExecutionResult& result
   }
 
   if (forkjoin_mode) {
+    // --- no-premature-exit: a worker whose quiescence sum read drained exits
+    // only once every item of the final tree (root ∪ all spawns) has
+    // finished. A sum that misses children spawned between its passes
+    // (broken_termination_order) lets a worker leave with work still queued;
+    // in the executor, a worker or supervisor acting on such a sum treats the
+    // run as over while it is not.
+    {
+      bool holds = true;
+      std::string detail;
+      size_t finished = 0;
+      for (const McEvent& event : result.events) {
+        if (event.user_kind == kUserItemDone) {
+          ++finished;
+        } else if (event.user_kind == kUserQuiescent && finished != expected.size()) {
+          holds = false;
+          detail = StrFormat(
+              "worker %u read drained (executed %lld == submitted %lld) with %zu of %zu "
+              "items finished",
+              event.thread, static_cast<long long>(event.arg0),
+              static_cast<long long>(event.arg1), finished, expected.size());
+          break;
+        }
+      }
+      add("no-premature-exit", holds, std::move(detail));
+    }
+
     // --- join-fires-exactly-once: every forked continuation's counter reaches
     // zero exactly once. A lost decrement (broken_join_counter's plain
     // load/store race) strands the continuation — fork with no fire; the

@@ -18,13 +18,18 @@
 //     every item the mailbox accepted is executed, still queued, or still
 //     mailbox-resident — full mailboxes refuse loudly (kUserMailboxShed),
 //     they never lose.
-//   * "wakeup"  — the executor's notify/park handshake end to end: worker 0
-//     produces into mailboxes and bumps the wakeup epoch AFTER each push
-//     (NotifyIngress's ordering contract); owners sample the epoch at the
-//     loop top, drain+execute, and park on an epoch change only when the
-//     sample predates any unseen notify. Discharges that a notify landing
-//     between an owner's last drain and its park can neither deadlock the
-//     owner nor strand the pushed item (wakeup-no-stranded-items).
+//   * "wakeup"  — the executor's notify/park handshake end to end, through
+//     the shipped runtime::WakeupGate: worker 0 produces into mailboxes and
+//     notifies the gate AFTER each push (NotifyIngress's ordering contract),
+//     which bumps the epoch only while some owner has announced itself idle;
+//     owners announce on their first fruitless round, go round once more
+//     (sample the epoch at the loop top, re-check their mailbox), and park
+//     on an epoch change only then, retracting when they get work.
+//     Discharges that a notify landing between an owner's last drain and its
+//     park can neither deadlock the owner nor strand the pushed item
+//     (wakeup-no-stranded-items), and that no owner ever blocks while work
+//     is visible to it with no bump on its way (no-lost-wakeup). The seeded
+//     broken_wakeup_gate fault announces after the last re-check instead.
 //   * "deal"    — proactive work-dealing end to end: worker 0 is the DEALER,
 //     seeded heavy; it pops/executes its own queue and, while its task count
 //     exceeds the deal threshold and an idle peer exists, takes up to
@@ -47,12 +52,17 @@
 //     pop/run task bodies — which fork continuations and spawn children onto
 //     the runner's OWN queue mid-exploration — and steal when empty. The
 //     join decrement is a decision point (kTaskJoinDec), so the checker
-//     drives all last-arriver races. Discharges no-lost-spawns (every
-//     spawned item is executed — dynamic work obeys conservation),
+//     drives all last-arriver races. Spawns and executions are counted
+//     through the shipped runtime::TerminationCounts, and a worker exits
+//     when its quiescence sum reads drained (or its steal budget runs out).
+//     Discharges no-lost-spawns (every spawned item is executed — dynamic
+//     work obeys conservation), no-premature-exit (a worker that read
+//     "drained" exits only once every item ever spawned has finished),
 //     join-fires-exactly-once, no-worker-blocks-on-join (no parks, no
 //     deadlock: joins cost one RMW, never a wait), and
 //     bounded-steals-on-tree (migrations stay within the rooted-tree
-//     O(W·depth) regime, never the item count).
+//     O(W·depth) regime, never the item count). The seeded
+//     broken_termination_order fault sums submitted before executed.
 //
 // Properties (per mode):
 //   no-lost-items     — multiset{initial items} == queued ∪ executed after.
@@ -84,8 +94,14 @@
 //   wakeup-no-stranded-items — "wakeup" mode: at termination every mailbox is
 //                       empty; an owner may exit only after observing the
 //                       producer done AND re-checking its mailbox.
+//   no-lost-wakeup    — "wakeup" mode: an owner never blocks in its park while
+//                       an item sits in its mailbox and no notify is still
+//                       on its way (the eventcount gate's obligation).
 //   no-lost-spawns    — "forkjoin" mode: multiset{root ∪ spawned} == executed
 //                       at termination with every queue empty.
+//   no-premature-exit — "forkjoin" mode: when a worker's quiescence sum reads
+//                       drained, every item of the final spawn tree has
+//                       already finished (its executed count was bumped).
 //   no-lost-dealt-items — "deal" mode: multiset{seeded} == executed ∪ queued
 //                       ∪ deal-mailbox-resident; a dealt item may be anywhere
 //                       along the owner-push pipeline, but never gone.
@@ -120,6 +136,8 @@
 #include "src/mc/schedule.h"
 #include "src/mc/scheduler.h"
 #include "src/runtime/concurrent_machine.h"
+#include "src/runtime/termination.h"
+#include "src/runtime/wakeup_gate.h"
 #include "src/task/task.h"
 #include "src/topology/topology.h"
 
@@ -170,6 +188,12 @@ class StealHarness {
     // plain load/store join decrement that can lose a concurrent arrival and
     // strand the continuation (join-fires-exactly-once).
     bool broken_join_counter = false;
+    // Fault knob ("forkjoin"): TerminationCounts' broken_read_order — sum
+    // the submitted counts before the executed ones (no-premature-exit).
+    bool broken_termination_order = false;
+    // Fault knob ("wakeup"): owners announce idle AFTER their last re-check
+    // and park on that round's sample (no-lost-wakeup).
+    bool broken_wakeup_gate = false;
     // "deal" mode: cap on items the dealer (worker 0) takes off its own
     // queue per deal round — the take->place window. mailbox_capacity bounds
     // the per-peer deal mailbox, so deal_window > mailbox_capacity makes the
@@ -238,10 +262,15 @@ class StealHarness {
   // item. Balance workers never execute, so it stays running until
   // Evaluate's conservation drain finishes it.
   std::vector<std::optional<runtime::WorkItem>> held_;
-  // The escalation/wakeup epoch word for "epoch" and "wakeup" modes.
+  // The escalation epoch word for "epoch" mode.
   std::uint64_t epoch_ = 0;
+  // "wakeup" mode state, rebuilt per execution by MakeBodies: the executor's
+  // real wakeup gate and the producer's push->notify window (set after a
+  // push, cleared once its notify returned).
+  std::unique_ptr<runtime::WakeupGate> gate_;
+  bool notify_in_flight_ = false;
   // "wakeup" mode: set by the producer strictly after its last push, then
-  // followed by one final epoch bump (the executor's quit-path ordering).
+  // followed by one final notify (the executor's quit-path ordering).
   bool producer_done_ = false;
   // "ingress" mode state, rebuilt per execution by MakeBodies.
   std::unique_ptr<ingress::MailboxSet> mailboxes_;
@@ -253,6 +282,9 @@ class StealHarness {
   // runs the REAL src/task join protocol; only the spawn sink is replaced
   // (machine queues + Note hooks instead of Executor::SubmitFromWorker).
   std::unique_ptr<task::TaskGraph> task_graph_;
+  // "forkjoin" mode: the executor's real termination counts (external
+  // counter here, per-worker slots in the machine's queues).
+  std::unique_ptr<runtime::TerminationCounts> termination_;
 };
 
 }  // namespace optsched::mc

@@ -203,6 +203,15 @@ std::string Schedule::ToJson() const {
     out += StrFormat(",\n  \"fanout\": %u", fanout);
     out += std::string(",\n  \"broken_join_counter\": ") +
            (broken_join_counter ? "true" : "false");
+    // Emitted only when set, so the pre-termination-count forkjoin golden
+    // schema stays byte-stable.
+    if (broken_termination_order) {
+      out += ",\n  \"broken_termination_order\": true";
+    }
+  }
+  if (harness == "wakeup") {
+    out += std::string(",\n  \"broken_wakeup_gate\": ") +
+           (broken_wakeup_gate ? "true" : "false");
   }
   // Deal-only fields follow the same conditional-emission rule: every
   // committed non-deal golden stays byte-identical across this schema growth.
@@ -268,6 +277,8 @@ std::optional<Schedule> Schedule::FromJson(const std::string& json) {
     schedule.fanout = static_cast<uint32_t>(fanout);
   }
   scanner.GetBool("broken_join_counter", schedule.broken_join_counter);
+  scanner.GetBool("broken_termination_order", schedule.broken_termination_order);
+  scanner.GetBool("broken_wakeup_gate", schedule.broken_wakeup_gate);
   int64_t deal_window = 0;
   if (scanner.GetInt("deal_window", deal_window) && deal_window >= 1) {
     schedule.deal_window = static_cast<uint32_t>(deal_window);

@@ -19,7 +19,7 @@ namespace optsched::mc {
 
 struct Schedule {
   // Harness identity (see src/mc/harness.h): "balance", "drain", "epoch",
-  // or "ingress".
+  // "ingress", "wakeup", "forkjoin" or "deal".
   std::string harness = "balance";
   // Policy registry name (src/core/policies/registry.h).
   std::string policy = "thread-count";
@@ -54,6 +54,14 @@ struct Schedule {
   // Fault mode ("forkjoin"): plain load/store join decrement loses
   // concurrent arrivals, stranding the continuation (join-fires-exactly-once).
   bool broken_join_counter = false;
+  // Fault mode ("forkjoin"): the quiescence sum reads the submitted counts
+  // before the executed ones, so a worker can exit while spawned items are
+  // still queued (no-premature-exit).
+  bool broken_termination_order = false;
+  // Fault mode ("wakeup"): an owner announces itself idle only AFTER its
+  // last re-check and parks on that round's stale sample, so a gated notify
+  // can skip the bump it needed (no-lost-wakeup).
+  bool broken_wakeup_gate = false;
   // "deal" harness: cap on items the dealer takes per deal round (the
   // take->place window; see StealHarness::Config::deal_window). Absent in
   // pre-deal golden files; FromJson defaults to 2.

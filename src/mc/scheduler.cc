@@ -59,6 +59,9 @@ const char* UserEventKindName(uint32_t kind) {
     case kUserDealPush: return "deal-push";
     case kUserDealShed: return "deal-shed";
     case kUserDealDrain: return "deal-drain";
+    case kUserItemDone: return "item-done";
+    case kUserQuiescent: return "quiescent";
+    case kUserLostWakeup: return "lost-wakeup";
   }
   return "?";
 }

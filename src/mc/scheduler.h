@@ -107,6 +107,11 @@ enum UserEventKind : uint32_t {
   kUserDealPush = 17,   // arg0 = item id, arg1 = recipient (accepted into deal mailbox)
   kUserDealShed = 18,   // arg0 = item id, arg1 = recipient (refused: mailbox full)
   kUserDealDrain = 19,  // arg0 = item id, arg1 = owner (moved deal mailbox -> runqueue)
+  // Termination counts and the wakeup gate (docs/runtime.md, "Termination
+  // and wakeup"):
+  kUserItemDone = 20,     // arg0 = item id (executed count bumped: the body finished)
+  kUserQuiescent = 21,    // arg0 = executed sum, arg1 = submitted sum (worker exits: drained)
+  kUserLostWakeup = 22,   // arg0 = owner, arg1 = items visible to it (parked through work)
 };
 
 const char* UserEventKindName(uint32_t kind);

@@ -53,6 +53,7 @@
 #include "src/runtime/item_ring.h"
 #include "src/runtime/seqlock.h"
 #include "src/runtime/spinlock.h"
+#include "src/runtime/termination.h"
 #include "src/runtime/work_item.h"
 #include "src/sched/machine_state.h"
 
@@ -144,6 +145,9 @@ class ConcurrentRunQueue {
   // at most once per held-lock critical section (publish batching); 0 on
   // kChaseLev — counter updates don't invalidate concurrent readers at all.
   uint64_t SeqlockWriteCount() const { return published_.write_count(); }
+
+  // The owning worker's termination counts (see counts_ below).
+  WorkerCounts& counts() { return counts_; }
 
   // --- Cross-core steal support: kLocked -------------------------------------
   SpinLock& lock() OPTSCHED_RETURN_CAPABILITY(lock_) { return lock_; }
@@ -327,6 +331,12 @@ class ConcurrentRunQueue {
   alignas(kCacheLineSize) std::atomic<int64_t> stolen_tasks_{0};
   // mc: kDequeLoadRead, kDequeLoadWrite
   std::atomic<int64_t> stolen_weight_{0};
+
+  // Termination counts of the worker that owns this queue (termination.h),
+  // on a line of their own. They live here because the queue is the
+  // per-worker storage that the executor and the model-checker harness both
+  // already own, so both sum the same slots through the same machine.
+  WorkerCounts counts_;
 };
 
 // Outcome counters for one worker's stealing activity. `successes` counts

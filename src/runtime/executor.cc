@@ -295,83 +295,75 @@ void Executor::Seed(uint32_t queue_index, const std::vector<WorkItem>& items) {
 
 void Executor::Submit(uint32_t queue_index, const WorkItem& item) {
   OPTSCHED_CHECK(queue_index < machine_.num_queues());
-  submitted_items_.fetch_add(1, std::memory_order_relaxed);  // order: reporting-counter
-  remaining_items_.fetch_add(1, std::memory_order_release);
+  counts_.AddExternal(1);
   machine_.queue(queue_index).Push(item);
-  // Wakeup bump strictly AFTER the push: a worker whose wakeup sample goes
-  // stale re-runs its empty re-checks and is guaranteed to find this item
-  // (the bump's release pairs with the sample's acquire). Bumping before the
-  // push would let a woken worker re-check, miss the not-yet-pushed item,
-  // and park through it — the very race this epoch exists to close.
-  mc_hooks::SyncPoint(mc_hooks::SyncOp::kEpochBump, &wakeup_epoch_);
-  wakeup_epoch_.fetch_add(1, std::memory_order_release);
+  // Notify strictly AFTER the push: a worker whose wakeup sample goes stale
+  // re-runs its empty re-checks and is guaranteed to find this item.
+  // Notifying before the push would let a woken worker re-check, miss the
+  // not-yet-pushed item, and park through it — the very race the gate
+  // exists to close.
+  wakeup_.Notify();
 }
 
-// Ordering contract for remaining_items_, shared by Submit and SubmitBatch
-// (they used to disagree — Submit released, the batch path was relaxed):
+// Ordering contract for the submitted counts, shared by every submission
+// path (Submit, SubmitBatch, SubmitFromWorker, DrainIngress):
 //
-//  * The count is bumped BEFORE any item of the batch becomes poppable.
-//    Workers only decrement after executing an item, and an executed item was
-//    necessarily pushed after its increment, so the counter can never read 0
-//    while an unexecuted item sits in a queue — keep_running()'s acquire load
-//    observing 0 really means "drained", and closed-system Run() cannot
-//    terminate early. (The old push-then-add order let a fast worker
-//    decrement before the producer's add, transiently wrapping the counter.)
-//  * memory_order_release on the add pairs with the acquire load in
-//    keep_running(): a worker that observes the new count also observes
-//    everything the producer wrote before submitting. Item payload visibility
-//    itself rides on the queue SpinLock (release on unlock, acquire on lock);
-//    the counter's release is what orders producer-side writes *outside* the
-//    queue for workers that act on the count without touching the queue yet.
+//  * The count is bumped BEFORE any item of the batch becomes poppable, so
+//    the bump happens-before the item's execution and before the executed
+//    bump that counts it. The quiescence sum reads the executed counts first
+//    (acquire), so the submitted sum it reads afterwards covers every item
+//    whose execution it counted — equal sums mean drained, and closed-system
+//    Run() cannot terminate early (termination.h).
+//  * The external counter's release add additionally orders producer-side
+//    writes outside the queue for whoever observes the count. Item payload
+//    visibility itself rides on the queue's own publication (lock release,
+//    or the deque's release bottom store).
 void Executor::SubmitBatch(uint32_t queue_index, const std::vector<WorkItem>& items) {
   OPTSCHED_CHECK(queue_index < machine_.num_queues());
   if (items.empty()) {
     return;
   }
-  submitted_items_.fetch_add(items.size(), std::memory_order_relaxed);  // order: reporting-counter
-  remaining_items_.fetch_add(items.size(), std::memory_order_release);
+  counts_.AddExternal(items.size());
   // One external batch push: one lock hold and one publish (kLocked), and
   // the ready ring grows once to exactly the batch instead of doubling its
   // way up item by item.
   machine_.queue(queue_index).PushBatchExternal(items.data(), static_cast<uint32_t>(items.size()));
-  // One wakeup bump per batch, after the push (see Submit).
-  mc_hooks::SyncPoint(mc_hooks::SyncOp::kEpochBump, &wakeup_epoch_);
-  wakeup_epoch_.fetch_add(1, std::memory_order_release);
+  // One notify per batch, after the push (see Submit).
+  wakeup_.Notify();
 }
 
 // The spawn seam is on the D7 allocation-free budget: a worker flushing its
 // spawn batch mid-item must not touch the allocator (rule hot-path-alloc;
-// audited by bench_e16 over the recursive kernels).
+// audited by bench_e16 over the recursive kernels). It is also free of
+// shared-line read-modify-writes while every worker is busy: the count is
+// this worker's own single-writer slot, and the gated notify only loads the
+// idle count.
 OPTSCHED_HOT_PATH void Executor::SubmitFromWorker(uint32_t worker, const WorkItem* items,
                                                   uint32_t count) {
   OPTSCHED_CHECK(worker < machine_.num_queues());
   if (count == 0) {
     return;
   }
-  // Same ordering contract as SubmitBatch: the count is bumped BEFORE any
-  // item becomes poppable. The caller is a worker mid-item, so its own
-  // pending decrement (applied after RunItem returns) additionally keeps the
-  // counter positive throughout — a fired continuation can never be the race
-  // that lets closed-system Run() observe a transient 0.
-  submitted_items_.fetch_add(count, std::memory_order_relaxed);  // order: reporting-counter
-  remaining_items_.fetch_add(count, std::memory_order_release);
+  ConcurrentRunQueue& own = machine_.queue(worker);
+  // Same ordering contract as SubmitBatch: counted BEFORE any item becomes
+  // poppable. The caller is a worker mid-item, so its own executed bump
+  // (applied after RunItem returns) comes after this one — a counted parent
+  // always covers its flushed children in the quiescence sum.
+  TerminationCounts::AddSubmitted(own.counts(), count);
   // Owner push path: deque bottom on chase_lev (lock-free, stealable from
   // the top), the queue lock on locked — never the external-submit inbox.
-  machine_.queue(worker).PushBatchOwner(items, count);
-  // One wakeup bump per flush, after the last push (see Submit): siblings
-  // parked through the spawn burst re-run their steal filter and find the
-  // new subtree. Batching amortizes the bump — one epoch RMW per
-  // kSpawnBatch spawns, not per task.
-  mc_hooks::SyncPoint(mc_hooks::SyncOp::kEpochBump, &wakeup_epoch_);
-  wakeup_epoch_.fetch_add(1, std::memory_order_release);
+  own.PushBatchOwner(items, count);
+  // One notify per flush, after the last push (see Submit): siblings parked
+  // through the spawn burst re-run their steal filter and find the new
+  // subtree. While no worker is idle this is a fence and a load, no write.
+  wakeup_.Notify();
 }
 
 void Executor::NotifyIngress(uint32_t /*worker*/) {
   // The mailbox push already completed (MailboxSet notifies on the
   // empty->non-empty edge, after the item is visible), so the same
-  // bump-after-publish ordering as Submit applies.
-  mc_hooks::SyncPoint(mc_hooks::SyncOp::kEpochBump, &wakeup_epoch_);
-  wakeup_epoch_.fetch_add(1, std::memory_order_release);
+  // notify-after-publish ordering as Submit applies.
+  wakeup_.Notify();
 }
 
 uint32_t Executor::DrainIngress(uint32_t worker, WorkerStats& stats,
@@ -382,17 +374,17 @@ uint32_t Executor::DrainIngress(uint32_t worker, WorkerStats& stats,
   if (moved == 0) {
     return 0;
   }
-  // Same ordering contract as SubmitBatch: the remaining-items count is
+  // Same ordering contract as SubmitBatch: this worker's submitted count is
   // bumped before any drained item becomes poppable. (Between the mailbox
   // removal and this bump the items are in neither PendingFor nor the
   // count — that window is one drain long and only defers the watchdog's
   // pending view by a round, it cannot terminate a run early because ingress
   // requires deadline mode.)
-  submitted_items_.fetch_add(moved, std::memory_order_relaxed);  // order: reporting-counter
-  remaining_items_.fetch_add(moved, std::memory_order_release);
+  ConcurrentRunQueue& own = machine_.queue(worker);
+  TerminationCounts::AddSubmitted(own.counts(), moved);
   // Backend-neutral owner append: the queue lock on kLocked, a lock-free
   // bottom push (inbox spill on overflow) on kChaseLev.
-  machine_.queue(worker).PushBatchOwner(batch.data(), moved);
+  own.PushBatchOwner(batch.data(), moved);
   ++stats.mailbox_drains;
   stats.mailbox_items_drained += moved;
   if (ring != nullptr) {
@@ -414,7 +406,7 @@ uint32_t Executor::DrainDealt(uint32_t worker, WorkerStats& stats,
   if (moved == 0) {
     return 0;
   }
-  // NO remaining/submitted bump — the one deliberate difference from
+  // NO submitted bump — the one deliberate difference from
   // DrainIngress. Dealt items were counted at their original submission and
   // are only migrating; admitting them again would double-count and wedge
   // closed-system termination (see DealChannel's header).
@@ -511,11 +503,10 @@ OPTSCHED_HOT_PATH void Executor::DealRound(uint32_t worker, ConcurrentRunQueue& 
     ++stats.deal_pushes;
     // The mailbox push already fired the channel's notify (wired to
     // NotifyIngress) on the empty->non-empty edge. The direct spill needs
-    // its own bump-after-publish: a peer parked over an empty inbox would
+    // its own notify-after-publish: a peer parked over an empty inbox would
     // otherwise sleep through it.
     if (direct > 0) {
-      mc_hooks::SyncPoint(mc_hooks::SyncOp::kEpochBump, &wakeup_epoch_);
-      wakeup_epoch_.fetch_add(1, std::memory_order_release);
+      wakeup_.Notify();
     }
     if (ring != nullptr) {
       ring->TryPush({.time = (NowNs() - run_start_ns_) / 1000,
@@ -573,12 +564,23 @@ OPTSCHED_HOT_PATH void Executor::WorkerMain(uint32_t worker_index, WorkerStats& 
   // selection run against it instead of a fresh read.
   LoadSnapshot stale_view;
   bool has_stale_view = false;
+  // True while this worker is counted idle by the wakeup gate: from its
+  // first fruitless round until it gets an item (or leaves the loop).
+  bool announced = false;
+  const auto retract = [&] {
+    if (announced) {
+      wakeup_.Retract();
+      announced = false;
+    }
+  };
 
+  // Only a worker without an item asks: the quiescence sum reads every
+  // worker's counts line, which a busy worker never does.
   const auto keep_running = [&] {
     if (deadline_mode_) {
       return !stop_.load(std::memory_order_acquire);
     }
-    return remaining_items_.load(std::memory_order_acquire) > 0;
+    return !counts_.Drained(machine_);
   };
 
   // Trace timestamps are microseconds since the run started, matching the
@@ -587,6 +589,7 @@ OPTSCHED_HOT_PATH void Executor::WorkerMain(uint32_t worker_index, WorkerStats& 
 
   // Fail-stop exit for an injected crash; the caller holds no item.
   const auto crash = [&] {
+    retract();
     ++stats.crashes;
     if (ring != nullptr) {
       ring->TryPush({.time = trace_now_us(), .type = trace::EventType::kCrash,
@@ -598,18 +601,17 @@ OPTSCHED_HOT_PATH void Executor::WorkerMain(uint32_t worker_index, WorkerStats& 
   // True when the wakeup epoch moved past the value sampled at the loop top
   // — new work was published after this worker's last empty re-check.
   const auto wakeup_stale = [&](uint64_t wakeup_before) {
-    mc_hooks::SyncPoint(mc_hooks::SyncOp::kEpochLoad, &wakeup_epoch_);
-    return wakeup_epoch_.load(std::memory_order_acquire) != wakeup_before;
+    return wakeup_.Sample() != wakeup_before;
   };
 
   // Bounded park: CpuRelax for `spins`, bailing early on shutdown, on a
   // watchdog escalation (new epoch -> retry immediately at full rate), or on
-  // a submit/mailbox wakeup. `wakeup_before` was sampled BEFORE this
-  // worker's last empty re-checks: any bump after that sample might be work
-  // the re-checks missed, so the park refuses to start (and keeps checking)
-  // rather than sleep through it. The escalation epoch deliberately keeps
-  // its old late-sample semantics — it means "retry at full rate from NOW",
-  // not "you missed something".
+  // a submit/mailbox wakeup. `wakeup_before` was sampled AFTER this worker
+  // announced itself idle and BEFORE its last empty re-checks: any bump
+  // after that sample might be work the re-checks missed, so the park
+  // refuses to start (and keeps checking) rather than sleep through it. The
+  // escalation epoch deliberately keeps its old late-sample semantics — it
+  // means "retry at full rate from NOW", not "you missed something".
   const auto park = [&](uint64_t spins, uint64_t wakeup_before) {
     ++stats.backoff_events;
     stats.backoff_spins_total += spins;
@@ -665,9 +667,10 @@ OPTSCHED_HOT_PATH void Executor::WorkerMain(uint32_t worker_index, WorkerStats& 
       // Sample the wakeup epoch FIRST: everything below (own-queue pop,
       // mailbox check, steal filter) is an empty re-check relative to this
       // sample, so a submit that lands anywhere after it cannot be slept
-      // through — park() compares against this very value.
-      mc_hooks::SyncPoint(mc_hooks::SyncOp::kEpochLoad, &wakeup_epoch_);
-      wakeup_before = wakeup_epoch_.load(std::memory_order_acquire);
+      // through — park() compares against this very value. Only a loop-top
+      // sample can feed a park: a worker parks only once announced, and it
+      // always comes back here between announcing and parking.
+      wakeup_before = wakeup_.Sample();
       // Crash seam: only where no item is held — fail-stop between
       // scheduling decisions, so the shared queues stay consistent and the
       // supervisor can respawn this slot without losing work.
@@ -679,6 +682,8 @@ OPTSCHED_HOT_PATH void Executor::WorkerMain(uint32_t worker_index, WorkerStats& 
       item = own.PopForRun();
     }
     if (item.has_value()) {
+      // Got an item: no longer idle, so wakers stop bumping on our account.
+      retract();
       if (item->task != 0) {
         // Structured-parallelism item: the task layer runs the body and
         // flushes any spawned children back through SubmitFromWorker before
@@ -696,15 +701,14 @@ OPTSCHED_HOT_PATH void Executor::WorkerMain(uint32_t worker_index, WorkerStats& 
         const uint64_t now = NowNs();
         stats.sojourn_ns.Add(now > item->arrival_ns ? now - item->arrival_ns : 0);
       }
-      // The next item's wakeup sample and crash seam run here, in front of
-      // the fused finish+pop (its pop is the empty re-check when the queue
-      // ran dry), so CrashWorker is still asked once per item and a crash
-      // finishes the executed item without popping another.
-      mc_hooks::SyncPoint(mc_hooks::SyncOp::kEpochLoad, &wakeup_epoch_);
-      wakeup_before = wakeup_epoch_.load(std::memory_order_acquire);
+      // The next item's crash seam runs here, in front of the fused
+      // finish+pop, so CrashWorker is still asked once per item and a crash
+      // finishes the executed item without popping another. No wakeup
+      // sample is taken here: this worker is not announced, so it cannot
+      // park before passing the loop top again.
       // Nothing more is popped by a worker about to crash or past a RunFor
-      // deadline. A closed run needs no deadline check here: queued items
-      // keep remaining_items_ above zero.
+      // deadline. A closed run needs no deadline check here: a queued item
+      // is submitted but not executed, so the run cannot read as drained.
       const bool crashing = injector != nullptr && injector->CrashWorker(worker_index);
       if (crashing || (deadline_mode_ && stop_.load(std::memory_order_acquire))) {
         own.FinishCurrent();
@@ -712,7 +716,9 @@ OPTSCHED_HOT_PATH void Executor::WorkerMain(uint32_t worker_index, WorkerStats& 
       } else {
         item = own.FinishCurrentAndPop();
       }
-      remaining_items_.fetch_sub(1, std::memory_order_acq_rel);
+      // After the body and every flush it made: the quiescence sum that
+      // counts this execution also covers the children it submitted.
+      TerminationCounts::AddExecuted(own.counts(), 1);
       if (crashing) {
         crash();
         return;
@@ -835,6 +841,14 @@ OPTSCHED_HOT_PATH void Executor::WorkerMain(uint32_t worker_index, WorkerStats& 
       continue;
     }
     ++stats.idle_loops;
+    if (!announced) {
+      // First fruitless round: announce, then go round once more. The park
+      // below may only rest on a loop-top sample and re-checks taken after
+      // the announcement (wakeup_gate.h) — never on this round's.
+      wakeup_.Announce();
+      announced = true;
+      continue;
+    }
     if (++fruitless >= config_.idle_spins_before_yield) {
       fruitless = 0;
       if (config_.fixed_yield) {
@@ -867,6 +881,7 @@ OPTSCHED_HOT_PATH void Executor::WorkerMain(uint32_t worker_index, WorkerStats& 
       }
     }
   }
+  retract();
   state.store(kDone, std::memory_order_release);
 }
 
@@ -880,7 +895,7 @@ ExecutorReport Executor::RunInternal(uint64_t duration_ms,
   OPTSCHED_CHECK(config_.ingress == nullptr || deadline_mode_);
   stop_.store(false, std::memory_order_release);
   escalation_epoch_.store(0, std::memory_order_release);
-  wakeup_epoch_.store(0, std::memory_order_release);
+  wakeup_.Reset();
   injector_ = config_.fault_plan.any()
                   ? std::make_unique<fault::FaultInjector>(config_.fault_plan, config_.num_workers)
                   : nullptr;
@@ -942,9 +957,8 @@ ExecutorReport Executor::RunInternal(uint64_t duration_ms,
     if (deadline_mode_ && !stop_.load(std::memory_order_acquire) && now >= stop_at) {
       stop_.store(true, std::memory_order_release);
     }
-    const bool stopping = deadline_mode_
-                              ? stop_.load(std::memory_order_acquire)
-                              : remaining_items_.load(std::memory_order_acquire) == 0;
+    const bool stopping =
+        deadline_mode_ ? stop_.load(std::memory_order_acquire) : counts_.Drained(machine_);
     bool all_done = true;
     for (uint32_t i = 0; i < config_.num_workers; ++i) {
       WorkerSlot& slot = *slots[i];
@@ -1048,11 +1062,10 @@ ExecutorReport Executor::RunInternal(uint64_t duration_ms,
 
   report.wall_time_ns = NowNs() - start;
   report.seqlock_read_retries = machine_.TotalSeqlockReadRetries() - seqlock_retries_at_start;
-  // order: reporting-counter
-  report.total_items = submitted_items_.load(std::memory_order_relaxed);
-  report.items_left_unexecuted =
-      // order: teardown-quiesced
-      deadline_mode_ ? remaining_items_.load(std::memory_order_relaxed) : 0;
+  // Every worker and the producer have joined, so the sums are exact.
+  const TerminationCounts::Sums sums = counts_.Read(machine_);
+  report.total_items = sums.submitted - executed_at_run_start_;
+  report.items_left_unexecuted = sums.submitted - sums.executed;
   if (injector_ != nullptr) {
     report.faults = injector_->stats();
   }
@@ -1074,9 +1087,7 @@ ExecutorReport Executor::RunInternal(uint64_t duration_ms,
   // Reuse: items a deadline left queued carry into the next run's total;
   // everything executed stops counting, so a later Run() never reports this
   // run's items again.
-  // order: teardown-quiesced, reporting-counter
-  submitted_items_.store(remaining_items_.load(std::memory_order_relaxed),
-                         std::memory_order_relaxed);
+  executed_at_run_start_ = sums.executed;
   deadline_mode_ = false;
   return report;
 }

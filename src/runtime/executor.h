@@ -40,6 +40,8 @@
 #include "src/fault/fault.h"
 #include "src/runtime/concurrent_machine.h"
 #include "src/runtime/ingress_source.h"
+#include "src/runtime/termination.h"
+#include "src/runtime/wakeup_gate.h"
 #include "src/sched/deal_policy.h"
 #include "src/stats/histogram.h"
 #include "src/trace/accounting.h"
@@ -150,7 +152,7 @@ struct ExecutorConfig {
   // ingress::DealChannel); it must outlive the run, and its notify callback
   // should be wired to NotifyIngress so a parked recipient cannot sleep
   // through a deal. Dealt items are MIGRATING, never re-admitted: they keep
-  // their original remaining/submitted accounting, so closed-system Run()
+  // their original submitted/executed accounting, so closed-system Run()
   // works with dealing on. The reactive steal path stays on as unconditional
   // fallback — work conservation never rests on a deal landing.
   DealConfig deal;
@@ -279,9 +281,9 @@ class Executor {
   // Thread-safe submission while RunFor is active (or before Run).
   void Submit(uint32_t queue_index, const WorkItem& item);
 
-  // Thread-safe batch submission: bumps the remaining-item count ONCE for the
-  // whole batch, before any item becomes poppable (see the ordering note at
-  // the definition), then pushes every item under the queue lock.
+  // Thread-safe batch submission: bumps the external submitted count ONCE for
+  // the whole batch, before any item becomes poppable (see the ordering note
+  // at the definition), then pushes every item under the queue lock.
   void SubmitBatch(uint32_t queue_index, const std::vector<WorkItem>& items);
 
   // Worker-context batch submission — the spawn seam (docs/tasks.md). Must be
@@ -289,15 +291,16 @@ class Executor {
   // the batch lands on the worker's OWN runqueue through the owner push path
   // (deque bottom on chase_lev, so recursive decomposition stays on the
   // allocation-free hot path and stays stealable), with the same
-  // count-before-poppable ordering as SubmitBatch and one wakeup bump per
-  // flush so parked siblings come looking for the new work.
+  // count-before-poppable ordering as SubmitBatch (on the worker's own
+  // single-writer count) and one gated wakeup notify per flush so parked
+  // siblings come looking for the new work.
   void SubmitFromWorker(uint32_t worker, const WorkItem* items, uint32_t count);
 
   // True once the run deadline passed; producers should poll this and return.
   bool stopped() const { return stop_.load(std::memory_order_acquire); }
 
   // Ingress notification hook: wire MailboxSet's notify callback here (any
-  // producer thread). Bumps the wakeup epoch so every parked worker bails
+  // producer thread). Notifies the wakeup gate so every parked worker bails
   // out of its backoff window and re-checks its mailbox/queue. Deliberately
   // wakes ALL parked workers, not just `worker`: a per-worker doorbell would
   // need per-worker state the park loop re-reads anyway, and a non-empty
@@ -337,7 +340,7 @@ class Executor {
                  DealWindow& window, LoadSnapshot& snapshot, std::vector<WorkItem>& batch,
                  std::vector<int64_t>& pending_scratch, trace::SpscTraceRing* ring);
   // Recipient side: moves dealt items mailbox->runqueue through the owner
-  // push path WITHOUT touching remaining/submitted counts — dealt items were
+  // push path WITHOUT touching the submitted counts — dealt items were
   // counted at their original submission and are only migrating (the
   // double-count would wedge closed-system termination). Returns items moved.
   uint32_t DrainDealt(uint32_t worker, WorkerStats& stats, std::vector<WorkItem>& batch,
@@ -362,31 +365,29 @@ class Executor {
   std::unique_ptr<fault::FaultInjector> injector_;
   // Per-run trace rings (workers 0..n-1, supervisor lane n); null when off.
   std::unique_ptr<trace::TraceCollector> collector_;
-  // Queued-but-unexecuted items; drives closed-system termination.
-  // optsched-lint: allow(mc-hook-coverage): termination bookkeeping — the mc harness drives ConcurrentMachine directly and owns termination
-  std::atomic<uint64_t> remaining_items_{0};
-  // Items submitted toward the CURRENT (or next) run's total: Seed/Submit add
-  // here, and each run finishes by resetting it to the leftover queue depth —
-  // so a reused instance never reports a stale count (it used to report the
-  // cumulative seeded total forever).
-  // optsched-lint: allow(mc-hook-coverage): reporting counter, never a scheduling decision input
-  std::atomic<uint64_t> submitted_items_{0};
+  // Closed-system termination (termination.h): the external-submit counter
+  // here, one single-writer slot per worker in its runqueue. Also the source
+  // of report.total_items and items_left_unexecuted.
+  TerminationCounts counts_;
+  // Executed sum at the end of the previous run: a reused instance reports
+  // only the items submitted since then plus any a deadline left queued.
+  uint64_t executed_at_run_start_ = 0;
   // optsched-lint: allow(mc-hook-coverage): deadline-mode stop flag — wall-clock deadlines do not exist under the checker
   std::atomic<bool> stop_{false};
   // Bumped by the supervisor when the watchdog escalates; workers snap out of
   // backoff when they observe a new epoch.
   // mc: kEpochLoad, kEpochBump
   std::atomic<uint64_t> escalation_epoch_{0};
-  // Bumped by Submit/SubmitBatch/NotifyIngress AFTER the new work is
-  // visible. Each worker samples it at the TOP of its loop — before the last
-  // empty re-check of its queue, its mailbox and the steal filter — and a
-  // park bails as soon as the sampled value goes stale. This closes the
-  // lost-wakeup window the escalation epoch alone had: that epoch was read
-  // for the first time INSIDE park, after the empty re-checks, so a submit
-  // landing between a worker's last re-check and its park entry was invisible
-  // until the park expired (regression: executor_wakeup_test).
-  // mc: kEpochLoad, kEpochBump
-  std::atomic<uint64_t> wakeup_epoch_{0};
+  // Submit/SubmitBatch/SubmitFromWorker/NotifyIngress and the deal spill
+  // notify it AFTER the new work is visible; it bumps its wakeup epoch only
+  // while some worker has announced itself idle (wakeup_gate.h). A worker
+  // announces on its first fruitless round, samples the epoch at the TOP of
+  // the next round — before its empty re-checks of queue, mailboxes and the
+  // steal filter — and a park bails as soon as that sample goes stale. This
+  // closes the lost-wakeup window the escalation epoch alone had: a submit
+  // landing between a worker's last re-check and its park entry used to be
+  // invisible until the park expired (regression: executor_wakeup_test).
+  WakeupGate wakeup_;
   bool deadline_mode_ = false;
   // Wall-clock origin of the current run; trace timestamps are relative μs.
   uint64_t run_start_ns_ = 0;

@@ -32,6 +32,10 @@ const char* SyncOpName(SyncOp op) {
     case SyncOp::kDequeLoadWrite: return "deque-load-write";
     case SyncOp::kTaskJoinLoad: return "task-join-load";
     case SyncOp::kTaskJoinDec: return "task-join-dec";
+    case SyncOp::kCountLoad: return "count-load";
+    case SyncOp::kCountStore: return "count-store";
+    case SyncOp::kIdleLoad: return "idle-load";
+    case SyncOp::kIdleWrite: return "idle-write";
     case SyncOp::kYield: return "yield";
     case SyncOp::kThreadStart: return "thread-start";
   }
@@ -54,6 +58,8 @@ bool SyncOpWrites(SyncOp op) {
     case SyncOp::kDequeBottomStore:
     case SyncOp::kDequeLoadWrite:
     case SyncOp::kTaskJoinDec:
+    case SyncOp::kCountStore:
+    case SyncOp::kIdleWrite:
       return true;
     case SyncOp::kSeqRead:
     case SyncOp::kSeqReadRetry:
@@ -63,6 +69,8 @@ bool SyncOpWrites(SyncOp op) {
     case SyncOp::kDequeBottomLoad:
     case SyncOp::kDequeLoadRead:
     case SyncOp::kTaskJoinLoad:
+    case SyncOp::kCountLoad:
+    case SyncOp::kIdleLoad:
     case SyncOp::kYield:
     case SyncOp::kThreadStart:
       return false;

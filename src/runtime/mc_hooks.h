@@ -1,8 +1,8 @@
 // Model-checking interposition seam for the runtime's synchronization
 // primitives (docs/model_checking.md).
 //
-// Every synchronization point in SpinLock, Seqlock, and the executor's
-// escalation-epoch atomics funnels through the two inline functions below.
+// Every synchronization point in SpinLock, Seqlock, the executor's
+// escalation/wakeup epochs and its termination counts funnels through the two inline functions below.
 // In production nothing is registered and each call is a single
 // predictably-not-taken thread-local null check; building with
 // -DOPTSCHED_MC_HOOKS=OFF removes even that (the functions compile to
@@ -59,6 +59,10 @@ enum class SyncOp {
   kDequeLoadWrite,   // chase-lev backend: published-load counter update
   kTaskJoinLoad,  // task layer: plain load of a join counter (fault variant)
   kTaskJoinDec,   // task layer: join-counter decrement (last arriver fires)
+  kCountLoad,     // termination counts: quiescence-sum load of one counter
+  kCountStore,    // termination counts: a counter bump (owner store or external add)
+  kIdleLoad,      // wakeup gate: a waker's load of the idle-worker count
+  kIdleWrite,     // wakeup gate: a worker's idle announcement or retraction
   kYield,         // explicit fair scheduling point (harness loop boundary)
   kThreadStart,   // virtual thread about to run its first action
 };

@@ -1,13 +1,15 @@
 // Regression tests for the lost-wakeup race between a parking worker and a
-// concurrent Submit/mailbox push (executor.h, wakeup_epoch_).
+// concurrent Submit/mailbox push/spawn flush (executor.h, wakeup_gate.h).
 //
 // The race: a worker re-checks its queue (empty), the steal filter (empty),
 // then parks. A Submit landing between the last re-check and the park entry
 // used to be invisible until the park expired — with a large backoff bound
-// the item sat queued for the rest of the run. The fix samples wakeup_epoch_
+// the item sat queued for the rest of the run. The fix samples the wakeup epoch
 // at the TOP of the worker loop and refuses to park (or bails out of an
 // in-flight park) once the sample goes stale; producers bump the epoch AFTER
-// the work is visible.
+// the work is visible. The gate bumps only while some worker has announced
+// itself idle; a worker announces on its first fruitless round and parks only
+// on a sample taken after the announcement.
 //
 // These tests make the old window fatal: backoff long enough to outlast the
 // whole run, work submitted only once every worker is deep in its park. If a
@@ -20,6 +22,7 @@
 #include <chrono>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "src/core/policies/thread_count.h"
 #include "src/ingress/deal_channel.h"
@@ -204,6 +207,64 @@ TEST_P(ExecutorWakeupBackend, DealPushToDeepParkedPeerIsNotLost) {
   // a zero here means the deal round never fired and the burst was drained
   // by the owner alone, which would let a lost-notify bug hide.
   EXPECT_GT(report.total_deal_items_dealt() + report.total_deal_items_direct(), 0u);
+}
+
+// One long task item: it waits until its siblings are deep in their parks,
+// spawns a batch onto its OWN queue through SubmitFromWorker, then stays busy
+// until the deadline — so only the siblings can run the batch, and only if
+// the flush's gated notify woke them.
+class SpawnThenHoldRunner : public runtime::TaskRunner {
+ public:
+  void RunItem(const runtime::WorkItem& /*item*/, runtime::Executor& executor,
+               uint32_t worker) override {
+    spawner_.store(worker, std::memory_order_relaxed);
+    std::this_thread::sleep_for(60ms);
+    std::vector<runtime::WorkItem> batch;
+    for (uint64_t id = 1; id <= 100; ++id) {
+      batch.push_back({.id = id, .work_units = 1, .weight = 1024});
+    }
+    executor.SubmitFromWorker(worker, batch.data(), static_cast<uint32_t>(batch.size()));
+    while (!executor.stopped()) {
+      std::this_thread::sleep_for(1ms);
+    }
+  }
+  int64_t OutstandingFor(uint32_t /*worker*/) const override { return 0; }
+  uint32_t spawner() const { return spawner_.load(std::memory_order_relaxed); }
+
+ private:
+  std::atomic<uint32_t> spawner_{0};
+};
+
+TEST_P(ExecutorWakeupBackend, LastBusyWorkerSpawnWakesParkedSiblings) {
+  // Every worker but one is parked, and that last busy worker's spawn flush
+  // is the only event that can wake them. The wakeup gate bumps the epoch
+  // only while some worker has announced itself idle: if the parked
+  // siblings were not counted — or the flush skipped its notify — the batch
+  // would sit on the busy worker's queue until the deadline.
+  runtime::ExecutorConfig config = DeepParkConfig();
+  config.backend = GetParam();
+  SpawnThenHoldRunner runner;
+  config.task_runner = &runner;
+  runtime::Executor executor(policies::MakeThreadCount(), config);
+  executor.Seed(0, {{.id = 0, .work_units = 1, .weight = 1024, .task = 1}});
+
+  const runtime::ExecutorReport report = executor.RunFor(/*duration_ms=*/400);
+  SCOPED_TRACE(report.ToString());
+  EXPECT_EQ(report.total_items, 101u);
+  EXPECT_EQ(report.items_left_unexecuted, 0u);
+  uint64_t siblings_executed = 0;
+  uint64_t submit_wakeups = 0;
+  for (uint32_t w = 0; w < report.workers.size(); ++w) {
+    if (w != runner.spawner()) {
+      siblings_executed += report.workers[w].items_executed;
+    }
+    submit_wakeups += report.workers[w].submit_wakeups;
+  }
+  // The spawner ran only the trigger; the whole batch was stolen by woken
+  // siblings.
+  EXPECT_EQ(report.workers[runner.spawner()].items_executed, 1u);
+  EXPECT_EQ(siblings_executed, 100u);
+  EXPECT_GT(submit_wakeups, 0u);
 }
 
 TEST(ExecutorWakeup, MailboxNotifyWakesParkedOwner) {

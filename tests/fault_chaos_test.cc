@@ -345,6 +345,64 @@ TEST(ChaosExecutor, CrashesNeverStrandACarriedItem) {
   EXPECT_EQ(runner.Mismatches(), 0u);
 }
 
+// Complete binary spawn trees of depth kSpawnDepth, one per seeded root:
+// every item records its run in the ledger and an internal node spawns its
+// two children through SubmitFromWorker, so most items are counted on the
+// per-worker submitted counts rather than the external one. Ids are
+// root * kTreeNodes + heap index.
+constexpr uint64_t kSpawnDepth = 5;
+constexpr uint64_t kTreeNodes = (uint64_t{1} << (kSpawnDepth + 1)) - 1;
+
+class SpawningLedgerRunner : public LedgerRunner {
+ public:
+  explicit SpawningLedgerRunner(size_t roots) : LedgerRunner(roots * kTreeNodes) {}
+  void RunItem(const runtime::WorkItem& item, runtime::Executor& executor,
+               uint32_t worker) override {
+    LedgerRunner::RunItem(item, executor, worker);
+    const uint64_t base = item.id / kTreeNodes * kTreeNodes;
+    const uint64_t local = item.id - base;
+    if (local < kTreeNodes / 2) {
+      const runtime::WorkItem children[2] = {
+          {.id = base + 2 * local + 1, .work_units = 1, .weight = 1024, .task = 1},
+          {.id = base + 2 * local + 2, .work_units = 1, .weight = 1024, .task = 1}};
+      executor.SubmitFromWorker(worker, children, 2);
+    }
+  }
+};
+
+// Regression: a worker crashes and its replacement thread takes over the
+// same single-writer termination-count slot. The spawns and executions of
+// both threads must add up exactly — total_items, the executed count and the
+// per-id ledger all agree — and the closed run must not end while a spawned
+// item is still queued.
+TEST(ChaosExecutor, CrashRestartKeepsSpawnCountsExact) {
+  constexpr uint64_t kRoots = 200;
+  SpawningLedgerRunner runner(kRoots);
+  runtime::ExecutorConfig config;
+  config.num_workers = 3;
+  config.seed = 13;
+  config.task_runner = &runner;
+  config.fault_plan.crash_rate = 0.002;
+  config.fault_plan.crash_restart_us = 50;
+  config.fault_plan.seed = 13;
+  runtime::Executor executor(policies::MakeThreadCount(), config);
+  std::vector<runtime::WorkItem> roots;
+  for (uint64_t r = 0; r < kRoots; ++r) {
+    roots.push_back({.id = r * kTreeNodes, .work_units = 1, .weight = 1024, .task = 1});
+  }
+  executor.Seed(0, std::vector<runtime::WorkItem>(roots.begin(), roots.begin() + kRoots / 2));
+  executor.Seed(1, std::vector<runtime::WorkItem>(roots.begin() + kRoots / 2, roots.end()));
+  const runtime::ExecutorReport report = executor.Run();
+  SCOPED_TRACE(report.ToString());
+  EXPECT_GT(report.total_crashes(), 0u);
+  EXPECT_EQ(report.total_items, kRoots * kTreeNodes);
+  EXPECT_EQ(Executed(report), kRoots * kTreeNodes);
+  EXPECT_EQ(report.items_left_unexecuted, 0u);
+  EXPECT_EQ(runner.Mismatches(), 0u);
+  // Reuse: nothing new was submitted, so the next run reports nothing.
+  EXPECT_EQ(executor.Run().total_items, 0u);
+}
+
 // Regression: a RunFor deadline lands while workers carry popped items.
 // They run them to completion and pop nothing more, instead of exiting with
 // the running slot set (the next Run() would trip the single-current check)

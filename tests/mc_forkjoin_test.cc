@@ -140,6 +140,7 @@ TEST(McForkJoinTest, BrokenJoinCounterIsFoundAndMinimized) {
 TEST(McForkJoinTest, ScheduleRoundTripsForkJoinFields) {
   StealHarness::Config config = ForkJoinConfig(runtime::QueueBackend::kChaseLev, 3, 3, 2);
   config.broken_join_counter = true;
+  config.broken_termination_order = true;
   StealHarness harness(config);
   const Schedule schedule = harness.MakeSchedule({0, 1, 2});
   const std::optional<Schedule> parsed = Schedule::FromJson(schedule.ToJson());
@@ -150,6 +151,7 @@ TEST(McForkJoinTest, ScheduleRoundTripsForkJoinFields) {
   EXPECT_EQ(round.tree_depth, 3u);
   EXPECT_EQ(round.fanout, 2u);
   EXPECT_TRUE(round.broken_join_counter);
+  EXPECT_TRUE(round.broken_termination_order);
 }
 
 TEST(McForkJoinGoldenTest, CommittedBrokenJoinCounterStillStrandsItsContinuation) {

@@ -380,6 +380,153 @@ TEST(McWakeupModeTest, NotifyBetweenDrainAndParkNeverStrandsItems) {
   }
 }
 
+// Reads a committed golden; empty when the file is missing.
+std::string ReadGolden(const std::string& name) {
+  std::ifstream in(std::string(MC_GOLDEN_DIR) + "/" + name);
+  std::stringstream buffer;
+  buffer << in.rdbuf();
+  return buffer.str();
+}
+
+bool Violates(StealHarness& harness, const ExecutionResult& result, const std::string& property) {
+  for (const PropertyReport& report : harness.Evaluate(result)) {
+    if (report.name == property && !report.holds) {
+      return true;
+    }
+  }
+  return false;
+}
+
+// Explores `config` exhaustively at `bound` until `property` fails, then
+// minimizes the counterexample; empty when the checker found nothing.
+std::vector<uint32_t> FindAndMinimize(const StealHarness::Config& config, uint32_t bound,
+                                      const std::string& property) {
+  StealHarness harness(config);
+  DfsExplorer::Options options;
+  options.max_preemptions = bound;
+  DfsExplorer explorer(options);
+  std::vector<uint32_t> counterexample;
+  explorer.Explore(harness.Factory(), [&](const ExecutionResult& result, uint32_t) {
+    if (Violates(harness, result, property)) {
+      counterexample = result.choices;
+      return false;
+    }
+    return true;
+  });
+  if (counterexample.empty()) {
+    return {};
+  }
+  return MinimizeCounterexample(
+      harness.Factory(), counterexample,
+      [&](const ExecutionResult& result) { return Violates(harness, result, property); });
+}
+
+TEST(McWakeupModeTest, BrokenWakeupGateIsFoundAndMinimized) {
+  MC_SKIP_UNDER_TSAN();
+  // The seeded gate fault: an owner announces itself idle only after its
+  // last mailbox re-check and parks on that round's sample. A push landing
+  // between the re-check and the announcement reads no idle owner, the
+  // gated notify skips its bump, and the owner parks through the item.
+  StealHarness::Config config;
+  config.mode = "wakeup";
+  config.policy = "thread-count";
+  config.initial_loads = {0, 0};
+  config.attempts_per_worker = 2;
+  config.broken_wakeup_gate = true;
+  const std::vector<uint32_t> minimized = FindAndMinimize(config, 2, "no-lost-wakeup");
+  ASSERT_FALSE(minimized.empty()) << "checker missed the broken wakeup gate";
+  StealHarness harness(config);
+  EXPECT_TRUE(Violates(harness, ReplayChoices(harness.Factory(), minimized), "no-lost-wakeup"));
+}
+
+TEST(McForkJoinTerminationTest, BrokenTerminationOrderIsFoundAndMinimized) {
+  MC_SKIP_UNDER_TSAN();
+  // The seeded read-order fault: the quiescence sum reads the submitted
+  // counts first, the root runs and spawns in between, and its executed
+  // bump then balances the stale submitted sum — the idle worker exits with
+  // the children still queued. The DFS needs bound 3: its sleep sets make
+  // the two-preemption form of this schedule (found by PCT and committed as
+  // the golden) equivalent to one that starts the other worker first.
+  StealHarness::Config config;
+  config.mode = "forkjoin";
+  config.policy = "thread-count";
+  config.initial_loads = {0, 0};
+  config.attempts_per_worker = 2;
+  config.tree_depth = 1;
+  config.fanout = 2;
+  config.broken_termination_order = true;
+  const std::vector<uint32_t> minimized = FindAndMinimize(config, 3, "no-premature-exit");
+  ASSERT_FALSE(minimized.empty()) << "checker missed the broken termination read order";
+  StealHarness harness(config);
+  EXPECT_TRUE(
+      Violates(harness, ReplayChoices(harness.Factory(), minimized), "no-premature-exit"));
+}
+
+TEST(ReplayGoldenTest, CommittedBrokenTerminationOrderStillExitsEarly) {
+  MC_SKIP_UNDER_TSAN();
+  const std::string content = ReadGolden("mc_broken_termination_order.json");
+  ASSERT_FALSE(content.empty()) << "missing golden mc_broken_termination_order.json";
+  const std::optional<Schedule> schedule = Schedule::FromJson(content);
+  ASSERT_TRUE(schedule.has_value());
+  EXPECT_EQ(schedule->ToJson(), content);
+  EXPECT_EQ(schedule->harness, "forkjoin");
+  EXPECT_TRUE(schedule->broken_termination_order);
+  EXPECT_EQ(schedule->property, "no-premature-exit");
+
+  StealHarness harness(StealHarness::Config::FromSchedule(*schedule));
+  const ExecutionResult result = ReplayChoices(harness.Factory(), schedule->choices);
+  EXPECT_EQ(result.choices, schedule->choices);
+  EXPECT_TRUE(Violates(harness, result, "no-premature-exit"))
+      << "golden no longer violates no-premature-exit";
+}
+
+TEST(ReplayGoldenTest, ShippedTerminationOrderSurvivesTheGoldenSchedule) {
+  MC_SKIP_UNDER_TSAN();
+  // The SAME schedule with executed-then-submitted restored is clean: the
+  // violation is pinned on the read order, not on the interleaving.
+  std::optional<Schedule> schedule =
+      Schedule::FromJson(ReadGolden("mc_broken_termination_order.json"));
+  ASSERT_TRUE(schedule.has_value());
+  schedule->broken_termination_order = false;
+  StealHarness harness(StealHarness::Config::FromSchedule(*schedule));
+  const ExecutionResult result = ReplayChoices(harness.Factory(), schedule->choices);
+  for (const PropertyReport& report : harness.Evaluate(result)) {
+    EXPECT_TRUE(report.holds) << report.name << ": " << report.detail;
+  }
+}
+
+TEST(ReplayGoldenTest, CommittedBrokenWakeupGateStillParksThroughAnItem) {
+  MC_SKIP_UNDER_TSAN();
+  const std::string content = ReadGolden("mc_broken_wakeup_gate.json");
+  ASSERT_FALSE(content.empty()) << "missing golden mc_broken_wakeup_gate.json";
+  const std::optional<Schedule> schedule = Schedule::FromJson(content);
+  ASSERT_TRUE(schedule.has_value());
+  EXPECT_EQ(schedule->ToJson(), content);
+  EXPECT_EQ(schedule->harness, "wakeup");
+  EXPECT_TRUE(schedule->broken_wakeup_gate);
+  EXPECT_EQ(schedule->property, "no-lost-wakeup");
+
+  StealHarness harness(StealHarness::Config::FromSchedule(*schedule));
+  const ExecutionResult result = ReplayChoices(harness.Factory(), schedule->choices);
+  EXPECT_EQ(result.choices, schedule->choices);
+  EXPECT_TRUE(Violates(harness, result, "no-lost-wakeup"))
+      << "golden no longer violates no-lost-wakeup";
+}
+
+TEST(ReplayGoldenTest, ShippedWakeupGateSurvivesTheGoldenSchedule) {
+  MC_SKIP_UNDER_TSAN();
+  // Announce-then-recheck restored: the owner goes round once more after
+  // announcing, sees the item, and never parks through it.
+  std::optional<Schedule> schedule = Schedule::FromJson(ReadGolden("mc_broken_wakeup_gate.json"));
+  ASSERT_TRUE(schedule.has_value());
+  schedule->broken_wakeup_gate = false;
+  StealHarness harness(StealHarness::Config::FromSchedule(*schedule));
+  const ExecutionResult result = ReplayChoices(harness.Factory(), schedule->choices);
+  for (const PropertyReport& report : harness.Evaluate(result)) {
+    EXPECT_TRUE(report.holds) << report.name << ": " << report.detail;
+  }
+}
+
 TEST(TraceExportTest, ExecutionExportsToChromeTraceJson) {
   MC_SKIP_UNDER_TSAN();
   StealHarness::Config config;

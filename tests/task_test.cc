@@ -196,6 +196,39 @@ TEST_P(TaskExecutorTest, FourThiefStressOverFib) {
   }
 }
 
+// Internal (forking) nodes of fib(n) above `cutoff`; the run executes
+// 3 * internal + 1 task items (root, two children and a continuation per
+// fork).
+uint64_t FibInternalNodes(uint64_t n, uint64_t cutoff) {
+  return n < cutoff ? 0 : 1 + FibInternalNodes(n - 1, cutoff) + FibInternalNodes(n - 2, cutoff);
+}
+
+TEST_P(TaskExecutorTest, BackToBackTinyDrainsNeverTerminateEarly) {
+  // Closed-run termination under churn: 500 tiny drains, each only a few
+  // dozen items, so almost every item races the idle workers' quiescence
+  // sums. Run() returns once every worker has left its loop on a "drained"
+  // sum; if the sums could read drained while a spawned child or a fired
+  // continuation was still queued, a run would end with the graph
+  // unfinished or with fewer executions than nodes.
+  TaskGraph graph(TaskGraphOptions{.max_workers = 4});
+  runtime::Executor executor(policies::MakeThreadCount(), BaseConfig(GetParam(), graph));
+  const uint64_t nodes = 3 * FibInternalNodes(8, 3) + 1;
+  for (int run = 0; run < 500; ++run) {
+    graph.Reset();
+    uint64_t result = 0;
+    executor.Seed(0, {workload::MakeFibRoot(graph, 8, 3, &result)});
+    const runtime::ExecutorReport report = executor.Run();
+    ASSERT_TRUE(graph.done()) << "run " << run << ": " << report.ToString();
+    uint64_t executed = 0;
+    for (const runtime::WorkerStats& w : report.workers) {
+      executed += w.items_executed;
+    }
+    ASSERT_EQ(executed, nodes) << "run " << run;
+    ASSERT_EQ(report.total_items, nodes) << "run " << run;
+    ASSERT_EQ(result, 21u) << "run " << run;
+  }
+}
+
 TEST_P(TaskExecutorTest, MergesortSortsOnTheExecutor) {
   TaskGraph graph(TaskGraphOptions{.max_workers = 4});
   runtime::Executor executor(policies::MakeThreadCount(), BaseConfig(GetParam(), graph));
