@@ -92,7 +92,7 @@ void PrintUsage(const char* prog) {
   std::printf("model checker (src/mc):\n");
   std::printf("  --mc                explore schedules of the real steal protocol instead\n");
   std::printf("  --mc-harness=MODE   balance | drain | epoch | ingress | wakeup | forkjoin\n");
-  std::printf("                      | deal (default balance)\n");
+  std::printf("                      (default balance)\n");
   std::printf("  --mc-backend=NAME   run-queue backend: locked | chase_lev (default locked)\n");
   std::printf("  --mc-deque-capacity=N  chase_lev ring capacity (default 64)\n");
   std::printf("  --mc-broken-steal-order  fault mode: thief reads bottom before top, no fence\n");
@@ -112,9 +112,6 @@ void PrintUsage(const char* prog) {
   std::printf("                      (no-premature-exit cex, forkjoin harness)\n");
   std::printf("  --mc-broken-wakeup-gate  fault mode: owners announce idle after their last\n");
   std::printf("                      re-check (no-lost-wakeup cex, wakeup harness)\n");
-  std::printf("  --mc-deal-window=N  deal harness: items the dealer takes per deal round (default 2)\n");
-  std::printf("  --mc-broken-deal-window  fault mode: dealer drops the mailbox-refused tail\n");
-  std::printf("                      of its window (no-lost-dealt-items cex)\n");
   std::printf("  harness-specific flags are rejected (exit 2) when passed to a harness or\n");
   std::printf("  backend they do not apply to, instead of being silently ignored\n");
   std::printf("  --mc-bound=N        preemption bound for exhaustive mode (default 2)\n");
@@ -236,16 +233,13 @@ int RunMcExplore(int argc, char** argv) {
   config.broken_join_counter = HasFlag(argc, argv, "mc-broken-join");
   config.broken_termination_order = HasFlag(argc, argv, "mc-broken-termination-order");
   config.broken_wakeup_gate = HasFlag(argc, argv, "mc-broken-wakeup-gate");
-  const int deal_window = std::atoi(FlagValue(argc, argv, "mc-deal-window", "2").c_str());
-  config.deal_window = deal_window >= 1 ? static_cast<uint32_t>(deal_window) : 2;
-  config.broken_deal_window = HasFlag(argc, argv, "mc-broken-deal-window");
 
   // Harness- and backend-specific flags are rejected up front when they do
   // not apply to this run, rather than silently parsed into fields the
   // harness never reads — a typo'd combination must not masquerade as a
   // clean sweep of the fault it meant to inject.
-  static const char* kKnownModes[] = {"balance", "drain",    "epoch", "ingress",
-                                      "wakeup",  "forkjoin", "deal"};
+  static const char* kKnownModes[] = {"balance", "drain",  "epoch",
+                                      "ingress", "wakeup", "forkjoin"};
   bool known_mode = false;
   for (const char* m : kKnownModes) {
     known_mode |= config.mode == m;
@@ -253,13 +247,12 @@ int RunMcExplore(int argc, char** argv) {
   if (!known_mode) {
     std::fprintf(stderr,
                  "unknown --mc-harness '%s' (balance | drain | epoch | ingress | wakeup "
-                 "| forkjoin | deal)\n",
+                 "| forkjoin)\n",
                  config.mode.c_str());
     return 2;
   }
   const bool forkjoin_mode = config.mode == "forkjoin";
-  const bool deal_mode = config.mode == "deal";
-  const bool mailbox_mode = config.mode == "ingress" || config.mode == "wakeup" || deal_mode;
+  const bool mailbox_mode = config.mode == "ingress" || config.mode == "wakeup";
   const bool chase_lev = config.backend == optsched::runtime::QueueBackend::kChaseLev;
   struct FlagScope {
     const char* flag;
@@ -272,9 +265,7 @@ int RunMcExplore(int argc, char** argv) {
       {"mc-broken-join", forkjoin_mode, "the forkjoin harness"},
       {"mc-broken-termination-order", forkjoin_mode, "the forkjoin harness"},
       {"mc-broken-wakeup-gate", config.mode == "wakeup", "the wakeup harness"},
-      {"mc-mailbox", mailbox_mode, "the ingress, wakeup and deal harnesses"},
-      {"mc-deal-window", deal_mode, "the deal harness"},
-      {"mc-broken-deal-window", deal_mode, "the deal harness"},
+      {"mc-mailbox", mailbox_mode, "the ingress and wakeup harnesses"},
       {"mc-broken-steal-order", chase_lev, "the chase_lev backend"},
   };
   for (const FlagScope& scoped : kScopedFlags) {
@@ -292,12 +283,7 @@ int RunMcExplore(int argc, char** argv) {
     const int workers = std::atoi(FlagValue(argc, argv, "mc-workers", "3").c_str());
     for (int i = 0; i < workers; ++i) {
       // Forkjoin seeds only the root task: the loads must be all zero there.
-      // Deal seeds the dealer (worker 0) above the deal threshold and every
-      // peer idle, so deal rounds are reachable at all.
-      const int64_t load = config.mode == "forkjoin" ? 0
-                           : config.mode == "deal"   ? (i == 0 ? 4 : 0)
-                                                     : i;
-      config.initial_loads.push_back(load);
+      config.initial_loads.push_back(config.mode == "forkjoin" ? 0 : i);
     }
   }
   StealHarness harness(config);

@@ -6,7 +6,6 @@
 #include "src/base/check.h"
 #include "src/base/str.h"
 #include "src/core/policies/registry.h"
-#include "src/sched/deal_policy.h"
 #include "src/sched/machine_state.h"
 
 namespace optsched::mc {
@@ -104,8 +103,6 @@ StealHarness::Config StealHarness::Config::FromSchedule(const Schedule& schedule
   config.broken_join_counter = schedule.broken_join_counter;
   config.broken_termination_order = schedule.broken_termination_order;
   config.broken_wakeup_gate = schedule.broken_wakeup_gate;
-  config.deal_window = schedule.deal_window;
-  config.broken_deal_window = schedule.broken_deal_window;
   return config;
 }
 
@@ -115,8 +112,7 @@ StealHarness::StealHarness(Config config)
   OPTSCHED_CHECK(!config_.initial_loads.empty());
   OPTSCHED_CHECK_MSG(config_.mode == "balance" || config_.mode == "drain" ||
                          config_.mode == "epoch" || config_.mode == "ingress" ||
-                         config_.mode == "wakeup" || config_.mode == "forkjoin" ||
-                         config_.mode == "deal",
+                         config_.mode == "wakeup" || config_.mode == "forkjoin",
                      "unknown harness mode");
   if (config_.mode == "forkjoin") {
     // The only seeded item is the root task: pre-seeded plain items would
@@ -134,18 +130,6 @@ StealHarness::StealHarness(Config config)
   }
   OPTSCHED_CHECK_MSG(config_.mode == "wakeup" || !config_.broken_wakeup_gate,
                      "broken_wakeup_gate is a wakeup fault knob");
-  if (config_.mode == "deal") {
-    // Worker 0 is the dealer; dealing needs at least one peer, a non-empty
-    // take window, and a bounded mailbox to refuse into.
-    OPTSCHED_CHECK_MSG(config_.initial_loads.size() >= 2,
-                       "deal mode needs >= 2 workers (worker 0 is the dealer)");
-    OPTSCHED_CHECK_MSG(config_.deal_window >= 1, "deal mode needs deal_window >= 1");
-    OPTSCHED_CHECK_MSG(config_.mailbox_capacity >= 1,
-                       "deal mode needs mailbox_capacity >= 1");
-  } else {
-    OPTSCHED_CHECK_MSG(!config_.broken_deal_window,
-                       "broken_deal_window is a deal fault knob");
-  }
   const bool producer_mode = config_.mode == "ingress" || config_.mode == "wakeup";
   // Producer modes need at least one owner besides the producer (worker 0).
   OPTSCHED_CHECK_MSG(!producer_mode || config_.initial_loads.size() >= 2,
@@ -222,13 +206,6 @@ std::vector<std::function<void()>> StealHarness::MakeBodies() {
     // decision point through the kMailbox* hooks.
     mailboxes_ = std::make_unique<ingress::MailboxSet>(n, config_.mailbox_capacity);
   }
-  deal_channel_.reset();
-  if (config_.mode == "deal") {
-    // The executor's real deal transport. Same no-notify reasoning as the
-    // mailboxes above: peers poll DealtPendingFor at their loop top, and the
-    // BoundedMailbox hooks already make every push/drain a decision point.
-    deal_channel_ = std::make_unique<ingress::DealChannel>(n, config_.mailbox_capacity);
-  }
   std::vector<std::function<void()>> bodies;
   bodies.reserve(n);
   for (uint32_t w = 0; w < n; ++w) {
@@ -244,9 +221,6 @@ std::vector<std::function<void()>> StealHarness::MakeBodies() {
                               : std::function<void()>([this, w] { WakeupWorkerBody(w); }));
     } else if (config_.mode == "forkjoin") {
       bodies.push_back([this, w] { ForkJoinBody(w); });
-    } else if (config_.mode == "deal") {
-      bodies.push_back(w == 0 ? std::function<void()>([this] { DealerBody(); })
-                              : std::function<void()>([this, w] { DealPeerBody(w); }));
     } else {
       bodies.push_back([this, w] { EpochBody(w); });
     }
@@ -279,14 +253,13 @@ bool StealHarness::StealOnce(uint32_t worker, Rng& rng, WorkItem* run_next) {
   const StealCounters& after = counters_[worker];
   if (ok) {
     // arg1 is the effective victim depth: on chase_lev the victim may have
-    // executed (FinishCurrent) or dealt away (TakeOwnerBatch) its own items
-    // between the thief's observation reads — the two non-CAS-guarded tasks
-    // decrements — and the deltas credit that owner progress back so
-    // steal-safety judges the state the migration gate actually acted on
-    // (both always 0 on locked: the victim is frozen under its lock).
+    // executed (FinishCurrent) its own items between the thief's observation
+    // reads — the one non-CAS-guarded tasks decrement — and the delta
+    // credits that owner progress back so steal-safety judges the state the
+    // migration gate actually acted on (always 0 on locked: the victim is
+    // frozen under its lock).
     scheduler->Note(kUserStealOk, victim,
-                    observation.victim_tasks_after + observation.victim_finished_delta +
-                        observation.victim_dealt_delta,
+                    observation.victim_tasks_after + observation.victim_finished_delta,
                     static_cast<int64_t>(observation.item_id));
     scheduler->Note(kUserStealBatch, static_cast<int64_t>(observation.items_moved),
                     static_cast<int64_t>(observation.seqlock_writes), victim);
@@ -382,137 +355,6 @@ void StealHarness::ForkJoinBody(uint32_t worker) {
       return;
     }
     ++fruitless;
-    StealOnce(worker, rng);
-    scheduler->Yield();
-  }
-}
-
-void StealHarness::DealerBody() {
-  constexpr uint32_t kWorker = 0;
-  Scheduler* scheduler = ActiveScheduler();
-  Rng rng(config_.seed * 0x9e3779b97f4a7c15ull + 1);
-  // The executor's decision layer, unmodified, at the always-on operating
-  // point: the grace-window TIMING heuristic is out of model (see the header
-  // — it decides when a deal fires, never what happens to items in transit),
-  // so every conservation obligation checked here is window-independent.
-  DealConfig deal_config;
-  deal_config.enabled = true;
-  deal_config.grace_rounds = 0;
-  deal_config.max_batch = config_.deal_window;
-  const DealPolicy deal_policy(deal_config);
-  uint32_t steal_attempts = 0;
-  std::vector<WorkItem> window;
-  std::vector<int64_t> pending(num_workers(), 0);
-  // Once the gate fails, the dealer's load can only fall (pops, deals) until
-  // a steal lands, so the re-read — and its interleaving points — is skipped
-  // until then. Pure state-space economy; no reachable behavior change.
-  bool may_deal = true;
-  for (;;) {
-    // Deal check at the loop top, with no item held (the executor's
-    // fail-stop discipline): surplus above the threshold moves before the
-    // dealer sinks into executing it.
-    // ReadLoad, not TasksRelaxed: the decomposed counters are chase_lev-only
-    // (all zero on locked), so the gate reads the backend's published load.
-    if (may_deal &&
-        !deal_policy.ShouldDeal(machine_->queue(kWorker).ReadLoad().task_count)) {
-      may_deal = false;
-    }
-    if (may_deal) {
-      const LoadSnapshot snapshot = machine_->Snapshot();
-      scheduler->Yield();  // the selection->dealing gap where staleness develops
-      for (uint32_t i = 0; i < num_workers(); ++i) {
-        pending[i] = i == kWorker ? 0 : deal_channel_->DealtPendingFor(i);
-      }
-      const CpuId peer = deal_policy.PickRecipient(kWorker, snapshot, pending.data());
-      if (peer != DealPolicy::kNoPeer) {
-        const uint32_t quota = deal_policy.DealQuota(
-            machine_->queue(kWorker).ReadLoad().task_count, snapshot.task_count[peer]);
-        if (quota > 0) {
-          window.clear();
-          const uint32_t taken = machine_->queue(kWorker).TakeOwnerBatch(quota, window);
-          // Item-by-item push so each mailbox op is its own decision point —
-          // the checker can interleave the peer's drain mid-window.
-          uint32_t placed = 0;
-          while (placed < taken) {
-            if (deal_channel_->PushDealt(peer, &window[placed], 1) != 1) {
-              break;
-            }
-            scheduler->Note(kUserDealPush, static_cast<int64_t>(window[placed].id), peer);
-            ++placed;
-            scheduler->Yield();
-          }
-          if (placed < taken) {
-            // Refused tail. Every refused item is announced; the healthy
-            // dealer returns the tail to its own queue (prefix acceptance:
-            // the dealer owns what the mailbox would not take), the broken
-            // one drops it on the floor — the in-transit loss
-            // no-lost-dealt-items exists to catch.
-            for (uint32_t i = placed; i < taken; ++i) {
-              scheduler->Note(kUserDealShed, static_cast<int64_t>(window[i].id), peer);
-            }
-            if (!config_.broken_deal_window) {
-              machine_->queue(kWorker).PushBatchOwner(window.data() + placed,
-                                                      taken - placed);
-            }
-            scheduler->Yield();
-          }
-        }
-      }
-    }
-    std::optional<WorkItem> item = machine_->queue(kWorker).PopForRun();
-    if (item.has_value()) {
-      scheduler->Note(kUserExecuteItem, static_cast<int64_t>(item->id));
-      scheduler->Yield();  // the item "runs" here
-      machine_->queue(kWorker).FinishCurrent();
-      continue;
-    }
-    if (steal_attempts >= config_.attempts_per_worker) {
-      return;
-    }
-    // Reactive fallback, unconditional: a dealer below its threshold with an
-    // empty queue behaves exactly like any drain-mode worker. A landed steal
-    // is the one event that can raise the load back over the threshold, so
-    // it re-arms the deal gate.
-    ++steal_attempts;
-    const uint64_t stolen_before = counters_[kWorker].items_stolen;
-    StealOnce(kWorker, rng);
-    may_deal |= counters_[kWorker].items_stolen > stolen_before;
-    scheduler->Yield();
-  }
-}
-
-void StealHarness::DealPeerBody(uint32_t worker) {
-  Scheduler* scheduler = ActiveScheduler();
-  Rng rng(config_.seed * 0x9e3779b97f4a7c15ull + worker + 1);
-  uint32_t steal_attempts = 0;
-  std::vector<WorkItem> drained;
-  for (;;) {
-    // Dealt items first — they were pushed here precisely because this
-    // worker looked idle, and the owner-push move is what keeps them on the
-    // executor's accounting path (no admission, no re-count).
-    if (deal_channel_->DealtPendingFor(worker) > 0) {
-      drained.clear();
-      deal_channel_->DrainDealt(worker, drained, config_.mailbox_capacity);
-      if (!drained.empty()) {
-        machine_->queue(worker).PushBatchOwner(drained.data(),
-                                               static_cast<uint32_t>(drained.size()));
-        for (const WorkItem& item : drained) {
-          scheduler->Note(kUserDealDrain, static_cast<int64_t>(item.id), worker);
-        }
-      }
-      scheduler->Yield();
-    }
-    std::optional<WorkItem> item = machine_->queue(worker).PopForRun();
-    if (item.has_value()) {
-      scheduler->Note(kUserExecuteItem, static_cast<int64_t>(item->id));
-      scheduler->Yield();  // the item "runs" here
-      machine_->queue(worker).FinishCurrent();
-      continue;
-    }
-    if (steal_attempts >= config_.attempts_per_worker) {
-      return;
-    }
-    ++steal_attempts;
     StealOnce(worker, rng);
     scheduler->Yield();
   }
@@ -739,8 +581,6 @@ Schedule StealHarness::MakeSchedule(const std::vector<uint32_t>& choices) const 
   schedule.broken_join_counter = config_.broken_join_counter;
   schedule.broken_termination_order = config_.broken_termination_order;
   schedule.broken_wakeup_gate = config_.broken_wakeup_gate;
-  schedule.deal_window = config_.deal_window;
-  schedule.broken_deal_window = config_.broken_deal_window;
   schedule.choices = choices;
   return schedule;
 }
@@ -869,14 +709,8 @@ std::vector<PropertyReport> StealHarness::Evaluate(const ExecutionResult& result
   // spawned task (kUserTaskSpawn — the root is seeded, so it is in
   // initial_item_ids_) must be executed or still queued, never gone
   // (no-lost-spawns: conservation over work created mid-exploration).
-  // Deal mode widens only the accounted side: dealt items may sit in a deal
-  // mailbox at termination (the recipient exited before draining) — resident,
-  // not lost. The resident ids double as the deal channel's closing balance
-  // for deal-or-steal-conservation below.
   const bool ingress_mode = config_.mode == "ingress" || wakeup_mode;
   const bool forkjoin_mode = config_.mode == "forkjoin";
-  const bool deal_mode = config_.mode == "deal";
-  std::vector<uint64_t> deal_residents;
   std::vector<uint64_t> seen;
   std::vector<uint64_t> expected = initial_item_ids_;
   for (const McEvent& event : result.events) {
@@ -908,20 +742,9 @@ std::vector<PropertyReport> StealHarness::Evaluate(const ExecutionResult& result
       seen.push_back(item.id);
     }
   }
-  if (deal_mode) {
-    std::vector<WorkItem> leftover;
-    for (uint32_t w = 0; w < num_workers(); ++w) {
-      deal_channel_->DrainDealt(w, leftover, ~0u);
-    }
-    for (const WorkItem& item : leftover) {
-      seen.push_back(item.id);
-      deal_residents.push_back(item.id);
-    }
-  }
   std::sort(seen.begin(), seen.end());
   std::sort(expected.begin(), expected.end());
   const char* conservation_name = forkjoin_mode  ? "no-lost-spawns"
-                                  : deal_mode    ? "no-lost-dealt-items"
                                   : ingress_mode ? "no-lost-admitted-items"
                                                  : "no-lost-items";
   add(conservation_name, seen == expected,
@@ -971,35 +794,6 @@ std::vector<PropertyReport> StealHarness::Evaluate(const ExecutionResult& result
       }
     }
     add("publish-batching", holds, std::move(detail));
-  }
-
-  if (deal_mode) {
-    // --- deal-or-steal-conservation: the deal channel itself conserves ------
-    // Every drained item was pushed (the mailbox fabricates nothing) and
-    // every pushed item was drained or is still resident at termination (the
-    // mailbox loses nothing). Together with no-lost-dealt-items above, this
-    // pins migration to exactly two sanctioned channels: the deal mailbox or
-    // the steal protocol — there is no third path work can take, and neither
-    // path can drop an item in transit.
-    {
-      std::vector<uint64_t> pushed;
-      std::vector<uint64_t> accounted = deal_residents;
-      for (const McEvent& event : result.events) {
-        if (event.user_kind == kUserDealPush) {
-          pushed.push_back(static_cast<uint64_t>(event.arg0));
-        } else if (event.user_kind == kUserDealDrain) {
-          accounted.push_back(static_cast<uint64_t>(event.arg0));
-        }
-      }
-      std::sort(pushed.begin(), pushed.end());
-      std::sort(accounted.begin(), accounted.end());
-      add("deal-or-steal-conservation", pushed == accounted,
-          pushed == accounted
-              ? ""
-              : StrFormat("deal channel imbalance: %zu pushed, %zu drained+resident",
-                          pushed.size(), accounted.size()));
-    }
-    return reports;
   }
 
   if (forkjoin_mode) {

@@ -2,7 +2,7 @@
 // BalancePolicy, the same code the executor runs) driven by N virtual
 // workers, with the paper's properties evaluated over each execution.
 //
-// Three worker-loop modes:
+// Worker-loop modes:
 //   * "balance" — Figure 1's loop in isolation: snapshot, (yield), steal,
 //     repeat for a fixed attempt budget. Queues only change through steals,
 //     which is what makes failure causality and the d0/2 steal bound exact.
@@ -30,22 +30,6 @@
 //     (wakeup-no-stranded-items), and that no owner ever blocks while work
 //     is visible to it with no bump on its way (no-lost-wakeup). The seeded
 //     broken_wakeup_gate fault announces after the last re-check instead.
-//   * "deal"    — proactive work-dealing end to end: worker 0 is the DEALER,
-//     seeded heavy; it pops/executes its own queue and, while its task count
-//     exceeds the deal threshold and an idle peer exists, takes up to
-//     deal_window items off its own queue (TakeOwnerBatch) and pushes them
-//     item-by-item into that peer's bounded deal mailbox (ingress's
-//     DealChannel — the executor's transport, unmodified). A refused item
-//     aborts the round and the rest of the window goes BACK on the dealer's
-//     queue — unless broken_deal_window drops it, the seeded in-transit-loss
-//     fault. Peers drain their deal mailbox into their own queue, execute,
-//     and keep the reactive steal fallback. Discharges
-//     no-lost-dealt-items (global conservation including deal-mailbox
-//     residents) and deal-or-steal-conservation (the deal channel itself
-//     neither loses nor fabricates: pushed == drained ∪ still-resident).
-//     The grace-window TIMING heuristic is deliberately out of model — it
-//     only decides when a deal fires, never what happens to items in
-//     transit, so the conservation obligations are window-independent.
 //   * "forkjoin" — the continuation-counted task layer (src/task) over the
 //     real queues: worker 0 seeds the root of a uniform spawn tree
 //     (tree_depth levels, `fanout` children per internal node); workers
@@ -102,14 +86,6 @@
 //   no-premature-exit — "forkjoin" mode: when a worker's quiescence sum reads
 //                       drained, every item of the final spawn tree has
 //                       already finished (its executed count was bumped).
-//   no-lost-dealt-items — "deal" mode: multiset{seeded} == executed ∪ queued
-//                       ∪ deal-mailbox-resident; a dealt item may be anywhere
-//                       along the owner-push pipeline, but never gone.
-//   deal-or-steal-conservation — "deal" mode: the deal channel conserves —
-//                       every drained item was pushed (no fabrication) and
-//                       every pushed item is drained or still resident at
-//                       termination (no loss inside the mailbox); migration
-//                       happens only through deals or the steal protocol.
 //   join-fires-exactly-once — every forked continuation's counter reaches
 //                       zero exactly once (a lost decrement strands it; the
 //                       protocol cannot double-fire an acq_rel RMW chain).
@@ -130,7 +106,6 @@
 #include <vector>
 
 #include "src/core/policy.h"
-#include "src/ingress/deal_channel.h"
 #include "src/ingress/mailbox.h"
 #include "src/mc/explorer.h"
 #include "src/mc/schedule.h"
@@ -152,7 +127,7 @@ struct PropertyReport {
 class StealHarness {
  public:
   struct Config {
-    std::string mode = "balance";  // balance|drain|epoch|ingress|wakeup|forkjoin|deal
+    std::string mode = "balance";  // balance|drain|epoch|ingress|wakeup|forkjoin
     std::string policy = "thread-count";
     // Items seeded per queue; size() is the worker count.
     std::vector<int64_t> initial_loads;
@@ -194,15 +169,6 @@ class StealHarness {
     // Fault knob ("wakeup"): owners announce idle AFTER their last re-check
     // and park on that round's sample (no-lost-wakeup).
     bool broken_wakeup_gate = false;
-    // "deal" mode: cap on items the dealer (worker 0) takes off its own
-    // queue per deal round — the take->place window. mailbox_capacity bounds
-    // the per-peer deal mailbox, so deal_window > mailbox_capacity makes the
-    // refused-tail path reachable in tiny explorations.
-    uint32_t deal_window = 2;
-    // Fault knob ("deal"): drop the mailbox-refused tail of the window
-    // instead of returning it to the dealer's queue — items lost in transit
-    // (no-lost-dealt-items).
-    bool broken_deal_window = false;
 
     static Config FromSchedule(const Schedule& schedule);
   };
@@ -244,10 +210,6 @@ class StealHarness {
   // "forkjoin" mode: pop/run task bodies (spawning onto the own queue),
   // steal when empty, exit when the graph is done or the budget is spent.
   void ForkJoinBody(uint32_t worker);
-  // "deal" mode: worker 0 executes and deals surplus into idle peers'
-  // mailboxes; peers drain dealt batches, execute, and steal when empty.
-  void DealerBody();
-  void DealPeerBody(uint32_t worker);
   // One full steal attempt with its outcome notes. `run_next` is forwarded
   // to TrySteal (the executor's landing steal); returns TrySteal's result.
   bool StealOnce(uint32_t worker, Rng& rng, runtime::WorkItem* run_next = nullptr);
@@ -275,9 +237,6 @@ class StealHarness {
   // "ingress" mode state, rebuilt per execution by MakeBodies.
   std::unique_ptr<ingress::MailboxSet> mailboxes_;
   uint64_t next_ingress_id_ = 0;
-  // "deal" mode state, rebuilt per execution by MakeBodies: the executor's
-  // real deal transport (bounded per-worker mailboxes, prefix acceptance).
-  std::unique_ptr<ingress::DealChannel> deal_channel_;
   // "forkjoin" mode state, rebuilt per execution by MakeBodies. The graph
   // runs the REAL src/task join protocol; only the spawn sink is replaced
   // (machine queues + Note hooks instead of Executor::SubmitFromWorker).

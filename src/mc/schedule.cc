@@ -213,13 +213,6 @@ std::string Schedule::ToJson() const {
     out += std::string(",\n  \"broken_wakeup_gate\": ") +
            (broken_wakeup_gate ? "true" : "false");
   }
-  // Deal-only fields follow the same conditional-emission rule: every
-  // committed non-deal golden stays byte-identical across this schema growth.
-  if (harness == "deal") {
-    out += StrFormat(",\n  \"deal_window\": %u", deal_window);
-    out += std::string(",\n  \"broken_deal_window\": ") +
-           (broken_deal_window ? "true" : "false");
-  }
   out += ",\n  \"property\": ";
   AppendEscaped(out, property);
   out += ",\n  \"note\": ";
@@ -279,11 +272,6 @@ std::optional<Schedule> Schedule::FromJson(const std::string& json) {
   scanner.GetBool("broken_join_counter", schedule.broken_join_counter);
   scanner.GetBool("broken_termination_order", schedule.broken_termination_order);
   scanner.GetBool("broken_wakeup_gate", schedule.broken_wakeup_gate);
-  int64_t deal_window = 0;
-  if (scanner.GetInt("deal_window", deal_window) && deal_window >= 1) {
-    schedule.deal_window = static_cast<uint32_t>(deal_window);
-  }
-  scanner.GetBool("broken_deal_window", schedule.broken_deal_window);
   scanner.GetString("property", schedule.property);
   scanner.GetString("note", schedule.note);
   std::vector<int64_t> choices;

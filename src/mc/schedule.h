@@ -19,7 +19,7 @@ namespace optsched::mc {
 
 struct Schedule {
   // Harness identity (see src/mc/harness.h): "balance", "drain", "epoch",
-  // "ingress", "wakeup", "forkjoin" or "deal".
+  // "ingress", "wakeup" or "forkjoin".
   std::string harness = "balance";
   // Policy registry name (src/core/policies/registry.h).
   std::string policy = "thread-count";
@@ -62,14 +62,6 @@ struct Schedule {
   // last re-check and parks on that round's stale sample, so a gated notify
   // can skip the bump it needed (no-lost-wakeup).
   bool broken_wakeup_gate = false;
-  // "deal" harness: cap on items the dealer takes per deal round (the
-  // take->place window; see StealHarness::Config::deal_window). Absent in
-  // pre-deal golden files; FromJson defaults to 2.
-  uint32_t deal_window = 2;
-  // Fault mode ("deal"): the dealer DROPS the mailbox-refused tail of its
-  // window instead of returning it to its own queue — the lost-in-transit
-  // bug no-lost-dealt-items exists to catch.
-  bool broken_deal_window = false;
   // The violated property ("" when the schedule is not a counterexample).
   std::string property;
   std::string note;

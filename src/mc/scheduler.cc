@@ -56,9 +56,6 @@ const char* UserEventKindName(uint32_t kind) {
     case kUserTaskSpawn: return "task-spawn";
     case kUserTaskFork: return "task-fork";
     case kUserJoinFire: return "join-fire";
-    case kUserDealPush: return "deal-push";
-    case kUserDealShed: return "deal-shed";
-    case kUserDealDrain: return "deal-drain";
     case kUserItemDone: return "item-done";
     case kUserQuiescent: return "quiescent";
     case kUserLostWakeup: return "lost-wakeup";

@@ -103,10 +103,7 @@ enum UserEventKind : uint32_t {
   kUserTaskSpawn = 14,  // arg0 = item id, arg1 = spawning worker (own-queue push)
   kUserTaskFork = 15,   // arg0 = continuation id, arg1 = declared children
   kUserJoinFire = 16,   // arg0 = continuation id (join counter reached zero)
-  // Deal harness (proactive work-dealing, docs/runtime.md#work-dealing):
-  kUserDealPush = 17,   // arg0 = item id, arg1 = recipient (accepted into deal mailbox)
-  kUserDealShed = 18,   // arg0 = item id, arg1 = recipient (refused: mailbox full)
-  kUserDealDrain = 19,  // arg0 = item id, arg1 = owner (moved deal mailbox -> runqueue)
+  // 17-19 are retired; the kinds below keep the numbers recorded traces carry.
   // Termination counts and the wakeup gate (docs/runtime.md, "Termination
   // and wakeup"):
   kUserItemDone = 20,     // arg0 = item id (executed count bumped: the body finished)

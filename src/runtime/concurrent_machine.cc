@@ -265,55 +265,6 @@ void ConcurrentRunQueue::PushBatchExternal(const WorkItem* items, uint32_t count
   ext_enq_weight_.fetch_add(weight, std::memory_order_relaxed);  // order: external-submit-counter
 }
 
-uint32_t ConcurrentRunQueue::TakeOwnerBatch(uint32_t max_items, std::vector<WorkItem>& out) {
-  if (max_items == 0) {
-    return 0;
-  }
-  if (backend_ == QueueBackend::kLocked) {
-    LockGuard guard(lock_);
-    uint32_t taken = 0;
-    // Tail-first, the end StealTailLocked robs from: the dealer sheds the
-    // items a thief would have taken, with one publish for the whole batch.
-    while (taken < max_items && !ready_.empty()) {
-      const WorkItem item = ready_.PopBack();
-      queued_weight_ -= item.weight;
-      out.push_back(item);
-      ++taken;
-    }
-    if (taken > 0) {
-      PublishLocked();
-    }
-    return taken;
-  }
-  // Owner context: drain the inbox first so dealable work parked there is
-  // reachable, then pop at bottom. The last-item PopBottom races thieves on
-  // the top CAS — losing simply ends the take.
-  DrainInboxToDeque();
-  uint32_t taken = 0;
-  int64_t weight = 0;
-  while (taken < max_items) {
-    std::optional<WorkItem> item = deque_->PopBottom();
-    if (!item.has_value()) {
-      break;
-    }
-    out.push_back(*item);
-    weight += item->weight;
-    ++taken;
-  }
-  if (taken > 0) {
-    // Owner-written dealt counters, plain store (single writer). One decision
-    // point for the group, mirroring FinishCurrent.
-    mc_hooks::SyncPoint(mc_hooks::SyncOp::kDequeLoadWrite, this);
-    // order: single-writer-store
-    dealt_tasks_.store(dealt_tasks_.load(std::memory_order_relaxed) + taken,
-                       std::memory_order_relaxed);
-    // order: single-writer-store
-    dealt_weight_.store(dealt_weight_.load(std::memory_order_relaxed) + weight,
-                        std::memory_order_relaxed);
-  }
-  return taken;
-}
-
 OPTSCHED_HOT_PATH LoadPair ConcurrentRunQueue::ReadLoad() const {
   if (backend_ == QueueBackend::kLocked) {
     return published_.Read();
@@ -327,8 +278,7 @@ OPTSCHED_HOT_PATH LoadPair ConcurrentRunQueue::ReadLoad() const {
                        ext_enq_weight_.load(std::memory_order_relaxed) -
                        fin_weight_.load(std::memory_order_relaxed) -  // order: torn-read-tolerated
                        // order: torn-read-tolerated
-                       stolen_weight_.load(std::memory_order_relaxed) -
-                       dealt_weight_.load(std::memory_order_relaxed);  // order: torn-read-tolerated
+                       stolen_weight_.load(std::memory_order_relaxed);
   return load;
 }
 
@@ -381,14 +331,6 @@ OPTSCHED_HOT_PATH uint32_t ConcurrentRunQueue::StealTailLocked(
     // performed N seqlock writes under BOTH held locks, each one stalling
     // every concurrent snapshot reader into a retry loop.
     PublishLocked();
-    // Robbery observation for the owner's deal gate (StolenCount). No
-    // SyncPoint: the mutation happens inside the held-lock critical section,
-    // whose release is already the checker's decision point — adding one
-    // would perturb every committed locked-backend golden schedule. Every
-    // writer holds lock_, so a plain load+store replaces the locked RMW.
-    // order: locked-critical-section
-    locked_stolen_count_.store(locked_stolen_count_.load(std::memory_order_relaxed) + taken,
-                               std::memory_order_relaxed);
   }
   return taken;
 }
@@ -470,7 +412,7 @@ OPTSCHED_HOT_PATH WorkItem ConcurrentRunQueue::LandAndRunOwner(const WorkItem* i
   PushBatchOwner(items, count - 1);
   const WorkItem& run = items[count - 1];
   // The running item is counted in own_enq like a pushed one (tasks =
-  // enqueued − finished − stolen − dealt covers running items too); only
+  // enqueued − finished − stolen covers running items too); only
   // the running flag and its weight attribution are added.
   mc_hooks::SyncPoint(mc_hooks::SyncOp::kDequeLoadWrite, this);
   // order: single-writer-store
@@ -681,7 +623,6 @@ OPTSCHED_HOT_PATH bool ConcurrentMachine::TryStealLocked(
     observation_out->victim_tasks_after = victim_queue.ExactLoadLocked().task_count;
     observation_out->thief_tasks_after = thief_queue.ExactLoadLocked().task_count;
     observation_out->victim_finished_delta = 0;  // victim frozen under its lock
-    observation_out->victim_dealt_delta = 0;
   }
   return true;
 }
@@ -719,7 +660,6 @@ OPTSCHED_HOT_PATH bool ConcurrentMachine::TryStealChaseLev(
   }
 
   const uint64_t finished_before = victim_queue.FinishedCount();
-  const uint64_t dealt_before = victim_queue.DealtCount();
   const LoadMetric metric = policy.metric();
   const int64_t v0 = metric == LoadMetric::kTaskCount ? victim_load.task_count
                                                       : victim_load.weighted_load;
@@ -753,8 +693,8 @@ OPTSCHED_HOT_PATH bool ConcurrentMachine::TryStealChaseLev(
       // each iteration — peek.size counts exactly the still-stealable items
       // at that top, plus the owner's current item and any inbox residents.
       // Owner progress between gate and commit can only LOWER the victim's
-      // count via FinishCurrent or TakeOwnerBatch, which the steal-safety
-      // property excuses through victim_finished_delta / victim_dealt_delta.
+      // count via FinishCurrent, which the steal-safety property excuses
+      // through victim_finished_delta.
       const int64_t w =
           metric == LoadMetric::kTaskCount ? 1 : static_cast<int64_t>(peek.item.weight);
       int64_t v_now;
@@ -809,16 +749,13 @@ OPTSCHED_HOT_PATH bool ConcurrentMachine::TryStealChaseLev(
     observation_out->item_id = s.batch.front().id;
     observation_out->items_moved = moved;
     observation_out->seqlock_writes = 0;  // no seqlock on this backend
-    // Read tasks BEFORE the finished/dealt counts: a FinishCurrent or
-    // TakeOwnerBatch landing between the reads then inflates the sum (safe
-    // direction — the property asserts a lower bound) instead of deflating
-    // it into a spurious violation.
+    // Read tasks BEFORE the finished count: a FinishCurrent landing between
+    // the reads then inflates the sum (safe direction — the property asserts
+    // a lower bound) instead of deflating it into a spurious violation.
     observation_out->victim_tasks_after = victim_queue.TasksRelaxed();
     observation_out->thief_tasks_after = thief_queue.TasksRelaxed();
     observation_out->victim_finished_delta =
         static_cast<int64_t>(victim_queue.FinishedCount() - finished_before);
-    observation_out->victim_dealt_delta =
-        static_cast<int64_t>(victim_queue.DealtCount() - dealt_before);
   }
   return true;
 }

@@ -112,23 +112,13 @@ class ConcurrentRunQueue {
   // the whole batch; kChaseLev pushes at bottom lock-free, spilling to the
   // inbox if the ring fills.
   void PushBatchOwner(const WorkItem* items, uint32_t count) OPTSCHED_EXCLUDES(lock_);
-  // Batch enqueue from a thread that is NOT this queue's owner — the deal
-  // path's direct landing site when the recipient's deal mailbox is full.
-  // kLocked takes the queue lock once; kChaseLev lands the batch in the
-  // inbox and counts it in ext_enq (NOT own_enq: own_enq is a single-writer
-  // plain-store counter and a non-owner write would race the owner and leave
-  // the published load inexact at quiescence — backend_matrix_test pins
-  // this decomposition).
+  // Batch enqueue from a thread that is NOT this queue's owner
+  // (Executor::SubmitBatch, seeding included). kLocked takes the queue lock
+  // once; kChaseLev lands the batch in the inbox and counts it in ext_enq
+  // (NOT own_enq: own_enq is a single-writer plain-store counter and a
+  // non-owner write would race the owner and leave the published load
+  // inexact at quiescence — backend_matrix_test pins this decomposition).
   void PushBatchExternal(const WorkItem* items, uint32_t count) OPTSCHED_EXCLUDES(lock_);
-  // Owner-side removal of up to `max_items` queued items (the deal round's
-  // take): items leave from the steal end — kLocked tail, kChaseLev bottom —
-  // so the dealer sheds the work thieves would have targeted. Never touches
-  // the running slot; safe between PopForRun/FinishCurrent pairs. Appends to
-  // `out`, returns the count. On kChaseLev the removals are charged to the
-  // owner-written `dealt` counters (tasks = own_enq + ext_enq − fin −
-  // stolen − dealt stays exact at quiescence).
-  uint32_t TakeOwnerBatch(uint32_t max_items, std::vector<WorkItem>& out)
-      OPTSCHED_EXCLUDES(lock_);
 
   // --- Lock-free observation (selection phase) -------------------------------
   LoadPair ReadLoad() const;
@@ -205,8 +195,7 @@ class ConcurrentRunQueue {
     return own_enq_tasks_.load(std::memory_order_relaxed) +  // order: torn-read-tolerated
            ext_enq_tasks_.load(std::memory_order_relaxed) -  // order: torn-read-tolerated
            fin_tasks_.load(std::memory_order_relaxed) -  // order: torn-read-tolerated
-           stolen_tasks_.load(std::memory_order_relaxed) -  // order: torn-read-tolerated
-           dealt_tasks_.load(std::memory_order_relaxed);  // order: torn-read-tolerated
+           stolen_tasks_.load(std::memory_order_relaxed);  // order: torn-read-tolerated
   }
   // order: torn-read-tolerated
   int64_t InboxCountRelaxed() const { return inbox_count_.load(std::memory_order_relaxed); }
@@ -220,28 +209,6 @@ class ConcurrentRunQueue {
   uint64_t FinishedCount() const {
     // order: torn-read-tolerated
     return static_cast<uint64_t>(fin_tasks_.load(std::memory_order_relaxed));
-  }
-  // Items the owner removed via TakeOwnerBatch (chase_lev; 0 on locked, where
-  // the take holds the queue lock and so cannot overlap a steal critical
-  // section). The second steal-safety excuse counter: dealing is the other
-  // owner path that lowers tasks without going through the top CAS, so
-  // thieves bracket it exactly like FinishedCount
-  // (StealObservation::victim_dealt_delta).
-  uint64_t DealtCount() const {
-    // order: torn-read-tolerated
-    return static_cast<uint64_t>(dealt_tasks_.load(std::memory_order_relaxed));
-  }
-  // Items removed from this queue by thieves (monotonic, both backends). The
-  // deal policy's grace window is anchored to this: a dealer that observes
-  // its own StolenCount() advance knows hungry peers exist and deals
-  // proactively for the next `grace_rounds` checks instead of waiting to be
-  // robbed again (argolib's deal_times).
-  uint64_t StolenCount() const {
-    if (backend_ == QueueBackend::kChaseLev) {
-      // order: torn-read-tolerated
-      return static_cast<uint64_t>(stolen_tasks_.load(std::memory_order_relaxed));
-    }
-    return locked_stolen_count_.load(std::memory_order_relaxed);  // order: torn-read-tolerated
   }
 
  private:
@@ -274,13 +241,6 @@ class ConcurrentRunQueue {
   // seqlock-write-context.
   Seqlock<LoadPair> published_;
   ItemRing ready_ OPTSCHED_GUARDED_BY(lock_);
-  // kLocked robbery counter behind StolenCount(): written only by
-  // StealTailLocked under lock_ (so single-writer load+store, no RMW), read
-  // lock-free by the owner's deal gate. Mutated only inside the steal
-  // critical section, whose lock handoff is already the checker's decision
-  // point.
-  // mc: kDequeLoadRead, kDequeLoadWrite
-  std::atomic<uint64_t> locked_stolen_count_{0};
 
   // --- kChaseLev state (idle on kLocked) -------------------------------------
   std::unique_ptr<ChaseLevDeque> deque_;  // null on kLocked
@@ -288,7 +248,6 @@ class ConcurrentRunQueue {
   // Published load for the lock-free backend, DECOMPOSED BY WRITER so the
   // owner's per-item path is store-only:
   //   tasks  = own_enq_tasks + ext_enq_tasks − fin_tasks − stolen_tasks
-  //            − dealt_tasks
   //   weight = the same formula over the *_weight counters.
   // Each counter is monotonic and has exactly one writer class — the owner
   // (plain load+store, no lock-prefixed RMW on its hot path), external
@@ -311,13 +270,6 @@ class ConcurrentRunQueue {
   std::atomic<int64_t> running_a_{0};
   // mc: kDequeLoadRead, kDequeLoadWrite
   std::atomic<int64_t> running_weight_a_{0};
-  // Items the OWNER removed to deal away (TakeOwnerBatch): the fifth term of
-  // the decomposition. Owner-written plain stores, same single-writer
-  // discipline as own_enq/fin.
-  // mc: kDequeLoadRead, kDequeLoadWrite
-  std::atomic<int64_t> dealt_tasks_{0};
-  // mc: kDequeLoadRead, kDequeLoadWrite
-  std::atomic<int64_t> dealt_weight_{0};
   // External-submitter line (Push: any thread).
   // mc: kDequeLoadRead, kDequeLoadWrite
   alignas(kCacheLineSize) std::atomic<int64_t> ext_enq_tasks_{0};
@@ -397,18 +349,13 @@ struct StealObservation {
   int64_t thief_tasks_after = 0;
   // kChaseLev only (0 on kLocked, where the victim lock freezes execution):
   // items the victim OWNER finished between the steal's first peek and the
-  // post-steal load read. FinishCurrent and TakeOwnerBatch are the only
-  // paths that lower the victim's task count without going through the top
-  // CAS, so victim_tasks_after + victim_finished_delta + victim_dealt_delta
-  // is what the count would have been had the victim not executed or dealt
-  // concurrently — the steal-safety property asserts on that sum, keeping
-  // the proof obligation uniform across backends.
+  // post-steal load read. FinishCurrent is the only path that lowers the
+  // victim's task count without going through the top CAS, so
+  // victim_tasks_after + victim_finished_delta is what the count would have
+  // been had the victim not executed concurrently — the steal-safety
+  // property asserts on that sum, keeping the proof obligation uniform
+  // across backends.
   int64_t victim_finished_delta = 0;
-  // Same bracket over DealtCount(): items the victim owner removed to deal
-  // away while this steal was in flight. Without this excuse a dealer
-  // shedding its own backlog makes an overlapping (legal) steal look like it
-  // idled the victim.
-  int64_t victim_dealt_delta = 0;
 };
 
 // Construction-time knobs for the machine's queues.

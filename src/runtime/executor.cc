@@ -88,46 +88,6 @@ uint64_t ExecutorReport::total_mailbox_items_drained() const {
   return total;
 }
 
-uint64_t ExecutorReport::total_deal_rounds() const {
-  uint64_t total = 0;
-  for (const WorkerStats& w : workers) {
-    total += w.deal_rounds;
-  }
-  return total;
-}
-
-uint64_t ExecutorReport::total_deal_items_dealt() const {
-  uint64_t total = 0;
-  for (const WorkerStats& w : workers) {
-    total += w.deal_items_dealt;
-  }
-  return total;
-}
-
-uint64_t ExecutorReport::total_deal_items_direct() const {
-  uint64_t total = 0;
-  for (const WorkerStats& w : workers) {
-    total += w.deal_items_direct;
-  }
-  return total;
-}
-
-uint64_t ExecutorReport::total_deal_items_returned() const {
-  uint64_t total = 0;
-  for (const WorkerStats& w : workers) {
-    total += w.deal_items_returned;
-  }
-  return total;
-}
-
-uint64_t ExecutorReport::total_deal_items_received() const {
-  uint64_t total = 0;
-  for (const WorkerStats& w : workers) {
-    total += w.deal_items_received;
-  }
-  return total;
-}
-
 stats::LogHistogram ExecutorReport::MergedSojournNs() const {
   stats::LogHistogram merged;
   for (const WorkerStats& w : workers) {
@@ -166,14 +126,6 @@ std::string ExecutorReport::ToString() const {
   if (total_mailbox_items_drained() > 0) {
     out += StrFormat(" mailbox{items_drained=%llu}",
                      static_cast<unsigned long long>(total_mailbox_items_drained()));
-  }
-  if (total_deal_rounds() > 0) {
-    out += StrFormat(" deal{rounds=%llu dealt=%llu direct=%llu returned=%llu received=%llu}",
-                     static_cast<unsigned long long>(total_deal_rounds()),
-                     static_cast<unsigned long long>(total_deal_items_dealt()),
-                     static_cast<unsigned long long>(total_deal_items_direct()),
-                     static_cast<unsigned long long>(total_deal_items_returned()),
-                     static_cast<unsigned long long>(total_deal_items_received()));
   }
   const stats::LogHistogram sojourn = MergedSojournNs();
   if (sojourn.total() > 0) {
@@ -239,15 +191,6 @@ void ExecutorReport::ExportMetrics(trace::MetricsRegistry& registry) const {
     registry.Add("executor.mailbox.drains", static_cast<double>(w.mailbox_drains));
     registry.Add("executor.mailbox.items_drained",
                  static_cast<double>(w.mailbox_items_drained));
-    registry.Add("executor.deal.rounds", static_cast<double>(w.deal_rounds));
-    registry.Add("executor.deal.pushes", static_cast<double>(w.deal_pushes));
-    registry.Add("executor.deal.items_dealt", static_cast<double>(w.deal_items_dealt));
-    registry.Add("executor.deal.items_direct", static_cast<double>(w.deal_items_direct));
-    registry.Add("executor.deal.items_returned",
-                 static_cast<double>(w.deal_items_returned));
-    registry.Add("executor.deal.drains", static_cast<double>(w.deal_drains));
-    registry.Add("executor.deal.items_received",
-                 static_cast<double>(w.deal_items_received));
     // ...plus the per-worker split for the load-distribution view.
     const std::string prefix = StrFormat("executor.worker%zu", i);
     registry.Add(prefix + ".items_executed", static_cast<double>(w.items_executed));
@@ -264,22 +207,10 @@ Executor::Executor(std::shared_ptr<const BalancePolicy> policy, const ExecutorCo
       topology_(topology),
       machine_(config.num_workers,
                MachineOptions{.backend = config.backend,
-                              .deque_capacity = config.chase_lev_capacity}),
-      deal_policy_(config.deal),
-      deal_in_flight_(config.num_workers) {
+                              .deque_capacity = config.chase_lev_capacity}) {
   OPTSCHED_CHECK(policy_ != nullptr);
   OPTSCHED_CHECK(config_.num_workers > 0);
   OPTSCHED_CHECK(config_.max_backoff_spins >= 1);
-  if (config_.deal.enabled) {
-    // Dealing needs its transport, and a threshold below 2 would deal away
-    // the dealer's current or only queued item — self-defeating by
-    // construction, so reject loudly instead of measuring nonsense.
-    OPTSCHED_CHECK_MSG(config_.deal_sink != nullptr,
-                       "deal.enabled requires a deal_sink (ingress::DealChannel)");
-    OPTSCHED_CHECK_MSG(config_.deal.threshold >= 2, "deal.threshold must be >= 2");
-    OPTSCHED_CHECK(config_.deal.max_batch >= 1);
-    OPTSCHED_CHECK(config_.deal.check_interval_items >= 1);
-  }
   // D3 locks every runqueue during selection; the chase_lev deque has no
   // queue lock to take, so the combination is meaningless — reject it loudly
   // instead of silently measuring the wrong ablation.
@@ -396,136 +327,6 @@ uint32_t Executor::DrainIngress(uint32_t worker, WorkerStats& stats,
   return moved;
 }
 
-uint32_t Executor::DrainDealt(uint32_t worker, WorkerStats& stats,
-                              std::vector<WorkItem>& batch, trace::SpscTraceRing* ring) {
-  batch.clear();
-  // Reuses the ingress drain-batch bound; dealt batches are max_batch-sized,
-  // so one drain normally empties the mailbox.
-  const uint32_t moved = config_.deal_sink->DrainDealt(
-      worker, batch, std::max(config_.ingress_drain_batch, 1u));
-  if (moved == 0) {
-    return 0;
-  }
-  // NO submitted bump — the one deliberate difference from
-  // DrainIngress. Dealt items were counted at their original submission and
-  // are only migrating; admitting them again would double-count and wedge
-  // closed-system termination (see DealChannel's header).
-  machine_.queue(worker).PushBatchOwner(batch.data(), moved);
-  ++stats.deal_drains;
-  stats.deal_items_received += moved;
-  if (ring != nullptr) {
-    ring->TryPush({.time = (NowNs() - run_start_ns_) / 1000,
-                   .type = trace::EventType::kDealDrain,
-                   .cpu = worker,
-                   .detail = static_cast<int64_t>(moved)});
-  }
-  return moved;
-}
-
-// The dealer's half of work-dealing (docs/runtime.md#work-dealing), run at
-// the deal check cadence with no item held. On the D7 allocation-free budget
-// once the scratch buffers reach high-water capacity.
-OPTSCHED_HOT_PATH void Executor::DealRound(uint32_t worker, ConcurrentRunQueue& own,
-                                           WorkerStats& stats, DealWindow& window,
-                                           LoadSnapshot& snapshot,
-                                           std::vector<WorkItem>& batch,
-                                           std::vector<int64_t>& pending_scratch,
-                                           trace::SpscTraceRing* ring) {
-  // The window must tick on EVERY check (it counts checks, not time), so
-  // observe first and gate on the threshold second.
-  const bool in_window = window.Observe(own.StolenCount(), config_.deal);
-  // ReadLoad, not TasksRelaxed: the latter sums the chase_lev counter
-  // decomposition, which stays zero on the locked backend — the gate must
-  // judge the backend's actual published load.
-  if (!in_window || !deal_policy_.ShouldDeal(own.ReadLoad().task_count)) {
-    return;
-  }
-  machine_.SnapshotInto(snapshot);
-  DealSink& sink = *config_.deal_sink;
-  pending_scratch.assign(machine_.num_queues(), 0);
-  for (uint32_t i = 0; i < machine_.num_queues(); ++i) {
-    if (i != worker) {
-      pending_scratch[i] = sink.DealtPendingFor(i);
-    }
-  }
-  const CpuId peer = deal_policy_.PickRecipient(worker, snapshot, pending_scratch.data());
-  if (peer == DealPolicy::kNoPeer) {
-    return;
-  }
-  const uint32_t quota =
-      deal_policy_.DealQuota(own.ReadLoad().task_count, snapshot.task_count[peer]);
-  if (quota == 0) {
-    return;
-  }
-  ++stats.deal_rounds;
-  // In-flight visibility BEFORE the take: between TakeOwnerBatch and the
-  // placement below the items are in no queue and no mailbox. The watchdog
-  // reads deal_in_flight_ as pending, so a sampling window landing here sees
-  // work in transit, not work vanishing (satellite bugfix; same rule as
-  // mailbox backlog and outstanding continuations).
-  deal_in_flight_[worker].fetch_add(quota, std::memory_order_relaxed);  // order: watchdog-pending
-  batch.clear();
-  const uint32_t taken = own.TakeOwnerBatch(quota, batch);
-  if (taken < quota) {
-    // order: watchdog-pending
-    deal_in_flight_[worker].fetch_sub(quota - taken, std::memory_order_relaxed);
-  }
-  if (taken == 0) {
-    return;
-  }
-  const uint32_t accepted = sink.PushDealt(peer, batch.data(), taken);
-  uint32_t direct = 0;
-  uint32_t returned = 0;
-  if (accepted < taken) {
-    const uint32_t tail = taken - accepted;
-    if (accepted > 0) {
-      // Partial acceptance: the mailbox filled mid-batch. We are committed
-      // to this peer — spill the tail straight into its runqueue's external
-      // inbox, still conservation-visible and still an owner-side push.
-      machine_.queue(peer).PushBatchExternal(batch.data() + accepted, tail);
-      direct = tail;
-    } else {
-      // Refused outright: the pick ran on a stale view and the peer is
-      // already backlogged — the deal-side analogue of a failed re-check.
-      // Abandon the round and take the batch back; the reactive steal
-      // fallback redistributes if the imbalance persists. Dropping this tail
-      // instead is exactly the broken_deal_window fault the mc deal harness
-      // exists to catch.
-      own.PushBatchOwner(batch.data(), taken);
-      returned = taken;
-    }
-  }
-  deal_in_flight_[worker].fetch_sub(taken, std::memory_order_relaxed);  // order: watchdog-pending
-  stats.deal_items_dealt += accepted;
-  stats.deal_items_direct += direct;
-  stats.deal_items_returned += returned;
-  if (accepted + direct > 0) {
-    ++stats.deal_pushes;
-    // The mailbox push already fired the channel's notify (wired to
-    // NotifyIngress) on the empty->non-empty edge. The direct spill needs
-    // its own notify-after-publish: a peer parked over an empty inbox would
-    // otherwise sleep through it.
-    if (direct > 0) {
-      wakeup_.Notify();
-    }
-    if (ring != nullptr) {
-      ring->TryPush({.time = (NowNs() - run_start_ns_) / 1000,
-                     .type = trace::EventType::kDealPush,
-                     .cpu = worker,
-                     .task = direct,
-                     .other_cpu = peer,
-                     .detail = static_cast<int64_t>(accepted)});
-    }
-  }
-  if (returned > 0 && ring != nullptr) {
-    ring->TryPush({.time = (NowNs() - run_start_ns_) / 1000,
-                   .type = trace::EventType::kDealReturn,
-                   .cpu = worker,
-                   .other_cpu = peer,
-                   .detail = static_cast<int64_t>(returned)});
-  }
-}
-
 // The whole worker loop is on the D7 allocation-free budget: after the
 // warm-up allocations below, a full pop-execute or selection+steal iteration
 // must not touch the allocator (rule hot-path-alloc; audited by bench_e14).
@@ -542,16 +343,6 @@ OPTSCHED_HOT_PATH void Executor::WorkerMain(uint32_t worker_index, WorkerStats& 
   // Locally executed items since the last mailbox drain (sustained-load
   // drain cadence; see ExecutorConfig::ingress_drain_interval_items).
   uint64_t executed_since_drain = 0;
-  // Work-dealing state (docs/runtime.md#work-dealing): check cadence counter,
-  // the post-steal grace window, and dedicated scratch — the deal snapshot
-  // buffer is separate from the steal path's so the stale-snapshot fault
-  // keeps its exact semantics.
-  const bool dealing = config_.deal.enabled;
-  uint64_t executed_since_deal = 0;
-  DealWindow deal_window;
-  LoadSnapshot deal_snapshot;
-  std::vector<WorkItem> deal_batch;
-  std::vector<int64_t> deal_pending_scratch;
   // Hot-path buffers, allocated once per worker and refilled in place: after
   // warmup a full selection + steal attempt performs zero heap allocations
   // (docs/runtime.md, "hot-path cost model").
@@ -725,8 +516,9 @@ OPTSCHED_HOT_PATH void Executor::WorkerMain(uint32_t worker_index, WorkerStats& 
       }
       fruitless = 0;
       backoff_spins = 0;
-      // Items the cadences below moved into the own queue: with no carried
-      // item they are popped at the loop top, never left behind by a park.
+      // Items the drain cadence below moved into the own queue: with no
+      // carried item they are popped at the loop top, never left behind by a
+      // park.
       bool refilled = false;
       // Sustained-load drain cadence: a never-empty runqueue must not starve
       // the mailbox, so pull a batch every N executed items too.
@@ -734,33 +526,12 @@ OPTSCHED_HOT_PATH void Executor::WorkerMain(uint32_t worker_index, WorkerStats& 
           ++executed_since_drain >= config_.ingress_drain_interval_items) {
         executed_since_drain = 0;
         if (ingress->PendingFor(worker_index) > 0) {
-          refilled |= DrainIngress(worker_index, stats, drain_batch, ring) > 0;
+          refilled = DrainIngress(worker_index, stats, drain_batch, ring) > 0;
         }
-      }
-      // Deal check cadence: recipient duty first (a busy worker bounds its
-      // own deal-mailbox sojourn, same rule as the ingress cadence above),
-      // then the dealer-side round. The carried next item is already
-      // running, and TakeOwnerBatch never touches the running slot.
-      if (dealing && ++executed_since_deal >= config_.deal.check_interval_items) {
-        executed_since_deal = 0;
-        if (config_.deal_sink->DealtPendingFor(worker_index) > 0) {
-          refilled |= DrainDealt(worker_index, stats, deal_batch, ring) > 0;
-        }
-        DealRound(worker_index, own, stats, deal_window, deal_snapshot, deal_batch,
-                  deal_pending_scratch, ring);
       }
       // With no next item the fused pop was this round's empty own-queue
       // re-check: go straight to the round boundary below.
       if (item.has_value() || refilled || !keep_running()) {
-        continue;
-      }
-    }
-    // Round boundary (queue empty): dealt items beat stolen items — they
-    // are already ours, pushed here precisely because we looked idle.
-    if (dealing && config_.deal_sink->DealtPendingFor(worker_index) > 0) {
-      if (DrainDealt(worker_index, stats, deal_batch, ring) > 0) {
-        fruitless = 0;
-        backoff_spins = 0;
         continue;
       }
     }
@@ -779,11 +550,10 @@ OPTSCHED_HOT_PATH void Executor::WorkerMain(uint32_t worker_index, WorkerStats& 
         }
       }
     }
-    // Queue empty: run the three-step balancing protocol — unless the E17
-    // deal-only ablation turned the reactive fallback off, or a straggler
-    // fault holds this core out of the round entirely.
+    // Queue empty: run the three-step balancing protocol — unless a
+    // straggler fault holds this core out of the round entirely.
     bool stole = false;
-    if (config_.steal_enabled && (injector == nullptr || !injector->StallCore(worker_index))) {
+    if (injector == nullptr || !injector->StallCore(worker_index)) {
       const uint64_t select_start = NowNs();
       if (injector != nullptr && has_stale_view && injector->StaleSnapshot(worker_index)) {
         snapshot = stale_view;  // selection over a deliberately outdated view
@@ -851,13 +621,6 @@ OPTSCHED_HOT_PATH void Executor::WorkerMain(uint32_t worker_index, WorkerStats& 
     }
     if (++fruitless >= config_.idle_spins_before_yield) {
       fruitless = 0;
-      if (config_.fixed_yield) {
-        // Ablation: the pre-backoff behaviour — yield and immediately resume
-        // hammering the snapshot path.
-        std::this_thread::yield();
-        ++stats.yields;
-        continue;
-      }
       backoff_spins = backoff_spins == 0
                           ? config_.initial_backoff_spins
                           : std::min(backoff_spins * 2, config_.max_backoff_spins);
@@ -1009,14 +772,7 @@ ExecutorReport Executor::RunInternal(uint64_t duration_ms,
       // system — its children are running elsewhere and the last arriver will
       // submit it — so a deep fork-join drain must read as pending load, not
       // as a persistent conservation violation.
-      // Dealt items get the same treatment (bugfix, docs/runtime.md): a batch
-      // sitting in a recipient's deal mailbox, or held by a dealer between
-      // take and placement (deal_in_flight_), is work in transit — invisible
-      // to the load snapshot, so without these two terms a deal landing in a
-      // sampling window reads as vanished work and an idle recipient with a
-      // backlogged deal mailbox reads as a conservation violation.
-      if (config_.ingress != nullptr || config_.task_runner != nullptr ||
-          config_.deal_sink != nullptr) {
+      if (config_.ingress != nullptr || config_.task_runner != nullptr) {
         watchdog_pending.assign(config_.num_workers, 0);
         for (uint32_t i = 0; i < config_.num_workers; ++i) {
           if (config_.ingress != nullptr) {
@@ -1024,11 +780,6 @@ ExecutorReport Executor::RunInternal(uint64_t duration_ms,
           }
           if (config_.task_runner != nullptr) {
             watchdog_pending[i] += config_.task_runner->OutstandingFor(i);
-          }
-          if (config_.deal_sink != nullptr) {
-            watchdog_pending[i] += config_.deal_sink->DealtPendingFor(i) +
-                                   // order: watchdog-pending
-                                   deal_in_flight_[i].load(std::memory_order_relaxed);
           }
         }
       }

@@ -13,8 +13,7 @@
 //  * After `idle_spins_before_yield` fruitless protocol attempts a worker
 //    enters bounded exponential backoff with jitter instead of hammering the
 //    snapshot path (Leiserson-style: failed steals are bounded, so idle cores
-//    should pay less for each extra failure). `fixed_yield` restores the old
-//    bare-yield behaviour as an ablation.
+//    should pay less for each extra failure).
 //  * A FaultPlan (src/fault) perturbs the seams: stalled stragglers, forced
 //    steal aborts, artificially stale snapshots, and worker crash-and-restart
 //    — the worker thread genuinely exits and a supervisor respawns it after
@@ -42,7 +41,6 @@
 #include "src/runtime/ingress_source.h"
 #include "src/runtime/termination.h"
 #include "src/runtime/wakeup_gate.h"
-#include "src/sched/deal_policy.h"
 #include "src/stats/histogram.h"
 #include "src/trace/accounting.h"
 #include "src/trace/collector.h"
@@ -98,9 +96,6 @@ struct ExecutorConfig {
   uint32_t max_steal_batch = 1;
   // Enter backoff after this many consecutive fruitless steal attempts.
   uint32_t idle_spins_before_yield = 16;
-  // Ablation: restore the pre-backoff behaviour (bare yield every
-  // `idle_spins_before_yield` fruitless attempts, no exponential growth).
-  bool fixed_yield = false;
   // Bounded exponential backoff: the park length starts at
   // `initial_backoff_spins` CpuRelax iterations and doubles per consecutive
   // fruitless episode up to `max_backoff_spins` (the bound — an idle worker
@@ -143,24 +138,6 @@ struct ExecutorConfig {
   // are dispatched to this runner instead of the calibrated spin. The runner
   // must outlive the run. Null rejects task items loudly.
   TaskRunner* task_runner = nullptr;
-  // Proactive work-dealing (docs/runtime.md#work-dealing): when deal.enabled,
-  // each worker runs a deal round every deal.check_interval_items executed
-  // items — if its task count exceeds deal.threshold inside the post-steal
-  // grace window and an idle peer exists, it pushes ceil(gap/2) items into
-  // that peer's bounded deal mailbox (owner-side stores instead of
-  // thief-side synchronization). deal_sink is the transport (an
-  // ingress::DealChannel); it must outlive the run, and its notify callback
-  // should be wired to NotifyIngress so a parked recipient cannot sleep
-  // through a deal. Dealt items are MIGRATING, never re-admitted: they keep
-  // their original submitted/executed accounting, so closed-system Run()
-  // works with dealing on. The reactive steal path stays on as unconditional
-  // fallback — work conservation never rests on a deal landing.
-  DealConfig deal;
-  DealSink* deal_sink = nullptr;
-  // Ablation (E17 deal-only): disable the reactive steal fallback entirely.
-  // Workers still execute their own queues, drain ingress and deal mailboxes;
-  // they just never run the three-step balancing protocol.
-  bool steal_enabled = true;
   uint64_t seed = 1;
 };
 
@@ -170,8 +147,8 @@ struct WorkerStats {
   StealCounters steals;
   uint64_t idle_loops = 0;
   // Backoff accounting: parks entered, CpuRelax spins paid inside them, bare
-  // yields (fixed_yield ablation or capped-backoff politeness), and
-  // watchdog-escalation wakeups that cut a park short.
+  // yields between parks at the backoff cap, and watchdog-escalation wakeups
+  // that cut a park short.
   uint64_t backoff_events = 0;
   uint64_t backoff_spins_total = 0;
   uint64_t yields = 0;
@@ -179,24 +156,11 @@ struct WorkerStats {
   // Injected crash-and-restarts this worker index suffered.
   uint64_t crashes = 0;
   // Ingress accounting: drain actions, items moved mailbox->runqueue, and
-  // parks cut short by a submit/mailbox wakeup-epoch bump (the lost-wakeup
-  // fix — see wakeup_epoch_ below).
+  // parks cut short by a submit/mailbox notify of the wakeup gate (the
+  // lost-wakeup fix — see WakeupGate `wakeup_` below).
   uint64_t mailbox_drains = 0;
   uint64_t mailbox_items_drained = 0;
   uint64_t submit_wakeups = 0;
-  // Work-dealing accounting (docs/runtime.md#work-dealing). Dealer side:
-  // rounds that cleared the window+threshold+recipient gates and took a
-  // batch; rounds that placed >= 1 item with the peer; items accepted into
-  // the peer's deal mailbox; refused-tail items spilled straight into the
-  // peer's runqueue; abandoned batches returned to the own queue.
-  uint64_t deal_rounds = 0;
-  uint64_t deal_pushes = 0;
-  uint64_t deal_items_dealt = 0;
-  uint64_t deal_items_direct = 0;
-  uint64_t deal_items_returned = 0;
-  // Recipient side: deal-mailbox drain actions and items moved to the queue.
-  uint64_t deal_drains = 0;
-  uint64_t deal_items_received = 0;
   // Steal-phase latency, split by outcome: successful steals and genuine
   // failed attempts (non-empty filter, lost re-check or no eligible task).
   // Failed attempts are exactly the contention §4.3 reasons about — recording
@@ -239,13 +203,6 @@ struct ExecutorReport {
   uint64_t total_backoff_events() const;
   uint64_t total_crashes() const;
   uint64_t total_mailbox_items_drained() const;
-  uint64_t total_deal_rounds() const;
-  // Items migrated by dealing = mailbox-accepted + direct-spilled (returned
-  // items never migrated; received is the recipient-side mirror of accepted).
-  uint64_t total_deal_items_dealt() const;
-  uint64_t total_deal_items_direct() const;
-  uint64_t total_deal_items_returned() const;
-  uint64_t total_deal_items_received() const;
   // Sojourn histograms of all workers merged (arrival-stamped items only).
   stats::LogHistogram MergedSojournNs() const;
   double throughput_items_per_ms() const;
@@ -331,20 +288,6 @@ class Executor {
   // scratch. Returns items moved.
   uint32_t DrainIngress(uint32_t worker, WorkerStats& stats, std::vector<WorkItem>& batch,
                         trace::SpscTraceRing* ring);
-  // One dealer-side deal round for `worker` (docs/runtime.md#work-dealing):
-  // window check, threshold check, recipient pick, take-push-place. `batch`
-  // and `pending_scratch` are the worker's reusable scratch buffers;
-  // `snapshot` is a dedicated buffer (never the steal path's, so the
-  // stale-snapshot fault semantics stay untouched).
-  void DealRound(uint32_t worker, ConcurrentRunQueue& own, WorkerStats& stats,
-                 DealWindow& window, LoadSnapshot& snapshot, std::vector<WorkItem>& batch,
-                 std::vector<int64_t>& pending_scratch, trace::SpscTraceRing* ring);
-  // Recipient side: moves dealt items mailbox->runqueue through the owner
-  // push path WITHOUT touching the submitted counts — dealt items were
-  // counted at their original submission and are only migrating (the
-  // double-count would wedge closed-system termination). Returns items moved.
-  uint32_t DrainDealt(uint32_t worker, WorkerStats& stats, std::vector<WorkItem>& batch,
-                      trace::SpscTraceRing* ring);
   // Shared driver behind Run and RunFor: spawns workers, supervises
   // crash-and-restart and the watchdog, joins, reports. duration_ms == 0
   // means closed-system mode (run until drained).
@@ -354,14 +297,6 @@ class Executor {
   ExecutorConfig config_;
   const Topology* topology_;
   ConcurrentMachine machine_;
-  // Pure deal decision layer (src/sched); all synchronization stays here.
-  DealPolicy deal_policy_;
-  // Items a dealer holds between TakeOwnerBatch and placement: in no queue
-  // and no mailbox, so the watchdog must read them as PENDING for the dealer
-  // — without this a deal landing inside a sampling window looks like work
-  // vanishing (the invisible-in-flight accounting bug this array fixes).
-  // optsched-lint: allow(mc-hook-coverage): watchdog pending bookkeeping, never a worker scheduling decision input
-  std::vector<std::atomic<int64_t>> deal_in_flight_;
   std::unique_ptr<fault::FaultInjector> injector_;
   // Per-run trace rings (workers 0..n-1, supervisor lane n); null when off.
   std::unique_ptr<trace::TraceCollector> collector_;
@@ -378,9 +313,9 @@ class Executor {
   // backoff when they observe a new epoch.
   // mc: kEpochLoad, kEpochBump
   std::atomic<uint64_t> escalation_epoch_{0};
-  // Submit/SubmitBatch/SubmitFromWorker/NotifyIngress and the deal spill
-  // notify it AFTER the new work is visible; it bumps its wakeup epoch only
-  // while some worker has announced itself idle (wakeup_gate.h). A worker
+  // Submit/SubmitBatch/SubmitFromWorker/NotifyIngress notify it AFTER the
+  // new work is visible; it bumps its wakeup epoch only while some worker has
+  // announced itself idle (wakeup_gate.h). A worker
   // announces on its first fruitless round, samples the epoch at the TOP of
   // the next round — before its empty re-checks of queue, mailboxes and the
   // steal filter — and a park bails as soon as that sample goes stale. This

@@ -44,36 +44,6 @@ class IngressSource {
   virtual int64_t PendingFor(uint32_t worker) const = 0;
 };
 
-// Transport for proactive work-dealing (docs/runtime.md#work-dealing): an
-// overloaded worker pushes surplus items toward an idle peer; the PEER's
-// owner thread drains them into its own runqueue at round boundaries. Same
-// seam direction as IngressSource — src/ingress implements it over bounded
-// mailboxes with dealt-traffic accounting kept distinct from producer
-// admission — but the traffic is peer-to-peer executor-internal, so dealt
-// items never touch the executor's remaining/submitted counts (they were
-// counted when first submitted and stay counted until executed).
-class DealSink {
- public:
-  virtual ~DealSink() = default;
-
-  // Dealer-side: offer `count` items for `worker`. Accepts a PREFIX of the
-  // batch (bounded transport may refuse the tail) and returns its length;
-  // the dealer still owns items [accepted, count). Any thread may call this
-  // for any worker.
-  virtual uint32_t PushDealt(uint32_t worker, const WorkItem* items, uint32_t count) = 0;
-
-  // Recipient-side: move up to `max_items` dealt items for `worker` into
-  // `out` (appending). Single consumer per worker — only worker `worker`'s
-  // thread drains its own dealt backlog.
-  virtual uint32_t DrainDealt(uint32_t worker, std::vector<WorkItem>& out,
-                              uint32_t max_items) = 0;
-
-  // Dealt-but-undrained items for `worker`; lock-free, possibly stale. The
-  // supervisor's watchdog adds this to a worker's pending so mid-deal
-  // backlog classifies as transient, never as a conservation violation.
-  virtual int64_t DealtPendingFor(uint32_t worker) const = 0;
-};
-
 }  // namespace optsched::runtime
 
 #endif  // OPTSCHED_SRC_RUNTIME_INGRESS_SOURCE_H_

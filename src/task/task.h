@@ -185,10 +185,10 @@ class TaskGraph : public runtime::TaskRunner {
   // optsched-lint: allow(mc-hook-coverage): arena chunk cursor — handout order is protocol-irrelevant, any interleaving yields distinct indices
   std::atomic<uint32_t> arena_next_{0};
   std::unique_ptr<WorkerState[]> worker_state_;
-  // Root-completion flag. The executor terminates on its remaining-items
-  // count; harnesses and benches poll this at loop boundaries (every poll
-  // sits between Yield decision points under the checker).
-  // optsched-lint: allow(mc-hook-coverage): termination flag polled at harness loop boundaries, mirrored by remaining_items_ under the executor
+  // Root-completion flag. The executor terminates on its TerminationCounts
+  // quiescence sum; harnesses and benches poll this at loop boundaries
+  // (every poll sits between Yield decision points under the checker).
+  // optsched-lint: allow(mc-hook-coverage): termination flag polled at harness loop boundaries, mirrored by TerminationCounts under the executor
   std::atomic<bool> done_{false};
 };
 

@@ -29,9 +29,6 @@ const char* EventTypeName(EventType type) {
     case EventType::kAdmissionBlock: return "admission-block";
     case EventType::kEnqueueFault: return "enqueue-fault";
     case EventType::kProducerStall: return "producer-stall";
-    case EventType::kDealPush: return "deal-push";
-    case EventType::kDealReturn: return "deal-return";
-    case EventType::kDealDrain: return "deal-drain";
   }
   return "?";
 }

@@ -46,14 +46,6 @@ enum class EventType {
   kAdmissionBlock,  // block-with-deadline timed out -> shed; detail = waited us
   kEnqueueFault,    // injected TryPush failure (fault plan, not real overload)
   kProducerStall,   // injected producer stall; detail = stall duration us
-  // Work-dealing events (docs/runtime.md#work-dealing). Dealer side:
-  kDealPush,    // owner pushed a dealt batch; other_cpu = recipient,
-                // detail = items (mailbox), task = items spilled directly
-                // into the recipient's runqueue when its mailbox was full
-  kDealReturn,  // refused remainder went back on the dealer's own queue;
-                // detail = items
-  // Recipient side:
-  kDealDrain,   // owner moved a dealt batch mailbox->runqueue; detail = items
 };
 
 const char* EventTypeName(EventType type);

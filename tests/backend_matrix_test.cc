@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "src/core/policies/thread_count.h"
-#include "src/ingress/deal_channel.h"
 #include "src/ingress/mailbox.h"
 #include "src/runtime/concurrent_machine.h"
 #include "src/runtime/executor.h"
@@ -88,72 +87,54 @@ TEST_P(BackendMatrix, PushBatchOwnerPublishesTheWholeBatch) {
   }
 }
 
-TEST_P(BackendMatrix, DealTakeAndExternalPushStayExactAtQuiescence) {
-  // The work-dealing transport pair: the owner removes a window with
-  // TakeOwnerBatch, and a dealer (a DIFFERENT thread) lands items with
-  // PushBatchExternal. Both must keep the published decomposition exact at
-  // quiescence — the regression here is a dealt batch counted against the
-  // owner's single-writer own_enq counter instead of the shared ext_enq
-  // counter, which corrupts the published load under a concurrent owner push.
+TEST_P(BackendMatrix, ExternalPushStaysExactAtQuiescence) {
+  // A non-owner thread lands batches with PushBatchExternal while the owner
+  // pushes through its own path. The published decomposition must stay exact
+  // at quiescence: the regression here is an external batch counted against
+  // the owner's single-writer own_enq counter instead of the shared ext_enq
+  // counter, which loses updates under a concurrent owner push.
   ConcurrentRunQueue queue(GetParam());
-  std::vector<WorkItem> seed;
-  for (uint64_t id = 1; id <= 8; ++id) {
-    seed.push_back(Item(id, 100));
-  }
-  queue.PushBatchOwner(seed.data(), static_cast<uint32_t>(seed.size()));
-
-  std::vector<WorkItem> window;
-  const uint32_t taken = queue.TakeOwnerBatch(3, window);
-  EXPECT_EQ(taken, 3u);
-  EXPECT_EQ(window.size(), 3u);
-  EXPECT_EQ(queue.ReadLoad().task_count, 5);
-  EXPECT_EQ(queue.ReadLoad().weighted_load, 500);
-  EXPECT_EQ(queue.ExactLoad().task_count, 5);
-
-  // Land the window back from a non-owner thread (the direct-spill path),
-  // interleaved with owner pushes: the per-writer counters must not tear.
-  std::thread dealer([&] {
-    queue.PushBatchExternal(window.data(), static_cast<uint32_t>(window.size()));
+  constexpr uint64_t kBatches = 8;
+  constexpr uint64_t kPerBatch = 16;
+  constexpr uint64_t kTotal = 2 * kBatches * kPerBatch;
+  const auto make_batch = [](uint64_t first_id) {
+    std::vector<WorkItem> batch;
+    for (uint64_t id = first_id; id < first_id + kPerBatch; ++id) {
+      batch.push_back(Item(id, 100));
+    }
+    return batch;
+  };
+  std::thread producer([&] {
+    for (uint64_t b = 0; b < kBatches; ++b) {
+      const std::vector<WorkItem> batch = make_batch(1000 + b * kPerBatch);
+      queue.PushBatchExternal(batch.data(), static_cast<uint32_t>(batch.size()));
+    }
   });
-  for (uint64_t id = 9; id <= 10; ++id) {
-    queue.Push(Item(id, 100));
+  for (uint64_t b = 0; b < kBatches; ++b) {
+    const std::vector<WorkItem> batch = make_batch(1 + b * kPerBatch);
+    queue.PushBatchOwner(batch.data(), static_cast<uint32_t>(batch.size()));
   }
-  dealer.join();
-  EXPECT_EQ(queue.ReadLoad().task_count, 10);
-  EXPECT_EQ(queue.ReadLoad().weighted_load, 1000);
-  EXPECT_EQ(queue.ExactLoad().task_count, 10);
-  EXPECT_EQ(queue.ExactLoad().weighted_load, 1000);
+  producer.join();
+  EXPECT_EQ(queue.ReadLoad().task_count, static_cast<int64_t>(kTotal));
+  EXPECT_EQ(queue.ReadLoad().weighted_load, static_cast<int64_t>(kTotal * 100));
+  EXPECT_EQ(queue.ExactLoad().task_count, static_cast<int64_t>(kTotal));
+  EXPECT_EQ(queue.ExactLoad().weighted_load, static_cast<int64_t>(kTotal * 100));
 
   std::vector<uint64_t> ids;
   while (std::optional<WorkItem> item = queue.PopForRun()) {
     ids.push_back(item->id);
-    queue.FinishCurrent();
     const runtime::LoadPair published = queue.ReadLoad();
     const runtime::LoadPair exact = queue.ExactLoad();
     EXPECT_EQ(published.task_count, exact.task_count);
     EXPECT_EQ(published.weighted_load, exact.weighted_load);
+    queue.FinishCurrent();
   }
+  ASSERT_EQ(ids.size(), kTotal);
   std::sort(ids.begin(), ids.end());
-  ASSERT_EQ(ids.size(), 10u);
-  for (uint64_t i = 0; i < ids.size(); ++i) {
-    EXPECT_EQ(ids[i], i + 1);
-  }
+  EXPECT_EQ(std::adjacent_find(ids.begin(), ids.end()), ids.end());
   EXPECT_EQ(queue.ReadLoad().task_count, 0);
   EXPECT_EQ(queue.ReadLoad().weighted_load, 0);
-}
-
-TEST_P(BackendMatrix, TakeOwnerBatchReachesInboxResidents) {
-  // Dealable surplus parked in the external path (inbox on chase_lev, the
-  // shared deque on locked) must be reachable by the dealer's take.
-  ConcurrentRunQueue queue(GetParam());
-  for (uint64_t id = 1; id <= 4; ++id) {
-    queue.Push(Item(id));
-  }
-  std::vector<WorkItem> window;
-  EXPECT_EQ(queue.TakeOwnerBatch(8, window), 4u);
-  EXPECT_EQ(queue.ReadLoad().task_count, 0);
   EXPECT_EQ(queue.ExactLoad().task_count, 0);
-  EXPECT_EQ(window.size(), 4u);
 }
 
 TEST_P(BackendMatrix, FinishCurrentAndPopHandsTheRunningSlotOn) {
@@ -329,51 +310,6 @@ TEST_P(BackendMatrix, ExecutorDrainsImbalancedSeedWithSteals) {
     total_successes = report.total_successes();
   }
   EXPECT_GT(total_successes, 0u);
-}
-
-TEST_P(BackendMatrix, ExecutorDrainsImbalancedSeedThroughDealingAlone) {
-  // Steal disabled: workers 1-3 can make progress ONLY through the deal path
-  // (deal round -> mailbox -> DrainDealt -> own queue), so draining the whole
-  // seed proves the transport end to end on this backend. Whether a deal
-  // fires before the owner drains the seed is a race against worker spin-up,
-  // so retry until one lands; drain correctness is asserted every time.
-  uint64_t items_dealt = 0;
-  for (int attempt = 0; attempt < 5 && items_dealt == 0; ++attempt) {
-    runtime::ExecutorConfig config;
-    config.num_workers = 4;
-    config.backend = GetParam();
-    config.spin_per_unit = 200;
-    config.steal_enabled = false;
-    config.deal.enabled = true;
-    config.deal.threshold = 2;
-    config.deal.grace_rounds = 0;  // always-on: no robbery ever precedes a deal here
-    config.deal.check_interval_items = 1;
-    ingress::DealChannel deal_channel(config.num_workers, /*capacity_per_mailbox=*/64);
-    config.deal_sink = &deal_channel;
-    runtime::Executor executor(policies::MakeThreadCount(), config);
-    deal_channel.set_notify([&](uint32_t worker) { executor.NotifyIngress(worker); });
-
-    std::vector<WorkItem> seed;
-    for (uint64_t id = 0; id < 2000; ++id) {
-      WorkItem item = Item(id);
-      item.work_units = 5;
-      seed.push_back(item);
-    }
-    executor.Seed(0, seed);
-    const runtime::ExecutorReport report = executor.Run();
-    SCOPED_TRACE(report.ToString());
-
-    uint64_t executed = 0;
-    for (const auto& w : report.workers) {
-      executed += w.items_executed;
-    }
-    ASSERT_EQ(executed, 2000u);
-    ASSERT_EQ(report.items_left_unexecuted, 0u);
-    ASSERT_EQ(report.total_successes(), 0u);  // steals stayed off
-    ASSERT_EQ(deal_channel.TotalDealtPending(), 0);
-    items_dealt = report.total_deal_items_dealt() + report.total_deal_items_direct();
-  }
-  EXPECT_GT(items_dealt, 0u);
 }
 
 TEST_P(BackendMatrix, ExecutorDrainsMailboxIngress) {

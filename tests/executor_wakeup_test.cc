@@ -25,7 +25,6 @@
 #include <vector>
 
 #include "src/core/policies/thread_count.h"
-#include "src/ingress/deal_channel.h"
 #include "src/ingress/mailbox.h"
 #include "src/runtime/executor.h"
 
@@ -166,48 +165,6 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<runtime::QueueBackend>& info) {
       return std::string(runtime::QueueBackendName(info.param));
     });
-
-TEST_P(ExecutorWakeupBackend, DealPushToDeepParkedPeerIsNotLost) {
-  // The deal-vs-park race: every peer is deep in its park when the dealer's
-  // surplus arrives, so each dealt batch lands in a PARKED peer's deal
-  // mailbox. The DealChannel notify -> NotifyIngress -> epoch bump is the
-  // only thing standing between that batch and a 2^34-spin sleep; stealing
-  // is disabled so no reactive path can paper over a lost deal wakeup —
-  // dealt items still in the mailbox at the deadline surface as
-  // items_left_unexecuted.
-  runtime::ExecutorConfig config = DeepParkConfig();
-  config.backend = GetParam();
-  config.steal_enabled = false;
-  config.deal.enabled = true;
-  config.deal.threshold = 2;
-  config.deal.grace_rounds = 0;  // always-on: no robbery can open a window here
-  config.deal.check_interval_items = 1;
-  ingress::DealChannel deal_channel(config.num_workers, /*capacity_per_mailbox=*/64);
-  config.deal_sink = &deal_channel;
-
-  runtime::Executor executor(policies::MakeThreadCount(), config);
-  deal_channel.set_notify([&](uint32_t worker) { executor.NotifyIngress(worker); });
-
-  const auto producer = [&](runtime::Executor& e) {
-    // Let all four workers sink into their parks, then pile the whole burst
-    // onto worker 0: only dealing can move it anywhere else.
-    std::this_thread::sleep_for(60ms);
-    for (uint64_t id = 0; id < 100; ++id) {
-      e.Submit(0, {.id = id, .work_units = 1, .weight = 1024});
-    }
-  };
-  const runtime::ExecutorReport report = executor.RunFor(/*duration_ms=*/400, producer);
-  SCOPED_TRACE(report.ToString());
-
-  EXPECT_EQ(report.total_items, 100u);
-  EXPECT_EQ(report.items_left_unexecuted, 0u);
-  EXPECT_EQ(report.total_successes(), 0u);  // steals stayed off
-  EXPECT_EQ(deal_channel.TotalDealtPending(), 0);
-  // A 100-item burst against threshold 2 with idle peers must have dealt:
-  // a zero here means the deal round never fired and the burst was drained
-  // by the owner alone, which would let a lost-notify bug hide.
-  EXPECT_GT(report.total_deal_items_dealt() + report.total_deal_items_direct(), 0u);
-}
 
 // One long task item: it waits until its siblings are deep in their parks,
 // spawns a batch onto its OWN queue through SubmitFromWorker, then stays busy

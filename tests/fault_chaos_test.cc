@@ -452,21 +452,5 @@ TEST(ChaosExecutor, BackoffEngagesAndStaysBounded) {
   }
 }
 
-TEST(ChaosExecutor, FixedYieldAblationDisablesBackoff) {
-  runtime::ExecutorConfig config;
-  config.num_workers = 2;
-  config.fixed_yield = true;
-  config.idle_spins_before_yield = 4;
-  runtime::Executor executor(policies::MakeThreadCount(), config);
-  executor.Seed(0, {runtime::WorkItem{.id = 1, .work_units = 200'000, .weight = 1024}});
-  const runtime::ExecutorReport report = executor.Run();
-  EXPECT_EQ(report.total_backoff_events(), 0u);
-  uint64_t yields = 0;
-  for (const runtime::WorkerStats& w : report.workers) {
-    yields += w.yields;
-  }
-  EXPECT_GT(yields, 0u);
-}
-
 }  // namespace
 }  // namespace optsched

@@ -223,96 +223,6 @@ TEST(ReplayGoldenTest, CorrectChaseLevOrderSurvivesTheGoldenSchedule) {
   }
 }
 
-TEST(ReplayGoldenTest, CommittedBrokenDealWindowStillLosesTheRefusedTail) {
-  MC_SKIP_UNDER_TSAN();
-  // The in-transit deal fault: the dealer's mailbox push is refused (peer's
-  // deal mailbox full) and the broken dealer DROPS the refused tail of its
-  // window instead of returning it to its own queue — one seeded item never
-  // executes and never re-appears anywhere conservation can see it.
-  const std::string path = std::string(MC_GOLDEN_DIR) + "/mc_broken_deal_window.json";
-  std::ifstream in(path);
-  ASSERT_TRUE(in.good()) << "missing golden file " << path;
-  std::stringstream buffer;
-  buffer << in.rdbuf();
-  const std::string content = buffer.str();
-
-  const std::optional<Schedule> schedule = Schedule::FromJson(content);
-  ASSERT_TRUE(schedule.has_value());
-  EXPECT_EQ(schedule->ToJson(), content);
-  EXPECT_EQ(schedule->harness, "deal");
-  EXPECT_TRUE(schedule->broken_deal_window);
-  EXPECT_EQ(schedule->property, "no-lost-dealt-items");
-
-  StealHarness harness(StealHarness::Config::FromSchedule(*schedule));
-  const ExecutionResult result = ReplayChoices(harness.Factory(), schedule->choices);
-  EXPECT_EQ(result.choices, schedule->choices);
-
-  bool violated = false;
-  for (const PropertyReport& report : harness.Evaluate(result)) {
-    if (report.name == "no-lost-dealt-items" && !report.holds) {
-      violated = true;
-    }
-  }
-  EXPECT_TRUE(violated) << "golden counterexample no longer violates no-lost-dealt-items";
-}
-
-TEST(ReplayGoldenTest, HealthyDealerSurvivesTheDealGoldenSchedule) {
-  MC_SKIP_UNDER_TSAN();
-  // The SAME schedule with the fault knob off must be clean: prefix
-  // acceptance returns the refused tail to the dealer's queue, so the
-  // violation is pinned on the drop, not on the refusal interleaving.
-  const std::string path = std::string(MC_GOLDEN_DIR) + "/mc_broken_deal_window.json";
-  std::ifstream in(path);
-  ASSERT_TRUE(in.good()) << "missing golden file " << path;
-  std::stringstream buffer;
-  buffer << in.rdbuf();
-  std::optional<Schedule> schedule = Schedule::FromJson(buffer.str());
-  ASSERT_TRUE(schedule.has_value());
-  schedule->broken_deal_window = false;
-
-  StealHarness harness(StealHarness::Config::FromSchedule(*schedule));
-  const ExecutionResult result = ReplayChoices(harness.Factory(), schedule->choices);
-  for (const PropertyReport& report : harness.Evaluate(result)) {
-    EXPECT_TRUE(report.holds) << report.name << ": " << report.detail;
-  }
-}
-
-TEST(McDealModeTest, DealRoundsAreExhaustivelyConservative) {
-  MC_SKIP_UNDER_TSAN();
-  // Bound-2 DFS over the deal protocol on both backends: every dealt item is
-  // either drained by its recipient or still resident at exit (deal-or-steal
-  // conservation), and the global item multiset is unchanged
-  // (no-lost-dealt-items). Two workers keep the in-test sweep fast; CI runs
-  // the 4-worker sweeps via simctl.
-  for (const auto backend :
-       {runtime::QueueBackend::kLocked, runtime::QueueBackend::kChaseLev}) {
-    StealHarness::Config config;
-    config.mode = "deal";
-    config.policy = "thread-count";
-    config.initial_loads = {4, 0};
-    config.attempts_per_worker = 1;
-    config.backend = backend;
-    StealHarness harness(config);
-
-    DfsExplorer::Options options;
-    options.max_preemptions = 2;
-    DfsExplorer explorer(options);
-    const PropertyReport* violation = nullptr;
-    std::vector<PropertyReport> reports;
-    const ExploreStats stats = explorer.Explore(
-        harness.Factory(), [&](const ExecutionResult& result, uint32_t) {
-          reports = harness.Evaluate(result);
-          violation = StealHarness::FirstViolation(reports);
-          return violation == nullptr;
-        });
-    EXPECT_GT(stats.schedules_explored, 0u);
-    EXPECT_EQ(stats.deadlocks, 0u);
-    EXPECT_EQ(violation, nullptr)
-        << runtime::QueueBackendName(backend) << ": " << (violation ? violation->name : "")
-        << " — " << (violation ? violation->detail : "");
-  }
-}
-
 TEST(McChaseLevTest, SizeOneTakeStealRaceIsExhaustivelyClean) {
   MC_SKIP_UNDER_TSAN();
   // The hardest corner of the deque: one item, the owner's PopBottom racing

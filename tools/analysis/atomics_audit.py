@@ -124,7 +124,7 @@ ORDER_TAG_RE = re.compile(
 EXPECT_RE = re.compile(r"//\s*expect-atomics:\s*(?P<check>[a-z-]+)")
 FENCE_RE = re.compile(r"\batomic_thread_fence\s*\(\s*std::memory_order_(\w+)")
 # Member declarations, including atomic arrays and atomics behind
-# unique_ptr<T[]> / vector<T> storage (slots_, deal_in_flight_) that the
+# unique_ptr<T[]> / vector<T> storage (e.g. slots_) that the
 # lint's narrower decl regex does not track.
 MEMBER_RE = re.compile(
     r"^\s*(?:mutable\s+)?(?:alignas\([^)]*\)\s*)?(?:const\s+)?"

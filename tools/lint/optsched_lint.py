@@ -18,8 +18,8 @@ docs/static_analysis.md for the full rationale):
                          *Locked naming convention -- the seqlock tolerates
                          torn reads, not torn writes.
   mc-hook-coverage       every raw std::atomic member in src/runtime,
-                         src/ingress (mailbox and deal-channel sync state
-                         included), src/task, and src/sched carries
+                         src/ingress (mailbox sync state included),
+                         src/task, and src/sched carries
                          a "// mc: kOp, ..." tag naming the
                          mc_hooks::SyncPoint / BlockUntil announcements that
                          cover it (announcements must exist in the same file
