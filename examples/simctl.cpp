@@ -91,18 +91,18 @@ void PrintUsage(const char* prog) {
   std::printf("  --metrics           dump the full metrics registry (name=value lines)\n");
   std::printf("model checker (src/mc):\n");
   std::printf("  --mc                explore schedules of the real steal protocol instead\n");
-  std::printf("  --mc-harness=MODE   balance | drain | epoch | ingress | wakeup | forkjoin\n");
+  std::printf("  --mc-harness=MODE   balance | drain | ingress | forkjoin\n");
   std::printf("                      (default balance)\n");
   std::printf("  --mc-backend=NAME   run-queue backend: locked | chase_lev (default locked)\n");
   std::printf("  --mc-deque-capacity=N  chase_lev ring capacity (default 64)\n");
   std::printf("  --mc-broken-steal-order  fault mode: thief reads bottom before top, no fence\n");
   std::printf("  --mc-loads=CSV      items seeded per queue, e.g. 0,1,2 (size = workers)\n");
   std::printf("  --mc-workers=N      shorthand for --mc-loads=0,1,...,N-1\n");
-  std::printf("  --mc-attempts=N     steal attempts per worker (default 2)\n");
+  std::printf("  --mc-attempts=N     steal attempts per worker (default 2; ingress: also pushes)\n");
   std::printf("  --mc-batch=N        max items per steal action (default 1 = steal-one)\n");
   std::printf("  --mc-mailbox=N      ingress harness: mailbox capacity per owner (default 2)\n");
   std::printf("  --mc-break-batch    fault mode: unbounded batch ignoring the migration\n");
-  std::printf("                      rule (the checker must find the steal-safety cex)\n");
+  std::printf("                      rule (steal-safety cex, balance harness)\n");
   std::printf("  --mc-tree-depth=N   forkjoin harness: spawn-tree depth below the root (default 2)\n");
   std::printf("  --mc-fanout=N       forkjoin harness: children per internal node (default 2)\n");
   std::printf("  --mc-broken-join    fault mode: plain load/store join decrement loses a\n");
@@ -110,8 +110,8 @@ void PrintUsage(const char* prog) {
   std::printf("  --mc-broken-termination-order  fault mode: the quiescence sum reads the\n");
   std::printf("                      submitted counts before the executed ones\n");
   std::printf("                      (no-premature-exit cex, forkjoin harness)\n");
-  std::printf("  --mc-broken-wakeup-gate  fault mode: owners announce idle after their last\n");
-  std::printf("                      re-check (no-lost-wakeup cex, wakeup harness)\n");
+  std::printf("  --mc-broken-wakeup-gate  fault mode: owners park on the sample of the round\n");
+  std::printf("                      they announced idle in (no-lost-wakeup cex, ingress)\n");
   std::printf("  harness-specific flags are rejected (exit 2) when passed to a harness or\n");
   std::printf("  backend they do not apply to, instead of being silently ignored\n");
   std::printf("  --mc-bound=N        preemption bound for exhaustive mode (default 2)\n");
@@ -238,21 +238,19 @@ int RunMcExplore(int argc, char** argv) {
   // not apply to this run, rather than silently parsed into fields the
   // harness never reads — a typo'd combination must not masquerade as a
   // clean sweep of the fault it meant to inject.
-  static const char* kKnownModes[] = {"balance", "drain",  "epoch",
-                                      "ingress", "wakeup", "forkjoin"};
+  static const char* kKnownModes[] = {"balance", "drain", "ingress", "forkjoin"};
   bool known_mode = false;
   for (const char* m : kKnownModes) {
     known_mode |= config.mode == m;
   }
   if (!known_mode) {
     std::fprintf(stderr,
-                 "unknown --mc-harness '%s' (balance | drain | epoch | ingress | wakeup "
-                 "| forkjoin)\n",
+                 "unknown --mc-harness '%s' (balance | drain | ingress | forkjoin)\n",
                  config.mode.c_str());
     return 2;
   }
   const bool forkjoin_mode = config.mode == "forkjoin";
-  const bool mailbox_mode = config.mode == "ingress" || config.mode == "wakeup";
+  const bool ingress_mode = config.mode == "ingress";
   const bool chase_lev = config.backend == optsched::runtime::QueueBackend::kChaseLev;
   struct FlagScope {
     const char* flag;
@@ -264,8 +262,9 @@ int RunMcExplore(int argc, char** argv) {
       {"mc-fanout", forkjoin_mode, "the forkjoin harness"},
       {"mc-broken-join", forkjoin_mode, "the forkjoin harness"},
       {"mc-broken-termination-order", forkjoin_mode, "the forkjoin harness"},
-      {"mc-broken-wakeup-gate", config.mode == "wakeup", "the wakeup harness"},
-      {"mc-mailbox", mailbox_mode, "the ingress and wakeup harnesses"},
+      {"mc-broken-wakeup-gate", ingress_mode, "the ingress harness"},
+      {"mc-mailbox", ingress_mode, "the ingress harness"},
+      {"mc-break-batch", config.mode == "balance", "the balance harness"},
       {"mc-broken-steal-order", chase_lev, "the chase_lev backend"},
   };
   for (const FlagScope& scoped : kScopedFlags) {

@@ -13,9 +13,10 @@ namespace {
 struct Node {
   std::vector<uint32_t> enabled;
   std::vector<ThreadOp> pending;  // parallel to enabled
-  // Threads whose exploration from this node is provably redundant: the
-  // inherited sleep set plus every choice already fully explored here.
+  // Threads put to sleep by an ancestor (see Eligible).
   std::vector<uint32_t> sleep;
+  // Choices whose subtree from this node is fully explored.
+  std::vector<uint32_t> done;
   uint32_t chosen = kNoThread;
   uint32_t preemptions_before = 0;
   uint32_t last_running = kNoThread;
@@ -36,6 +37,18 @@ uint32_t PreemptionCost(const Node& node, uint32_t choice) {
              : 0;
 }
 
+// Sleep sets vs. the preemption bound: the equivalent schedule a sleeper
+// stands for (its step moved up to the node that put it to sleep) can cost
+// more preemptions than a schedule that reaches the sleeper only by
+// preempting someone — a thread put to sleep at its kThreadStart commutes
+// with everything and would otherwise never wake in the subtree. So a
+// switch that costs a preemption may always go to a sleeper; sleep sets
+// prune only free switches.
+bool Eligible(const Node& node, uint32_t choice) {
+  return !Contains(node.done, choice) &&
+         (!Contains(node.sleep, choice) || PreemptionCost(node, choice) == 1);
+}
+
 const ThreadOp* PendingOf(const Node& node, uint32_t thread) {
   for (size_t i = 0; i < node.enabled.size(); ++i) {
     if (node.enabled[i] == thread) {
@@ -53,7 +66,7 @@ uint32_t PickCandidate(const Node& node, uint32_t bound) {
   uint32_t best = kNoThread;
   int best_rank = std::numeric_limits<int>::max();
   for (uint32_t c : node.enabled) {
-    if (Contains(node.sleep, c)) {
+    if (!Eligible(node, c)) {
       continue;
     }
     const uint32_t cost = PreemptionCost(node, c);
@@ -74,8 +87,9 @@ uint32_t PickCandidate(const Node& node, uint32_t bound) {
 // untried alternative. Sleep sets put a choice to sleep once its subtree is
 // done; a child inherits the sleeping threads whose pending op is independent
 // of the op just executed, and a node whose every enabled thread is either
-// asleep or over the preemption bound aborts the execution (the continuation
-// is covered by an equivalent schedule explored elsewhere).
+// asleep behind a free switch or over the preemption bound aborts the
+// execution (the continuation is covered by an equivalent schedule explored
+// elsewhere).
 class DfsStrategy : public Strategy {
  public:
   explicit DfsStrategy(uint32_t bound) : bound_(bound) {}
@@ -101,10 +115,12 @@ class DfsStrategy : public Strategy {
       const Node& parent = stack_.back();
       const ThreadOp* executed = PendingOf(parent, parent.chosen);
       OPTSCHED_CHECK(executed != nullptr);
-      for (uint32_t sleeper : parent.sleep) {
-        const ThreadOp* op = PendingOf(node, sleeper);
-        if (op != nullptr && CanStaySleeping(*op, *executed)) {
-          node.sleep.push_back(sleeper);
+      for (const std::vector<uint32_t>* set : {&parent.sleep, &parent.done}) {
+        for (uint32_t sleeper : *set) {
+          const ThreadOp* op = PendingOf(node, sleeper);
+          if (sleeper != parent.chosen && op != nullptr && CanStaySleeping(*op, *executed)) {
+            node.sleep.push_back(sleeper);
+          }
         }
       }
     }
@@ -124,7 +140,7 @@ class DfsStrategy : public Strategy {
   bool AdvanceToNext() {
     while (!stack_.empty()) {
       Node& node = stack_.back();
-      node.sleep.push_back(node.chosen);
+      node.done.push_back(node.chosen);
       const uint32_t next = PickCandidate(node, bound_);
       if (next != kNoThread) {
         node.chosen = next;

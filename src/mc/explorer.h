@@ -2,9 +2,12 @@
 //
 //   * DfsExplorer — stateless depth-first enumeration with CHESS-style
 //     iterative preemption bounding and sleep-set (partial-order) pruning.
-//     Sound for the bounded space: every schedule with at most
-//     `max_preemptions` preemptions is covered by some explored execution or
-//     is Mazurkiewicz-equivalent to one.
+//     Sleep sets prune only free switches: a switch that costs a preemption
+//     may always go to a sleeping thread (explorer.cc, Eligible). This is
+//     not a soundness proof for the bounded space — the equivalent schedule
+//     a sleeper stands for can still cost more preemptions than one it
+//     prunes (docs/model_checking.md) — so mc_explorer_test pins every
+//     seeded fault at a bound no higher than its golden's preemption count.
 //   * PctStrategy — the PCT randomized sampler (random priorities plus d-1
 //     priority-change points) for spaces too large to exhaust.
 //   * ReplayStrategy — follows a recorded choice sequence, then the

@@ -10,44 +10,11 @@
 
 namespace optsched::mc {
 
-using runtime::ConcurrentMachine;
 using runtime::StealCounters;
 using runtime::StealObservation;
 using runtime::WorkItem;
 
 namespace {
-
-// "forkjoin" mode sink: the real src/task join protocol runs unmodified; only
-// the spawn destination changes — batches land on the runner's own machine
-// queue (the executor's PushBatchOwner path), counted first exactly like
-// Executor::SubmitFromWorker, and every spawn/fork/fire is announced to the
-// checker.
-class McTaskSink final : public task::SpawnSink {
- public:
-  explicit McTaskSink(ConcurrentMachine& machine) : machine_(machine) {}
-
-  void SubmitBatch(uint32_t worker, const WorkItem* items, uint32_t count) override {
-    runtime::ConcurrentRunQueue& own = machine_.queue(worker);
-    runtime::TerminationCounts::AddSubmitted(own.counts(), count);
-    own.PushBatchOwner(items, count);
-    Scheduler* scheduler = ActiveScheduler();
-    for (uint32_t i = 0; i < count; ++i) {
-      scheduler->Note(kUserTaskSpawn, static_cast<int64_t>(items[i].id), worker);
-    }
-  }
-
-  void OnFork(uint32_t worker, uint64_t continuation_id, uint32_t children) override {
-    ActiveScheduler()->Note(kUserTaskFork, static_cast<int64_t>(continuation_id),
-                            static_cast<int64_t>(children), worker);
-  }
-
-  void OnJoinFire(uint32_t worker, uint64_t continuation_id) override {
-    ActiveScheduler()->Note(kUserJoinFire, static_cast<int64_t>(continuation_id), worker);
-  }
-
- private:
-  ConcurrentMachine& machine_;
-};
 
 // Uniform spawn tree: every node at remaining depth > 0 forks `fanout`
 // children under a trivial continuation. env[0] = remaining depth,
@@ -111,8 +78,7 @@ StealHarness::StealHarness(Config config)
       topology_(Topology::Smp(static_cast<uint32_t>(config_.initial_loads.size()))) {
   OPTSCHED_CHECK(!config_.initial_loads.empty());
   OPTSCHED_CHECK_MSG(config_.mode == "balance" || config_.mode == "drain" ||
-                         config_.mode == "epoch" || config_.mode == "ingress" ||
-                         config_.mode == "wakeup" || config_.mode == "forkjoin",
+                         config_.mode == "ingress" || config_.mode == "forkjoin",
                      "unknown harness mode");
   if (config_.mode == "forkjoin") {
     // The only seeded item is the root task: pre-seeded plain items would
@@ -128,14 +94,15 @@ StealHarness::StealHarness(Config config)
     OPTSCHED_CHECK_MSG(!config_.broken_termination_order,
                        "broken_termination_order is a forkjoin fault knob");
   }
-  OPTSCHED_CHECK_MSG(config_.mode == "wakeup" || !config_.broken_wakeup_gate,
-                     "broken_wakeup_gate is a wakeup fault knob");
-  const bool producer_mode = config_.mode == "ingress" || config_.mode == "wakeup";
-  // Producer modes need at least one owner besides the producer (worker 0).
-  OPTSCHED_CHECK_MSG(!producer_mode || config_.initial_loads.size() >= 2,
-                     "ingress/wakeup modes need >= 2 workers (worker 0 is the producer)");
-  OPTSCHED_CHECK_MSG(!producer_mode || config_.mailbox_capacity >= 1,
-                     "ingress/wakeup modes need mailbox_capacity >= 1");
+  OPTSCHED_CHECK_MSG(config_.mode == "ingress" || !config_.broken_wakeup_gate,
+                     "broken_wakeup_gate is an ingress fault knob");
+  OPTSCHED_CHECK_MSG(config_.mode == "balance" || !config_.break_batch_bound,
+                     "break_batch_bound is a balance fault knob (the executor never breaks it)");
+  // The producer (worker 0) needs at least one owner to push to.
+  OPTSCHED_CHECK_MSG(config_.mode != "ingress" || config_.initial_loads.size() >= 2,
+                     "ingress mode needs >= 2 workers (worker 0 is the producer)");
+  OPTSCHED_CHECK_MSG(config_.mode != "ingress" || config_.mailbox_capacity >= 1,
+                     "ingress mode needs mailbox_capacity >= 1");
   OPTSCHED_CHECK_MSG(config_.backend == runtime::QueueBackend::kChaseLev ||
                          !config_.broken_steal_order,
                      "broken_steal_order is a chase_lev fault knob");
@@ -147,17 +114,94 @@ int64_t StealHarness::InitialPotential() const {
   return PotentialOfLoads(config_.initial_loads);
 }
 
+// "forkjoin" mode's task runner: the real src/task join protocol, spawning
+// through the executor's own SubmitFromWorker (count, owner push, notify).
+// The harness adds only its notes, and tracks which workers are inside a
+// body for no-worker-blocks-on-join.
+class StealHarness::Tasks final : public runtime::TaskRunner, public task::SpawnSink {
+ public:
+  Tasks(task::TaskGraph& graph, uint32_t workers) : graph_(graph), in_body_(workers, false) {}
+
+  void RunItem(const WorkItem& item, runtime::Executor& executor, uint32_t worker) override {
+    executor_ = &executor;
+    in_body_[worker] = true;
+    graph_.RunItemOn(item, worker, *this);
+    in_body_[worker] = false;
+  }
+  int64_t OutstandingFor(uint32_t worker) const override { return graph_.OutstandingFor(worker); }
+
+  void SubmitBatch(uint32_t worker, const WorkItem* items, uint32_t count) override {
+    executor_->SubmitFromWorker(worker, items, count);
+    for (uint32_t i = 0; i < count; ++i) {
+      ActiveScheduler()->Note(kUserTaskSpawn, static_cast<int64_t>(items[i].id), worker);
+    }
+  }
+  void OnFork(uint32_t worker, uint64_t continuation_id, uint32_t children) override {
+    ActiveScheduler()->Note(kUserTaskFork, static_cast<int64_t>(continuation_id),
+                            static_cast<int64_t>(children), worker);
+  }
+  void OnJoinFire(uint32_t worker, uint64_t continuation_id) override {
+    ActiveScheduler()->Note(kUserJoinFire, static_cast<int64_t>(continuation_id), worker);
+  }
+
+  bool in_body(uint32_t worker) const { return in_body_[worker]; }
+
+ private:
+  task::TaskGraph& graph_;
+  runtime::Executor* executor_ = nullptr;
+  std::vector<bool> in_body_;
+};
+
+StealHarness::~StealHarness() = default;
+
 std::vector<std::function<void()>> StealHarness::MakeBodies() {
   const uint32_t n = num_workers();
-  machine_ = std::make_unique<ConcurrentMachine>(
-      n, runtime::MachineOptions{.backend = config_.backend,
-                                 .deque_capacity = config_.deque_capacity,
-                                 .broken_steal_order = config_.broken_steal_order});
+  const bool forkjoin = config_.mode == "forkjoin";
+  const bool ingress = config_.mode == "ingress";
+  task_graph_.reset();
+  tasks_.reset();
+  if (forkjoin) {
+    // Every internal node allocates one continuation plus `fanout` children;
+    // chunked handout wastes up to one chunk per worker, covered by slack.
+    const uint64_t internal = UniformTreeInternalNodes(config_.tree_depth, config_.fanout);
+    const uint64_t capacity = 1 + internal * (config_.fanout + 1) + 16ull * n + 16;
+    task_graph_ = std::make_unique<task::TaskGraph>(
+        task::TaskGraphOptions{.max_workers = n,
+                               .arena_capacity = static_cast<uint32_t>(capacity),
+                               .broken_join_counter = config_.broken_join_counter});
+    tasks_ = std::make_unique<Tasks>(*task_graph_, n);
+  }
+  mailboxes_ = ingress ? std::make_unique<ingress::MailboxSet>(n, config_.mailbox_capacity)
+                       : nullptr;
+
+  // The executor the owner modes run: its loop, parking after one fruitless
+  // round past the idle announcement, with no calibrated spin per item.
+  runtime::ExecutorConfig exec;
+  exec.num_workers = n;
+  exec.spin_per_unit = 0;
+  exec.backend = config_.backend;
+  exec.chase_lev_capacity = config_.deque_capacity;
+  exec.recheck_filter = config_.recheck;
+  exec.max_steal_batch = config_.max_steal_batch;
+  exec.idle_spins_before_yield = 1;
+  exec.ingress = ingress ? this : nullptr;
+  exec.task_runner = tasks_.get();
+  exec.seed = config_.seed;
+  executor_ = std::make_unique<runtime::Executor>(
+      policy_, exec, &topology_,
+      runtime::CheckerSeams{.probe = this,
+                            .broken_steal_order = config_.broken_steal_order,
+                            .broken_termination_order = config_.broken_termination_order,
+                            .broken_wakeup_gate = config_.broken_wakeup_gate});
+  stats_.assign(n, runtime::WorkerStats{});
   counters_.assign(n, StealCounters{});
+  steal_rounds_.assign(n, 0);
   held_.assign(n, std::nullopt);
   initial_item_ids_.clear();
-  epoch_ = 0;
-  producer_done_ = false;
+  executed_ = 0;
+  admitted_ = 0;
+  notify_in_flight_ = false;
+
   uint64_t next_id = 1;
   std::vector<WorkItem> seed;
   for (uint32_t q = 0; q < n; ++q) {
@@ -167,62 +211,42 @@ std::vector<std::function<void()>> StealHarness::MakeBodies() {
       initial_item_ids_.push_back(next_id);
       ++next_id;
     }
-    if (!seed.empty()) {
+    if (seed.empty()) {
+      continue;
+    }
+    if (config_.mode == "balance") {
       // Owner-side seeding: on chase_lev this lands items in the deque (the
       // stealable structure), not the external-submit inbox — balance mode
       // never runs PopForRun, so inbox items would be invisible to thieves.
-      machine_->queue(q).PushBatchOwner(seed.data(), static_cast<uint32_t>(seed.size()));
+      machine().queue(q).PushBatchOwner(seed.data(), static_cast<uint32_t>(seed.size()));
+    } else {
+      executor_->Seed(q, seed);
     }
   }
-  task_graph_.reset();
-  termination_.reset();
-  if (config_.mode == "forkjoin") {
-    termination_ =
-        std::make_unique<runtime::TerminationCounts>(config_.broken_termination_order);
-    // Every internal node allocates one continuation plus `fanout` children;
-    // chunked handout wastes up to one chunk per worker, covered by slack.
-    const uint64_t internal = UniformTreeInternalNodes(config_.tree_depth, config_.fanout);
-    const uint64_t capacity = 1 + internal * (config_.fanout + 1) + 16ull * n + 16;
-    task_graph_ = std::make_unique<task::TaskGraph>(
-        task::TaskGraphOptions{.max_workers = n,
-                               .arena_capacity = static_cast<uint32_t>(capacity),
-                               .broken_join_counter = config_.broken_join_counter});
-    task::TaskNode& root = task_graph_->NewRoot(UniformTreeTask);
-    root.env[0] = config_.tree_depth;
-    root.env[1] = config_.fanout;
-    const WorkItem root_item = task_graph_->ItemFor(root);
-    // Seeded like Executor::Seed: external count first, then the push.
-    termination_->AddExternal(1);
-    machine_->queue(0).PushBatchOwner(&root_item, 1);
-    initial_item_ids_.push_back(root_item.id);
-  }
-  mailboxes_.reset();
-  gate_ = std::make_unique<runtime::WakeupGate>();
-  notify_in_flight_ = false;
   next_ingress_id_ = next_id;
-  if (config_.mode == "ingress" || config_.mode == "wakeup") {
-    // Fresh mailboxes per execution; no notify callback — the owners poll
-    // PendingFor at their loop top, and every mailbox op is already a
-    // decision point through the kMailbox* hooks.
-    mailboxes_ = std::make_unique<ingress::MailboxSet>(n, config_.mailbox_capacity);
+  if (forkjoin) {
+    const WorkItem root = task_graph_->ItemFor(task_graph_->NewRoot(UniformTreeTask));
+    task::TaskNode& node = *reinterpret_cast<task::TaskNode*>(root.task);
+    node.env[0] = config_.tree_depth;
+    node.env[1] = config_.fanout;
+    executor_->Seed(0, {root});
+    initial_item_ids_.push_back(root.id);
   }
+
   std::vector<std::function<void()>> bodies;
   bodies.reserve(n);
-  for (uint32_t w = 0; w < n; ++w) {
-    if (config_.mode == "balance") {
+  if (config_.mode == "balance") {
+    for (uint32_t w = 0; w < n; ++w) {
       bodies.push_back([this, w] { BalanceBody(w); });
-    } else if (config_.mode == "drain") {
-      bodies.push_back([this, w] { DrainBody(w); });
-    } else if (config_.mode == "ingress") {
-      bodies.push_back(w == 0 ? std::function<void()>([this] { ProducerBody(); })
-                              : std::function<void()>([this, w] { IngressBody(w); }));
-    } else if (config_.mode == "wakeup") {
-      bodies.push_back(w == 0 ? std::function<void()>([this] { WakeupProducerBody(); })
-                              : std::function<void()>([this, w] { WakeupWorkerBody(w); }));
-    } else if (config_.mode == "forkjoin") {
-      bodies.push_back([this, w] { ForkJoinBody(w); });
+    }
+    return bodies;
+  }
+  executor_->BeginCheckedRun(/*deadline_mode=*/ingress);
+  for (uint32_t w = 0; w < n; ++w) {
+    if (ingress && w == 0) {
+      bodies.push_back([this] { ProducerBody(); });
     } else {
-      bodies.push_back([this, w] { EpochBody(w); });
+      bodies.push_back([this, w] { executor_->RunWorker(w, stats_[w]); });
     }
   }
   return bodies;
@@ -232,25 +256,12 @@ BodyFactory StealHarness::Factory() {
   return [this] { return MakeBodies(); };
 }
 
-bool StealHarness::StealOnce(uint32_t worker, Rng& rng, WorkItem* run_next) {
-  Scheduler* scheduler = ActiveScheduler();
-  OPTSCHED_CHECK(scheduler != nullptr);
-  // The snapshot marker precedes the seqlock reads: a steal interleaved into
-  // the middle of Snapshot() is inside the causality window too.
-  scheduler->Note(kUserSnapshot, static_cast<int64_t>(counters_[worker].attempts));
-  const LoadSnapshot snapshot = machine_->Snapshot();
-  scheduler->Yield();  // the selection→stealing gap where staleness develops
+namespace {
 
-  const StealCounters before = counters_[worker];
-  CpuId victim = 0;
-  StealObservation observation;
-  const runtime::StealOptions options{.recheck = config_.recheck,
-                                      .max_batch = config_.max_steal_batch,
-                                      .break_batch_bound = config_.break_batch_bound};
-  const bool ok = machine_->TrySteal(*policy_, worker, snapshot, rng, options,
-                                     counters_[worker], &topology_, &victim, &observation,
-                                     /*scratch=*/nullptr, run_next);
-  const StealCounters& after = counters_[worker];
+// The outcome notes of one steal attempt, from its counter deltas.
+void NoteSteal(const StealCounters& before, const StealCounters& after, CpuId victim,
+               const StealObservation& observation, bool ok) {
+  Scheduler* scheduler = ActiveScheduler();
   if (ok) {
     // arg1 is the effective victim depth: on chase_lev the victim may have
     // executed (FinishCurrent) its own items between the thief's observation
@@ -270,6 +281,29 @@ bool StealHarness::StealOnce(uint32_t worker, Rng& rng, WorkItem* run_next) {
   } else {
     scheduler->Note(kUserStealEmptyFilter);
   }
+}
+
+}  // namespace
+
+bool StealHarness::StealOnce(uint32_t worker, Rng& rng, WorkItem* run_next) {
+  Scheduler* scheduler = ActiveScheduler();
+  OPTSCHED_CHECK(scheduler != nullptr);
+  // The snapshot marker precedes the seqlock reads: a steal interleaved into
+  // the middle of Snapshot() is inside the causality window too.
+  scheduler->Note(kUserSnapshot, static_cast<int64_t>(counters_[worker].attempts));
+  const LoadSnapshot snapshot = machine().Snapshot();
+  scheduler->Yield();  // the selection→stealing gap where staleness develops
+
+  const StealCounters before = counters_[worker];
+  CpuId victim = 0;
+  StealObservation observation;
+  const runtime::StealOptions options{.recheck = config_.recheck,
+                                      .max_batch = config_.max_steal_batch,
+                                      .break_batch_bound = config_.break_batch_bound};
+  const bool ok = machine().TrySteal(*policy_, worker, snapshot, rng, options,
+                                     counters_[worker], &topology_, &victim, &observation,
+                                     /*scratch=*/nullptr, run_next);
+  NoteSteal(before, counters_[worker], victim, observation, ok);
   return ok;
 }
 
@@ -289,77 +323,6 @@ void StealHarness::BalanceBody(uint32_t worker) {
   }
 }
 
-void StealHarness::DrainBody(uint32_t worker) {
-  Scheduler* scheduler = ActiveScheduler();
-  Rng rng(config_.seed * 0x9e3779b97f4a7c15ull + worker + 1);
-  uint32_t steal_attempts = 0;
-  // The executor's item path: one pop, then the fused finish+pop per item,
-  // and a steal that lands its first item as the running one. Only this
-  // worker pushes to its own queue (by landing), so an empty fused pop or a
-  // failed steal leaves nothing to re-pop.
-  std::optional<WorkItem> item = machine_->queue(worker).PopForRun();
-  for (;;) {
-    if (item.has_value()) {
-      scheduler->Note(kUserExecuteItem, static_cast<int64_t>(item->id));
-      scheduler->Yield();  // the item "runs" here
-      item = machine_->queue(worker).FinishCurrentAndPop();
-      continue;
-    }
-    if (steal_attempts >= config_.attempts_per_worker) {
-      return;
-    }
-    ++steal_attempts;
-    WorkItem landed;
-    if (StealOnce(worker, rng, &landed)) {
-      item = landed;
-    }
-    scheduler->Yield();
-  }
-}
-
-void StealHarness::ForkJoinBody(uint32_t worker) {
-  Scheduler* scheduler = ActiveScheduler();
-  Rng rng(config_.seed * 0x9e3779b97f4a7c15ull + worker + 1);
-  McTaskSink sink(*machine_);
-  runtime::ConcurrentRunQueue& own = machine_->queue(worker);
-  uint32_t fruitless = 0;
-  for (;;) {
-    // Own queue first: spawns always land on the spawner's own queue, so a
-    // worker that drains itself before exiting never strands its own tasks.
-    std::optional<WorkItem> item = own.PopForRun();
-    if (item.has_value()) {
-      scheduler->Note(kUserExecuteItem, static_cast<int64_t>(item->id));
-      scheduler->Yield();  // the body "runs" here
-      // The real join protocol: fork/spawn/complete, with kTaskJoinDec a
-      // decision point, so the checker drives every last-arriver race.
-      task_graph_->RunItemOn(*item, worker, sink);
-      own.FinishCurrent();
-      // WorkerMain's order: the executed bump follows the body and every
-      // flush it made.
-      runtime::TerminationCounts::AddExecuted(own.counts(), 1);
-      scheduler->Note(kUserItemDone, static_cast<int64_t>(item->id));
-      fruitless = 0;
-      continue;
-    }
-    // The executor's closed-run exit: an idle worker leaves once the
-    // quiescence sum reads drained — every count load a decision point.
-    const runtime::TerminationCounts::Sums sums = termination_->Read(*machine_);
-    if (sums.executed == sums.submitted) {
-      scheduler->Note(kUserQuiescent, static_cast<int64_t>(sums.executed),
-                      static_cast<int64_t>(sums.submitted));
-      return;
-    }
-    // Budget exhausted: a bound on the exploration, not a termination
-    // claim (the checker cannot model an unbounded idle loop).
-    if (fruitless >= config_.attempts_per_worker) {
-      return;
-    }
-    ++fruitless;
-    StealOnce(worker, rng);
-    scheduler->Yield();
-  }
-}
-
 void StealHarness::ProducerBody() {
   Scheduler* scheduler = ActiveScheduler();
   const uint32_t n = num_workers();
@@ -372,69 +335,7 @@ void StealHarness::ProducerBody() {
     const uint64_t id = next_ingress_id_++;
     const WorkItem item{.id = id, .work_units = 1, .weight = 1024};
     if (mailboxes_->Push(target, item)) {
-      scheduler->Note(kUserMailboxPush, static_cast<int64_t>(id), target);
-    } else {
-      scheduler->Note(kUserMailboxShed, static_cast<int64_t>(id), target);
-    }
-    scheduler->Yield();
-  }
-}
-
-void StealHarness::IngressBody(uint32_t worker) {
-  Scheduler* scheduler = ActiveScheduler();
-  Rng rng(config_.seed * 0x9e3779b97f4a7c15ull + worker + 1);
-  uint32_t steal_attempts = 0;
-  std::vector<WorkItem> drained;
-  for (;;) {
-    // Round boundary: drain the mailbox into the own runqueue first —
-    // exactly the executor's ordering (admitted items beat stolen items).
-    if (mailboxes_->PendingFor(worker) > 0) {
-      drained.clear();
-      mailboxes_->Drain(worker, drained, config_.mailbox_capacity);
-      if (!drained.empty()) {
-        // Owner-side batch push, exactly the executor's DrainIngress: on
-        // chase_lev this is the only way admitted items reach the stealable
-        // deque rather than the external-submit inbox.
-        machine_->queue(worker).PushBatchOwner(drained.data(),
-                                               static_cast<uint32_t>(drained.size()));
-        for (const WorkItem& item : drained) {
-          scheduler->Note(kUserMailboxDrain, static_cast<int64_t>(item.id), worker);
-        }
-      }
-      scheduler->Yield();
-    }
-    std::optional<WorkItem> item = machine_->queue(worker).PopForRun();
-    if (item.has_value()) {
-      scheduler->Note(kUserExecuteItem, static_cast<int64_t>(item->id));
-      scheduler->Yield();  // the item "runs" here
-      machine_->queue(worker).FinishCurrent();
-      continue;
-    }
-    if (steal_attempts >= config_.attempts_per_worker) {
-      return;
-    }
-    ++steal_attempts;
-    StealOnce(worker, rng);
-    scheduler->Yield();
-  }
-}
-
-void StealHarness::WakeupProducerBody() {
-  Scheduler* scheduler = ActiveScheduler();
-  const uint32_t n = num_workers();
-  const auto notify = [&] {
-    // NotifyIngress: the shipped gate — fence, idle-count load, and a bump
-    // only when some owner announced itself idle.
-    if (gate_->Notify()) {
-      scheduler->Note(kUserEpochBump, static_cast<int64_t>(gate_->PeekEpoch()));
-    }
-    notify_in_flight_ = false;
-  };
-  for (uint32_t i = 0; i < config_.attempts_per_worker; ++i) {
-    const uint32_t target = 1 + (i % (n - 1));
-    const uint64_t id = next_ingress_id_++;
-    const WorkItem item{.id = id, .work_units = 1, .weight = 1024};
-    if (mailboxes_->Push(target, item)) {
+      ++admitted_;
       notify_in_flight_ = true;
       scheduler->Note(kUserMailboxPush, static_cast<int64_t>(id), target);
     } else {
@@ -442,116 +343,65 @@ void StealHarness::WakeupProducerBody() {
     }
     // NotifyIngress's ordering contract: the notify strictly follows the
     // item becoming mailbox-visible.
-    notify();
+    executor_->NotifyIngress(target);
+    notify_in_flight_ = false;
     scheduler->Yield();
   }
-  // The executor's quit-path ordering: done becomes observable strictly
-  // after the last push, then one final notify releases any owner that
-  // parked between that push's notify and this flag flipping.
-  producer_done_ = true;
-  notify();
+  // RunFor's deadline, played once every seeded and admitted item has run.
+  // A deadline that never comes is a deadlock the checker reports: some
+  // owner parked through an item it was never woken for.
+  const uint64_t total = initial_item_ids_.size() + admitted_;
+  scheduler->BlockUntil(SyncOp::kYield, nullptr, [this, total] { return executed_ >= total; });
+  executor_->Stop();
 }
 
-void StealHarness::WakeupWorkerBody(uint32_t worker) {
+void StealHarness::OnExecuted(uint32_t /*worker*/, uint64_t item_id) {
+  ++executed_;
+  ActiveScheduler()->Note(kUserExecuteItem, static_cast<int64_t>(item_id));
+}
+
+void StealHarness::OnQuiescent(uint32_t /*worker*/,
+                               const runtime::TerminationCounts::Sums& sums) {
+  ActiveScheduler()->Note(kUserQuiescent, static_cast<int64_t>(sums.executed),
+                          static_cast<int64_t>(sums.submitted));
+}
+
+void StealHarness::OnSteal(uint32_t /*worker*/, const StealCounters& before,
+                           const StealCounters& after, CpuId victim,
+                           const StealObservation& observation) {
+  NoteSteal(before, after, victim, observation, after.successes > before.successes);
+}
+
+bool StealHarness::MaySteal(uint32_t worker) {
+  return steal_rounds_[worker]++ < config_.attempts_per_worker;
+}
+
+void StealHarness::OnPark(uint32_t worker) {
   Scheduler* scheduler = ActiveScheduler();
-  std::vector<WorkItem> drained;
-  bool announced = false;
-  for (;;) {
-    // WorkerMain's ordering contract in miniature: sample the wakeup word
-    // FIRST, then look for work. A notify landing after the sample moves the
-    // epoch past it (the owner is announced by the time it parks) and turns
-    // the park below into a no-op; one landing before the drain is simply
-    // seen by the drain.
-    const uint64_t sample = gate_->Sample();
-    bool progress = false;
-    if (mailboxes_->PendingFor(worker) > 0) {
-      drained.clear();
-      mailboxes_->Drain(worker, drained, config_.mailbox_capacity);
-      if (!drained.empty()) {
-        machine_->queue(worker).PushBatchOwner(drained.data(),
-                                               static_cast<uint32_t>(drained.size()));
-        for (const WorkItem& item : drained) {
-          scheduler->Note(kUserMailboxDrain, static_cast<int64_t>(item.id), worker);
-        }
-        progress = true;
-      }
-      scheduler->Yield();
-    }
-    while (std::optional<WorkItem> item = machine_->queue(worker).PopForRun()) {
-      scheduler->Note(kUserExecuteItem, static_cast<int64_t>(item->id));
-      scheduler->Yield();  // the item "runs" here
-      machine_->queue(worker).FinishCurrent();
-      progress = true;
-    }
-    if (progress) {
-      if (announced) {
-        gate_->Retract();
-        announced = false;
-      }
-      continue;
-    }
-    if (producer_done_) {
-      // done was set strictly after the producer's last push, so one more
-      // pending check closes the race where that push landed after our
-      // drain above — without it an owner could exit over a stranded item.
-      if (mailboxes_->PendingFor(worker) > 0) {
-        continue;
-      }
-      if (announced) {
-        gate_->Retract();
-      }
-      return;
-    }
-    if (!announced) {
-      gate_->Announce();
-      announced = true;
-      if (!config_.broken_wakeup_gate) {
-        // The shipped order: go round once more, so the park rests on a
-        // sample and a re-check taken after the announcement.
-        continue;
-      }
-      // broken_wakeup_gate: park on this round's sample, taken before the
-      // announcement — a notify between that sample and the announcement
-      // reads no idle owner and skips the bump.
-    }
-    // Park on the loop-top sample. If any bump happened after it the
-    // predicate is already true and this wake is immediate. Blocking while
-    // an item sits in the mailbox with no notify on its way is a lost
-    // wakeup: nothing would ever release this owner for it. (The mailbox's
-    // lifetime tallies are hook-free, so this check adds no decision point.)
+  // Blocking while an item sits in the mailbox with no notify on its way is
+  // a lost wakeup: nothing would ever release this owner for it. (The
+  // mailbox's lifetime tallies are hook-free, so this adds no decision
+  // point.)
+  if (mailboxes_ != nullptr && !notify_in_flight_) {
     const ingress::BoundedMailbox& mailbox = mailboxes_->mailbox(worker);
     const uint64_t resident = mailbox.total_pushed() - mailbox.total_drained();
-    if (gate_->PeekEpoch() == sample && !notify_in_flight_ && resident > 0) {
+    if (resident > 0) {
       scheduler->Note(kUserLostWakeup, worker, static_cast<int64_t>(resident));
     }
-    scheduler->Note(kUserPark);
-    scheduler->BlockUntil(SyncOp::kEpochLoad, gate_->epoch_word(),
-                          [this, sample] { return gate_->PeekEpoch() != sample; });
-    scheduler->Note(kUserWake);
   }
+  scheduler->Note(kUserPark, tasks_ != nullptr && tasks_->in_body(worker) ? 1 : 0);
 }
 
-void StealHarness::EpochBody(uint32_t worker) {
-  Scheduler* scheduler = ActiveScheduler();
-  if (worker == 0) {
-    // Supervisor: one escalation, modeled after Executor's epoch bump. The
-    // explicit sync point keeps the bump visible to the dependence relation
-    // (sleep-set pruning must not commute it past the workers' loads).
-    scheduler->Yield();
-    scheduler->OnSync(SyncOp::kEpochBump, &epoch_);
-    ++epoch_;
-    scheduler->Note(kUserEpochBump, static_cast<int64_t>(epoch_));
-    return;
+uint32_t StealHarness::Drain(uint32_t worker, std::vector<WorkItem>& out, uint32_t max_items) {
+  const size_t first = out.size();
+  const uint32_t moved = mailboxes_->Drain(worker, out, max_items);
+  for (size_t i = first; i < out.size(); ++i) {
+    ActiveScheduler()->Note(kUserMailboxDrain, static_cast<int64_t>(out[i].id), worker);
   }
-  // Worker: the executor's lost-wakeup-free park. Reading a post-bump epoch
-  // skips the park entirely; otherwise block until the supervisor moves it.
-  scheduler->OnSync(SyncOp::kEpochLoad, &epoch_);
-  if (epoch_ == 0) {
-    scheduler->Note(kUserPark);
-    scheduler->BlockUntil(SyncOp::kEpochLoad, &epoch_, [this] { return epoch_ != 0; });
-  }
-  scheduler->Note(kUserWake);
+  return moved;
 }
+
+int64_t StealHarness::PendingFor(uint32_t worker) const { return mailboxes_->PendingFor(worker); }
 
 const PropertyReport* StealHarness::FirstViolation(const std::vector<PropertyReport>& reports) {
   for (const PropertyReport& report : reports) {
@@ -586,53 +436,21 @@ Schedule StealHarness::MakeSchedule(const std::vector<uint32_t>& choices) const 
 }
 
 std::vector<PropertyReport> StealHarness::Evaluate(const ExecutionResult& result) {
-  OPTSCHED_CHECK_MSG(machine_ != nullptr, "Evaluate before MakeBodies");
+  OPTSCHED_CHECK_MSG(executor_ != nullptr, "Evaluate before MakeBodies");
   std::vector<PropertyReport> reports;
   auto add = [&](const char* name, bool holds, std::string detail = "") {
     reports.push_back(PropertyReport{name, holds, std::move(detail)});
   };
 
-  // Termination first: a deadlock or step-cap means the machine state cannot
-  // be trusted (a worker may have been unwound mid-protocol).
-  if (config_.mode == "epoch") {
-    bool holds = !result.deadlock && !result.step_limit_hit;
-    std::string detail = result.deadlock ? result.deadlock_note : "";
-    if (holds) {
-      // Every park must be answered by a wake of the same thread, and only
-      // after the epoch bump.
-      int64_t bump_index = -1;
-      std::vector<int64_t> park_index(num_workers(), -1);
-      for (size_t i = 0; i < result.events.size(); ++i) {
-        const McEvent& event = result.events[i];
-        if (event.user_kind == kUserEpochBump) {
-          bump_index = static_cast<int64_t>(i);
-        } else if (event.user_kind == kUserPark) {
-          park_index[event.thread] = static_cast<int64_t>(i);
-        } else if (event.user_kind == kUserWake) {
-          if (park_index[event.thread] >= 0 && bump_index < park_index[event.thread]) {
-            holds = false;
-            detail = StrFormat("worker %u woke without an epoch bump after its park",
-                               event.thread);
-          }
-          park_index[event.thread] = -1;
-        }
-      }
-      for (uint32_t w = 0; w < num_workers(); ++w) {
-        if (park_index[w] >= 0) {
-          holds = false;
-          detail = StrFormat("worker %u parked and never woke", w);
-        }
-      }
-    }
-    add("epoch-wakeup", holds, std::move(detail));
-    return reports;
-  }
+  const bool ingress_mode = config_.mode == "ingress";
+  const bool forkjoin_mode = config_.mode == "forkjoin";
+  const bool closed_run = config_.mode == "drain" || forkjoin_mode;
 
   // --- no-lost-wakeup: judged from the park events alone, so it is reported
   // ahead of termination — a lost wakeup usually ends in exactly the
-  // deadlock below (the owner parks and nothing ever bumps again), and this
-  // names the cause.
-  if (config_.mode == "wakeup") {
+  // deadlock below (the owner parks and the producer's deadline never
+  // comes), and this names the cause.
+  if (ingress_mode) {
     bool holds = true;
     std::string detail;
     for (const McEvent& event : result.events) {
@@ -647,6 +465,8 @@ std::vector<PropertyReport> StealHarness::Evaluate(const ExecutionResult& result
     add("no-lost-wakeup", holds, std::move(detail));
   }
 
+  // Termination next: a deadlock or step-cap means the machine state cannot
+  // be trusted (a worker may have been unwound mid-protocol).
   if (result.deadlock || result.step_limit_hit) {
     add("termination", false,
         result.deadlock ? result.deadlock_note : "decision-step limit hit");
@@ -663,7 +483,7 @@ std::vector<PropertyReport> StealHarness::Evaluate(const ExecutionResult& result
     bool holds = true;
     std::string detail;
     for (uint32_t q = 0; q < num_workers() && holds; ++q) {
-      runtime::ConcurrentRunQueue& queue = machine_->queue(q);
+      runtime::ConcurrentRunQueue& queue = machine().queue(q);
       const runtime::LoadPair published = queue.ReadLoad();
       const runtime::LoadPair exact = queue.ExactLoad();
       if (published.task_count != exact.task_count ||
@@ -679,12 +499,9 @@ std::vector<PropertyReport> StealHarness::Evaluate(const ExecutionResult& result
     add("published-depth", holds, std::move(detail));
   }
 
-  // --- wakeup: no owner may exit over a mailbox-resident item ----------------
-  // Checked BEFORE the conservation drain empties the mailboxes: in "wakeup"
-  // mode (unlike "ingress") every admitted item must have been drained by
-  // its owner — a leftover means a notify was lost between drain and park.
-  const bool wakeup_mode = config_.mode == "wakeup";
-  if (wakeup_mode) {
+  // --- wakeup-no-stranded-items: no owner may exit over a mailbox-resident
+  // item. Checked BEFORE the conservation drain empties the mailboxes.
+  if (ingress_mode) {
     bool holds = true;
     std::string detail;
     for (uint32_t w = 0; w < num_workers() && holds; ++w) {
@@ -709,8 +526,6 @@ std::vector<PropertyReport> StealHarness::Evaluate(const ExecutionResult& result
   // spawned task (kUserTaskSpawn — the root is seeded, so it is in
   // initial_item_ids_) must be executed or still queued, never gone
   // (no-lost-spawns: conservation over work created mid-exploration).
-  const bool ingress_mode = config_.mode == "ingress" || wakeup_mode;
-  const bool forkjoin_mode = config_.mode == "forkjoin";
   std::vector<uint64_t> seen;
   std::vector<uint64_t> expected = initial_item_ids_;
   for (const McEvent& event : result.events) {
@@ -723,7 +538,7 @@ std::vector<PropertyReport> StealHarness::Evaluate(const ExecutionResult& result
     }
   }
   for (uint32_t q = 0; q < num_workers(); ++q) {
-    runtime::ConcurrentRunQueue& queue = machine_->queue(q);
+    runtime::ConcurrentRunQueue& queue = machine().queue(q);
     if (held_[q].has_value()) {
       seen.push_back(held_[q]->id);
       queue.FinishCurrent();
@@ -796,33 +611,34 @@ std::vector<PropertyReport> StealHarness::Evaluate(const ExecutionResult& result
     add("publish-batching", holds, std::move(detail));
   }
 
-  if (forkjoin_mode) {
-    // --- no-premature-exit: a worker whose quiescence sum read drained exits
-    // only once every item of the final tree (root ∪ all spawns) has
-    // finished. A sum that misses children spawned between its passes
-    // (broken_termination_order) lets a worker leave with work still queued;
-    // in the executor, a worker or supervisor acting on such a sum treats the
-    // run as over while it is not.
-    {
-      bool holds = true;
-      std::string detail;
-      size_t finished = 0;
-      for (const McEvent& event : result.events) {
-        if (event.user_kind == kUserItemDone) {
-          ++finished;
-        } else if (event.user_kind == kUserQuiescent && finished != expected.size()) {
-          holds = false;
-          detail = StrFormat(
-              "worker %u read drained (executed %lld == submitted %lld) with %zu of %zu "
-              "items finished",
-              event.thread, static_cast<long long>(event.arg0),
-              static_cast<long long>(event.arg1), finished, expected.size());
-          break;
-        }
+  // --- no-premature-exit: a worker whose quiescence sum read drained exits
+  // only once every item of the final workload (seeds ∪ all spawns) has
+  // executed. A sum that misses children spawned between its passes
+  // (broken_termination_order), or an executed count bumped before its
+  // body ran, lets a worker leave with work still to come; in the executor,
+  // a worker or supervisor acting on such a sum treats the run as over while
+  // it is not.
+  if (closed_run) {
+    bool holds = true;
+    std::string detail;
+    size_t finished = 0;
+    for (const McEvent& event : result.events) {
+      if (event.user_kind == kUserExecuteItem) {
+        ++finished;
+      } else if (event.user_kind == kUserQuiescent && finished != expected.size()) {
+        holds = false;
+        detail = StrFormat(
+            "worker %u read drained (executed %lld == submitted %lld) with %zu of %zu "
+            "items executed",
+            event.thread, static_cast<long long>(event.arg0),
+            static_cast<long long>(event.arg1), finished, expected.size());
+        break;
       }
-      add("no-premature-exit", holds, std::move(detail));
     }
+    add("no-premature-exit", holds, std::move(detail));
+  }
 
+  if (forkjoin_mode) {
     // --- join-fires-exactly-once: every forked continuation's counter reaches
     // zero exactly once. A lost decrement (broken_join_counter's plain
     // load/store race) strands the continuation — fork with no fire; the
@@ -862,13 +678,14 @@ std::vector<PropertyReport> StealHarness::Evaluate(const ExecutionResult& result
 
     // --- no-worker-blocks-on-join: the continuation-counting discipline never
     // waits — a finishing child decrements and moves on. Termination without
-    // deadlock already held above; any park event would mean a worker
-    // suspended inside the protocol.
+    // deadlock already held above; a park noted inside a task body would
+    // mean a worker suspended inside the protocol (idle parks between items
+    // are the loop's, not the join's).
     {
       bool holds = true;
       std::string detail;
       for (const McEvent& event : result.events) {
-        if (event.user_kind == kUserPark) {
+        if (event.user_kind == kUserPark && event.arg0 == 1) {
           holds = false;
           detail = StrFormat("worker %u parked inside the fork-join protocol", event.thread);
           break;

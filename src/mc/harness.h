@@ -2,98 +2,40 @@
 // BalancePolicy, the same code the executor runs) driven by N virtual
 // workers, with the paper's properties evaluated over each execution.
 //
-// Worker-loop modes:
-//   * "balance" — Figure 1's loop in isolation: snapshot, (yield), steal,
+// Every mode except "balance" runs the SHIPPED worker loop
+// (Executor::WorkerMain, through Executor::RunWorker) on the checker's
+// fibers, so a mode is only a workload plus a property set. The loop reports
+// through its WorkerProbe seams, and its park blocks under the checker on
+// the condition its spin polls: a park nothing can end is a deadlock.
+//   * "balance"  — Figure 1's loop in isolation: snapshot, (yield), steal,
 //     repeat for a fixed attempt budget. Queues only change through steals,
 //     which is what makes failure causality and the d0/2 steal bound exact.
-//   * "drain"   — owners pop/execute their own queues and steal when empty,
-//     so conservation is checked against the executed-item record too.
-//   * "epoch"   — the executor's escalation-epoch protocol in miniature: a
-//     parked worker blocks on an epoch change, a supervisor bumps it; the
-//     property is that the bump wakes the worker (a miss is a deadlock).
-//   * "ingress" — the serving front end's admission path: worker 0 is a
-//     PRODUCER pushing items into the owners' bounded mailboxes
-//     (src/ingress) mid-exploration; owners drain mailbox->runqueue, then
-//     pop/execute/steal like "drain". Discharges no-lost-admitted-items:
-//     every item the mailbox accepted is executed, still queued, or still
-//     mailbox-resident — full mailboxes refuse loudly (kUserMailboxShed),
-//     they never lose.
-//   * "wakeup"  — the executor's notify/park handshake end to end, through
-//     the shipped runtime::WakeupGate: worker 0 produces into mailboxes and
-//     notifies the gate AFTER each push (NotifyIngress's ordering contract),
-//     which bumps the epoch only while some owner has announced itself idle;
-//     owners announce on their first fruitless round, go round once more
-//     (sample the epoch at the loop top, re-check their mailbox), and park
-//     on an epoch change only then, retracting when they get work.
-//     Discharges that a notify landing between an owner's last drain and its
-//     park can neither deadlock the owner nor strand the pushed item
-//     (wakeup-no-stranded-items), and that no owner ever blocks while work
-//     is visible to it with no bump on its way (no-lost-wakeup). The seeded
-//     broken_wakeup_gate fault announces after the last re-check instead.
-//   * "forkjoin" — the continuation-counted task layer (src/task) over the
-//     real queues: worker 0 seeds the root of a uniform spawn tree
-//     (tree_depth levels, `fanout` children per internal node); workers
-//     pop/run task bodies — which fork continuations and spawn children onto
-//     the runner's OWN queue mid-exploration — and steal when empty. The
-//     join decrement is a decision point (kTaskJoinDec), so the checker
-//     drives all last-arriver races. Spawns and executions are counted
-//     through the shipped runtime::TerminationCounts, and a worker exits
-//     when its quiescence sum reads drained (or its steal budget runs out).
-//     Discharges no-lost-spawns (every spawned item is executed — dynamic
-//     work obeys conservation), no-premature-exit (a worker that read
-//     "drained" exits only once every item ever spawned has finished),
-//     join-fires-exactly-once, no-worker-blocks-on-join (no parks, no
-//     deadlock: joins cost one RMW, never a wait), and
-//     bounded-steals-on-tree (migrations stay within the rooted-tree
-//     O(W·depth) regime, never the item count). The seeded
-//     broken_termination_order fault sums submitted before executed.
+//   * "drain"    — initial_loads seeded through Executor::Seed, a closed run
+//     (it ends on the loop's quiescence sum).
+//   * "ingress"  — worker 0 is a PRODUCER pushing attempts_per_worker items
+//     round-robin into the owners' bounded mailboxes, each push followed by
+//     Executor::NotifyIngress; owners run the loop in deadline mode, and the
+//     producer plays the deadline once every admitted item has run.
+//   * "forkjoin" — the root of a uniform spawn tree (tree_depth levels,
+//     `fanout` children per internal node) seeded on queue 0 and run through
+//     the real src/task graph, a closed run. The join decrement is a
+//     decision point (kTaskJoinDec), so the checker drives every
+//     last-arriver race.
+// In the owner modes attempts_per_worker bounds each worker's steal rounds
+// (later rounds are fruitless, as a straggler's are).
 //
-// Properties (per mode):
-//   no-lost-items     — multiset{initial items} == queued ∪ executed after.
-//   steal-safety      — no successful steal left its victim idle (observed
-//                       under both locks, §4.1) — batches included: the whole
-//                       batch must keep the victim non-idle.
-//   bounded-steals    — migrated ITEMS ≤ d(initial)/2 (§4.3): every permitted
-//                       migration strictly decreases the potential, so the
-//                       item bound also bounds steal ACTIONS (each action
-//                       moves ≥ 1 item).
-//   publish-batching  — a successful steal performs ≤ 2 seqlock publishes
-//                       inside its critical section (one per queue), however
-//                       many items the batch moved.
-//   failure-causality — every failed re-check has a concurrent successful
-//                       steal inside its snapshot→recheck window (§4.2: all
-//                       failures are caused by the optimism, not spurious).
-//                       Locked backend only: on chase_lev the causality holds
-//                       by construction (TakeTop fails only because a
-//                       competitor's CAS moved top) but the competitor's
-//                       kUserStealOk note may be emitted after this thread's
-//                       recheck event, so the event-window scan would flag
-//                       spurious violations.
-//   published-depth   — at quiescence, the lock-free published load of every
-//                       queue (seqlock snapshot or relaxed counters) equals
-//                       the structural count held under the lock: no batched
-//                       operation may leave the published depth stale.
-//   epoch-wakeup      — no deadlock, and every park is followed by a wake
-//                       after an epoch bump.
-//   wakeup-no-stranded-items — "wakeup" mode: at termination every mailbox is
-//                       empty; an owner may exit only after observing the
-//                       producer done AND re-checking its mailbox.
-//   no-lost-wakeup    — "wakeup" mode: an owner never blocks in its park while
-//                       an item sits in its mailbox and no notify is still
-//                       on its way (the eventcount gate's obligation).
-//   no-lost-spawns    — "forkjoin" mode: multiset{root ∪ spawned} == executed
-//                       at termination with every queue empty.
-//   no-premature-exit — "forkjoin" mode: when a worker's quiescence sum reads
-//                       drained, every item of the final spawn tree has
-//                       already finished (its executed count was bumped).
-//   join-fires-exactly-once — every forked continuation's counter reaches
-//                       zero exactly once (a lost decrement strands it; the
-//                       protocol cannot double-fire an acq_rel RMW chain).
-//   no-worker-blocks-on-join — no kUserPark events and no deadlock: the
-//                       continuation-counting discipline never waits.
-//   bounded-steals-on-tree — migrated items stay within the rooted-tree
-//                       steal regime (≤ W·(depth+2)·fanout), far below the
-//                       total task count.
+// Properties (docs/model_checking.md has the table per mode):
+//   termination, no-lost-items (no-lost-admitted-items / no-lost-spawns),
+//   steal-safety (§4.1, batches included), publish-batching (≤ 2 seqlock
+//   publishes per steal), published-depth (published load == structural
+//   load at quiescence); "balance": bounded-steals (migrated items ≤ d0/2,
+//   §4.3) and, on the locked backend, failure-causality (§4.2); closed runs:
+//   no-premature-exit (a worker that read drained exits only once every
+//   item has executed); "ingress": no-lost-wakeup (no owner blocks while its
+//   mailbox holds an item and no notify is on its way) and
+//   wakeup-no-stranded-items; "forkjoin": join-fires-exactly-once,
+//   no-worker-blocks-on-join (no park inside a task body) and
+//   bounded-steals-on-tree (≤ W·(depth+2)·fanout migrated items).
 
 #ifndef OPTSCHED_SRC_MC_HARNESS_H_
 #define OPTSCHED_SRC_MC_HARNESS_H_
@@ -110,9 +52,7 @@
 #include "src/mc/explorer.h"
 #include "src/mc/schedule.h"
 #include "src/mc/scheduler.h"
-#include "src/runtime/concurrent_machine.h"
-#include "src/runtime/termination.h"
-#include "src/runtime/wakeup_gate.h"
+#include "src/runtime/executor.h"
 #include "src/task/task.h"
 #include "src/topology/topology.h"
 
@@ -124,25 +64,27 @@ struct PropertyReport {
   std::string detail;  // why it failed (empty when it holds)
 };
 
-class StealHarness {
+class StealHarness final : public runtime::WorkerProbe, public runtime::IngressSource {
  public:
   struct Config {
-    std::string mode = "balance";  // balance|drain|epoch|ingress|wakeup|forkjoin
+    std::string mode = "balance";  // balance|drain|ingress|forkjoin
     std::string policy = "thread-count";
     // Items seeded per queue; size() is the worker count.
     std::vector<int64_t> initial_loads;
+    // "balance": steal attempts per worker. Owner modes: the steal-round
+    // budget per worker ("ingress": also the producer's push count).
     uint32_t attempts_per_worker = 2;
     uint64_t seed = 1;
     bool recheck = true;
     // Batched steal-half: cap on items per successful steal action (see
     // StealOptions::max_batch). 1 = the original steal-one protocol.
     uint32_t max_steal_batch = 1;
-    // Fault mode: ignore the migration rule and the batch cap, stripping the
-    // victim bare — the checker must find the steal-safety violation and
-    // minimize it (see StealOptions::break_batch_bound).
+    // Fault mode ("balance"): ignore the migration rule and the batch cap,
+    // stripping the victim bare — the checker must find the steal-safety
+    // violation and minimize it (see StealOptions::break_batch_bound).
     bool break_batch_bound = false;
-    // "ingress"/"wakeup" modes: BoundedMailbox capacity per owner. Small
-    // bounds (2) make the full/refuse path reachable in tiny explorations.
+    // "ingress" mode: BoundedMailbox capacity per owner. Small bounds (2)
+    // make the full/refuse path reachable in tiny explorations.
     uint32_t mailbox_capacity = 2;
     // Run-queue backend under test (see runtime::QueueBackend). Both backends
     // discharge the same properties; failure-causality is locked-only.
@@ -151,8 +93,8 @@ class StealHarness {
     // still holding every seeded load without spilling to the inbox.
     uint32_t deque_capacity = 64;
     // Fault knob (chase_lev only): thieves read bottom before top with no
-    // fence, so a stale size window can claim an already-executed slot. The
-    // checker must find the no-lost-items violation.
+    // fence, so a stale size window can claim an already-executed slot; the
+    // item runs twice and a closed run never reads drained (termination).
     bool broken_steal_order = false;
     // "forkjoin" mode: uniform spawn tree of this many levels below the root
     // (tree_depth = 1 is a root forking `fanout` leaves). initial_loads must
@@ -166,14 +108,15 @@ class StealHarness {
     // Fault knob ("forkjoin"): TerminationCounts' broken_read_order — sum
     // the submitted counts before the executed ones (no-premature-exit).
     bool broken_termination_order = false;
-    // Fault knob ("wakeup"): owners announce idle AFTER their last re-check
-    // and park on that round's sample (no-lost-wakeup).
+    // Fault knob ("ingress"): CheckerSeams::broken_wakeup_gate — owners park
+    // on the sample of the round in which they announced (no-lost-wakeup).
     bool broken_wakeup_gate = false;
 
     static Config FromSchedule(const Schedule& schedule);
   };
 
   explicit StealHarness(Config config);
+  ~StealHarness() override;
 
   // Fresh machine + per-worker state; bodies for one controlled execution.
   // Bodies reach the driving Scheduler through ActiveScheduler().
@@ -196,54 +139,56 @@ class StealHarness {
   // d over the seeded task counts; /2 bounds successful steals (§4.3).
   int64_t InitialPotential() const;
 
+  // runtime::WorkerProbe: the shipped loop's checker seams.
+  void OnExecuted(uint32_t worker, uint64_t item_id) override;
+  void OnQuiescent(uint32_t worker, const runtime::TerminationCounts::Sums& sums) override;
+  void OnSteal(uint32_t worker, const runtime::StealCounters& before,
+               const runtime::StealCounters& after, CpuId victim,
+               const runtime::StealObservation& observation) override;
+  bool MaySteal(uint32_t worker) override;
+  void OnPark(uint32_t worker) override;
+
+  // runtime::IngressSource ("ingress" mode): the mailboxes, with a note per
+  // drained item.
+  uint32_t Drain(uint32_t worker, std::vector<runtime::WorkItem>& out,
+                 uint32_t max_items) override;
+  int64_t PendingFor(uint32_t worker) const override;
+
  private:
+  class Tasks;
+
   void BalanceBody(uint32_t worker);
-  void DrainBody(uint32_t worker);
-  void EpochBody(uint32_t worker);
-  // "ingress" mode: worker 0 produces into mailboxes, owners drain+execute.
+  // "ingress" mode's worker 0.
   void ProducerBody();
-  void IngressBody(uint32_t worker);
-  // "wakeup" mode: the producer pairs every mailbox push with an epoch bump
-  // (NotifyIngress); owners park on the epoch exactly like WorkerMain.
-  void WakeupProducerBody();
-  void WakeupWorkerBody(uint32_t worker);
-  // "forkjoin" mode: pop/run task bodies (spawning onto the own queue),
-  // steal when empty, exit when the graph is done or the budget is spent.
-  void ForkJoinBody(uint32_t worker);
   // One full steal attempt with its outcome notes. `run_next` is forwarded
   // to TrySteal (the executor's landing steal); returns TrySteal's result.
   bool StealOnce(uint32_t worker, Rng& rng, runtime::WorkItem* run_next = nullptr);
+  runtime::ConcurrentMachine& machine() { return executor_->machine(); }
 
   Config config_;
   Topology topology_;
   std::shared_ptr<const BalancePolicy> policy_;
-  std::unique_ptr<runtime::ConcurrentMachine> machine_;
-  std::vector<runtime::StealCounters> counters_;
+  // Per-execution state, rebuilt by MakeBodies.
+  std::unique_ptr<runtime::Executor> executor_;
+  std::vector<runtime::WorkerStats> stats_;
+  std::vector<runtime::StealCounters> counters_;  // "balance"
+  std::vector<uint32_t> steal_rounds_;
   std::vector<uint64_t> initial_item_ids_;
   // "balance" mode: the item a worker's first steal landed as its running
   // item. Balance workers never execute, so it stays running until
   // Evaluate's conservation drain finishes it.
   std::vector<std::optional<runtime::WorkItem>> held_;
-  // The escalation epoch word for "epoch" mode.
-  std::uint64_t epoch_ = 0;
-  // "wakeup" mode state, rebuilt per execution by MakeBodies: the executor's
-  // real wakeup gate and the producer's push->notify window (set after a
-  // push, cleared once its notify returned).
-  std::unique_ptr<runtime::WakeupGate> gate_;
-  bool notify_in_flight_ = false;
-  // "wakeup" mode: set by the producer strictly after its last push, then
-  // followed by one final notify (the executor's quit-path ordering).
-  bool producer_done_ = false;
-  // "ingress" mode state, rebuilt per execution by MakeBodies.
+  uint64_t executed_ = 0;
+  // "ingress" mode: the mailboxes, items they admitted, and the producer's
+  // push->notify window (set after a push, cleared once its notify returned).
   std::unique_ptr<ingress::MailboxSet> mailboxes_;
   uint64_t next_ingress_id_ = 0;
-  // "forkjoin" mode state, rebuilt per execution by MakeBodies. The graph
-  // runs the REAL src/task join protocol; only the spawn sink is replaced
-  // (machine queues + Note hooks instead of Executor::SubmitFromWorker).
+  uint64_t admitted_ = 0;
+  bool notify_in_flight_ = false;
+  // "forkjoin" mode: the graph (the REAL src/task join protocol) and its
+  // task runner.
   std::unique_ptr<task::TaskGraph> task_graph_;
-  // "forkjoin" mode: the executor's real termination counts (external
-  // counter here, per-worker slots in the machine's queues).
-  std::unique_ptr<runtime::TerminationCounts> termination_;
+  std::unique_ptr<Tasks> tasks_;
 };
 
 }  // namespace optsched::mc

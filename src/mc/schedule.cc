@@ -203,13 +203,10 @@ std::string Schedule::ToJson() const {
     out += StrFormat(",\n  \"fanout\": %u", fanout);
     out += std::string(",\n  \"broken_join_counter\": ") +
            (broken_join_counter ? "true" : "false");
-    // Emitted only when set, so the pre-termination-count forkjoin golden
-    // schema stays byte-stable.
-    if (broken_termination_order) {
-      out += ",\n  \"broken_termination_order\": true";
-    }
+    out += std::string(",\n  \"broken_termination_order\": ") +
+           (broken_termination_order ? "true" : "false");
   }
-  if (harness == "wakeup") {
+  if (harness == "ingress") {
     out += std::string(",\n  \"broken_wakeup_gate\": ") +
            (broken_wakeup_gate ? "true" : "false");
   }

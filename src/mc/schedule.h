@@ -18,8 +18,8 @@
 namespace optsched::mc {
 
 struct Schedule {
-  // Harness identity (see src/mc/harness.h): "balance", "drain", "epoch",
-  // "ingress", "wakeup" or "forkjoin".
+  // Harness identity (see src/mc/harness.h): "balance", "drain", "ingress"
+  // or "forkjoin".
   std::string harness = "balance";
   // Policy registry name (src/core/policies/registry.h).
   std::string policy = "thread-count";
@@ -58,9 +58,9 @@ struct Schedule {
   // before the executed ones, so a worker can exit while spawned items are
   // still queued (no-premature-exit).
   bool broken_termination_order = false;
-  // Fault mode ("wakeup"): an owner announces itself idle only AFTER its
-  // last re-check and parks on that round's stale sample, so a gated notify
-  // can skip the bump it needed (no-lost-wakeup).
+  // Fault mode ("ingress"): an owner parks on the sample of the round in
+  // which it announced itself idle, so a gated notify can skip the bump it
+  // needed (no-lost-wakeup).
   bool broken_wakeup_gate = false;
   // The violated property ("" when the schedule is not a counterexample).
   std::string property;

@@ -47,8 +47,6 @@ const char* UserEventKindName(uint32_t kind) {
     case kUserStealEmptyFilter: return "steal-empty-filter";
     case kUserExecuteItem: return "execute-item";
     case kUserPark: return "park";
-    case kUserWake: return "wake";
-    case kUserEpochBump: return "epoch-bump";
     case kUserStealBatch: return "steal-batch";
     case kUserMailboxPush: return "mailbox-push";
     case kUserMailboxShed: return "mailbox-shed";
@@ -56,7 +54,6 @@ const char* UserEventKindName(uint32_t kind) {
     case kUserTaskSpawn: return "task-spawn";
     case kUserTaskFork: return "task-fork";
     case kUserJoinFire: return "join-fire";
-    case kUserItemDone: return "item-done";
     case kUserQuiescent: return "quiescent";
     case kUserLostWakeup: return "lost-wakeup";
   }

@@ -10,11 +10,11 @@
 // makes record/replay exact and exhaustive exploration possible.
 //
 // Blocking points (contended lock, seqlock reader racing a writer, a parked
-// worker waiting for an epoch bump) disable the thread until the predicate
-// holds; enabledness is re-evaluated before every decision. If unfinished
-// threads exist but none is enabled, the execution is a deadlock — itself a
-// reportable property violation (e.g. "escalation epoch never woke the
-// parked worker").
+// worker waiting for a wakeup) disable the thread until the predicate holds;
+// enabledness is re-evaluated before every decision. If unfinished threads
+// exist but none is enabled, the execution is a deadlock — itself a
+// reportable property violation (e.g. "no notify ever woke the parked
+// worker").
 
 #ifndef OPTSCHED_SRC_MC_SCHEDULER_H_
 #define OPTSCHED_SRC_MC_SCHEDULER_H_
@@ -87,10 +87,9 @@ enum UserEventKind : uint32_t {
   kUserStealFailRecheck = 3,  // arg0 = victim
   kUserStealFailNoTask = 4,   // arg0 = victim
   kUserStealEmptyFilter = 5,
-  kUserExecuteItem = 6,  // arg0 = item id
-  kUserPark = 7,         // waiting on the escalation epoch
-  kUserWake = 8,         // resumed after an epoch bump
-  kUserEpochBump = 9,
+  kUserExecuteItem = 6,  // arg0 = item id (executed count bumped: the body finished)
+  kUserPark = 7,         // worker blocks in its park; arg0 = 1 inside a task body
+  // 8-9 are retired.
   // Batch facts of the immediately preceding kUserStealOk (same thread):
   // arg0 = items moved, arg1 = seqlock publishes inside the critical section
   // (publish batching requires <= 2), arg2 = victim.
@@ -106,7 +105,7 @@ enum UserEventKind : uint32_t {
   // 17-19 are retired; the kinds below keep the numbers recorded traces carry.
   // Termination counts and the wakeup gate (docs/runtime.md, "Termination
   // and wakeup"):
-  kUserItemDone = 20,     // arg0 = item id (executed count bumped: the body finished)
+  // 20 is retired.
   kUserQuiescent = 21,    // arg0 = executed sum, arg1 = submitted sum (worker exits: drained)
   kUserLostWakeup = 22,   // arg0 = owner, arg1 = items visible to it (parked through work)
 };

@@ -43,13 +43,6 @@ std::vector<TraceEvent> ToTraceEvents(const std::vector<McEvent>& events, bool i
       case kUserPark:
         te.type = EventType::kBackoffPark;
         break;
-      case kUserWake:
-        te.type = EventType::kEscalationWakeup;
-        break;
-      case kUserEpochBump:
-        te.type = EventType::kEscalation;
-        te.detail = event.arg0;  // new epoch
-        break;
       case kUserStealBatch:
         // Batch metadata for the preceding steal-ok; the steal row already
         // carries the pair, so this only adds noise to a human timeline.

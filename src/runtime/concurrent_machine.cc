@@ -111,16 +111,25 @@ OPTSCHED_HOT_PATH void ConcurrentRunQueue::DrainInboxToDeque() {
     return;
   }
   LockGuard guard(lock_);
-  int64_t moved = 0;
-  while (!inbox_.empty() && deque_->PushBottom(inbox_.front())) {
-    inbox_.pop_front();
-    ++moved;
+  // Only the owner pushes, so the free slots can only grow under us: all
+  // `moved` pushes below succeed.
+  const int64_t free_slots = static_cast<int64_t>(deque_->capacity()) - deque_->SizeRelaxed();
+  const int64_t moved = std::min(static_cast<int64_t>(inbox_.size()), free_slots);
+  if (moved <= 0) {
+    return;
   }
-  if (moved > 0) {
-    // The items were already counted by Push (ext_enq) when admitted;
-    // only the inbox-residency counter changes.
-    mc_hooks::SyncPoint(mc_hooks::SyncOp::kDequeLoadWrite, this);
-    inbox_count_.fetch_sub(moved, std::memory_order_release);
+  // The items were already counted by Push (ext_enq) when admitted; only
+  // the inbox-residency counter changes — and it drops BEFORE the items
+  // reach the deque. A thief's gate adds the inbox count to the stealable
+  // items it peeks, so an item in both places would be counted twice and
+  // the gate could strip the owner bare (steal-safety). In between, the
+  // gate under-counts: it may steal less, never too much.
+  mc_hooks::SyncPoint(mc_hooks::SyncOp::kDequeLoadWrite, this);
+  inbox_count_.fetch_sub(moved, std::memory_order_release);
+  for (int64_t i = 0; i < moved; ++i) {
+    const bool pushed = deque_->PushBottom(inbox_.front());
+    OPTSCHED_CHECK(pushed);
+    inbox_.pop_front();
   }
 }
 
@@ -204,38 +213,50 @@ OPTSCHED_HOT_PATH void ConcurrentRunQueue::PushBatchOwner(const WorkItem* items,
     PushBatchLocked(items, count);
     return;
   }
-  uint32_t pushed = 0;
-  while (pushed < count && deque_->PushBottom(items[pushed])) {
-    ++pushed;
-  }
-  int64_t spilled = 0;
-  if (pushed < count) {
-    // Ring full: overflow goes to the inbox and re-enters via the next
-    // DrainInboxToDeque. Bounded ring + locked spill keeps the fast path
-    // allocation-free without dropping work.
-    LockGuard guard(lock_);
-    for (uint32_t i = pushed; i < count; ++i) {
-      // optsched-lint: allow(hot-path-alloc): ring-overflow spill path — off the steady-state fast path by construction (the ring absorbs the working set; E14 alloc audit)
-      inbox_.push_back(items[i]);
-      ++spilled;
-    }
-  }
   int64_t weight = 0;
   for (uint32_t i = 0; i < count; ++i) {
     weight += items[i].weight;
   }
+  CountOwnerEnqueue(count, weight);
+  PushToDeque(items, count);
+}
+
+// The caller is the queue's owner (seeding, a thief landing its batch, or the
+// owner itself): single-writer counters, store-only. Counted BEFORE the items
+// reach the deque: a thief can take a slot the moment its bottom store lands,
+// and a published load that did not count it yet would read the victim as
+// emptier than it is (steal-safety observes exactly that load). Between the
+// two the load overcounts, the safe direction for every reader.
+void ConcurrentRunQueue::CountOwnerEnqueue(int64_t tasks, int64_t weight) {
   mc_hooks::SyncPoint(mc_hooks::SyncOp::kDequeLoadWrite, this);
-  if (spilled > 0) {
-    inbox_count_.fetch_add(spilled, std::memory_order_release);
-  }
-  // The caller is the queue's owner (seeding, a thief landing its batch, or
-  // the owner itself): single-writer counters, store-only.
-  // order: single-writer-store
-  own_enq_tasks_.store(own_enq_tasks_.load(std::memory_order_relaxed) + count,
+  // order: single-writer-store, count-before-push
+  own_enq_tasks_.store(own_enq_tasks_.load(std::memory_order_relaxed) + tasks,
                        std::memory_order_relaxed);
-  // order: single-writer-store
+  // order: single-writer-store, count-before-push
   own_enq_weight_.store(own_enq_weight_.load(std::memory_order_relaxed) + weight,
                         std::memory_order_relaxed);
+}
+
+void ConcurrentRunQueue::PushToDeque(const WorkItem* items, uint32_t count) {
+  uint32_t pushed = 0;
+  while (pushed < count && deque_->PushBottom(items[pushed])) {
+    ++pushed;
+  }
+  if (pushed == count) {
+    return;
+  }
+  // Ring full: overflow goes to the inbox and re-enters via the next
+  // DrainInboxToDeque. Bounded ring + locked spill keeps the fast path
+  // allocation-free without dropping work.
+  {
+    LockGuard guard(lock_);
+    for (uint32_t i = pushed; i < count; ++i) {
+      // optsched-lint: allow(hot-path-alloc): ring-overflow spill path — off the steady-state fast path by construction (the ring absorbs the working set; E14 alloc audit)
+      inbox_.push_back(items[i]);
+    }
+  }
+  mc_hooks::SyncPoint(mc_hooks::SyncOp::kDequeLoadWrite, this);
+  inbox_count_.fetch_add(count - pushed, std::memory_order_release);
 }
 
 void ConcurrentRunQueue::PushBatchExternal(const WorkItem* items, uint32_t count) {
@@ -409,20 +430,18 @@ OPTSCHED_HOT_PATH void ConcurrentRunQueue::CommitStealAccounting(uint32_t items,
 OPTSCHED_HOT_PATH WorkItem ConcurrentRunQueue::LandAndRunOwner(const WorkItem* items,
                                                                uint32_t count) {
   OPTSCHED_DCHECK(backend_ == QueueBackend::kChaseLev && count > 0);
-  PushBatchOwner(items, count - 1);
   const WorkItem& run = items[count - 1];
   // The running item is counted in own_enq like a pushed one (tasks =
-  // enqueued − finished − stolen covers running items too); only
-  // the running flag and its weight attribution are added.
-  mc_hooks::SyncPoint(mc_hooks::SyncOp::kDequeLoadWrite, this);
-  // order: single-writer-store
-  own_enq_tasks_.store(own_enq_tasks_.load(std::memory_order_relaxed) + 1,
-                       std::memory_order_relaxed);
-  // order: single-writer-store
-  own_enq_weight_.store(own_enq_weight_.load(std::memory_order_relaxed) + run.weight,
-                        std::memory_order_relaxed);
+  // enqueued − finished − stolen covers running items too), and the whole
+  // batch is counted before any of it becomes stealable (CountOwnerEnqueue).
+  int64_t weight = 0;
+  for (uint32_t i = 0; i < count; ++i) {
+    weight += items[i].weight;
+  }
+  CountOwnerEnqueue(count, weight);
   running_a_.store(1, std::memory_order_relaxed);  // order: single-writer-store
   running_weight_a_.store(run.weight, std::memory_order_relaxed);  // order: single-writer-store
+  PushToDeque(items, count - 1);
   return run;
 }
 
@@ -678,8 +697,12 @@ OPTSCHED_HOT_PATH bool ConcurrentMachine::TryStealChaseLev(
   int64_t moved_metric = 0;   // what the batch has added to the thief so far
   int64_t moved_weight = 0;   // victim-side weight to commit after the loop
   bool cas_lost = false;
-  const int64_t victim_running_inbox =
-      victim_queue.RunningRelaxed() + victim_queue.InboxCountRelaxed();
+  // The owner's running flag is read before the first peek and its inbox
+  // count after each one. The owner lowers bottom before it raises the flag
+  // (PopForRun) and drops the inbox count before its refill pushes
+  // (DrainInboxToDeque), so neither read counts an item the peek already
+  // saw. Counted twice, an item could make the gate strip the owner bare.
+  const int64_t victim_running = victim_queue.RunningRelaxed();
   while (moved < max_items) {
     const ChaseLevDeque::TopPeek peek = victim_queue.PeekSteal();
     if (!peek.found) {
@@ -699,10 +722,8 @@ OPTSCHED_HOT_PATH bool ConcurrentMachine::TryStealChaseLev(
           metric == LoadMetric::kTaskCount ? 1 : static_cast<int64_t>(peek.item.weight);
       int64_t v_now;
       if (metric == LoadMetric::kTaskCount) {
-        // running/inbox are sampled once per batch (they are stale
-        // observations either way); the per-item freshness comes from
-        // peek.size, which is exact at the top index the commit validates.
-        v_now = peek.size + victim_running_inbox;
+        // peek.size is exact at the top index the commit validates.
+        v_now = peek.size + victim_running + victim_queue.InboxCountRelaxed();
       } else {
         // Deferred accounting: ReadLoad still counts this batch's takes, so
         // subtract them to judge the load a fresh observer would see.

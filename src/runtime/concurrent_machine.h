@@ -185,8 +185,8 @@ class ConcurrentRunQueue {
   void CommitStealAccounting(uint32_t items, int64_t weight);
   // Owner-side steal landing with run-next: items[count - 1] — the item
   // PopForRun would take from the bottom — becomes the running item, the rest
-  // are pushed at bottom (PushBatchOwner). A bottom push plus a run-flag
-  // store. The owner must not be running. Returns the running item.
+  // are pushed at bottom. The counters and the run flag are stored before
+  // the bottom push. The owner must not be running. Returns the running item.
   WorkItem LandAndRunOwner(const WorkItem* items, uint32_t count) OPTSCHED_EXCLUDES(lock_);
   // Published task count / inbox depth / running flag, relaxed. The steal
   // gate combines peek.size + running + inbox into its victim load so the
@@ -217,6 +217,10 @@ class ConcurrentRunQueue {
   // Moves inbox items into the deque (owner only); stops early if the ring
   // fills — the leftovers stay counted and are retried next pop.
   void DrainInboxToDeque() OPTSCHED_EXCLUDES(lock_);
+  // kChaseLev owner pushes: the own_enq counters first, then the deque
+  // bottom (overflow to the inbox).
+  void CountOwnerEnqueue(int64_t tasks, int64_t weight);
+  void PushToDeque(const WorkItem* items, uint32_t count) OPTSCHED_EXCLUDES(lock_);
   void PublishLocked() OPTSCHED_REQUIRES(lock_);
 
   const QueueBackend backend_;

@@ -14,6 +14,11 @@ namespace optsched::runtime {
 
 namespace {
 
+// Ingress drain cadence (docs/serving.md): items moved per drain, and the
+// executed items between drains while the own queue never runs empty.
+constexpr uint32_t kIngressDrainBatch = 64;
+constexpr uint64_t kIngressDrainIntervalItems = 32;
+
 uint64_t NowNs() {
   return static_cast<uint64_t>(std::chrono::duration_cast<std::chrono::nanoseconds>(
                                    std::chrono::steady_clock::now().time_since_epoch())
@@ -201,13 +206,17 @@ void ExecutorReport::ExportMetrics(trace::MetricsRegistry& registry) const {
 }
 
 Executor::Executor(std::shared_ptr<const BalancePolicy> policy, const ExecutorConfig& config,
-                   const Topology* topology)
+                   const Topology* topology, const CheckerSeams& seams)
     : policy_(std::move(policy)),
       config_(config),
       topology_(topology),
       machine_(config.num_workers,
                MachineOptions{.backend = config.backend,
-                              .deque_capacity = config.chase_lev_capacity}) {
+                              .deque_capacity = config.chase_lev_capacity,
+                              .broken_steal_order = seams.broken_steal_order}),
+      counts_(seams.broken_termination_order),
+      probe_(seams.probe),
+      broken_wakeup_gate_(seams.broken_wakeup_gate) {
   OPTSCHED_CHECK(policy_ != nullptr);
   OPTSCHED_CHECK(config_.num_workers > 0);
   OPTSCHED_CHECK(config_.max_backoff_spins >= 1);
@@ -300,8 +309,7 @@ void Executor::NotifyIngress(uint32_t /*worker*/) {
 uint32_t Executor::DrainIngress(uint32_t worker, WorkerStats& stats,
                                 std::vector<WorkItem>& batch, trace::SpscTraceRing* ring) {
   batch.clear();
-  const uint32_t moved =
-      config_.ingress->Drain(worker, batch, std::max(config_.ingress_drain_batch, 1u));
+  const uint32_t moved = config_.ingress->Drain(worker, batch, kIngressDrainBatch);
   if (moved == 0) {
     return 0;
   }
@@ -341,7 +349,7 @@ OPTSCHED_HOT_PATH void Executor::WorkerMain(uint32_t worker_index, WorkerStats& 
   uint32_t fruitless = 0;
   uint64_t backoff_spins = 0;  // current window; 0 = not backing off
   // Locally executed items since the last mailbox drain (sustained-load
-  // drain cadence; see ExecutorConfig::ingress_drain_interval_items).
+  // drain cadence, kIngressDrainIntervalItems).
   uint64_t executed_since_drain = 0;
   // Hot-path buffers, allocated once per worker and refilled in place: after
   // warmup a full selection + steal attempt performs zero heap allocations
@@ -371,7 +379,14 @@ OPTSCHED_HOT_PATH void Executor::WorkerMain(uint32_t worker_index, WorkerStats& 
     if (deadline_mode_) {
       return !stop_.load(std::memory_order_acquire);
     }
-    return !counts_.Drained(machine_);
+    const TerminationCounts::Sums sums = counts_.Read(machine_);
+    if (sums.executed != sums.submitted) {
+      return true;
+    }
+    if (probe_ != nullptr) {
+      probe_->OnQuiescent(worker_index, sums);
+    }
+    return false;
   };
 
   // Trace timestamps are microseconds since the run started, matching the
@@ -421,9 +436,19 @@ OPTSCHED_HOT_PATH void Executor::WorkerMain(uint32_t worker_index, WorkerStats& 
     }
     mc_hooks::SyncPoint(mc_hooks::SyncOp::kEpochLoad, &escalation_epoch_);
     const uint64_t epoch = escalation_epoch_.load(std::memory_order_acquire);
+    // Under the model checker the spin is a block on the same disjunction
+    // the poll below tests, so a park that nothing can end is a deadlock the
+    // checker reports instead of a spin it cannot explore. In production
+    // BlockUntil is one null check and returns false.
+    const ParkWait wait{this, wakeup_before, epoch};
+    if (probe_ != nullptr && !ParkMayEnd(&wait)) {
+      probe_->OnPark(worker_index);
+    }
+    const bool blocked = mc_hooks::BlockUntil(mc_hooks::SyncOp::kEpochLoad,
+                                              wakeup_.epoch_word(), &ParkMayEnd, &wait);
     for (uint64_t i = 0; i < spins; ++i) {
       CpuRelax();
-      if ((i & 255u) == 255u) {
+      if (blocked || (i & 255u) == 255u) {
         if (!keep_running()) {
           return;
         }
@@ -501,6 +526,7 @@ OPTSCHED_HOT_PATH void Executor::WorkerMain(uint32_t worker_index, WorkerStats& 
       // deadline. A closed run needs no deadline check here: a queued item
       // is submitted but not executed, so the run cannot read as drained.
       const bool crashing = injector != nullptr && injector->CrashWorker(worker_index);
+      const uint64_t ran_id = item->id;
       if (crashing || (deadline_mode_ && stop_.load(std::memory_order_acquire))) {
         own.FinishCurrent();
         item.reset();
@@ -510,6 +536,9 @@ OPTSCHED_HOT_PATH void Executor::WorkerMain(uint32_t worker_index, WorkerStats& 
       // After the body and every flush it made: the quiescence sum that
       // counts this execution also covers the children it submitted.
       TerminationCounts::AddExecuted(own.counts(), 1);
+      if (probe_ != nullptr) {
+        probe_->OnExecuted(worker_index, ran_id);
+      }
       if (crashing) {
         crash();
         return;
@@ -523,7 +552,7 @@ OPTSCHED_HOT_PATH void Executor::WorkerMain(uint32_t worker_index, WorkerStats& 
       // Sustained-load drain cadence: a never-empty runqueue must not starve
       // the mailbox, so pull a batch every N executed items too.
       if (ingress != nullptr &&
-          ++executed_since_drain >= config_.ingress_drain_interval_items) {
+          ++executed_since_drain >= kIngressDrainIntervalItems) {
         executed_since_drain = 0;
         if (ingress->PendingFor(worker_index) > 0) {
           refilled = DrainIngress(worker_index, stats, drain_batch, ring) > 0;
@@ -553,7 +582,8 @@ OPTSCHED_HOT_PATH void Executor::WorkerMain(uint32_t worker_index, WorkerStats& 
     // Queue empty: run the three-step balancing protocol — unless a
     // straggler fault holds this core out of the round entirely.
     bool stole = false;
-    if (injector == nullptr || !injector->StallCore(worker_index)) {
+    if ((injector == nullptr || !injector->StallCore(worker_index)) &&
+        (probe_ == nullptr || probe_->MaySteal(worker_index))) {
       const uint64_t select_start = NowNs();
       if (injector != nullptr && has_stale_view && injector->StaleSnapshot(worker_index)) {
         snapshot = stale_view;  // selection over a deliberately outdated view
@@ -574,21 +604,26 @@ OPTSCHED_HOT_PATH void Executor::WorkerMain(uint32_t worker_index, WorkerStats& 
         // tallies the abort.
       } else {
         const uint64_t steal_start = NowNs();
-        const uint64_t attempts_before = stats.steals.attempts;
+        const StealCounters before = stats.steals;
         CpuId victim = 0;
         // A successful steal lands its first item as this worker's running
         // item, so the next iteration runs it without another pop.
         WorkItem landed;
+        StealObservation observation;
         stole = machine_.TrySteal(*policy_, worker_index, snapshot, rng, steal_options,
                                   stats.steals, topology_, &victim,
-                                  /*observation_out=*/nullptr, &steal_scratch, &landed);
+                                  probe_ != nullptr ? &observation : nullptr, &steal_scratch,
+                                  &landed);
         if (stole) {
           item = landed;
+        }
+        if (probe_ != nullptr) {
+          probe_->OnSteal(worker_index, before, stats.steals, victim, observation);
         }
         // An unchanged attempt count means the filter was empty: no steal
         // phase ran, so there is no latency to attribute and no outcome to
         // trace.
-        if (stats.steals.attempts != attempts_before) {
+        if (stats.steals.attempts != before.attempts) {
           const uint64_t steal_ns = NowNs() - steal_start;
           // Failed attempts get their own histogram: they are the
           // contention-heavy §4.3 cases, and recording only successes (as
@@ -614,45 +649,53 @@ OPTSCHED_HOT_PATH void Executor::WorkerMain(uint32_t worker_index, WorkerStats& 
     if (!announced) {
       // First fruitless round: announce, then go round once more. The park
       // below may only rest on a loop-top sample and re-checks taken after
-      // the announcement (wakeup_gate.h) — never on this round's.
+      // the announcement (wakeup_gate.h) — never on this round's. The
+      // checker's broken_wakeup_gate parks on this round's sample at once.
       wakeup_.Announce();
       announced = true;
+      if (!broken_wakeup_gate_) {
+        continue;
+      }
+    } else if (++fruitless < config_.idle_spins_before_yield) {
       continue;
     }
-    if (++fruitless >= config_.idle_spins_before_yield) {
-      fruitless = 0;
-      backoff_spins = backoff_spins == 0
-                          ? config_.initial_backoff_spins
-                          : std::min(backoff_spins * 2, config_.max_backoff_spins);
-      uint64_t spins = backoff_spins;
-      if (config_.backoff_jitter && spins >= 2) {
-        spins = spins / 2 + rng.NextBelow(spins / 2 + 1);  // uniform in [s/2, s]
-      }
-      if (ring != nullptr) {
-        const uint64_t park_start = NowNs();
-        park(spins, wakeup_before);
-        ring->TryPush({.time = (park_start - run_start_ns_) / 1000,
-                       .type = trace::EventType::kBackoffPark, .cpu = worker_index,
-                       .detail = static_cast<int64_t>(NowNs() - park_start)});
-      } else {
-        park(spins, wakeup_before);
-      }
-      if (backoff_spins >= config_.max_backoff_spins) {
-        // At the cap: hand the OS a scheduling opportunity between parks.
-        std::this_thread::yield();
-        ++stats.yields;
-      }
+    fruitless = 0;
+    backoff_spins = backoff_spins == 0 ? config_.initial_backoff_spins
+                                       : std::min(backoff_spins * 2, config_.max_backoff_spins);
+    uint64_t spins = backoff_spins;
+    if (config_.backoff_jitter && spins >= 2) {
+      spins = spins / 2 + rng.NextBelow(spins / 2 + 1);  // uniform in [s/2, s]
+    }
+    if (ring != nullptr) {
+      const uint64_t park_start = NowNs();
+      park(spins, wakeup_before);
+      ring->TryPush({.time = (park_start - run_start_ns_) / 1000,
+                     .type = trace::EventType::kBackoffPark, .cpu = worker_index,
+                     .detail = static_cast<int64_t>(NowNs() - park_start)});
+    } else {
+      park(spins, wakeup_before);
+    }
+    if (backoff_spins >= config_.max_backoff_spins) {
+      // At the cap: hand the OS a scheduling opportunity between parks.
+      std::this_thread::yield();
+      ++stats.yields;
     }
   }
   retract();
   state.store(kDone, std::memory_order_release);
 }
 
-ExecutorReport Executor::RunInternal(uint64_t duration_ms,
-                                     const std::function<void(Executor&)>& producer) {
-  ExecutorReport report;
-  report.workers.resize(config_.num_workers);
-  deadline_mode_ = duration_ms > 0;
+bool Executor::ParkMayEnd(const void* wait) {
+  const ParkWait& w = *static_cast<const ParkWait*>(wait);
+  Executor& e = *w.executor;
+  const bool run_over = e.deadline_mode_ ? e.stop_.load(std::memory_order_acquire)
+                                         : e.counts_.PeekDrained(e.machine_);
+  return run_over || e.wakeup_.PeekEpoch() != w.wakeup_before ||
+         e.escalation_epoch_.load(std::memory_order_acquire) != w.escalation;
+}
+
+void Executor::BeginRun(bool deadline_mode) {
+  deadline_mode_ = deadline_mode;
   // Ingress needs open-system mode: closed-system Run() terminates on its
   // submitted count and would strand items admitted after the last drain.
   OPTSCHED_CHECK(config_.ingress == nullptr || deadline_mode_);
@@ -667,6 +710,27 @@ ExecutorReport Executor::RunInternal(uint64_t duration_ms,
                    ? std::make_unique<trace::TraceCollector>(config_.num_workers + 1,
                                                              config_.trace_ring_capacity)
                    : nullptr;
+  run_start_ns_ = NowNs();
+}
+
+void Executor::BeginCheckedRun(bool deadline_mode) {
+  OPTSCHED_CHECK_MSG(!config_.fault_plan.any() && config_.trace_ring_capacity == 0,
+                     "checked runs take no fault plan and no trace rings");
+  BeginRun(deadline_mode);
+}
+
+void Executor::RunWorker(uint32_t worker, WorkerStats& stats) {
+  OPTSCHED_CHECK(worker < config_.num_workers);
+  // optsched-lint: allow(mc-hook-coverage): the lifecycle word only a supervisor reads, and checked runs have none
+  std::atomic<uint32_t> state{kRunning};
+  WorkerMain(worker, stats, state, /*ring=*/nullptr);
+}
+
+ExecutorReport Executor::RunInternal(uint64_t duration_ms,
+                                     const std::function<void(Executor&)>& producer) {
+  ExecutorReport report;
+  report.workers.resize(config_.num_workers);
+  BeginRun(duration_ms > 0);
   trace::ConservationWatchdog watchdog(
       config_.num_workers,
       trace::WatchdogConfig{.threshold_rounds = config_.watchdog_threshold_samples});
@@ -682,8 +746,7 @@ ExecutorReport Executor::RunInternal(uint64_t duration_ms,
     }
   };
 
-  const uint64_t start = NowNs();
-  run_start_ns_ = start;
+  const uint64_t start = run_start_ns_;
   const uint64_t stop_at = deadline_mode_ ? start + duration_ms * 1'000'000ull : 0;
   // Seqlock retry counters are cumulative per queue; report the delta so a
   // reused instance attributes retries to the run that incurred them.

@@ -125,20 +125,53 @@ struct ExecutorConfig {
   size_t trace_ring_capacity = 0;
   // Serving ingress (docs/serving.md): when non-null, each worker drains its
   // slice of the source into its own runqueue at round boundaries (queue
-  // empty) and, under sustained local load, every
-  // `ingress_drain_interval_items` executed items — so a busy owner bounds
-  // its mailbox sojourn instead of starving the mailbox until it runs dry.
-  // The source must outlive the run. Requires RunFor (open-system mode):
-  // closed-system Run() terminates on its submitted count and would strand
-  // late-admitted mailbox items.
+  // empty) and, under sustained local load, every kIngressDrainIntervalItems
+  // executed items — so a busy owner bounds its mailbox sojourn instead of
+  // starving the mailbox until it runs dry. The source must outlive the run.
+  // Requires RunFor (open-system mode): closed-system Run() terminates on its
+  // submitted count and would strand late-admitted mailbox items.
   IngressSource* ingress = nullptr;
-  uint32_t ingress_drain_batch = 64;
-  uint64_t ingress_drain_interval_items = 32;
   // Structured-parallelism seam (docs/tasks.md): items with item.task != 0
   // are dispatched to this runner instead of the calibrated spin. The runner
   // must outlive the run. Null rejects task items loudly.
   TaskRunner* task_runner = nullptr;
   uint64_t seed = 1;
+};
+
+// The model checker's window into the worker loop (src/mc implements it,
+// docs/model_checking.md). The executor never installs one: each call site
+// in the loop is one null check on a member pointer.
+class WorkerProbe {
+ public:
+  virtual ~WorkerProbe() = default;
+
+  // `worker` finished item `item_id` and bumped its executed count.
+  virtual void OnExecuted(uint32_t worker, uint64_t item_id) = 0;
+  // `worker` read the quiescence sum as drained and leaves the loop.
+  virtual void OnQuiescent(uint32_t worker, const TerminationCounts::Sums& sums) = 0;
+  // One steal round of `worker`: its counters before and after, the victim
+  // (when the filter chose one) and, on success, the observation taken under
+  // the steal's own synchronization (StealObservation).
+  virtual void OnSteal(uint32_t worker, const StealCounters& before, const StealCounters& after,
+                       CpuId victim, const StealObservation& observation) = 0;
+  // Exploration budget: false holds `worker` out of this round's steal
+  // phase, as a straggler fault would (the round counts as fruitless).
+  virtual bool MaySteal(uint32_t worker) = 0;
+  // `worker` is about to block in its park with nothing yet to end it.
+  virtual void OnPark(uint32_t worker) = 0;
+};
+
+// Model-checker seams (src/mc): the probe and the seeded faults. Like
+// TerminationCounts' broken_read_order, no executor user sets any of them.
+struct CheckerSeams {
+  WorkerProbe* probe = nullptr;
+  // Thieves read bottom before top with no fence (chase_lev_deque.h).
+  bool broken_steal_order = false;
+  // The quiescence sum reads submitted before executed (termination.h).
+  bool broken_termination_order = false;
+  // The loop parks on the sample of the round in which it announced itself
+  // idle instead of going round once more (wakeup_gate.h).
+  bool broken_wakeup_gate = false;
 };
 
 struct WorkerStats {
@@ -215,8 +248,9 @@ struct ExecutorReport {
 
 class Executor {
  public:
+  // `seams` is the model checker's (see CheckerSeams).
   Executor(std::shared_ptr<const BalancePolicy> policy, const ExecutorConfig& config,
-           const Topology* topology = nullptr);
+           const Topology* topology = nullptr, const CheckerSeams& seams = {});
 
   // Seeds queue `queue_index` with `items`; call before Run.
   void Seed(uint32_t queue_index, const std::vector<WorkItem>& items);
@@ -264,6 +298,17 @@ class Executor {
   // mailbox usually coincides with spill traffic toward the siblings.
   void NotifyIngress(uint32_t worker);
 
+  // --- Model-checker entry points (docs/model_checking.md) -------------------
+  // The checker runs the shipped worker loop on its own fibers instead of
+  // threads. BeginCheckedRun resets the run state as Run (closed system) or
+  // RunFor (`deadline_mode`) does, without spawning anything; RunWorker runs
+  // worker `worker`'s loop on the calling thread until the run is over; Stop
+  // plays RunFor's deadline.
+  void BeginCheckedRun(bool deadline_mode);
+  void RunWorker(uint32_t worker, WorkerStats& stats);
+  void Stop() { stop_.store(true, std::memory_order_release); }
+  ConcurrentMachine& machine() { return machine_; }
+
  private:
   // Worker lifecycle, observed by the supervisor loop. A worker publishes
   // kCrashed/kDone itself; kAwaitingRestart is supervisor-private.
@@ -282,12 +327,24 @@ class Executor {
   // than one live producer per ring.
   void WorkerMain(uint32_t worker_index, WorkerStats& stats, std::atomic<uint32_t>& state,
                   trace::SpscTraceRing* ring);
-  // Moves up to ingress_drain_batch items from config_.ingress into
+  // Moves up to kIngressDrainBatch items from config_.ingress into
   // `worker`'s own runqueue (count bumped BEFORE the items become poppable,
   // same ordering contract as SubmitBatch). `batch` is the worker's reusable
   // scratch. Returns items moved.
   uint32_t DrainIngress(uint32_t worker, WorkerStats& stats, std::vector<WorkItem>& batch,
                         trace::SpscTraceRing* ring);
+  // Whether a park sampled at (`wakeup_before`, `escalation`) may end: new
+  // work was published, the watchdog escalated, or the run is over. Reads
+  // without mc hooks, so the checker can block on it (see park() in
+  // WorkerMain).
+  struct ParkWait {
+    Executor* executor;
+    uint64_t wakeup_before;
+    uint64_t escalation;
+  };
+  static bool ParkMayEnd(const void* wait);
+  // Resets the per-run state shared by Run, RunFor and BeginCheckedRun.
+  void BeginRun(bool deadline_mode);
   // Shared driver behind Run and RunFor: spawns workers, supervises
   // crash-and-restart and the watchdog, joins, reports. duration_ms == 0
   // means closed-system mode (run until drained).
@@ -307,7 +364,7 @@ class Executor {
   // Executed sum at the end of the previous run: a reused instance reports
   // only the items submitted since then plus any a deadline left queued.
   uint64_t executed_at_run_start_ = 0;
-  // optsched-lint: allow(mc-hook-coverage): deadline-mode stop flag — wall-clock deadlines do not exist under the checker
+  // optsched-lint: allow(mc-hook-coverage): deadline-mode stop flag — set once per run; the checker's parks poll it hook-free (ParkMayEnd)
   std::atomic<bool> stop_{false};
   // Bumped by the supervisor when the watchdog escalates; workers snap out of
   // backoff when they observe a new epoch.
@@ -323,6 +380,9 @@ class Executor {
   // landing between a worker's last re-check and its park entry used to be
   // invisible until the park expired (regression: executor_wakeup_test).
   WakeupGate wakeup_;
+  // Checker seams; null and false in every executor-built run.
+  WorkerProbe* const probe_;
+  const bool broken_wakeup_gate_;
   bool deadline_mode_ = false;
   // Wall-clock origin of the current run; trace timestamps are relative μs.
   uint64_t run_start_ns_ = 0;

@@ -4,22 +4,28 @@
 
 namespace optsched::runtime {
 
-TerminationCounts::Sums TerminationCounts::Read(ConcurrentMachine& machine) const {
+TerminationCounts::Sums TerminationCounts::ReadSums(ConcurrentMachine& machine,
+                                                    bool hooks) const {
   Sums sums;
+  const auto sync = [hooks](const void* counter) {
+    if (hooks) {
+      mc_hooks::SyncPoint(mc_hooks::SyncOp::kCountLoad, counter);
+    }
+  };
   const auto read_executed = [&] {
     for (uint32_t i = 0; i < machine.num_queues(); ++i) {
       const WorkerCounts& slot = machine.queue(i).counts();
-      mc_hooks::SyncPoint(mc_hooks::SyncOp::kCountLoad, &slot.executed_items);
+      sync(&slot.executed_items);
       sums.executed += slot.executed_items.load(std::memory_order_acquire);
     }
   };
   const auto read_submitted = [&] {
-    mc_hooks::SyncPoint(mc_hooks::SyncOp::kCountLoad, &external_);
+    sync(&external_);
     // order: executed-then-submitted
     sums.submitted = external_.load(std::memory_order_relaxed);
     for (uint32_t i = 0; i < machine.num_queues(); ++i) {
       const WorkerCounts& slot = machine.queue(i).counts();
-      mc_hooks::SyncPoint(mc_hooks::SyncOp::kCountLoad, &slot.submitted_items);
+      sync(&slot.submitted_items);
       // order: executed-then-submitted
       sums.submitted += slot.submitted_items.load(std::memory_order_relaxed);
     }

@@ -80,13 +80,21 @@ class TerminationCounts {
   // The quiescence sum over every queue's slot of `machine`: executed first,
   // then external + submitted. sums.executed <= sums.submitted always holds;
   // equality means drained.
-  Sums Read(ConcurrentMachine& machine) const;
+  Sums Read(ConcurrentMachine& machine) const { return ReadSums(machine, /*hooks=*/true); }
   bool Drained(ConcurrentMachine& machine) const {
     const Sums sums = Read(machine);
     return sums.executed == sums.submitted;
   }
+  // Drained() without mc hooks, for the model checker's blocking predicates,
+  // which must not announce decision points of their own.
+  bool PeekDrained(ConcurrentMachine& machine) const {
+    const Sums sums = ReadSums(machine, /*hooks=*/false);
+    return sums.executed == sums.submitted;
+  }
 
  private:
+  Sums ReadSums(ConcurrentMachine& machine, bool hooks) const;
+
   // mc: kCountLoad, kCountStore
   std::atomic<uint64_t> external_{0};
   const bool broken_read_order_;

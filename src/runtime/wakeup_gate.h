@@ -19,8 +19,9 @@
 // its fence — see the work. A worker therefore announces on its first
 // fruitless round and parks only on a sample taken AFTER the announcement,
 // by way of one more full round of re-checks; it retracts when it gets an
-// item. Announcing after the last re-check instead reopens the lost-wakeup
-// window (the model checker's seeded `broken_wakeup_gate` fault).
+// item. Parking on the announcing round's own sample instead reopens the
+// lost-wakeup window (the model checker's seeded `broken_wakeup_gate`
+// fault, CheckerSeams in executor.h).
 
 #ifndef OPTSCHED_SRC_RUNTIME_WAKEUP_GATE_H_
 #define OPTSCHED_SRC_RUNTIME_WAKEUP_GATE_H_

@@ -124,8 +124,8 @@ TEST_P(ExecutorWakeupBackend, SingleNotifyOnParkEdgeIsNotStranded) {
   // every worker is deep in its park, with no follow-up traffic to paper
   // over a lost notify. If NotifyIngress landing between an owner's last
   // DrainIngress and its park entry could be missed, that round's item sits
-  // in the mailbox past the deadline. (The mc "wakeup" harness proves the
-  // interleaving exhaustively; this drives the real executor through it.)
+  // in the mailbox past the deadline. (The mc "ingress" harness proves the
+  // interleaving exhaustively on the shipped loop; this drives real threads.)
   runtime::ExecutorConfig config = DeepParkConfig();
   config.backend = GetParam();
   ingress::MailboxSet mailboxes(config.num_workers, /*capacity_per_mailbox=*/4);

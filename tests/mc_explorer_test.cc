@@ -3,7 +3,9 @@
 // minimized counterexample is produced for the broken one.
 
 #include <algorithm>
+#include <fstream>
 #include <functional>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -27,6 +29,10 @@
 #define MC_SKIP_UNDER_TSAN() GTEST_SKIP() << "ucontext fibers are not supported under TSan"
 #else
 #define MC_SKIP_UNDER_TSAN() (void)0
+#endif
+
+#ifndef MC_GOLDEN_DIR
+#define MC_GOLDEN_DIR "tests/golden"
 #endif
 
 namespace optsched::mc {
@@ -123,10 +129,12 @@ TEST(DfsExplorerTest, BrokenPolicyProducesMinimizedReplayableCounterexample) {
   };
 
   DfsExplorer::Options options;
-  // The bound must be 3 here: sleep sets prune the free-switch (yield-point)
-  // alternations as equivalent to representatives that spend preemptions, so
-  // the surviving member of the ping-pong's equivalence class costs 3 — the
-  // sleep-set x preemption-bound interaction docs/model_checking.md explains.
+  // The bound must be 3 here although the committed golden of this shape
+  // replays with one preemption: sleep sets prune the free-switch
+  // (yield-point) alternations as equivalent to representatives that spend
+  // preemptions, so the surviving member of the ping-pong's equivalence
+  // class costs 3 — the sleep-set x preemption-bound interaction
+  // docs/model_checking.md explains.
   options.max_preemptions = 3;
   DfsExplorer explorer(options);
   std::vector<uint32_t> counterexample;
@@ -249,33 +257,6 @@ TEST(DfsExplorerTest, BrokenBatchBoundProducesMinimizedReplayableCounterexample)
   EXPECT_TRUE(violated);
 }
 
-TEST(DfsExplorerTest, EpochBumpWakesEveryParkedWorkerInAllSchedules) {
-  MC_SKIP_UNDER_TSAN();
-  StealHarness::Config config;
-  config.mode = "epoch";
-  config.policy = "thread-count";
-  config.initial_loads = {0, 0, 0};  // supervisor + two parking workers
-  config.attempts_per_worker = 0;
-  StealHarness harness(config);
-
-  DfsExplorer::Options options;
-  options.max_preemptions = 2;
-  DfsExplorer explorer(options);
-  std::string violation;
-  const ExploreStats stats =
-      explorer.Explore(harness.Factory(), [&](const ExecutionResult& result, uint32_t) {
-        const std::vector<PropertyReport> reports = harness.Evaluate(result);
-        if (StealHarness::FirstViolation(reports) != nullptr) {
-          violation = Describe(reports);
-          return false;
-        }
-        return true;
-      });
-  EXPECT_FALSE(stats.stopped_by_sink) << violation;
-  // Both the park-then-bump and bump-then-no-park orders must appear.
-  EXPECT_GT(stats.schedules_explored, 1u);
-}
-
 TEST(DfsExplorerTest, DrainModeConservesItems) {
   MC_SKIP_UNDER_TSAN();
   StealHarness::Config config;
@@ -307,9 +288,10 @@ TEST(DfsExplorerTest, IngressModeDischargesNoLostAdmittedItems) {
   StealHarness::Config config;
   config.mode = "ingress";
   config.policy = "thread-count";
-  // Worker 0 is the producer; workers 1 and 2 own a mailbox and a runqueue.
+  // Worker 0 is the producer; workers 1 and 2 run the shipped loop, each
+  // owning a mailbox and a runqueue.
   config.initial_loads = {0, 0, 0};
-  config.attempts_per_worker = 3;  // 3 pushes, and a 3-attempt steal budget
+  config.attempts_per_worker = 3;  // 3 pushes, and a 3-round steal budget
   config.mailbox_capacity = 1;     // tiny bound: the full/refuse path is reachable
   StealHarness harness(config);
 
@@ -335,6 +317,8 @@ TEST(DfsExplorerTest, IngressModeDischargesNoLostAdmittedItems) {
   // no-lost-admitted-items holds in EVERY interleaving of the producer
   // against the draining owners: an admitted item ends up executed, queued,
   // or still mailbox-resident; refused pushes are loud (kUserMailboxShed).
+  // So do no-lost-wakeup and wakeup-no-stranded-items: every owner parked
+  // through a push is woken by the notify that follows it.
   EXPECT_FALSE(stats.stopped_by_sink) << violation;
   EXPECT_FALSE(stats.budget_exhausted);
   EXPECT_GT(stats.schedules_explored, 1u);
@@ -371,6 +355,49 @@ TEST(DfsExplorerTest, IngressScheduleRoundTripsThroughJson) {
   EXPECT_EQ(replayed.events, result.events);
   const std::vector<PropertyReport> reports = replay_harness.Evaluate(replayed);
   EXPECT_EQ(StealHarness::FirstViolation(reports), nullptr) << Describe(reports);
+}
+
+// Every fault-knob golden names a seeded fault and the property it violates.
+// Replayed, it spends some number of preemptions; the bounded DFS must find
+// the same violation at a bound no higher than that. Sleep sets that pruned
+// a schedule whose only explored equivalent needs more preemptions fail
+// this (the DFS used to need bound 3 for the 2-preemption termination-order
+// golden). The broken-cansteal ping-pong golden is left out: it replays with
+// one preemption and the DFS still needs bound 3 (see
+// BrokenPolicyProducesMinimizedReplayableCounterexample).
+TEST(DfsExplorerTest, FindsEverySeededFaultWithinItsGoldensPreemptions) {
+  MC_SKIP_UNDER_TSAN();
+  for (const char* name :
+       {"mc_broken_batch_minimized.json", "mc_broken_chaselev_minimized.json",
+        "mc_broken_join_counter.json", "mc_broken_termination_order.json",
+        "mc_broken_wakeup_gate.json"}) {
+    std::ifstream in(std::string(MC_GOLDEN_DIR) + "/" + name);
+    std::stringstream buffer;
+    buffer << in.rdbuf();
+    const std::optional<Schedule> golden = Schedule::FromJson(buffer.str());
+    ASSERT_TRUE(golden.has_value()) << name;
+    StealHarness harness(StealHarness::Config::FromSchedule(*golden));
+    const auto violates = [&](const ExecutionResult& result) {
+      for (const PropertyReport& report : harness.Evaluate(result)) {
+        if (report.name == golden->property && !report.holds) {
+          return true;
+        }
+      }
+      return false;
+    };
+    const ExecutionResult replayed = ReplayChoices(harness.Factory(), golden->choices);
+    ASSERT_TRUE(violates(replayed)) << name;
+
+    DfsExplorer::Options options;
+    options.max_preemptions = replayed.preemptions;
+    DfsExplorer explorer(options);
+    const ExploreStats stats = explorer.Explore(
+        harness.Factory(),
+        [&](const ExecutionResult& result, uint32_t) { return !violates(result); });
+    EXPECT_TRUE(stats.stopped_by_sink)
+        << name << ": no " << golden->property << " violation at bound "
+        << replayed.preemptions << " (" << stats.schedules_explored << " schedules)";
+  }
 }
 
 TEST(PctStrategyTest, RandomizedSamplingDischargesPropertiesOnThreadCount) {

@@ -95,6 +95,31 @@ TEST(McForkJoinTest, WiderFanoutSweepIsClean) {
                                 << (violation ? violation->detail : "");
 }
 
+TEST(McForkJoinTest, ChaseLevStealNeverSeesAnUncountedOwnerPush) {
+  MC_SKIP_UNDER_TSAN();
+  // PCT seeds (simctl --mc --mc-mode=pct --mc-harness=forkjoin
+  // --mc-backend=chase_lev --mc-workers=3 --mc-samples=3000 --seed=S) that
+  // failed while owner pushes stored their own_enq counters after the
+  // deque slots: a thief took an item its victim had not counted yet, and
+  // steal-safety blamed a correct victim. The counters now come first.
+  for (const uint64_t seed : {7u, 11u}) {
+    StealHarness::Config config = ForkJoinConfig(runtime::QueueBackend::kChaseLev, 3, 2, 2);
+    config.seed = seed;
+    StealHarness harness(config);
+    PctStrategy pct(harness.num_workers(), /*depth_estimate=*/256, /*num_change_points=*/3,
+                    seed);
+    for (int i = 0; i < 3000; ++i) {
+      Scheduler scheduler;
+      const ExecutionResult result = scheduler.Run(harness.MakeBodies(), pct);
+      const std::vector<PropertyReport> reports = harness.Evaluate(result);
+      const PropertyReport* violation = StealHarness::FirstViolation(reports);
+      ASSERT_EQ(violation, nullptr) << "seed " << seed << " sample " << i << ": "
+                                    << violation->name << " — " << violation->detail;
+      pct.Reset();
+    }
+  }
+}
+
 TEST(McForkJoinTest, BrokenJoinCounterIsFoundAndMinimized) {
   MC_SKIP_UNDER_TSAN();
   // The seeded fault: a plain load/store decrement pair. Two children

@@ -164,13 +164,14 @@ TEST(ReplayGoldenTest, CommittedBrokenBatchBoundStillIdlesItsVictim) {
   EXPECT_TRUE(violated) << "golden counterexample no longer violates steal-safety";
 }
 
-TEST(ReplayGoldenTest, CommittedBrokenChaseLevOrderStillLosesAnItem) {
+TEST(ReplayGoldenTest, CommittedBrokenChaseLevOrderStillExecutesAnItemTwice) {
   MC_SKIP_UNDER_TSAN();
   // The broken-memory-order golden: a thief reading bottom before top (no
   // fence) pairs a stale bottom with a fresh top and claims a slot the owner
-  // already executed. The double-claim shows up twice: the published depth
-  // underflows (published-depth) and the item multiset gains a duplicate
-  // (no-lost-items). The same sweep with the correct ordering is clean.
+  // already executed. The item runs twice, the executed sum overtakes the
+  // submitted sum, and the closed run can never read drained again: the
+  // thief parks for good (termination). The same sweep with the correct
+  // ordering is clean.
   const std::string path = std::string(MC_GOLDEN_DIR) + "/mc_broken_chaselev_minimized.json";
   std::ifstream in(path);
   ASSERT_TRUE(in.good()) << "missing golden file " << path;
@@ -183,24 +184,26 @@ TEST(ReplayGoldenTest, CommittedBrokenChaseLevOrderStillLosesAnItem) {
   EXPECT_EQ(schedule->ToJson(), content);
   EXPECT_EQ(schedule->backend, "chase_lev");
   EXPECT_TRUE(schedule->broken_steal_order);
-  EXPECT_EQ(schedule->property, "published-depth");
+  EXPECT_EQ(schedule->property, "termination");
 
   StealHarness harness(StealHarness::Config::FromSchedule(*schedule));
   const ExecutionResult result = ReplayChoices(harness.Factory(), schedule->choices);
   EXPECT_EQ(result.choices, schedule->choices);
-
-  bool depth_violated = false;
-  bool conservation_violated = false;
-  for (const PropertyReport& report : harness.Evaluate(result)) {
-    if (report.name == "published-depth" && !report.holds) {
-      depth_violated = true;
-    }
-    if (report.name == "no-lost-items" && !report.holds) {
-      conservation_violated = true;
+  EXPECT_TRUE(result.deadlock);
+  std::vector<uint64_t> executed;
+  for (const McEvent& event : result.events) {
+    if (event.user_kind == kUserExecuteItem) {
+      executed.push_back(static_cast<uint64_t>(event.arg0));
     }
   }
-  EXPECT_TRUE(depth_violated) << "golden no longer violates published-depth";
-  EXPECT_TRUE(conservation_violated) << "golden no longer violates no-lost-items";
+  std::sort(executed.begin(), executed.end());
+  EXPECT_NE(std::adjacent_find(executed.begin(), executed.end()), executed.end())
+      << "golden no longer executes an item twice";
+  bool violated = false;
+  for (const PropertyReport& report : harness.Evaluate(result)) {
+    violated |= report.name == "termination" && !report.holds;
+  }
+  EXPECT_TRUE(violated) << "golden no longer violates termination";
 }
 
 TEST(ReplayGoldenTest, CorrectChaseLevOrderSurvivesTheGoldenSchedule) {
@@ -257,14 +260,47 @@ TEST(McChaseLevTest, SizeOneTakeStealRaceIsExhaustivelyClean) {
   }
 }
 
-TEST(McWakeupModeTest, NotifyBetweenDrainAndParkNeverStrandsItems) {
+TEST(McChaseLevTest, InboxRefillIsNeverCountedTwiceByTheStealGate) {
   MC_SKIP_UNDER_TSAN();
-  // Exhaustive sweep of the notify/park handshake on both backends: no
-  // deadlock, no stranded mailbox items, conservation of admitted work.
+  // Seeded items wait in the owner's inbox until its first pop refills the
+  // deque. A thief whose gate counted the inbox before that refill and the
+  // deque after it saw every refilled item twice and took the owner's last
+  // item (steal-safety, found by the shipped-loop drain sweep). The gate now
+  // reads the inbox count after its peek, and the refill drops the count
+  // before it pushes.
+  StealHarness::Config config;
+  config.mode = "drain";
+  config.policy = "thread-count";
+  config.initial_loads = {0, 2, 0};
+  config.attempts_per_worker = 1;
+  config.backend = runtime::QueueBackend::kChaseLev;
+  StealHarness harness(config);
+
+  DfsExplorer::Options options;
+  options.max_preemptions = 2;
+  DfsExplorer explorer(options);
+  const PropertyReport* violation = nullptr;
+  std::vector<PropertyReport> reports;
+  const ExploreStats stats =
+      explorer.Explore(harness.Factory(), [&](const ExecutionResult& result, uint32_t) {
+        reports = harness.Evaluate(result);
+        violation = StealHarness::FirstViolation(reports);
+        return violation == nullptr;
+      });
+  EXPECT_FALSE(stats.budget_exhausted);
+  EXPECT_EQ(violation, nullptr)
+      << (violation ? violation->name : "") << " — " << (violation ? violation->detail : "");
+}
+
+TEST(McIngressModeTest, NotifyBetweenDrainAndParkNeverStrandsItems) {
+  MC_SKIP_UNDER_TSAN();
+  // Exhaustive sweep of the notify/park handshake of the shipped loop on
+  // both backends: no deadlock, no stranded mailbox items, conservation of
+  // admitted work.
   for (const auto backend :
        {runtime::QueueBackend::kLocked, runtime::QueueBackend::kChaseLev}) {
     StealHarness::Config config;
-    config.mode = "wakeup";
+    config.mode = "ingress";
     config.policy = "thread-count";
     config.initial_loads = {0, 0};
     config.attempts_per_worker = 2;
@@ -331,14 +367,15 @@ std::vector<uint32_t> FindAndMinimize(const StealHarness::Config& config, uint32
       [&](const ExecutionResult& result) { return Violates(harness, result, property); });
 }
 
-TEST(McWakeupModeTest, BrokenWakeupGateIsFoundAndMinimized) {
+TEST(McIngressModeTest, BrokenWakeupGateIsFoundAndMinimized) {
   MC_SKIP_UNDER_TSAN();
-  // The seeded gate fault: an owner announces itself idle only after its
-  // last mailbox re-check and parks on that round's sample. A push landing
-  // between the re-check and the announcement reads no idle owner, the
-  // gated notify skips its bump, and the owner parks through the item.
+  // The seeded gate fault: an owner parks on the sample of the round in
+  // which it announced itself idle, skipping the round that re-checks after
+  // the announcement. A push landing between that round's mailbox check and
+  // the announcement reads no idle owner, the gated notify skips its bump,
+  // and the owner parks through the item.
   StealHarness::Config config;
-  config.mode = "wakeup";
+  config.mode = "ingress";
   config.policy = "thread-count";
   config.initial_loads = {0, 0};
   config.attempts_per_worker = 2;
@@ -354,9 +391,7 @@ TEST(McForkJoinTerminationTest, BrokenTerminationOrderIsFoundAndMinimized) {
   // The seeded read-order fault: the quiescence sum reads the submitted
   // counts first, the root runs and spawns in between, and its executed
   // bump then balances the stale submitted sum — the idle worker exits with
-  // the children still queued. The DFS needs bound 3: its sleep sets make
-  // the two-preemption form of this schedule (found by PCT and committed as
-  // the golden) equivalent to one that starts the other worker first.
+  // the children still queued. Two preemptions suffice.
   StealHarness::Config config;
   config.mode = "forkjoin";
   config.policy = "thread-count";
@@ -365,7 +400,7 @@ TEST(McForkJoinTerminationTest, BrokenTerminationOrderIsFoundAndMinimized) {
   config.tree_depth = 1;
   config.fanout = 2;
   config.broken_termination_order = true;
-  const std::vector<uint32_t> minimized = FindAndMinimize(config, 3, "no-premature-exit");
+  const std::vector<uint32_t> minimized = FindAndMinimize(config, 2, "no-premature-exit");
   ASSERT_FALSE(minimized.empty()) << "checker missed the broken termination read order";
   StealHarness harness(config);
   EXPECT_TRUE(
@@ -412,7 +447,7 @@ TEST(ReplayGoldenTest, CommittedBrokenWakeupGateStillParksThroughAnItem) {
   const std::optional<Schedule> schedule = Schedule::FromJson(content);
   ASSERT_TRUE(schedule.has_value());
   EXPECT_EQ(schedule->ToJson(), content);
-  EXPECT_EQ(schedule->harness, "wakeup");
+  EXPECT_EQ(schedule->harness, "ingress");
   EXPECT_TRUE(schedule->broken_wakeup_gate);
   EXPECT_EQ(schedule->property, "no-lost-wakeup");
 
