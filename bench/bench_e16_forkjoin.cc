@@ -5,8 +5,8 @@
 //   E16a (alloc audit): a single-threaded micro-harness drains the entire
 //       fib and mergesort task trees through TaskGraph::RunItemOn with a
 //       sink that pushes straight into a ConcurrentRunQueue — the full
-//       steady-state spawn path (fork, child allocation from the warmed
-//       arena, batched owner push, join decrement, continuation hand-off)
+//       steady-state spawn path (fork, child allocation from the worker's
+//       free list, batched owner push, join decrement, continuation hand-off)
 //       with global operator-new calls counted inside the measured region.
 //       The first drain warms the arena and the queue to their high-water
 //       marks OUTSIDE the counted region; the audited rerun must allocate
@@ -110,6 +110,7 @@ struct AllocAudit {
   std::string kernel;
   std::string backend;
   uint64_t tasks = 0;
+  uint64_t arena_high_water = 0;  // TaskGraph::nodes_allocated() after the drain
   uint64_t allocs = 0;
   bool gated = false;  // only the chase_lev rows gate the exit code
 };
@@ -152,6 +153,7 @@ AllocAudit RunFibAudit(runtime::QueueBackend backend, uint64_t n, uint64_t cutof
                           workload::MakeFibRoot(graph, n, cutoff, &result),
                           /*counted=*/true);
   audit.allocs = g_allocs.load();
+  audit.arena_high_water = graph.nodes_allocated();
   if (result != workload::FibSequential(n)) {
     std::fprintf(stderr, "E16a fib audit computed the wrong value\n");
     std::abort();
@@ -184,6 +186,7 @@ AllocAudit RunMergesortAudit(runtime::QueueBackend backend, uint64_t n, uint64_t
       workload::MakeMergesortRoot(graph, data.data(), scratch.data(), n, cutoff),
       /*counted=*/true);
   audit.allocs = g_allocs.load();
+  audit.arena_high_water = graph.nodes_allocated();
   if (!std::is_sorted(data.begin(), data.end())) {
     std::fprintf(stderr, "E16a mergesort audit left the data unsorted\n");
     std::abort();
@@ -197,6 +200,9 @@ struct KernelResult {
   std::string kernel;
   std::string backend;
   uint64_t tasks = 0;
+  // Highest TaskGraph::nodes_allocated() over the measured runs: nodes are
+  // reused, so this tracks live nodes, not `tasks`.
+  uint64_t arena_high_water = 0;
   double tasks_per_ms = 0.0;
   uint64_t steal_successes = 0;
   uint64_t items_stolen = 0;
@@ -241,6 +247,7 @@ KernelResult RunFib(runtime::QueueBackend backend, uint32_t workers, uint64_t n,
     if (run < 0) {
       continue;  // discarded warmup: thread startup, first-touch, ramp
     }
+    result.arena_high_water = std::max<uint64_t>(result.arena_high_water, graph.nodes_allocated());
     if (report.throughput_items_per_ms() > result.tasks_per_ms) {
       result.tasks_per_ms = report.throughput_items_per_ms();
       result.tasks = report.total_items;
@@ -286,6 +293,7 @@ KernelResult RunMergesort(runtime::QueueBackend backend, uint32_t workers, uint6
     if (run < 0) {
       continue;
     }
+    result.arena_high_water = std::max<uint64_t>(result.arena_high_water, graph.nodes_allocated());
     if (report.throughput_items_per_ms() > result.tasks_per_ms) {
       result.tasks_per_ms = report.throughput_items_per_ms();
       result.tasks = report.total_items;
@@ -382,9 +390,11 @@ int Main(int argc, char** argv) {
   std::vector<std::vector<std::string>> rows;
   for (const AllocAudit& a : audits) {
     rows.push_back({a.kernel, a.backend, F("%llu", (unsigned long long)a.tasks),
+                    F("%llu", (unsigned long long)a.arena_high_water),
                     F("%llu", (unsigned long long)a.allocs), a.gated ? "yes" : "no"});
   }
-  bench::PrintTable({"kernel", "backend", "tasks", "heap allocs", "gated"}, rows);
+  bench::PrintTable({"kernel", "backend", "tasks", "arena high-water", "heap allocs", "gated"},
+                    rows);
   bool audit_ok = true;
   for (const AllocAudit& a : audits) {
     if (a.gated && a.allocs != 0) {
@@ -407,6 +417,7 @@ int Main(int argc, char** argv) {
   rows.clear();
   for (const KernelResult& k : kernels) {
     rows.push_back({k.kernel, k.backend, F("%llu", (unsigned long long)k.tasks),
+                    F("%llu", (unsigned long long)k.arena_high_water),
                     F("%.1f", k.tasks_per_ms),
                     F("%llu", (unsigned long long)k.steal_successes),
                     F("%llu", (unsigned long long)k.items_stolen),
@@ -414,7 +425,8 @@ int Main(int argc, char** argv) {
                     k.within_bound ? "yes" : "NO"});
   }
   bench::PrintTable(
-      {"kernel", "backend", "tasks", "tasks/ms", "steals", "items stolen", "bound", "within"},
+      {"kernel", "backend", "tasks", "arena high-water", "tasks/ms", "steals", "items stolen",
+       "bound", "within"},
       rows);
   bool tree_bound_ok = true;
   for (const KernelResult& k : kernels) {
@@ -457,18 +469,20 @@ int Main(int argc, char** argv) {
       (unsigned long long)sort_n, (unsigned long long)sort_cutoff);
   for (size_t i = 0; i < audits.size(); ++i) {
     json += F("%s{\"kernel\":\"%s\",\"backend\":\"%s\",\"tasks\":%llu,"
-              "\"heap_allocs\":%llu,\"gated\":%s}",
+              "\"arena_high_water\":%llu,\"heap_allocs\":%llu,\"gated\":%s}",
               i ? "," : "", audits[i].kernel.c_str(), audits[i].backend.c_str(),
-              (unsigned long long)audits[i].tasks, (unsigned long long)audits[i].allocs,
+              (unsigned long long)audits[i].tasks,
+              (unsigned long long)audits[i].arena_high_water, (unsigned long long)audits[i].allocs,
               audits[i].gated ? "true" : "false");
   }
   json += "],\"kernels\":[";
   for (size_t i = 0; i < kernels.size(); ++i) {
     json += F("%s{\"kernel\":\"%s\",\"backend\":\"%s\",\"tasks\":%llu,"
-              "\"tasks_per_ms\":%.2f,\"steal_successes\":%llu,\"items_stolen\":%llu,"
-              "\"steal_bound\":%llu,\"within_bound\":%s}",
+              "\"arena_high_water\":%llu,\"tasks_per_ms\":%.2f,\"steal_successes\":%llu,"
+              "\"items_stolen\":%llu,\"steal_bound\":%llu,\"within_bound\":%s}",
               i ? "," : "", kernels[i].kernel.c_str(), kernels[i].backend.c_str(),
-              (unsigned long long)kernels[i].tasks, kernels[i].tasks_per_ms,
+              (unsigned long long)kernels[i].tasks,
+              (unsigned long long)kernels[i].arena_high_water, kernels[i].tasks_per_ms,
               (unsigned long long)kernels[i].steal_successes,
               (unsigned long long)kernels[i].items_stolen,
               (unsigned long long)kernels[i].steal_bound,

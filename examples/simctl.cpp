@@ -107,6 +107,9 @@ void PrintUsage(const char* prog) {
   std::printf("  --mc-fanout=N       forkjoin harness: children per internal node (default 2)\n");
   std::printf("  --mc-broken-join    fault mode: plain load/store join decrement loses a\n");
   std::printf("                      concurrent arrival (join-fires-exactly-once cex)\n");
+  std::printf("  --mc-broken-node-recycle  fault mode: a non-last child frees the\n");
+  std::printf("                      continuation, whose reuse strands its join\n");
+  std::printf("                      (join-fires-exactly-once cex, forkjoin harness)\n");
   std::printf("  --mc-broken-termination-order  fault mode: the quiescence sum reads the\n");
   std::printf("                      submitted counts before the executed ones\n");
   std::printf("                      (no-premature-exit cex, forkjoin harness)\n");
@@ -231,6 +234,7 @@ int RunMcExplore(int argc, char** argv) {
   const int fanout = std::atoi(FlagValue(argc, argv, "mc-fanout", "2").c_str());
   config.fanout = fanout >= 1 ? static_cast<uint32_t>(fanout) : 2;
   config.broken_join_counter = HasFlag(argc, argv, "mc-broken-join");
+  config.broken_node_recycle = HasFlag(argc, argv, "mc-broken-node-recycle");
   config.broken_termination_order = HasFlag(argc, argv, "mc-broken-termination-order");
   config.broken_wakeup_gate = HasFlag(argc, argv, "mc-broken-wakeup-gate");
 
@@ -261,6 +265,7 @@ int RunMcExplore(int argc, char** argv) {
       {"mc-tree-depth", forkjoin_mode, "the forkjoin harness"},
       {"mc-fanout", forkjoin_mode, "the forkjoin harness"},
       {"mc-broken-join", forkjoin_mode, "the forkjoin harness"},
+      {"mc-broken-node-recycle", forkjoin_mode, "the forkjoin harness"},
       {"mc-broken-termination-order", forkjoin_mode, "the forkjoin harness"},
       {"mc-broken-wakeup-gate", ingress_mode, "the ingress harness"},
       {"mc-mailbox", ingress_mode, "the ingress harness"},

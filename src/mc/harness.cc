@@ -68,6 +68,7 @@ StealHarness::Config StealHarness::Config::FromSchedule(const Schedule& schedule
   config.tree_depth = schedule.tree_depth;
   config.fanout = schedule.fanout;
   config.broken_join_counter = schedule.broken_join_counter;
+  config.broken_node_recycle = schedule.broken_node_recycle;
   config.broken_termination_order = schedule.broken_termination_order;
   config.broken_wakeup_gate = schedule.broken_wakeup_gate;
   return config;
@@ -91,6 +92,8 @@ StealHarness::StealHarness(Config config)
   } else {
     OPTSCHED_CHECK_MSG(!config_.broken_join_counter,
                        "broken_join_counter is a forkjoin fault knob");
+    OPTSCHED_CHECK_MSG(!config_.broken_node_recycle,
+                       "broken_node_recycle is a forkjoin fault knob");
     OPTSCHED_CHECK_MSG(!config_.broken_termination_order,
                        "broken_termination_order is a forkjoin fault knob");
   }
@@ -168,7 +171,8 @@ std::vector<std::function<void()>> StealHarness::MakeBodies() {
     task_graph_ = std::make_unique<task::TaskGraph>(
         task::TaskGraphOptions{.max_workers = n,
                                .arena_capacity = static_cast<uint32_t>(capacity),
-                               .broken_join_counter = config_.broken_join_counter});
+                               .broken_join_counter = config_.broken_join_counter,
+                               .broken_node_recycle = config_.broken_node_recycle});
     tasks_ = std::make_unique<Tasks>(*task_graph_, n);
   }
   mailboxes_ = ingress ? std::make_unique<ingress::MailboxSet>(n, config_.mailbox_capacity)
@@ -429,6 +433,7 @@ Schedule StealHarness::MakeSchedule(const std::vector<uint32_t>& choices) const 
   schedule.tree_depth = config_.tree_depth;
   schedule.fanout = config_.fanout;
   schedule.broken_join_counter = config_.broken_join_counter;
+  schedule.broken_node_recycle = config_.broken_node_recycle;
   schedule.broken_termination_order = config_.broken_termination_order;
   schedule.broken_wakeup_gate = config_.broken_wakeup_gate;
   schedule.choices = choices;
@@ -640,10 +645,13 @@ std::vector<PropertyReport> StealHarness::Evaluate(const ExecutionResult& result
 
   if (forkjoin_mode) {
     // --- join-fires-exactly-once: every forked continuation's counter reaches
-    // zero exactly once. A lost decrement (broken_join_counter's plain
-    // load/store race) strands the continuation — fork with no fire; the
-    // acq_rel RMW chain makes a double fire structurally impossible, but the
-    // property checks both directions anyway.
+    // zero exactly once. Ids name node lifetimes (the item id carries the
+    // arena slot's generation), so a reused node is a new continuation. A
+    // lost decrement (broken_join_counter's plain load/store race) strands
+    // the continuation — fork with no fire — and so does a node reused while
+    // a child still owed it (broken_node_recycle); the acq_rel RMW chain
+    // makes a double fire structurally impossible, but the property checks
+    // both directions anyway.
     {
       bool holds = true;
       std::string detail;

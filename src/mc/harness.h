@@ -105,6 +105,11 @@ class StealHarness final : public runtime::WorkerProbe, public runtime::IngressS
     // plain load/store join decrement that can lose a concurrent arrival and
     // strand the continuation (join-fires-exactly-once).
     bool broken_join_counter = false;
+    // Fault knob ("forkjoin"): TaskGraphOptions::broken_node_recycle — a
+    // child that does not reach zero frees the continuation, whose node the
+    // freeing worker may reuse while siblings still owe it
+    // (join-fires-exactly-once).
+    bool broken_node_recycle = false;
     // Fault knob ("forkjoin"): TerminationCounts' broken_read_order — sum
     // the submitted counts before the executed ones (no-premature-exit).
     bool broken_termination_order = false;

@@ -205,6 +205,11 @@ std::string Schedule::ToJson() const {
            (broken_join_counter ? "true" : "false");
     out += std::string(",\n  \"broken_termination_order\": ") +
            (broken_termination_order ? "true" : "false");
+    // Written only when set, so the forkjoin goldens older than the knob
+    // stay byte-stable.
+    if (broken_node_recycle) {
+      out += ",\n  \"broken_node_recycle\": true";
+    }
   }
   if (harness == "ingress") {
     out += std::string(",\n  \"broken_wakeup_gate\": ") +
@@ -268,6 +273,7 @@ std::optional<Schedule> Schedule::FromJson(const std::string& json) {
   }
   scanner.GetBool("broken_join_counter", schedule.broken_join_counter);
   scanner.GetBool("broken_termination_order", schedule.broken_termination_order);
+  scanner.GetBool("broken_node_recycle", schedule.broken_node_recycle);
   scanner.GetBool("broken_wakeup_gate", schedule.broken_wakeup_gate);
   scanner.GetString("property", schedule.property);
   scanner.GetString("note", schedule.note);

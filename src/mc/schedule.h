@@ -54,6 +54,9 @@ struct Schedule {
   // Fault mode ("forkjoin"): plain load/store join decrement loses
   // concurrent arrivals, stranding the continuation (join-fires-exactly-once).
   bool broken_join_counter = false;
+  // Fault mode ("forkjoin"): a non-last child frees the continuation, so a
+  // reused node strands the join it still owed (join-fires-exactly-once).
+  bool broken_node_recycle = false;
   // Fault mode ("forkjoin"): the quiescence sum reads the submitted counts
   // before the executed ones, so a worker can exit while spawned items are
   // still queued (no-premature-exit).

@@ -1,6 +1,11 @@
 #include "src/task/task.h"
 
+#include <algorithm>
+#include <memory>
+#include <new>
+
 #include "src/base/check.h"
+#include "src/base/mutex.h"
 #include "src/runtime/mc_hooks.h"
 
 namespace optsched::task {
@@ -27,25 +32,33 @@ class ExecutorSink final : public SpawnSink {
 
 }  // namespace
 
+void TaskGraph::ArenaDeleter::operator()(TaskNode* nodes) const {
+  ::operator delete(nodes, std::align_val_t{alignof(TaskNode)});
+}
+
 TaskGraph::TaskGraph(const TaskGraphOptions& options)
     : options_(options),
-      arena_(std::make_unique<TaskNode[]>(options.arena_capacity)),
-      worker_state_(std::make_unique<WorkerState[]>(options.max_workers)) {
+      arena_(static_cast<TaskNode*>(::operator new(sizeof(TaskNode) * options.arena_capacity,
+                                                   std::align_val_t{alignof(TaskNode)}))),
+      worker_state_(std::make_unique<WorkerState[]>(options.max_workers)),
+      fire_lines_per_row_((options.max_workers + FireLine::kSlots - 1) / FireLine::kSlots),
+      fires_(std::make_unique<FireLine[]>(options.max_workers * fire_lines_per_row_)),
+      pool_(std::make_unique_for_overwrite<uint32_t[]>(options.arena_capacity / kChunk + 1)),
+      pool_capacity_(options.arena_capacity / kChunk + 1) {
   OPTSCHED_CHECK(options_.max_workers >= 1);
-  OPTSCHED_CHECK(options_.arena_capacity >= 1);
+  OPTSCHED_CHECK(options_.arena_capacity >= 1 && options_.arena_capacity < TaskNode::kNoNode);
 }
 
 TaskNode& TaskGraph::NewRoot(TaskBody body) {
   TaskNode* node = AllocNode(0);
   node->body = body;
-  node->parent = nullptr;
   done_.store(false, std::memory_order_relaxed);  // order: setup-single-threaded
   return *node;
 }
 
 WorkItem TaskGraph::ItemFor(TaskNode& node) const {
-  const uint64_t index = static_cast<uint64_t>(&node - arena_.get());
-  return WorkItem{.id = index + 1,
+  const uint64_t id = (static_cast<uint64_t>(node.generation) << 32) | (IndexOf(node) + 1ull);
+  return WorkItem{.id = id,
                   .work_units = 1,
                   .weight = 1024,
                   .arrival_ns = 0,
@@ -53,19 +66,24 @@ WorkItem TaskGraph::ItemFor(TaskNode& node) const {
 }
 
 void TaskGraph::Reset() {
+  constructed_ = std::max(constructed_, nodes_allocated());
   arena_next_.store(0, std::memory_order_relaxed);  // order: setup-single-threaded
+  pool_chunks_.store(0, std::memory_order_relaxed);  // order: setup-single-threaded
   for (uint32_t w = 0; w < options_.max_workers; ++w) {
-    worker_state_[w].chunk_next = 0;
-    worker_state_[w].chunk_end = 0;
-    // order: setup-single-threaded
-    worker_state_[w].outstanding.store(0, std::memory_order_relaxed);
+    worker_state_[w].free_head = TaskNode::kNoNode;
+    worker_state_[w].free_count = 0;
+    worker_state_[w].forks.store(0, std::memory_order_relaxed);  // order: setup-single-threaded
+    for (uint32_t f = 0; f < options_.max_workers; ++f) {
+      std::atomic<int64_t>& fired = FireCount(f, w);
+      fired.store(0, std::memory_order_relaxed);  // order: setup-single-threaded
+    }
   }
   done_.store(false, std::memory_order_relaxed);  // order: setup-single-threaded
 }
 
 uint32_t TaskGraph::nodes_allocated() const {
-  // Chunked handout over-counts by the unused tails of live chunks; fine for
-  // a headroom metric.
+  // Bumps move whole chunks, so this over-counts by the unused tails of the
+  // chunks on the free lists; fine for a headroom metric.
   const uint32_t next = arena_next_.load(std::memory_order_relaxed);  // order: arena-chunk-commutes
   return next < options_.arena_capacity ? next : options_.arena_capacity;
 }
@@ -74,32 +92,87 @@ int64_t TaskGraph::OutstandingFor(uint32_t worker) const {
   if (worker >= options_.max_workers) {
     return 0;
   }
+  // Fires first, with acquire: a fire read here carries the fork it settles,
+  // so the difference never goes negative.
+  int64_t settled = 0;
+  for (uint32_t f = 0; f < options_.max_workers; ++f) {
+    const std::atomic<int64_t>& fired = FireCount(f, worker);
+    settled += fired.load(std::memory_order_acquire);
+  }
   // order: watchdog-pending
-  return worker_state_[worker].outstanding.load(std::memory_order_relaxed);
+  return worker_state_[worker].forks.load(std::memory_order_relaxed) - settled;
 }
 
-// Arena handout is on the spawn hot path: a chunk grab is one relaxed
-// fetch_add; within a chunk it is two register increments.
+// Node handout is on the spawn hot path: a pop off the worker's own LIFO
+// list, so the node returned is the one it freed last.
 OPTSCHED_HOT_PATH TaskNode* TaskGraph::AllocNode(uint32_t worker) {
   OPTSCHED_CHECK(worker < options_.max_workers);
   WorkerState& state = worker_state_[worker];
-  if (state.chunk_next == state.chunk_end) {
-    // order: arena-chunk-commutes
-    const uint32_t begin = arena_next_.fetch_add(kAllocChunk, std::memory_order_relaxed);
-    OPTSCHED_CHECK_MSG(begin < options_.arena_capacity,
-                       "TaskGraph arena exhausted — size arena_capacity for the kernel "
-                       "(docs/tasks.md#sizing)");
-    state.chunk_next = begin;
-    state.chunk_end = begin + kAllocChunk;
-    if (state.chunk_end > options_.arena_capacity) {
-      state.chunk_end = options_.arena_capacity;
-    }
+  if (state.free_head == TaskNode::kNoNode) {
+    Refill(state);
   }
-  TaskNode* node = &arena_[state.chunk_next++];
-  node->parent = nullptr;
+  TaskNode* node = &arena_[state.free_head];
+  state.free_head = node->parent;
+  --state.free_count;
+  ++node->generation;
+  node->parent = TaskNode::kNoNode;
   node->join.store(0, std::memory_order_relaxed);  // order: join-init-prepublish
   node->forker = worker;
   return node;
+}
+
+OPTSCHED_HOT_PATH void TaskGraph::FreeNode(WorkerState& state, TaskNode* node) {
+  node->parent = state.free_head;
+  state.free_head = IndexOf(*node);
+  if (++state.free_count > kFreeListMax) {
+    Spill(state);
+  }
+}
+
+void TaskGraph::Refill(WorkerState& state) {
+  // order: pool-peek
+  if (pool_chunks_.load(std::memory_order_relaxed) != 0) {
+    LockGuard<runtime::SpinLock> guard(pool_lock_);
+    const uint32_t chunks = pool_chunks_.load(std::memory_order_relaxed);  // order: pool-locked
+    if (chunks != 0) {
+      state.free_head = pool_[chunks - 1];
+      state.free_count = kChunk;
+      pool_chunks_.store(chunks - 1, std::memory_order_relaxed);  // order: pool-locked
+      return;
+    }
+  }
+  // order: arena-chunk-commutes
+  const uint32_t begin = arena_next_.fetch_add(kChunk, std::memory_order_relaxed);
+  OPTSCHED_CHECK_MSG(begin < options_.arena_capacity,
+                     "TaskGraph arena exhausted — size arena_capacity for the live nodes "
+                     "(docs/tasks.md#sizing)");
+  const uint32_t end = std::min(begin + kChunk, options_.arena_capacity);
+  // Linked back to front, so the chunk is handed out in index order.
+  for (uint32_t i = end; i-- > begin;) {
+    if (i >= constructed_) {
+      std::construct_at(&arena_[i]);
+    }
+    arena_[i].parent = state.free_head;
+    state.free_head = i;
+  }
+  state.free_count = end - begin;
+}
+
+void TaskGraph::Spill(WorkerState& state) {
+  // Keep the most recently freed nodes (still in cache); the kChunk below
+  // them, the list's bottom, become one pool chunk.
+  uint32_t last_kept = state.free_head;
+  for (uint32_t i = 1; i < state.free_count - kChunk; ++i) {
+    last_kept = arena_[last_kept].parent;
+  }
+  const uint32_t chunk = arena_[last_kept].parent;
+  arena_[last_kept].parent = TaskNode::kNoNode;
+  state.free_count -= kChunk;
+  LockGuard<runtime::SpinLock> guard(pool_lock_);
+  const uint32_t chunks = pool_chunks_.load(std::memory_order_relaxed);  // order: pool-locked
+  OPTSCHED_CHECK_MSG(chunks < pool_capacity_, "TaskGraph pool overflow: a node was freed twice");
+  pool_[chunks] = chunk;
+  pool_chunks_.store(chunks + 1, std::memory_order_relaxed);  // order: pool-locked
 }
 
 // The join protocol: one atomic RMW per completed task, and the decrement
@@ -107,14 +180,14 @@ OPTSCHED_HOT_PATH TaskNode* TaskGraph::AllocNode(uint32_t worker) {
 // acq_rel RMW chain makes every sibling's result writes visible to the last
 // arriver; its queue push then publishes them to whoever pops the
 // continuation. Workers never wait here — that is the whole design.
-OPTSCHED_HOT_PATH void TaskGraph::CompleteTask(TaskNode* node, TaskContext& ctx) {
-  TaskNode* parent = node->parent;
-  if (parent == nullptr) {
+OPTSCHED_HOT_PATH void TaskGraph::CompleteTask(uint32_t parent_index, TaskContext& ctx) {
+  if (parent_index == TaskNode::kNoNode) {
     // Root completed: the graph is done. Release pairs with done()'s acquire
     // so a poller that sees the flag also sees the root's result words.
     done_.store(true, std::memory_order_release);
     return;
   }
+  TaskNode* parent = &arena_[parent_index];
   int32_t remaining;
   if (options_.broken_join_counter) {
     // Fault variant: a plain load/store pair instead of the RMW. Two
@@ -132,13 +205,18 @@ OPTSCHED_HOT_PATH void TaskGraph::CompleteTask(TaskNode* node, TaskContext& ctx)
     remaining = parent->join.fetch_sub(1, std::memory_order_acq_rel) - 1;
   }
   if (remaining != 0) {
+    if (options_.broken_node_recycle) {
+      // Fault variant: free the continuation while siblings still owe it.
+      FreeNode(worker_state_[ctx.worker_], parent);
+    }
     return;
   }
-  // Last arriver: the continuation's inputs are all written; hand it to this
-  // worker's queue and settle the forker's outstanding count.
-  // order: watchdog-pending
-  worker_state_[parent->forker].outstanding.fetch_sub(1, std::memory_order_relaxed);
-  ctx.sink_->OnJoinFire(ctx.worker_, static_cast<uint64_t>(parent - arena_.get()) + 1);
+  // Last arriver: the continuation's inputs are all written; settle the
+  // forker's count on this worker's own row and queue the continuation.
+  std::atomic<int64_t>& fired = FireCount(ctx.worker_, parent->forker);
+  // order: single-writer-count
+  fired.store(fired.load(std::memory_order_relaxed) + 1, std::memory_order_release);
+  ctx.sink_->OnJoinFire(ctx.worker_, ItemFor(*parent).id);
   ctx.Enqueue(*parent);
 }
 
@@ -149,8 +227,13 @@ OPTSCHED_HOT_PATH void TaskGraph::RunItemOn(const WorkItem& item, uint32_t worke
   TaskContext ctx(this, worker, &sink);
   ctx.current_ = node;
   node->body(ctx, *node);
+  // The node is dead: a fork moved its obligation to the continuation, and
+  // its children point there. Free it before the join, so the root's done
+  // flag is published after this worker's last write to the graph.
+  const uint32_t parent = node->parent;
+  FreeNode(worker_state_[worker], node);
   if (!ctx.deferred_) {
-    CompleteTask(node, ctx);
+    CompleteTask(parent, ctx);
   }
   // Flush strictly before returning: the worker is about to FinishCurrent
   // and look for more work, and held-back spawns would be invisible to
@@ -173,11 +256,11 @@ OPTSCHED_HOT_PATH TaskNode& TaskContext::ForkN(TaskBody continuation, uint32_t c
   cont->parent = current_->parent;
   // order: join-init-prepublish
   cont->join.store(static_cast<int32_t>(children), std::memory_order_relaxed);
-  cont->forker = worker_;
   deferred_ = true;
-  // order: watchdog-pending
-  graph_->worker_state_[worker_].outstanding.fetch_add(1, std::memory_order_relaxed);
-  sink_->OnFork(worker_, static_cast<uint64_t>(cont - graph_->arena_.get()) + 1, children);
+  std::atomic<int64_t>& forked = graph_->worker_state_[worker_].forks;
+  // order: single-writer-count
+  forked.store(forked.load(std::memory_order_relaxed) + 1, std::memory_order_relaxed);
+  sink_->OnFork(worker_, graph_->ItemFor(*cont).id, children);
   return *cont;
 }
 
@@ -190,7 +273,7 @@ OPTSCHED_HOT_PATH TaskContext::Fork2Nodes TaskContext::Fork2(TaskBody continuati
 OPTSCHED_HOT_PATH TaskNode& TaskContext::NewChild(TaskBody body, TaskNode& parent) {
   TaskNode* child = graph_->AllocNode(worker_);
   child->body = body;
-  child->parent = &parent;
+  child->parent = graph_->IndexOf(parent);
   return *child;
 }
 

@@ -12,12 +12,18 @@
 //     own runqueue. No task ever waits: a worker that finishes a child goes
 //     straight back to its deque, so joins cost one atomic RMW, never a
 //     blocked worker (the no-worker-blocks-on-join property, discharged by
-//     the mc `forkjoin` harness).
-//   * Nodes come from a bump-pointer arena preallocated by the graph and
-//     recycled by Reset(): after the first run, recursive decomposition
-//     performs ZERO heap allocations — spawns append to a small worker-local
-//     batch that flushes through Executor::SubmitFromWorker onto the owner's
-//     deque-bottom push path (rule hot-path-alloc; audited by bench_e16).
+//     the mc `forkjoin` harness). That decrement is the only shared-line RMW
+//     on the fork/join path: fork and fire counts are single-writer stores.
+//   * Nodes live in an arena preallocated by the graph. A node is dead once
+//     its own RunItemOn returns (children point at the continuation, never
+//     at the node that forked them), so the worker that ran it pushes it on
+//     its own LIFO free list and its next fork reuses the line still in L1.
+//     Surplus nodes move to a graph-wide pool in 16-node chunks; the arena is
+//     bumped only when both are empty, so its high-water mark tracks live
+//     nodes, not total work. Recursive decomposition performs ZERO heap
+//     allocations — spawns append to a small worker-local batch that flushes
+//     through Executor::SubmitFromWorker onto the owner's deque-bottom push
+//     path (rule hot-path-alloc; audited by bench_e16).
 //   * The graph implements runtime::TaskRunner, so the executor dispatches
 //     items with WorkItem::task != 0 here instead of the calibrated spin,
 //     and the conservation watchdog counts forked-but-unfired continuations
@@ -28,7 +34,8 @@
 // exactly the declared number of children. The counter never counts the
 // forking task itself — its obligation is transferred, not joined on —
 // which is what keeps "counter reaches zero" equivalent to "all inputs of
-// the continuation are ready".
+// the continuation are ready". Lifetime rule: nothing may touch a node after
+// its own run returned; results flow into the continuation's env words.
 
 #ifndef OPTSCHED_SRC_TASK_TASK_H_
 #define OPTSCHED_SRC_TASK_TASK_H_
@@ -36,8 +43,10 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <type_traits>
 
 #include "src/runtime/executor.h"
+#include "src/runtime/spinlock.h"
 #include "src/runtime/work_item.h"
 
 namespace optsched::task {
@@ -56,25 +65,33 @@ using TaskBody = void (*)(TaskContext& ctx, struct TaskNode& self);
 // hi) without any out-of-line environment allocation.
 struct alignas(runtime::kCacheLineSize) TaskNode {
   static constexpr uint32_t kEnvWords = 5;
+  // `parent` of the graph root, and the end of a free list.
+  static constexpr uint32_t kNoNode = UINT32_MAX;
 
   TaskBody body = nullptr;
-  // The join node notified when this task completes (null = graph root: its
-  // completion sets TaskGraph::done). For a continuation node this is the
-  // join the FORKING task owed — adopted at ForkN time.
-  TaskNode* parent = nullptr;
+  // Arena index of the join node notified when this task completes (kNoNode
+  // = graph root: its completion sets TaskGraph::done). For a continuation
+  // node this is the join the FORKING task owed — adopted at ForkN time.
+  // While the node is free, it links the next node of its free list.
+  uint32_t parent = kNoNode;
   // Children still outstanding; the decrement that reaches zero fires the
   // continuation. acq_rel on the RMW chains every child's env writes into
   // visibility for the last arriver, whose queue push then publishes them to
   // whichever worker pops the continuation.
   // mc: kTaskJoinDec, kTaskJoinLoad
   std::atomic<int32_t> join{0};
-  // Worker that forked this continuation — the outstanding-continuation
-  // counter it was charged to (see TaskGraph::OutstandingFor).
+  // Worker that forked this continuation — the fork count it was charged to
+  // (see TaskGraph::OutstandingFor).
   uint32_t forker = 0;
+  // Lifetimes this arena slot has begun: the high half of the item id, so a
+  // reused slot never repeats an id (TaskGraph::ItemFor).
+  uint32_t generation = 0;
   uint64_t env[kEnvWords] = {};
 };
 static_assert(sizeof(TaskNode) == runtime::kCacheLineSize,
               "TaskNode is sized to exactly one cache line");
+static_assert(std::is_trivially_destructible_v<TaskNode>,
+              "the arena releases its storage without running destructors");
 
 // Where a flushed spawn batch lands. The executor binding routes to
 // Executor::SubmitFromWorker; the mc harness and the allocation audit drive
@@ -90,8 +107,9 @@ class SpawnSink {
 
   // Observation hooks for the mc harness (default no-ops): a fork created
   // continuation `continuation_id` expecting `children` completions; a join
-  // counter reached zero and queued that continuation. In a correct run
-  // every forked id fires exactly once (join-fires-exactly-once).
+  // counter reached zero and queued that continuation. Ids are item ids, so
+  // they name one node lifetime, not an arena slot. In a correct run every
+  // forked id fires exactly once (join-fires-exactly-once).
   virtual void OnFork(uint32_t worker, uint64_t continuation_id, uint32_t children) {
     (void)worker;
     (void)continuation_id;
@@ -107,9 +125,12 @@ struct TaskGraphOptions {
   // Workers that may run tasks from this graph (per-worker spawn batching and
   // outstanding-continuation accounting are sized by this).
   uint32_t max_workers = 4;
-  // Nodes preallocated per graph; Reset() recycles them. Exhaustion is a
-  // loud CHECK, never a silent fallback allocation — size for the kernel
-  // (internal nodes * (fanout + 1) + root, see docs/tasks.md#sizing).
+  // Nodes preallocated per graph. Nodes are reused as tasks finish, so the
+  // arena must hold the nodes live at once plus the free-list slack (up to
+  // 32 per worker, handed out in 16-node chunks): O(W * depth) on chase_lev,
+  // but a breadth-first share of the tree on the locked backend, whose owner
+  // pops its oldest item. Exhaustion is a loud CHECK, never a silent
+  // fallback allocation (docs/tasks.md#sizing).
   uint32_t arena_capacity = 1u << 14;
   // Fault knob (mc `forkjoin` harness): replace the atomic join decrement
   // with a plain load/store pair. Two last-arriving children can then read
@@ -117,6 +138,12 @@ struct TaskGraphOptions {
   // the checker must find and minimize the join-fires-exactly-once
   // violation (tests/golden/mc_broken_join_counter.json).
   bool broken_join_counter = false;
+  // Fault knob (mc `forkjoin` harness): a child whose decrement does NOT
+  // reach zero also frees the continuation. The freeing worker's next fork
+  // reuses the node while the other children still point at it, so the
+  // original join never fires — the checker must find and minimize it
+  // (tests/golden/mc_broken_node_recycle.json).
+  bool broken_node_recycle = false;
 };
 
 // A reusable fork-join DAG: arena, join protocol, and the executor binding.
@@ -129,18 +156,22 @@ class TaskGraph : public runtime::TaskRunner {
   // Allocates the root task (parent = null). Call between runs only.
   TaskNode& NewRoot(TaskBody body);
 
-  // The submittable item for `node`: id = stable arena index + 1, task = the
-  // node handle. Submit through Executor::Submit/Seed before Run().
+  // The submittable item for `node`: id = generation << 32 | (arena index +
+  // 1), unique per node lifetime; task = the node handle. Submit through
+  // Executor::Submit/Seed before Run().
   runtime::WorkItem ItemFor(TaskNode& node) const;
 
   // True once the root task's subgraph fully completed.
   bool done() const { return done_.load(std::memory_order_acquire); }
 
-  // Rewinds the arena and the done flag for the next run. All nodes handed
-  // out so far are invalidated; steady-state reruns allocate nothing.
+  // Rewinds the arena, the free lists, the pool, the counts and the done
+  // flag for the next run. All nodes handed out so far are invalidated;
+  // steady-state reruns allocate nothing.
   void Reset();
 
-  // Nodes handed out since construction/Reset (capacity headroom metric).
+  // Arena high-water since construction/Reset: nodes ever bumped out of the
+  // arena, in 16-node chunks. Reused nodes do not count again, so this tracks
+  // the live-node peak plus free-list slack, not the nodes a run executed.
   uint32_t nodes_allocated() const;
 
   // Runs `item`'s task body on `worker`, completing the join protocol and
@@ -159,32 +190,80 @@ class TaskGraph : public runtime::TaskRunner {
  private:
   friend class TaskContext;
 
-  // Chunked bump allocation: a worker grabs kAllocChunk indices per shared
-  // fetch_add, so concurrent spawning does not serialize on the cursor.
-  static constexpr uint32_t kAllocChunk = 16;
+  // Arena bumps and pool transfers move this many nodes at once.
+  static constexpr uint32_t kChunk = 16;
+  // A free list longer than this spills its kChunk coldest nodes to the pool.
+  static constexpr uint32_t kFreeListMax = 32;
 
+  // Owner-private except `forks`, which the watchdog reads.
   struct alignas(runtime::kCacheLineSize) WorkerState {
-    uint32_t chunk_next = 0;
-    uint32_t chunk_end = 0;
-    // Continuations this worker forked that have not fired yet. Relaxed
-    // counters read by the supervisor's watchdog only — pending-work
-    // accounting, never a scheduling decision input.
+    // LIFO free list, linked through TaskNode::parent: the head is the node
+    // this worker freed last, still hot in its cache.
+    uint32_t free_head = TaskNode::kNoNode;
+    uint32_t free_count = 0;
+    // Continuations this worker forked since Reset. Single writer (this
+    // worker) bumping with load+store; the watchdog subtracts the fires.
     // optsched-lint: allow(mc-hook-coverage): watchdog pending-work bookkeeping, read only by the supervisor outside the checked protocol
-    std::atomic<int64_t> outstanding{0};
+    std::atomic<int64_t> forks{0};
   };
 
+  // One firer's row: continuations it fired, indexed by their forker.
+  struct alignas(runtime::kCacheLineSize) FireLine {
+    static constexpr uint32_t kSlots = runtime::kCacheLineSize / sizeof(int64_t);
+    // Single writer (the firing worker), release stores so OutstandingFor's
+    // acquire reads of the fires see every fork they settle.
+    // optsched-lint: allow(mc-hook-coverage): watchdog pending-work bookkeeping, read only by the supervisor outside the checked protocol
+    std::atomic<int64_t> by_forker[kSlots];
+  };
+
+  uint32_t IndexOf(const TaskNode& node) const {
+    return static_cast<uint32_t>(&node - arena_.get());
+  }
+  std::atomic<int64_t>& FireCount(uint32_t firer, uint32_t forker) const {
+    return fires_[firer * fire_lines_per_row_ + forker / FireLine::kSlots]
+        .by_forker[forker % FireLine::kSlots];
+  }
+
   TaskNode* AllocNode(uint32_t worker);
-  // Join protocol for a task that returned complete: decrement the parent's
-  // counter; the arriver that reaches zero queues the continuation.
-  void CompleteTask(TaskNode* node, TaskContext& ctx);
+  void FreeNode(WorkerState& state, TaskNode* node);
+  // Cold paths of the free list: refill an empty list from the pool, else
+  // from a fresh arena chunk; spill a list past kFreeListMax to the pool.
+  void Refill(WorkerState& state);
+  void Spill(WorkerState& state);
+  // Join protocol for a task that returned complete: decrement the counter
+  // of its parent (arena index, or kNoNode for the root); the arriver that
+  // reaches zero queues the continuation.
+  void CompleteTask(uint32_t parent_index, TaskContext& ctx);
+
+  // Raw storage: a node is constructed when a bump first hands it out, so
+  // pages past the high-water are never touched and resident memory tracks
+  // the live nodes, not arena_capacity.
+  struct ArenaDeleter {
+    void operator()(TaskNode* nodes) const;
+  };
 
   TaskGraphOptions options_;
-  std::unique_ptr<TaskNode[]> arena_;
-  // Shared arena cursor. Chunk handout order is irrelevant to the protocol
+  std::unique_ptr<TaskNode[], ArenaDeleter> arena_;
+  // Nodes below this index were constructed by an earlier run and keep their
+  // generation. Advanced only by Reset, so workers read it race-free.
+  uint32_t constructed_ = 0;
+  // Shared arena cursor, bumped a chunk at a time once a worker's list and
+  // the pool are empty. Chunk handout order is irrelevant to the protocol
   // (any distinct indices work), so concurrent bumps commute.
   // optsched-lint: allow(mc-hook-coverage): arena chunk cursor — handout order is protocol-irrelevant, any interleaving yields distinct indices
   std::atomic<uint32_t> arena_next_{0};
   std::unique_ptr<WorkerState[]> worker_state_;
+  uint32_t fire_lines_per_row_;
+  std::unique_ptr<FireLine[]> fires_;
+  // Graph-wide pool of kChunk-node free lists, by head index. Sized for
+  // every node at once, so pushing never allocates.
+  runtime::SpinLock pool_lock_;
+  std::unique_ptr<uint32_t[]> pool_ OPTSCHED_PT_GUARDED_BY(pool_lock_);
+  uint32_t pool_capacity_;
+  // Chunks in the pool. Written under pool_lock_; Refill peeks it without the
+  // lock so an empty pool costs no lock round trip.
+  // optsched-lint: allow(mc-hook-coverage): pool occupancy peek — a stale read only sends a refill to the arena or to an empty pool, and pool_lock_ carries the hooks
+  std::atomic<uint32_t> pool_chunks_{0};
   // Root-completion flag. The executor terminates on its TerminationCounts
   // quiescence sum; harnesses and benches poll this at loop boundaries
   // (every poll sits between Yield decision points under the checker).

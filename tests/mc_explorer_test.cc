@@ -369,8 +369,8 @@ TEST(DfsExplorerTest, FindsEverySeededFaultWithinItsGoldensPreemptions) {
   MC_SKIP_UNDER_TSAN();
   for (const char* name :
        {"mc_broken_batch_minimized.json", "mc_broken_chaselev_minimized.json",
-        "mc_broken_join_counter.json", "mc_broken_termination_order.json",
-        "mc_broken_wakeup_gate.json"}) {
+        "mc_broken_join_counter.json", "mc_broken_node_recycle.json",
+        "mc_broken_termination_order.json", "mc_broken_wakeup_gate.json"}) {
     std::ifstream in(std::string(MC_GOLDEN_DIR) + "/" + name);
     std::stringstream buffer;
     buffer << in.rdbuf();

@@ -1,6 +1,7 @@
 // The "forkjoin" mc harness: exhaustive sweeps of the continuation-counted
 // join protocol (src/task) over the real queues on both backends, the seeded
-// broken-join-counter fault, and the committed golden counterexample.
+// broken-join-counter and broken-node-recycle faults, and their committed
+// golden counterexamples.
 
 #include <fstream>
 #include <optional>
@@ -120,34 +121,11 @@ TEST(McForkJoinTest, ChaseLevStealNeverSeesAnUncountedOwnerPush) {
   }
 }
 
-TEST(McForkJoinTest, BrokenJoinCounterIsFoundAndMinimized) {
-  MC_SKIP_UNDER_TSAN();
-  // The seeded fault: a plain load/store decrement pair. Two children
-  // completing concurrently read the same counter value, one decrement is
-  // lost, and the continuation strands — the checker must find the
-  // join-fires-exactly-once violation and the shrunk schedule must still
-  // violate it.
-  StealHarness::Config config = ForkJoinConfig(runtime::QueueBackend::kLocked, 2, 1, 2);
-  config.broken_join_counter = true;
+// The DFS at preemption bound 2 must find a join-fires-exactly-once
+// violation under `config`'s seeded fault, and the shrunk schedule must still
+// violate it.
+void ExpectJoinViolationFoundAndMinimized(const StealHarness::Config& config) {
   StealHarness harness(config);
-
-  DfsExplorer::Options options;
-  options.max_preemptions = 2;
-  DfsExplorer explorer(options);
-  std::vector<uint32_t> counterexample;
-  const ExploreStats stats =
-      explorer.Explore(harness.Factory(), [&](const ExecutionResult& result, uint32_t) {
-        for (const PropertyReport& report : harness.Evaluate(result)) {
-          if (report.name == "join-fires-exactly-once" && !report.holds) {
-            counterexample = result.choices;
-            return false;
-          }
-        }
-        return true;
-      });
-  (void)stats;
-  ASSERT_FALSE(counterexample.empty()) << "checker missed the broken join counter";
-
   auto still_violates = [&](const ExecutionResult& result) {
     for (const PropertyReport& report : harness.Evaluate(result)) {
       if (report.name == "join-fires-exactly-once" && !report.holds) {
@@ -156,16 +134,52 @@ TEST(McForkJoinTest, BrokenJoinCounterIsFoundAndMinimized) {
     }
     return false;
   };
+
+  DfsExplorer::Options options;
+  options.max_preemptions = 2;
+  DfsExplorer explorer(options);
+  std::vector<uint32_t> counterexample;
+  explorer.Explore(harness.Factory(), [&](const ExecutionResult& result, uint32_t) {
+    if (still_violates(result)) {
+      counterexample = result.choices;
+      return false;
+    }
+    return true;
+  });
+  ASSERT_FALSE(counterexample.empty()) << "checker missed the seeded fault";
+
   const std::vector<uint32_t> minimized =
       MinimizeCounterexample(harness.Factory(), counterexample, still_violates);
   EXPECT_LE(minimized.size(), counterexample.size());
   EXPECT_TRUE(still_violates(ReplayChoices(harness.Factory(), minimized)));
 }
 
+TEST(McForkJoinTest, BrokenJoinCounterIsFoundAndMinimized) {
+  MC_SKIP_UNDER_TSAN();
+  // The seeded fault: a plain load/store decrement pair. Two children
+  // completing concurrently read the same counter value, one decrement is
+  // lost, and the continuation strands.
+  StealHarness::Config config = ForkJoinConfig(runtime::QueueBackend::kLocked, 2, 1, 2);
+  config.broken_join_counter = true;
+  ExpectJoinViolationFoundAndMinimized(config);
+}
+
+TEST(McForkJoinTest, BrokenNodeRecycleIsFoundAndMinimized) {
+  MC_SKIP_UNDER_TSAN();
+  // The seeded fault: a child whose decrement leaves the join above zero
+  // frees the continuation. The worker's next fork reuses the node while a
+  // sibling still owes it, and the original join never fires. Node ids
+  // carry a generation, so the property tells the two lifetimes apart.
+  StealHarness::Config config = ForkJoinConfig(runtime::QueueBackend::kLocked, 2, 2, 2);
+  config.broken_node_recycle = true;
+  ExpectJoinViolationFoundAndMinimized(config);
+}
+
 TEST(McForkJoinTest, ScheduleRoundTripsForkJoinFields) {
   StealHarness::Config config = ForkJoinConfig(runtime::QueueBackend::kChaseLev, 3, 3, 2);
   config.broken_join_counter = true;
   config.broken_termination_order = true;
+  config.broken_node_recycle = true;
   StealHarness harness(config);
   const Schedule schedule = harness.MakeSchedule({0, 1, 2});
   const std::optional<Schedule> parsed = Schedule::FromJson(schedule.ToJson());
@@ -177,57 +191,83 @@ TEST(McForkJoinTest, ScheduleRoundTripsForkJoinFields) {
   EXPECT_EQ(round.fanout, 2u);
   EXPECT_TRUE(round.broken_join_counter);
   EXPECT_TRUE(round.broken_termination_order);
+  EXPECT_TRUE(round.broken_node_recycle);
+}
+
+// A committed forkjoin golden: byte-stable through the schedule parser, and
+// its replay follows the recorded choices.
+std::optional<Schedule> LoadGolden(const char* name) {
+  const std::string path = std::string(MC_GOLDEN_DIR) + "/" + name;
+  std::ifstream in(path);
+  EXPECT_TRUE(in.good()) << "missing golden file " << path;
+  std::stringstream buffer;
+  buffer << in.rdbuf();
+  std::optional<Schedule> schedule = Schedule::FromJson(buffer.str());
+  EXPECT_TRUE(schedule.has_value()) << path;
+  if (schedule.has_value()) {
+    EXPECT_EQ(schedule->ToJson(), buffer.str()) << path;
+    EXPECT_EQ(schedule->harness, "forkjoin") << path;
+    EXPECT_EQ(schedule->property, "join-fires-exactly-once") << path;
+  }
+  return schedule;
+}
+
+// Replays `schedule`; true when join-fires-exactly-once is violated. With
+// `expect_clean` (the fault knob turned off, so the run may leave the
+// recorded choices) every property must hold; without it the replay must
+// follow the recorded choices exactly.
+bool ReplayViolatesJoin(const Schedule& schedule, bool expect_clean) {
+  StealHarness harness(StealHarness::Config::FromSchedule(schedule));
+  const ExecutionResult result = ReplayChoices(harness.Factory(), schedule.choices);
+  if (!expect_clean) {
+    EXPECT_EQ(result.choices, schedule.choices);  // no divergence
+  }
+  bool violated = false;
+  for (const PropertyReport& report : harness.Evaluate(result)) {
+    violated |= report.name == "join-fires-exactly-once" && !report.holds;
+    if (expect_clean) {
+      EXPECT_TRUE(report.holds) << report.name << ": " << report.detail;
+    }
+  }
+  return violated;
 }
 
 TEST(McForkJoinGoldenTest, CommittedBrokenJoinCounterStillStrandsItsContinuation) {
   MC_SKIP_UNDER_TSAN();
-  const std::string path = std::string(MC_GOLDEN_DIR) + "/mc_broken_join_counter.json";
-  std::ifstream in(path);
-  ASSERT_TRUE(in.good()) << "missing golden file " << path;
-  std::stringstream buffer;
-  buffer << in.rdbuf();
-  const std::string content = buffer.str();
-
-  const std::optional<Schedule> schedule = Schedule::FromJson(content);
+  const std::optional<Schedule> schedule = LoadGolden("mc_broken_join_counter.json");
   ASSERT_TRUE(schedule.has_value());
-  // Serialization is byte-stable: re-emitting the parsed schedule reproduces
-  // the committed file.
-  EXPECT_EQ(schedule->ToJson(), content);
-  EXPECT_EQ(schedule->harness, "forkjoin");
   EXPECT_TRUE(schedule->broken_join_counter);
-  EXPECT_EQ(schedule->property, "join-fires-exactly-once");
-
-  StealHarness harness(StealHarness::Config::FromSchedule(*schedule));
-  const ExecutionResult result = ReplayChoices(harness.Factory(), schedule->choices);
-  EXPECT_EQ(result.choices, schedule->choices);  // no divergence
-
-  bool violated = false;
-  for (const PropertyReport& report : harness.Evaluate(result)) {
-    if (report.name == "join-fires-exactly-once" && !report.holds) {
-      violated = true;
-    }
-  }
-  EXPECT_TRUE(violated) << "golden no longer violates join-fires-exactly-once";
+  EXPECT_TRUE(ReplayViolatesJoin(*schedule, /*expect_clean=*/false))
+      << "golden no longer violates join-fires-exactly-once";
 }
 
 TEST(McForkJoinGoldenTest, CorrectJoinCounterSurvivesTheGoldenSchedule) {
   MC_SKIP_UNDER_TSAN();
   // The SAME schedule with the atomic RMW restored must be clean: the
   // violation is pinned on the lost decrement, not on the harness.
-  const std::string path = std::string(MC_GOLDEN_DIR) + "/mc_broken_join_counter.json";
-  std::ifstream in(path);
-  ASSERT_TRUE(in.good()) << "missing golden file " << path;
-  std::stringstream buffer;
-  buffer << in.rdbuf();
-  std::optional<Schedule> schedule = Schedule::FromJson(buffer.str());
+  std::optional<Schedule> schedule = LoadGolden("mc_broken_join_counter.json");
   ASSERT_TRUE(schedule.has_value());
   schedule->broken_join_counter = false;
+  EXPECT_FALSE(ReplayViolatesJoin(*schedule, /*expect_clean=*/true));
+}
 
-  StealHarness harness(StealHarness::Config::FromSchedule(*schedule));
-  const ExecutionResult result = ReplayChoices(harness.Factory(), schedule->choices);
-  for (const PropertyReport& report : harness.Evaluate(result)) {
-    EXPECT_TRUE(report.holds) << report.name << ": " << report.detail;
-  }
+TEST(McForkJoinGoldenTest, CommittedBrokenNodeRecycleStillStrandsItsContinuation) {
+  MC_SKIP_UNDER_TSAN();
+  const std::optional<Schedule> schedule = LoadGolden("mc_broken_node_recycle.json");
+  ASSERT_TRUE(schedule.has_value());
+  EXPECT_TRUE(schedule->broken_node_recycle);
+  EXPECT_TRUE(ReplayViolatesJoin(*schedule, /*expect_clean=*/false))
+      << "golden no longer violates join-fires-exactly-once";
+}
+
+TEST(McForkJoinGoldenTest, ShippedRecycleSurvivesTheGoldenSchedule) {
+  MC_SKIP_UNDER_TSAN();
+  // The same schedule with nodes freed only at the end of their own run is
+  // clean: reuse is safe once the lifetime rule holds.
+  std::optional<Schedule> schedule = LoadGolden("mc_broken_node_recycle.json");
+  ASSERT_TRUE(schedule.has_value());
+  schedule->broken_node_recycle = false;
+  EXPECT_FALSE(ReplayViolatesJoin(*schedule, /*expect_clean=*/true));
 }
 
 }  // namespace

@@ -127,6 +127,7 @@ TEST(TaskGraphTest, ResetRecyclesTheArenaAcrossRuns) {
   for (int run = 0; run < 3; ++run) {
     uint64_t counter = 0;
     graph.Reset();
+    EXPECT_EQ(graph.nodes_allocated(), 0u);
     TaskNode& root = graph.NewRoot(CountingRoot);
     root.env[0] = reinterpret_cast<uint64_t>(&counter);
     root.env[1] = 2;
@@ -138,18 +139,125 @@ TEST(TaskGraphTest, ResetRecyclesTheArenaAcrossRuns) {
     }
     EXPECT_TRUE(graph.done());
     EXPECT_EQ(counter, 1002u);
-    // Same tree, same arena: the node budget must not grow run over run.
-    EXPECT_LE(graph.nodes_allocated(), 64u);
+    // The high-water is one bumped chunk, run over run: the four nodes of
+    // the tree come out of it, and reuse never bumps again.
+    EXPECT_EQ(graph.nodes_allocated(), 16u);
   }
 }
 
 TEST(TaskGraphTest, ArenaIndexIdsAreStable) {
   TaskGraph graph(TaskGraphOptions{.max_workers = 1, .arena_capacity = 16});
-  TaskNode& root = graph.NewRoot(CountingRoot);
+  RecordingSink sink;
+  TaskNode& root = graph.NewRoot(CountingLeaf);
+  uint64_t counter = 0;
+  root.env[0] = reinterpret_cast<uint64_t>(&counter);
   const WorkItem item = graph.ItemFor(root);
-  EXPECT_EQ(item.id, 1u);  // arena index 0 → id 1 (0 is "no task")
+  // Low half: arena index 0 → 1 (0 is "no task"); high half: the slot's
+  // first lifetime.
+  EXPECT_EQ(item.id, (uint64_t{1} << 32) | 1u);
+  EXPECT_EQ(graph.ItemFor(root).id, item.id);  // stable for the lifetime
   EXPECT_NE(item.task, 0u);
   EXPECT_EQ(item.work_units, 1u);
+  graph.RunItemOn(item, 0, sink);
+  EXPECT_TRUE(graph.done());
+
+  // Reset rewinds the arena, so the next root takes slot 0 again. The slot
+  // keeps its generation across Reset, so the id's high half moves on: same
+  // low half, new id.
+  graph.Reset();
+  TaskNode& again = graph.NewRoot(CountingLeaf);
+  const WorkItem reused = graph.ItemFor(again);
+  EXPECT_EQ(&again, &root);
+  EXPECT_EQ(reused.id, (uint64_t{2} << 32) | 1u);
+}
+
+// A round forks `kLeaves` leaves under a continuation that is the next
+// round: env[0] = rounds left, env[1] = leaf counter.
+constexpr uint32_t kLeaves = 4;
+
+void RoundTask(TaskContext& ctx, TaskNode& self) {
+  if (self.env[0] == 0) {
+    return;
+  }
+  TaskNode& next = ctx.ForkN(RoundTask, kLeaves);
+  next.env[0] = self.env[0] - 1;
+  next.env[1] = self.env[1];
+  for (uint32_t i = 0; i < kLeaves; ++i) {
+    TaskNode& leaf = ctx.NewChild(CountingLeaf, next);
+    leaf.env[0] = self.env[1];
+    ctx.Spawn(leaf);
+  }
+}
+
+TEST(TaskGraphTest, NodesFreedOnAnotherWorkerComeBackThroughThePool) {
+  // Worker 0 runs every round and allocates every node; worker 1 runs every
+  // leaf and so frees four nodes a round that it never allocates. Without
+  // the pool worker 0 would bump the arena each round and exhaust it; with
+  // it, a run of 50x the arena's capacity stays inside the arena.
+  constexpr uint32_t kCapacity = 64;
+  constexpr uint64_t kRounds = 50 * kCapacity / (kLeaves + 1) + 1;
+  TaskGraph graph(TaskGraphOptions{.max_workers = 2, .arena_capacity = kCapacity});
+  RecordingSink sinks[2];
+  uint64_t leaves = 0;
+  TaskNode& root = graph.NewRoot(RoundTask);
+  root.env[0] = kRounds;
+  root.env[1] = reinterpret_cast<uint64_t>(&leaves);
+  std::deque<WorkItem> queues[2];
+  queues[0].push_back(graph.ItemFor(root));
+  uint64_t executed = 0;
+  while (!queues[0].empty() || !queues[1].empty()) {
+    const uint32_t w = queues[0].empty() ? 1 : 0;
+    const WorkItem item = queues[w].front();
+    queues[w].pop_front();
+    graph.RunItemOn(item, w, sinks[w]);
+    ++executed;
+    for (RecordingSink& sink : sinks) {
+      for (const WorkItem& ready : sink.ready) {
+        const bool leaf = reinterpret_cast<TaskNode*>(ready.task)->body == CountingLeaf;
+        queues[leaf ? 1 : 0].push_back(ready);
+      }
+      sink.ready.clear();
+    }
+    // Worker 0 forked the round whose leaves are queued; worker 1 fires it.
+    EXPECT_EQ(graph.OutstandingFor(0), queues[1].empty() ? 0 : 1);
+    EXPECT_EQ(graph.OutstandingFor(1), 0);
+  }
+  EXPECT_TRUE(graph.done());
+  EXPECT_EQ(leaves, kRounds * kLeaves);
+  EXPECT_EQ(executed, kRounds * (kLeaves + 1) + 1);
+  EXPECT_GE(executed, 50u * kCapacity);
+  EXPECT_LE(graph.nodes_allocated(), kCapacity);
+  EXPECT_EQ(sinks[0].forks.size(), kRounds);
+  EXPECT_TRUE(sinks[0].fires.empty());
+  EXPECT_EQ(sinks[1].fires.size(), kRounds);
+}
+
+TEST(TaskGraphTest, ItemIdsAreUniqueWithinADrain) {
+  // A drain of ~1k tasks through a 64-node arena reuses every slot many
+  // times over; the generation keeps every item id distinct.
+  TaskGraph graph(TaskGraphOptions{.max_workers = 1, .arena_capacity = 64});
+  RecordingSink sink;
+  uint64_t result = 0;
+  std::vector<WorkItem> stack = {workload::MakeFibRoot(graph, 18, 6, &result)};
+  std::vector<uint64_t> ids;
+  std::vector<uint64_t> slots;
+  while (!stack.empty()) {
+    const WorkItem item = stack.back();
+    stack.pop_back();
+    ids.push_back(item.id);
+    slots.push_back(item.id & 0xffffffffu);
+    graph.RunItemOn(item, 0, sink);
+    stack.insert(stack.end(), sink.ready.begin(), sink.ready.end());
+    sink.ready.clear();
+  }
+  ASSERT_TRUE(graph.done());
+  EXPECT_EQ(result, workload::FibSequential(18));
+  std::sort(ids.begin(), ids.end());
+  EXPECT_EQ(std::adjacent_find(ids.begin(), ids.end()), ids.end()) << "an item id repeated";
+  std::sort(slots.begin(), slots.end());
+  slots.erase(std::unique(slots.begin(), slots.end()), slots.end());
+  EXPECT_LE(slots.size(), 64u);
+  EXPECT_GT(ids.size(), 10 * slots.size());
 }
 
 class TaskExecutorTest : public ::testing::TestWithParam<runtime::QueueBackend> {};
@@ -201,6 +309,36 @@ TEST_P(TaskExecutorTest, FourThiefStressOverFib) {
 // fork).
 uint64_t FibInternalNodes(uint64_t n, uint64_t cutoff) {
   return n < cutoff ? 0 : 1 + FibInternalNodes(n - 1, cutoff) + FibInternalNodes(n - 2, cutoff);
+}
+
+TEST_P(TaskExecutorTest, FibRunsInAnArenaAFractionOfItsNodes) {
+  // fib(36, cutoff 12) executes 3 * I(36) + 1 = 589,252 tasks on three
+  // workers. On chase_lev the owner pops its newest item, so the live nodes
+  // stay O(W * depth) and an arena sized for fib(30) — 32,836 nodes, 1/18 of
+  // the tasks — holds the run. The locked backend pops its oldest item, so
+  // its live set is breadth-first (about a sixth of the tree); it gets the
+  // full-tree arena, and the run must still be exact. Either way every
+  // worker's fork count must settle.
+  const bool lifo = GetParam() == runtime::QueueBackend::kChaseLev;
+  const uint64_t tasks = 3 * FibInternalNodes(36, 12) + 1;
+  const uint32_t capacity =
+      static_cast<uint32_t>(lifo ? 3 * FibInternalNodes(30, 12) + 1 : tasks);
+  TaskGraph graph(TaskGraphOptions{.max_workers = 3, .arena_capacity = capacity});
+  runtime::Executor executor(policies::MakeThreadCount(), BaseConfig(GetParam(), graph, 3));
+  uint64_t result = 0;
+  executor.Seed(0, {workload::MakeFibRoot(graph, 36, 12, &result)});
+  const runtime::ExecutorReport report = executor.Run();
+  EXPECT_TRUE(graph.done());
+  EXPECT_EQ(result, workload::FibSequential(36));
+  EXPECT_EQ(report.total_items, tasks);
+  if (lifo) {
+    EXPECT_EQ(capacity, 32836u);
+    EXPECT_GT(tasks, 17u * capacity);
+  }
+  EXPECT_LE(graph.nodes_allocated(), capacity);
+  for (uint32_t w = 0; w < 3; ++w) {
+    EXPECT_EQ(graph.OutstandingFor(w), 0) << "worker " << w;
+  }
 }
 
 TEST_P(TaskExecutorTest, BackToBackTinyDrainsNeverTerminateEarly) {
