@@ -118,7 +118,8 @@ int64_t StealHarness::InitialPotential() const {
 }
 
 // "forkjoin" mode's task runner: the real src/task join protocol, spawning
-// through the executor's own SubmitFromWorker (count, owner push, notify).
+// through the executor's own SubmitFromWorker (count, owner push, notify) and
+// ending each body with its run-next handoff (HandOffFromWorker).
 // The harness adds only its notes, and tracks which workers are inside a
 // body for no-worker-blocks-on-join.
 class StealHarness::Tasks final : public runtime::TaskRunner, public task::SpawnSink {
@@ -135,9 +136,11 @@ class StealHarness::Tasks final : public runtime::TaskRunner, public task::Spawn
 
   void SubmitBatch(uint32_t worker, const WorkItem* items, uint32_t count) override {
     executor_->SubmitFromWorker(worker, items, count);
-    for (uint32_t i = 0; i < count; ++i) {
-      ActiveScheduler()->Note(kUserTaskSpawn, static_cast<int64_t>(items[i].id), worker);
-    }
+    NoteSpawns(worker, items, count);
+  }
+  void SubmitFinalBatch(uint32_t worker, const WorkItem* items, uint32_t count) override {
+    executor_->HandOffFromWorker(worker, items, count);
+    NoteSpawns(worker, items, count);
   }
   void OnFork(uint32_t worker, uint64_t continuation_id, uint32_t children) override {
     ActiveScheduler()->Note(kUserTaskFork, static_cast<int64_t>(continuation_id),
@@ -150,6 +153,13 @@ class StealHarness::Tasks final : public runtime::TaskRunner, public task::Spawn
   bool in_body(uint32_t worker) const { return in_body_[worker]; }
 
  private:
+  // The handed item counts as spawned like the pushed ones (no-lost-spawns).
+  static void NoteSpawns(uint32_t worker, const WorkItem* items, uint32_t count) {
+    for (uint32_t i = 0; i < count; ++i) {
+      ActiveScheduler()->Note(kUserTaskSpawn, static_cast<int64_t>(items[i].id), worker);
+    }
+  }
+
   task::TaskGraph& graph_;
   runtime::Executor* executor_ = nullptr;
   std::vector<bool> in_body_;

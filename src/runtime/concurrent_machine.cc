@@ -183,6 +183,31 @@ std::optional<WorkItem> ConcurrentRunQueue::FinishCurrentAndPop() {
   return item;
 }
 
+OPTSCHED_HOT_PATH void ConcurrentRunQueue::FinishCurrentAndRun(const WorkItem& next) {
+  if (backend_ == QueueBackend::kLocked) {
+    LockGuard guard(lock_);
+    OPTSCHED_CHECK(running_);
+    running_weight_ = next.weight;
+    PublishLocked();
+    return;
+  }
+  OPTSCHED_CHECK(running_a_.load(std::memory_order_relaxed) == 1);  // order: single-writer-store
+  // order: single-writer-store
+  const int64_t w = running_weight_a_.load(std::memory_order_relaxed);
+  if (next.weight == w) {
+    return;
+  }
+  // One decision point, like FinishCurrent. `next` is counted in before the
+  // finished item is counted out: a reader between the stores sees both.
+  mc_hooks::SyncPoint(mc_hooks::SyncOp::kDequeLoadWrite, this);
+  // order: single-writer-store, handoff-count-before-finish
+  own_enq_weight_.store(own_enq_weight_.load(std::memory_order_relaxed) + next.weight,
+                        std::memory_order_relaxed);
+  running_weight_a_.store(next.weight, std::memory_order_relaxed);  // order: single-writer-store
+  // order: single-writer-store, handoff-count-before-finish
+  fin_weight_.store(fin_weight_.load(std::memory_order_relaxed) + w, std::memory_order_relaxed);
+}
+
 void ConcurrentRunQueue::Push(WorkItem item) {
   if (backend_ == QueueBackend::kLocked) {
     LockGuard guard(lock_);

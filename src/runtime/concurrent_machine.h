@@ -104,6 +104,15 @@ class ConcurrentRunQueue {
   // popped" state is never published — no lock holder could have observed
   // it anyway. kChaseLev runs the two calls back to back.
   std::optional<WorkItem> FinishCurrentAndPop() OPTSCHED_EXCLUDES(lock_);
+  // Finishes the current item and makes `next`, which the owner holds and
+  // this queue never held, the running item: the run-next handoff
+  // (Executor::HandOffFromWorker). The task count stays as it is, since one
+  // running item replaces another. kLocked moves the running weight in one
+  // lock hold and one publish. kChaseLev stores own_enq_weight before
+  // fin_weight, so the weighted load only over-counts in between, and stores
+  // nothing when the two weights are equal. The task counters do not move,
+  // so FinishedCount() still counts only finishes that lowered the load.
+  void FinishCurrentAndRun(const WorkItem& next) OPTSCHED_EXCLUDES(lock_);
   // Enqueues a new item from ANY thread (kLocked: tail under the lock;
   // kChaseLev: the inbox — only the owner may touch the deque's bottom).
   void Push(WorkItem item) OPTSCHED_EXCLUDES(lock_);

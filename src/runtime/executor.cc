@@ -1,7 +1,10 @@
 #include "src/runtime/executor.h"
 
+#include <pthread.h>
+
 #include <algorithm>
 #include <chrono>
+#include <ctime>
 #include <thread>
 
 #include "src/base/check.h"
@@ -25,8 +28,23 @@ uint64_t NowNs() {
                                    .count());
 }
 
-// Opaque spin so the optimizer cannot delete the "work".
-void DoWork(uint64_t units, uint64_t spin_per_unit) {
+// CPU time `thread` has consumed; 0 once it has exited or been joined.
+uint64_t ThreadCpuNs(std::thread& thread) {
+  clockid_t clock;
+  timespec now;
+  if (!thread.joinable() || pthread_getcpuclockid(thread.native_handle(), &clock) != 0 ||
+      clock_gettime(clock, &now) != 0) {
+    return 0;
+  }
+  return static_cast<uint64_t>(now.tv_sec) * 1'000'000'000ull + static_cast<uint64_t>(now.tv_nsec);
+}
+
+// Opaque spin so the optimizer cannot delete the "work". Out of line and
+// cache-line aligned, so its loop sits at the same place whatever the worker
+// loop around it looks like: inlined into WorkerMain, it moved with every
+// edit there, and a placement whose loop branch sat on a 32-byte boundary
+// ran the same spin about 9% slower (EXPERIMENTS.md E22).
+__attribute__((noinline, aligned(64))) void DoWork(uint64_t units, uint64_t spin_per_unit) {
   volatile uint64_t sink = 0;
   for (uint64_t u = 0; u < units; ++u) {
     for (uint64_t i = 0; i < spin_per_unit; ++i) {
@@ -215,6 +233,7 @@ Executor::Executor(std::shared_ptr<const BalancePolicy> policy, const ExecutorCo
                               .deque_capacity = config.chase_lev_capacity,
                               .broken_steal_order = seams.broken_steal_order}),
       counts_(seams.broken_termination_order),
+      run_next_(std::make_unique<RunNextSlot[]>(config.num_workers)),
       probe_(seams.probe),
       broken_wakeup_gate_(seams.broken_wakeup_gate) {
   OPTSCHED_CHECK(policy_ != nullptr);
@@ -297,6 +316,29 @@ OPTSCHED_HOT_PATH void Executor::SubmitFromWorker(uint32_t worker, const WorkIte
   // through the spawn burst re-run their steal filter and find the new
   // subtree. While no worker is idle this is a fence and a load, no write.
   wakeup_.Notify();
+}
+
+// SubmitFromWorker for a body's final flush, minus the work the last item
+// does not need: it stays on this worker, so it is neither pushed nor popped
+// and wakes nobody. Its count is stored now, while the parent item still
+// runs, so the parent's executed bump covers it exactly as it covers a
+// pushed child. Only the pushed items are notified, after their push.
+OPTSCHED_HOT_PATH void Executor::HandOffFromWorker(uint32_t worker, const WorkItem* items,
+                                                   uint32_t count) {
+  OPTSCHED_CHECK(worker < machine_.num_queues());
+  if (count == 0) {
+    return;
+  }
+  RunNextSlot& slot = run_next_[worker];
+  OPTSCHED_CHECK_MSG(!slot.full, "one run-next handoff per item");
+  ConcurrentRunQueue& own = machine_.queue(worker);
+  TerminationCounts::AddSubmitted(own.counts(), count);
+  if (count > 1) {
+    own.PushBatchOwner(items, count - 1);
+    wakeup_.Notify();
+  }
+  slot.item = items[count - 1];
+  slot.full = true;
 }
 
 void Executor::NotifyIngress(uint32_t /*worker*/) {
@@ -472,10 +514,11 @@ OPTSCHED_HOT_PATH void Executor::WorkerMain(uint32_t worker_index, WorkerStats& 
   };
 
   // The item this worker runs, carried between iterations: popped at the
-  // loop top, or handed over by the previous item's fused finish+pop, or
-  // landed by a steal. It is already the queue's running item, so the loop
-  // never exits, parks or crashes while holding one — a carried item runs
-  // to completion even past a RunFor deadline.
+  // loop top, or handed over by the previous item's fused finish+pop or by
+  // its body's run-next handoff, or landed by a steal. It is already the
+  // queue's running item, so the loop never exits, parks or crashes while
+  // holding one — a carried item runs to completion even past a RunFor
+  // deadline.
   std::optional<WorkItem> item;
   uint64_t wakeup_before = 0;
   while (item.has_value() || keep_running()) {
@@ -500,14 +543,23 @@ OPTSCHED_HOT_PATH void Executor::WorkerMain(uint32_t worker_index, WorkerStats& 
     if (item.has_value()) {
       // Got an item: no longer idle, so wakers stop bumping on our account.
       retract();
+      // The run-next slot, when the body left an item in it.
+      RunNextSlot* handed = nullptr;
       if (item->task != 0) {
         // Structured-parallelism item: the task layer runs the body and
-        // flushes any spawned children back through SubmitFromWorker before
-        // returning — all while this item still counts as running, so the
-        // counter ordering note in SubmitFromWorker holds.
+        // flushes any spawned children back through SubmitFromWorker or
+        // HandOffFromWorker before returning — all while this item still
+        // counts as running, so the counter ordering note in
+        // SubmitFromWorker holds. The slot is read only here: flat items
+        // never hand off, so their path pays nothing for it.
         OPTSCHED_CHECK_MSG(task_runner != nullptr,
                            "task item submitted without a task_runner configured");
         task_runner->RunItem(*item, *this, worker_index);
+        RunNextSlot& slot = run_next_[worker_index];
+        if (slot.full) {
+          slot.full = false;
+          handed = &slot;
+        }
       } else {
         DoWork(item->work_units, config_.spin_per_unit);
       }
@@ -523,13 +575,23 @@ OPTSCHED_HOT_PATH void Executor::WorkerMain(uint32_t worker_index, WorkerStats& 
       // sample is taken here: this worker is not announced, so it cannot
       // park before passing the loop top again.
       // Nothing more is popped by a worker about to crash or past a RunFor
-      // deadline. A closed run needs no deadline check here: a queued item
-      // is submitted but not executed, so the run cannot read as drained.
+      // deadline, and a handed item goes back on the own queue, counted
+      // since its handoff, where the restarted worker, a thief or the next
+      // run finds it. A closed run needs no deadline check here: a queued
+      // item is submitted but not executed, so the run cannot read as
+      // drained. Otherwise the handed item takes over the running slot.
       const bool crashing = injector != nullptr && injector->CrashWorker(worker_index);
       const uint64_t ran_id = item->id;
       if (crashing || (deadline_mode_ && stop_.load(std::memory_order_acquire))) {
+        if (handed != nullptr) {
+          own.PushBatchOwner(&handed->item, 1);
+          wakeup_.Notify();
+        }
         own.FinishCurrent();
         item.reset();
+      } else if (handed != nullptr) {
+        own.FinishCurrentAndRun(handed->item);
+        item = handed->item;
       } else {
         item = own.FinishCurrentAndPop();
       }
@@ -777,7 +839,9 @@ ExecutorReport Executor::RunInternal(uint64_t duration_ms,
   // joined here before its thread object is reused.
   const uint64_t restart_delay_ns = config_.fault_plan.crash_restart_us * 1000ull;
   LoadSnapshot watchdog_snapshot;  // reused across polls
-  std::vector<int64_t> watchdog_pending;  // mailbox depths; empty when no ingress
+  std::vector<int64_t> watchdog_pending;  // per worker: work it has that no queue shows
+  // Each worker thread's CPU time at the previous poll.
+  std::vector<uint64_t> watchdog_cpu_ns(config_.num_workers, 0);
   for (;;) {
     const uint64_t now = NowNs();
     if (deadline_mode_ && !stop_.load(std::memory_order_acquire) && now >= stop_at) {
@@ -835,16 +899,24 @@ ExecutorReport Executor::RunInternal(uint64_t duration_ms,
       // system — its children are running elsewhere and the last arriver will
       // submit it — so a deep fork-join drain must read as pending load, not
       // as a persistent conservation violation.
-      if (config_.ingress != nullptr || config_.task_runner != nullptr) {
-        watchdog_pending.assign(config_.num_workers, 0);
-        for (uint32_t i = 0; i < config_.num_workers; ++i) {
-          if (config_.ingress != nullptr) {
-            watchdog_pending[i] += config_.ingress->PendingFor(i);
-          }
-          if (config_.task_runner != nullptr) {
-            watchdog_pending[i] += config_.task_runner->OutstandingFor(i);
-          }
+      // A worker the OS did not run since the previous sample is excused the
+      // same way: it was shown no load it could act on, so a descheduled
+      // thread is not an idle core. Without this, a host with more runnable
+      // threads than CPUs read its time-slice waits as persistent violations
+      // (ingress_chaos_test; ROADMAP item 7).
+      watchdog_pending.assign(config_.num_workers, 0);
+      for (uint32_t i = 0; i < config_.num_workers; ++i) {
+        if (config_.ingress != nullptr) {
+          watchdog_pending[i] += config_.ingress->PendingFor(i);
         }
+        if (config_.task_runner != nullptr) {
+          watchdog_pending[i] += config_.task_runner->OutstandingFor(i);
+        }
+        const uint64_t cpu_ns = ThreadCpuNs(slots[i]->thread);
+        if (cpu_ns == watchdog_cpu_ns[i]) {
+          ++watchdog_pending[i];
+        }
+        watchdog_cpu_ns[i] = cpu_ns;
       }
       if (watchdog.ObserveRound((now - start) / 1000, watchdog_snapshot.task_count,
                                 watchdog_pending, &watchdog_trace)) {

@@ -60,8 +60,12 @@ class TaskRunner {
 
   // Executes `item` (item.task != 0) on `worker`'s thread, in place of the
   // calibrated spin. Children spawned and join continuations fired while the
-  // body runs must be submitted through Executor::SubmitFromWorker before
-  // this returns — a worker never holds back runnable work across items.
+  // body runs must be submitted before this returns: through
+  // Executor::SubmitFromWorker, or, for the body's final flush, through
+  // Executor::HandOffFromWorker, which keeps the flush's last item back as
+  // the one this worker runs next. A worker holds back at most that item,
+  // and never past the end of `item`: the loop runs it next, or pushes it
+  // back on a crash or a RunFor deadline.
   virtual void RunItem(const WorkItem& item, Executor& executor, uint32_t worker) = 0;
 
   // Join continuations forked by `worker` that have not yet been submitted
@@ -287,6 +291,14 @@ class Executor {
   // siblings come looking for the new work.
   void SubmitFromWorker(uint32_t worker, const WorkItem* items, uint32_t count);
 
+  // The run-next handoff: the final flush of the task body `worker` runs.
+  // Counts the whole batch as SubmitFromWorker does, pushes all but the last
+  // item (notifying only when it pushed any), and keeps the last item in the
+  // worker's run-next slot. The loop runs it next, in place of a pop, so it
+  // skips the push and pop, their fences and the wakeup notify. At most one
+  // call per item, from inside TaskRunner::RunItem on `worker`'s own thread.
+  void HandOffFromWorker(uint32_t worker, const WorkItem* items, uint32_t count);
+
   // True once the run deadline passed; producers should poll this and return.
   bool stopped() const { return stop_.load(std::memory_order_acquire); }
 
@@ -380,6 +392,13 @@ class Executor {
   // landing between a worker's last re-check and its park entry used to be
   // invisible until the park expired (regression: executor_wakeup_test).
   WakeupGate wakeup_;
+  // One run-next slot per worker (HandOffFromWorker), written and read only
+  // by that worker's own thread. Empty whenever the worker is between items.
+  struct alignas(kCacheLineSize) RunNextSlot {
+    WorkItem item;
+    bool full = false;
+  };
+  std::unique_ptr<RunNextSlot[]> run_next_;
   // Checker seams; null and false in every executor-built run.
   WorkerProbe* const probe_;
   const bool broken_wakeup_gate_;

@@ -60,12 +60,13 @@ class TerminationCounts {
   }
 
   // Owner of `slot` only, BEFORE the items become poppable (the push that
-  // follows publishes the store along with the items).
+  // follows publishes the store along with the items) and, for an item
+  // handed to run next, before the running item's AddExecuted.
   static void AddSubmitted(WorkerCounts& slot, uint64_t n) {
     mc_hooks::SyncPoint(mc_hooks::SyncOp::kCountStore, &slot.submitted_items);
     // order: single-writer-count
     const uint64_t mine = slot.submitted_items.load(std::memory_order_relaxed);
-    // order: count-before-publish
+    // order: count-before-publish, count-before-executed
     slot.submitted_items.store(mine + n, std::memory_order_relaxed);
   }
 

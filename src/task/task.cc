@@ -17,13 +17,17 @@ using runtime::WorkItem;
 namespace {
 
 // The executor binding: spawn batches land on the worker's own deque through
-// the worker-context submit seam.
+// the worker-context submit seam, and a body's final flush hands its last
+// item to the worker to run next.
 class ExecutorSink final : public SpawnSink {
  public:
   explicit ExecutorSink(runtime::Executor& executor) : executor_(executor) {}
 
   void SubmitBatch(uint32_t worker, const WorkItem* items, uint32_t count) override {
     executor_.SubmitFromWorker(worker, items, count);
+  }
+  void SubmitFinalBatch(uint32_t worker, const WorkItem* items, uint32_t count) override {
+    executor_.HandOffFromWorker(worker, items, count);
   }
 
  private:
@@ -237,8 +241,9 @@ OPTSCHED_HOT_PATH void TaskGraph::RunItemOn(const WorkItem& item, uint32_t worke
   }
   // Flush strictly before returning: the worker is about to FinishCurrent
   // and look for more work, and held-back spawns would be invisible to
-  // thieves and to the termination count.
-  ctx.Flush();
+  // thieves and to the termination count. The sink may keep the last item
+  // back for this worker to run next; it is counted all the same.
+  ctx.FlushFinal();
 }
 
 void TaskGraph::RunItem(const WorkItem& item, runtime::Executor& executor, uint32_t worker) {
@@ -293,6 +298,15 @@ OPTSCHED_HOT_PATH void TaskContext::Flush() {
   const uint32_t count = batch_size_;
   batch_size_ = 0;
   sink_->SubmitBatch(worker_, batch_, count);
+}
+
+OPTSCHED_HOT_PATH void TaskContext::FlushFinal() {
+  if (batch_size_ == 0) {
+    return;
+  }
+  const uint32_t count = batch_size_;
+  batch_size_ = 0;
+  sink_->SubmitFinalBatch(worker_, batch_, count);
 }
 
 }  // namespace optsched::task

@@ -24,6 +24,12 @@
 //     allocations — spawns append to a small worker-local batch that flushes
 //     through Executor::SubmitFromWorker onto the owner's deque-bottom push
 //     path (rule hot-path-alloc; audited by bench_e16).
+//   * The flush that ends a body hands its last item — the last child a
+//     fork spawned, or the continuation a join just fired — to the same
+//     worker to run next (Executor::HandOffFromWorker). Only the items
+//     before it are pushed, and a flush of one item pushes nothing and wakes
+//     nobody, so a leaf's fired continuation and a fork's last child skip
+//     the deque push, its pop and their fences.
 //   * The graph implements runtime::TaskRunner, so the executor dispatches
 //     items with WorkItem::task != 0 here instead of the calibrated spin,
 //     and the conservation watchdog counts forked-but-unfired continuations
@@ -94,9 +100,11 @@ static_assert(std::is_trivially_destructible_v<TaskNode>,
               "the arena releases its storage without running destructors");
 
 // Where a flushed spawn batch lands. The executor binding routes to
-// Executor::SubmitFromWorker; the mc harness and the allocation audit drive
-// ConcurrentMachine directly through their own sinks, so the whole
-// fork/join/spawn path runs unmodified under the model checker.
+// Executor::SubmitFromWorker, and a body's final flush to
+// Executor::HandOffFromWorker; the mc harness does the same through its own
+// sink, adding its notes, and the allocation audit drives ConcurrentMachine
+// directly, so the whole fork/join/spawn path runs unmodified under the
+// model checker.
 class SpawnSink {
  public:
   virtual ~SpawnSink() = default;
@@ -104,6 +112,14 @@ class SpawnSink {
   // `count` ready-to-run items for `worker`'s OWN runqueue (owner push path).
   virtual void SubmitBatch(uint32_t worker, const runtime::WorkItem* items,
                            uint32_t count) = 0;
+
+  // The flush that ends a body (RunItemOn's last). The executor binding
+  // hands the last item to `worker` to run next (Executor::
+  // HandOffFromWorker); every other sink takes it as one more SubmitBatch.
+  virtual void SubmitFinalBatch(uint32_t worker, const runtime::WorkItem* items,
+                                uint32_t count) {
+    SubmitBatch(worker, items, count);
+  }
 
   // Observation hooks for the mc harness (default no-ops): a fork created
   // continuation `continuation_id` expecting `children` completions; a join
@@ -273,8 +289,9 @@ class TaskGraph : public runtime::TaskRunner {
 
 // The per-item view a running body forks and spawns through. Stack-allocated
 // by RunItemOn; holds the worker-local spawn batch (flushed to the sink at
-// the latest when the body's item finishes, so a worker never exits an item
-// holding back runnable work).
+// the latest when the body's item finishes, the final flush through
+// SpawnSink::SubmitFinalBatch, so a worker never exits an item holding back
+// runnable work other than the one item it runs next).
 class TaskContext {
  public:
   // Spawns per sink flush: one SubmitFromWorker (count bump + owner pushes +
@@ -314,7 +331,10 @@ class TaskContext {
       : graph_(graph), worker_(worker), sink_(sink) {}
 
   void Enqueue(TaskNode& node);
+  // Mid-body flush of a full batch (SubmitBatch), and the body's last flush
+  // (SubmitFinalBatch).
   void Flush();
+  void FlushFinal();
 
   TaskGraph* graph_;
   uint32_t worker_;

@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <thread>
 #include <vector>
 
@@ -186,6 +187,55 @@ TEST(IngressChaos, CrashRestartAndIngressFaultsLoseNothingAndStayVisible) {
   // Faults surface as metrics/sheds, never as persistent watchdog violations
   // — transient ones are expected and allowed.
   EXPECT_EQ(run.report.watchdog.persistent_violations, 0u);
+}
+
+// An ingress source with nothing to admit whose PendingFor puts worker 1's
+// thread to sleep on its first call, as a host with more runnable threads
+// than CPUs does to a thread waiting for its time slice. The supervisor calls
+// PendingFor too, from the thread that called RunFor; it never sleeps.
+class DeschedulingIngress final : public runtime::IngressSource {
+ public:
+  explicit DeschedulingIngress(std::chrono::milliseconds nap)
+      : supervisor_(std::this_thread::get_id()), nap_(nap) {}
+
+  uint32_t Drain(uint32_t /*worker*/, std::vector<runtime::WorkItem>& /*out*/,
+                 uint32_t /*max_items*/) override {
+    return 0;
+  }
+  int64_t PendingFor(uint32_t worker) const override {
+    if (worker == 1 && std::this_thread::get_id() != supervisor_ &&
+        !napped_.exchange(true)) {
+      std::this_thread::sleep_for(nap_);
+    }
+    return 0;
+  }
+
+ private:
+  const std::thread::id supervisor_;
+  const std::chrono::milliseconds nap_;
+  mutable std::atomic<bool> napped_{false};
+};
+
+// Worker 1 goes idle at once and then sleeps for 30 ms while worker 0's
+// queue holds thousands of items: idle-while-overloaded by the loads alone,
+// about 300 watchdog samples long. A thread the OS does not run cannot act
+// on the loads it is shown, so none of those samples may count toward a
+// persistent violation.
+TEST(IngressWatchdog, ExcusesAWorkerTheOsDidNotRun) {
+  DeschedulingIngress ingress(std::chrono::milliseconds(30));
+  runtime::ExecutorConfig config;
+  config.num_workers = 2;
+  config.watchdog = true;
+  config.ingress = &ingress;
+  runtime::Executor executor(policies::MakeThreadCount(), config);
+  std::vector<runtime::WorkItem> items(20'000);
+  for (size_t i = 0; i < items.size(); ++i) {
+    items[i] = {.id = i + 1, .work_units = 20, .weight = 1024};
+  }
+  executor.Seed(0, items);
+  const runtime::ExecutorReport report = executor.RunFor(/*duration_ms=*/40);
+  EXPECT_GT(report.watchdog.observations, 100u) << report.ToString();
+  EXPECT_EQ(report.watchdog.persistent_violations, 0u) << report.ToString();
 }
 
 // The satellite-2 semantics in isolation: a core whose runqueue is empty but

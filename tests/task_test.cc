@@ -315,10 +315,13 @@ TEST_P(TaskExecutorTest, FibRunsInAnArenaAFractionOfItsNodes) {
   // fib(36, cutoff 12) executes 3 * I(36) + 1 = 589,252 tasks on three
   // workers. On chase_lev the owner pops its newest item, so the live nodes
   // stay O(W * depth) and an arena sized for fib(30) — 32,836 nodes, 1/18 of
-  // the tasks — holds the run. The locked backend pops its oldest item, so
-  // its live set is breadth-first (about a sixth of the tree); it gets the
-  // full-tree arena, and the run must still be exact. Either way every
-  // worker's fork count must settle.
+  // the tasks — holds the run. DEVIATION: the locked backend pops its oldest
+  // item, so its live set is breadth-first. The run-next handoff runs each
+  // fork's second child and each fired continuation depth-first, which cut
+  // its high-water from 87k–121k nodes to 25k–79k (20 runs, 4-vCPU VM), but
+  // a single run can still pass the fib(30) arena, so it gets the full-tree
+  // arena, and the run must still be exact. Either way every worker's fork
+  // count must settle.
   const bool lifo = GetParam() == runtime::QueueBackend::kChaseLev;
   const uint64_t tasks = 3 * FibInternalNodes(36, 12) + 1;
   const uint32_t capacity =
@@ -330,7 +333,15 @@ TEST_P(TaskExecutorTest, FibRunsInAnArenaAFractionOfItsNodes) {
   const runtime::ExecutorReport report = executor.Run();
   EXPECT_TRUE(graph.done());
   EXPECT_EQ(result, workload::FibSequential(36));
+  // A fork's second child and a fired continuation never enter a queue (the
+  // run-next handoff), yet each is submitted and executed exactly once.
+  uint64_t executed = 0;
+  for (const runtime::WorkerStats& w : report.workers) {
+    executed += w.items_executed;
+  }
   EXPECT_EQ(report.total_items, tasks);
+  EXPECT_EQ(executed, tasks);
+  EXPECT_EQ(report.items_left_unexecuted, 0u);
   if (lifo) {
     EXPECT_EQ(capacity, 32836u);
     EXPECT_GT(tasks, 17u * capacity);
@@ -447,6 +458,110 @@ TEST_P(TaskExecutorTest, WatchdogCountsOutstandingContinuationsAsPending) {
   for (uint32_t w = 0; w < 4; ++w) {
     EXPECT_EQ(graph.OutstandingFor(w), 0);
   }
+}
+
+// A chain of `env[1]` links, each forking one child under a one-child
+// continuation; every body bumps the counter at env[0] and spins env[2]
+// iterations. Every body but the last ends with a flush of exactly one item
+// (the child, or the continuation its completion fired), so every body hands
+// its worker the item it runs next, nothing is ever pushed, and exactly one
+// item is outstanding at any time. 2 * links + 1 items in all.
+void SpinFor(uint64_t iterations) {
+  volatile uint64_t sink = 0;
+  for (uint64_t i = 0; i < iterations; ++i) {
+    sink = sink + i;
+  }
+}
+
+void ChainCont(TaskContext& /*ctx*/, TaskNode& self) {
+  *reinterpret_cast<uint64_t*>(self.env[0]) += 1;
+  SpinFor(self.env[2]);
+}
+
+void ChainLink(TaskContext& ctx, TaskNode& self) {
+  *reinterpret_cast<uint64_t*>(self.env[0]) += 1;
+  SpinFor(self.env[2]);
+  if (self.env[1] == 0) {
+    return;
+  }
+  TaskNode& cont = ctx.ForkN(ChainCont, 1);
+  cont.env[0] = self.env[0];
+  cont.env[2] = self.env[2];
+  TaskNode& child = ctx.NewChild(ChainLink, cont);
+  child.env[0] = self.env[0];
+  child.env[1] = self.env[1] - 1;
+  child.env[2] = self.env[2];
+  ctx.Spawn(child);
+}
+
+WorkItem ChainRoot(TaskGraph& graph, uint64_t links, uint64_t spins, uint64_t* counter) {
+  TaskNode& root = graph.NewRoot(ChainLink);
+  root.env[0] = reinterpret_cast<uint64_t>(counter);
+  root.env[1] = links;
+  root.env[2] = spins;
+  return graph.ItemFor(root);
+}
+
+TEST_P(TaskExecutorTest, CrashAfterAHandoffPushesTheHandedItemBack) {
+  // Every item of the chain but the last ends in a handoff, so every crash
+  // at the end of an item strikes a worker holding a handed item. The loop
+  // must push it back (counted since the handoff) for the restarted worker
+  // or a thief: the chain completes and every item runs exactly once.
+  constexpr uint64_t kLinks = 2000;
+  TaskGraph graph(TaskGraphOptions{.max_workers = 4});
+  runtime::ExecutorConfig config = BaseConfig(GetParam(), graph);
+  config.fault_plan.crash_rate = 0.01;
+  config.fault_plan.crash_restart_us = 20;
+  config.fault_plan.seed = 3;
+  runtime::Executor executor(policies::MakeThreadCount(), config);
+  uint64_t counter = 0;
+  executor.Seed(0, {ChainRoot(graph, kLinks, /*spins=*/0, &counter)});
+  const runtime::ExecutorReport report = executor.Run();
+  uint64_t executed = 0;
+  for (const runtime::WorkerStats& w : report.workers) {
+    executed += w.items_executed;
+  }
+  EXPECT_GT(report.total_crashes(), 0u);
+  EXPECT_TRUE(graph.done());
+  EXPECT_EQ(counter, 2 * kLinks + 1);
+  EXPECT_EQ(report.total_items, 2 * kLinks + 1) << report.ToString();
+  EXPECT_EQ(executed, report.total_items);
+}
+
+TEST_P(TaskExecutorTest, DeadlineWithAHandoffPendingKeepsItCountedAndQueued) {
+  // The chain outlasts the deadline, so the worker running it holds a handed
+  // item when it sees the stop. It pushes the item back: the report counts
+  // exactly that one item as left unexecuted, it sits on a queue, and the
+  // next closed run finishes the chain from it.
+  constexpr uint64_t kLinks = 20000;
+  TaskGraph graph(TaskGraphOptions{.max_workers = 4, .arena_capacity = 2 * kLinks + 64});
+  runtime::Executor executor(policies::MakeThreadCount(), BaseConfig(GetParam(), graph));
+  uint64_t counter = 0;
+  executor.Seed(0, {ChainRoot(graph, kLinks, /*spins=*/2000, &counter)});
+  const runtime::ExecutorReport first = executor.RunFor(/*duration_ms=*/5);
+  ASSERT_FALSE(graph.done()) << "the chain finished before the deadline: lengthen it";
+  uint64_t executed_first = 0;
+  for (const runtime::WorkerStats& w : first.workers) {
+    executed_first += w.items_executed;
+  }
+  EXPECT_EQ(first.items_left_unexecuted, 1u) << first.ToString();
+  EXPECT_EQ(first.total_items, executed_first + 1);
+  int64_t queued = 0;
+  for (uint32_t q = 0; q < 4; ++q) {
+    queued += executor.machine().queue(q).ExactLoad().task_count;
+  }
+  EXPECT_EQ(queued, 1);
+
+  const runtime::ExecutorReport second = executor.Run();
+  uint64_t executed_second = 0;
+  for (const runtime::WorkerStats& w : second.workers) {
+    executed_second += w.items_executed;
+  }
+  EXPECT_TRUE(graph.done());
+  EXPECT_EQ(counter, 2 * kLinks + 1);
+  EXPECT_EQ(executed_first + executed_second, 2 * kLinks + 1);
+  EXPECT_EQ(second.total_items, executed_second);
+  EXPECT_EQ(second.items_left_unexecuted, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Backends, TaskExecutorTest,
