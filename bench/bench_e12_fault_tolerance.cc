@@ -95,7 +95,7 @@ ModelPoint ModelSweepPoint(double level) {
         ++runs;
       }
     }
-    point.injected += injector.stats().total();
+    point.injected += stats::CounterSum(injector.stats());
   }
   point.mean_rounds = runs == 0 ? 0.0 : static_cast<double>(total_rounds) / runs;
   return point;

@@ -47,8 +47,8 @@ struct CoverageRow {
 std::vector<CoverageRow> RunCoverage(uint32_t max_bound) {
   std::vector<CoverageRow> rows;
   for (uint32_t bound = 0; bound <= max_bound; ++bound) {
-    mc::StealHarness::Config config;
-    config.mode = "balance";
+    mc::Schedule config;
+    config.harness = "balance";
     config.policy = "thread-count";
     config.initial_loads = {0, 1, 2};
     config.attempts_per_worker = 2;
@@ -70,8 +70,8 @@ std::vector<CoverageRow> RunCoverage(uint32_t max_bound) {
 }
 
 double RunPctSampling(uint32_t samples, uint64_t* executed_out) {
-  mc::StealHarness::Config config;
-  config.mode = "balance";
+  mc::Schedule config;
+  config.harness = "balance";
   config.policy = "thread-count";
   config.initial_loads = {0, 1, 2, 0};
   config.attempts_per_worker = 2;
@@ -104,7 +104,8 @@ double LockOverheadNs(uint64_t iters) {
 
 double SeqlockReadOverheadNs(uint64_t iters) {
   runtime::ConcurrentRunQueue queue;
-  queue.Push(runtime::WorkItem{.id = 1, .work_units = 1, .weight = 1024});
+  const runtime::WorkItem item{.id = 1, .work_units = 1, .weight = 1024};
+  queue.PushBatchExternal(&item, 1);
   volatile int64_t sink = 0;
   Timer timer;
   for (uint64_t i = 0; i < iters; ++i) {

@@ -105,11 +105,9 @@ AllocAudit RunAllocAudit(uint64_t attempts) {
   // items — the most allocation-prone path (filter, choice, locked snapshot,
   // batch removal, batch landing).
   uint64_t next_id = 1;
-  for (; next_id <= 10; ++next_id) {
-    machine.queue(0).Push(Item(next_id));
-  }
   for (; next_id <= 14; ++next_id) {
-    machine.queue(1).Push(Item(next_id));
+    const runtime::WorkItem item = Item(next_id);
+    machine.queue(next_id <= 10 ? 0 : 1).PushBatchExternal(&item, 1);
   }
   const auto policy = policies::MakeThreadCount();
   Rng rng(1);
@@ -213,9 +211,10 @@ ModeResult RunMode(const std::string& mode, uint32_t workers, uint64_t items, ui
     }
     if (report.throughput_items_per_ms() > result.items_per_ms) {
       result.items_per_ms = report.throughput_items_per_ms();
-      result.steal_actions = report.total_successes();
-      result.items_stolen = report.total_items_stolen();
-      result.failed_recheck = report.total_failed_recheck();
+      const runtime::StealCounters steals = report.Totals().steals;
+      result.steal_actions = steals.successes;
+      result.items_stolen = steals.items_stolen;
+      result.failed_recheck = steals.failed_recheck;
     }
   }
   return result;

@@ -251,8 +251,9 @@ KernelResult RunFib(runtime::QueueBackend backend, uint32_t workers, uint64_t n,
     if (report.throughput_items_per_ms() > result.tasks_per_ms) {
       result.tasks_per_ms = report.throughput_items_per_ms();
       result.tasks = report.total_items;
-      result.steal_successes = report.total_successes();
-      result.items_stolen = report.total_items_stolen();
+      const runtime::StealCounters steals = report.Totals().steals;
+      result.steal_successes = steals.successes;
+      result.items_stolen = steals.items_stolen;
     }
   }
   // Only chase_lev promises the bound (owner depth-first, thieves take the
@@ -297,8 +298,9 @@ KernelResult RunMergesort(runtime::QueueBackend backend, uint32_t workers, uint6
     if (report.throughput_items_per_ms() > result.tasks_per_ms) {
       result.tasks_per_ms = report.throughput_items_per_ms();
       result.tasks = report.total_items;
-      result.steal_successes = report.total_successes();
-      result.items_stolen = report.total_items_stolen();
+      const runtime::StealCounters steals = report.Totals().steals;
+      result.steal_successes = steals.successes;
+      result.items_stolen = steals.items_stolen;
     }
   }
   return result;
@@ -333,8 +335,9 @@ SkewResult RunSkewed(uint32_t workers, uint32_t max_batch, const std::string& mo
     if (report.throughput_items_per_ms() > result.tasks_per_ms) {
       result.tasks_per_ms = report.throughput_items_per_ms();
       result.tasks = report.total_items;
-      result.steal_successes = report.total_successes();
-      result.items_stolen = report.total_items_stolen();
+      const runtime::StealCounters steals = report.Totals().steals;
+      result.steal_successes = steals.successes;
+      result.items_stolen = steals.items_stolen;
     }
   }
   result.items_per_steal = result.steal_successes > 0

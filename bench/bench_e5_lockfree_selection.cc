@@ -131,7 +131,7 @@ int main() {
                       F("%llu", static_cast<unsigned long long>(report.total_items)),
                       F("%llu", static_cast<unsigned long long>(executed)),
                       F("%llu", static_cast<unsigned long long>(report.items_left_unexecuted)),
-                      F("%llu", static_cast<unsigned long long>(report.total_successes()))});
+                      F("%llu", static_cast<unsigned long long>(report.Totals().steals.successes))});
     }
     bench::PrintTable({"selection", "submitted", "executed", "left at deadline", "steals"},
                       rows);

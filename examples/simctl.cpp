@@ -176,7 +176,7 @@ int RunMcReplay(const std::string& path, const std::string& trace_out) {
     return 2;
   }
 
-  StealHarness harness(StealHarness::Config::FromSchedule(*schedule));
+  StealHarness harness(*schedule);
   const ExecutionResult result = ReplayChoices(harness.Factory(), schedule->choices);
   const bool diverged = result.choices != schedule->choices;
   std::printf("replay:    %s (%zu choices%s)\n", path.c_str(), schedule->choices.size(),
@@ -209,8 +209,8 @@ int RunMcReplay(const std::string& path, const std::string& trace_out) {
 // explored schedule; 1 = a counterexample was found (and written, if asked).
 int RunMcExplore(int argc, char** argv) {
   using namespace optsched::mc;
-  StealHarness::Config config;
-  config.mode = FlagValue(argc, argv, "mc-harness", "balance");
+  Schedule config;
+  config.harness = FlagValue(argc, argv, "mc-harness", "balance");
   config.policy = FlagValue(argc, argv, "policy", "thread-count");
   config.attempts_per_worker =
       static_cast<uint32_t>(std::atoi(FlagValue(argc, argv, "mc-attempts", "2").c_str()));
@@ -220,9 +220,11 @@ int RunMcExplore(int argc, char** argv) {
   config.break_batch_bound = HasFlag(argc, argv, "mc-break-batch");
   const int mailbox = std::atoi(FlagValue(argc, argv, "mc-mailbox", "2").c_str());
   config.mailbox_capacity = mailbox >= 1 ? static_cast<uint32_t>(mailbox) : 1;
-  const std::string backend = FlagValue(argc, argv, "mc-backend", "locked");
-  if (!optsched::runtime::ParseQueueBackend(backend, config.backend)) {
-    std::fprintf(stderr, "unknown --mc-backend '%s' (locked | chase_lev)\n", backend.c_str());
+  config.backend = FlagValue(argc, argv, "mc-backend", "locked");
+  optsched::runtime::QueueBackend backend;
+  if (!optsched::runtime::ParseQueueBackend(config.backend, backend)) {
+    std::fprintf(stderr, "unknown --mc-backend '%s' (locked | chase_lev)\n",
+                 config.backend.c_str());
     return 2;
   }
   const int deque_capacity =
@@ -245,17 +247,17 @@ int RunMcExplore(int argc, char** argv) {
   static const char* kKnownModes[] = {"balance", "drain", "ingress", "forkjoin"};
   bool known_mode = false;
   for (const char* m : kKnownModes) {
-    known_mode |= config.mode == m;
+    known_mode |= config.harness == m;
   }
   if (!known_mode) {
     std::fprintf(stderr,
                  "unknown --mc-harness '%s' (balance | drain | ingress | forkjoin)\n",
-                 config.mode.c_str());
+                 config.harness.c_str());
     return 2;
   }
-  const bool forkjoin_mode = config.mode == "forkjoin";
-  const bool ingress_mode = config.mode == "ingress";
-  const bool chase_lev = config.backend == optsched::runtime::QueueBackend::kChaseLev;
+  const bool forkjoin_mode = config.harness == "forkjoin";
+  const bool ingress_mode = config.harness == "ingress";
+  const bool chase_lev = backend == optsched::runtime::QueueBackend::kChaseLev;
   struct FlagScope {
     const char* flag;
     bool applicable;
@@ -269,15 +271,14 @@ int RunMcExplore(int argc, char** argv) {
       {"mc-broken-termination-order", forkjoin_mode, "the forkjoin harness"},
       {"mc-broken-wakeup-gate", ingress_mode, "the ingress harness"},
       {"mc-mailbox", ingress_mode, "the ingress harness"},
-      {"mc-break-batch", config.mode == "balance", "the balance harness"},
+      {"mc-break-batch", config.harness == "balance", "the balance harness"},
       {"mc-broken-steal-order", chase_lev, "the chase_lev backend"},
   };
   for (const FlagScope& scoped : kScopedFlags) {
     if (FlagPresent(argc, argv, scoped.flag) && !scoped.applicable) {
       std::fprintf(stderr,
                    "--%s only applies to %s (this run: --mc-harness=%s, --mc-backend=%s)\n",
-                   scoped.flag, scoped.scope, config.mode.c_str(),
-                   optsched::runtime::QueueBackendName(config.backend));
+                   scoped.flag, scoped.scope, config.harness.c_str(), config.backend.c_str());
       return 2;
     }
   }
@@ -287,12 +288,12 @@ int RunMcExplore(int argc, char** argv) {
     const int workers = std::atoi(FlagValue(argc, argv, "mc-workers", "3").c_str());
     for (int i = 0; i < workers; ++i) {
       // Forkjoin seeds only the root task: the loads must be all zero there.
-      config.initial_loads.push_back(config.mode == "forkjoin" ? 0 : i);
+      config.initial_loads.push_back(config.harness == "forkjoin" ? 0 : i);
     }
   }
   StealHarness harness(config);
-  std::printf("mc:        %s harness, %s backend%s, policy %s, loads ", config.mode.c_str(),
-              optsched::runtime::QueueBackendName(config.backend),
+  std::printf("mc:        %s harness, %s backend%s, policy %s, loads ", config.harness.c_str(),
+              config.backend.c_str(),
               config.broken_steal_order ? " (BROKEN STEAL ORDER)" : "", config.policy.c_str());
   for (size_t i = 0; i < config.initial_loads.size(); ++i) {
     std::printf("%s%lld", i ? "," : "", static_cast<long long>(config.initial_loads[i]));

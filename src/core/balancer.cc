@@ -38,29 +38,6 @@ std::string RoundResult::ToString() const {
                    static_cast<long long>(potential_after));
 }
 
-std::string BalanceStats::ToString() const {
-  return StrFormat(
-      "stats{rounds=%llu attempts=%llu successes=%llu moved=%llu failed_recheck=%llu "
-      "failed_no_task=%llu}",
-      static_cast<unsigned long long>(rounds), static_cast<unsigned long long>(attempts),
-      static_cast<unsigned long long>(successes), static_cast<unsigned long long>(tasks_moved),
-      static_cast<unsigned long long>(failed_recheck),
-      static_cast<unsigned long long>(failed_no_task));
-}
-
-void BalanceStats::ExportTo(trace::MetricsRegistry& registry, const std::string& prefix) const {
-  registry.Add(prefix + ".rounds", static_cast<double>(rounds));
-  registry.Add(prefix + ".attempts", static_cast<double>(attempts));
-  registry.Add(prefix + ".successes", static_cast<double>(successes));
-  registry.Add(prefix + ".tasks_moved", static_cast<double>(tasks_moved));
-  registry.Add(prefix + ".failed_recheck", static_cast<double>(failed_recheck));
-  registry.Add(prefix + ".failed_no_task", static_cast<double>(failed_no_task));
-  registry.Add(prefix + ".injected_aborts", static_cast<double>(injected_aborts));
-  registry.Add(prefix + ".stalled_attempts", static_cast<double>(stalled_attempts));
-  registry.Add(prefix + ".stale_snapshots", static_cast<double>(stale_snapshots));
-  registry.Add(prefix + ".dropped_rounds", static_cast<double>(dropped_rounds));
-}
-
 LoadBalancer::LoadBalancer(std::shared_ptr<const BalancePolicy> policy, const Topology* topology)
     : policy_(std::move(policy)), topology_(topology) {
   OPTSCHED_CHECK(policy_ != nullptr);

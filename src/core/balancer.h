@@ -35,8 +35,8 @@
 #include "src/core/policy.h"
 #include "src/fault/fault.h"
 #include "src/sched/machine_state.h"
+#include "src/stats/counters.h"
 #include "src/topology/topology.h"
-#include "src/trace/metrics.h"
 
 namespace optsched {
 
@@ -137,11 +137,23 @@ struct BalanceStats {
   uint64_t stale_snapshots = 0;
   uint64_t dropped_rounds = 0;
 
+  static constexpr stats::Counter<BalanceStats> kCounters[] = {
+      {"rounds", &BalanceStats::rounds},
+      {"attempts", &BalanceStats::attempts},
+      {"successes", &BalanceStats::successes},
+      {"tasks_moved", &BalanceStats::tasks_moved},
+      {"failed_recheck", &BalanceStats::failed_recheck},
+      {"failed_no_task", &BalanceStats::failed_no_task},
+      {"injected_aborts", &BalanceStats::injected_aborts},
+      {"stalled_attempts", &BalanceStats::stalled_attempts},
+      {"stale_snapshots", &BalanceStats::stale_snapshots},
+      {"dropped_rounds", &BalanceStats::dropped_rounds},
+  };
+
   uint64_t failures() const { return failed_recheck + failed_no_task; }
-  // Exports every counter as "<prefix>.<name>" into the registry.
-  void ExportTo(trace::MetricsRegistry& registry, const std::string& prefix) const;
-  std::string ToString() const;
+  std::string ToString() const { return stats::FormatCounters(*this, "stats"); }
 };
+static_assert(stats::CoversEveryField<BalanceStats>());
 
 class LoadBalancer {
  public:

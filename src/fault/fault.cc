@@ -15,31 +15,6 @@ std::string FaultPlan::ToString() const {
       static_cast<unsigned long long>(seed));
 }
 
-FaultStats& FaultStats::operator+=(const FaultStats& other) {
-  stalled_attempts += other.stalled_attempts;
-  injected_aborts += other.injected_aborts;
-  stale_snapshots += other.stale_snapshots;
-  dropped_rounds += other.dropped_rounds;
-  crashes += other.crashes;
-  mailbox_enqueue_failures += other.mailbox_enqueue_failures;
-  producer_stalls += other.producer_stalls;
-  delayed_drains += other.delayed_drains;
-  return *this;
-}
-
-std::string FaultStats::ToString() const {
-  return StrFormat(
-      "faults{stalled=%llu aborts=%llu stale=%llu dropped=%llu crashes=%llu "
-      "enqfail=%llu pstall=%llu ddelay=%llu}",
-      static_cast<unsigned long long>(stalled_attempts),
-      static_cast<unsigned long long>(injected_aborts),
-      static_cast<unsigned long long>(stale_snapshots),
-      static_cast<unsigned long long>(dropped_rounds), static_cast<unsigned long long>(crashes),
-      static_cast<unsigned long long>(mailbox_enqueue_failures),
-      static_cast<unsigned long long>(producer_stalls),
-      static_cast<unsigned long long>(delayed_drains));
-}
-
 FaultInjector::FaultInjector(const FaultPlan& plan, uint32_t num_lanes) : plan_(plan) {
   OPTSCHED_CHECK(num_lanes > 0);
   OPTSCHED_CHECK(plan.straggler_rate >= 0 && plan.straggler_rate <= 1);
@@ -118,7 +93,7 @@ bool FaultInjector::DropRound() {
 FaultStats FaultInjector::stats() const {
   FaultStats total = round_lane_.stats;
   for (const Lane& lane : lanes_) {
-    total += lane.stats;
+    stats::AddCounters(total, lane.stats);
   }
   return total;
 }

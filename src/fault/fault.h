@@ -27,6 +27,7 @@
 #include <vector>
 
 #include "src/base/rng.h"
+#include "src/stats/counters.h"
 
 namespace optsched::fault {
 
@@ -88,13 +89,19 @@ struct FaultStats {
   uint64_t producer_stalls = 0;
   uint64_t delayed_drains = 0;
 
-  uint64_t total() const {
-    return stalled_attempts + injected_aborts + stale_snapshots + dropped_rounds + crashes +
-           mailbox_enqueue_failures + producer_stalls + delayed_drains;
-  }
-  FaultStats& operator+=(const FaultStats& other);
-  std::string ToString() const;
+  // The two ingress faults export under the router's names.
+  static constexpr stats::Counter<FaultStats> kCounters[] = {
+      {"stalled_attempts", &FaultStats::stalled_attempts},
+      {"injected_aborts", &FaultStats::injected_aborts},
+      {"stale_snapshots", &FaultStats::stale_snapshots},
+      {"dropped_rounds", &FaultStats::dropped_rounds},
+      {"crashes", &FaultStats::crashes},
+      {"enqueue_failures", &FaultStats::mailbox_enqueue_failures},
+      {"producer_stalls", &FaultStats::producer_stalls},
+      {"delayed_drains", &FaultStats::delayed_drains},
+  };
 };
+static_assert(stats::CoversEveryField<FaultStats>());
 
 class FaultInjector {
  public:

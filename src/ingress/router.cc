@@ -83,14 +83,8 @@ const ShardStats& IngressRouter::shard_stats(uint32_t shard) const {
 ShardStats IngressRouter::TotalStats() const {
   ShardStats total;
   for (const auto& shard : shards_) {
-    const ShardStats& s = shard->stats;
-    total.offered += s.offered;
-    total.admitted_home += s.admitted_home;
-    total.admitted_spill += s.admitted_spill;
-    total.shed += s.shed;
-    total.block_timeouts += s.block_timeouts;
-    total.enqueue_faults += s.enqueue_faults;
-    total.admission_ns.Merge(s.admission_ns);
+    stats::AddCounters(total, shard->stats);
+    total.admission_ns.Merge(shard->stats.admission_ns);
   }
   return total;
 }
@@ -214,12 +208,7 @@ std::vector<trace::TraceEvent> IngressRouter::CollectTrace() const {
 
 void IngressRouter::ExportMetrics(trace::MetricsRegistry& metrics) const {
   const ShardStats total = TotalStats();
-  metrics.Add("ingress.offered", static_cast<double>(total.offered));
-  metrics.Add("ingress.admitted_home", static_cast<double>(total.admitted_home));
-  metrics.Add("ingress.admitted_spill", static_cast<double>(total.admitted_spill));
-  metrics.Add("ingress.shed", static_cast<double>(total.shed));
-  metrics.Add("ingress.block_timeouts", static_cast<double>(total.block_timeouts));
-  metrics.Add("ingress.enqueue_faults", static_cast<double>(total.enqueue_faults));
+  stats::ExportCounters(total, metrics, "ingress");
   metrics.Set("ingress.admission_ns.p50", total.admission_ns.Percentile(0.50));
   metrics.Set("ingress.admission_ns.p99", total.admission_ns.Percentile(0.99));
   for (uint32_t w = 0; w < mailboxes_.num_mailboxes(); ++w) {
@@ -232,11 +221,7 @@ void IngressRouter::ExportMetrics(trace::MetricsRegistry& metrics) const {
                 static_cast<double>(mailbox.total_rejected_full()));
   }
   if (injector_ != nullptr) {
-    const fault::FaultStats faults = injector_->stats();
-    metrics.Add("ingress.faults.enqueue_failures",
-                static_cast<double>(faults.mailbox_enqueue_failures));
-    metrics.Add("ingress.faults.producer_stalls",
-                static_cast<double>(faults.producer_stalls));
+    stats::ExportCounters(injector_->stats(), metrics, "ingress.faults");
   }
 }
 

@@ -28,6 +28,7 @@
 #include "src/fault/fault.h"
 #include "src/ingress/admission.h"
 #include "src/ingress/mailbox.h"
+#include "src/stats/counters.h"
 #include "src/stats/histogram.h"
 #include "src/trace/metrics.h"
 #include "src/trace/trace.h"
@@ -62,6 +63,15 @@ struct alignas(64) ShardStats {
   uint64_t enqueue_faults = 0;
   // Offer-entry to admit/shed decision, ns.
   stats::LogHistogram admission_ns;
+
+  static constexpr stats::Counter<ShardStats> kCounters[] = {
+      {"offered", &ShardStats::offered},
+      {"admitted_home", &ShardStats::admitted_home},
+      {"admitted_spill", &ShardStats::admitted_spill},
+      {"shed", &ShardStats::shed},
+      {"block_timeouts", &ShardStats::block_timeouts},
+      {"enqueue_faults", &ShardStats::enqueue_faults},
+  };
 };
 
 class IngressRouter {

@@ -50,71 +50,49 @@ uint64_t UniformTreeInternalNodes(uint32_t depth, uint32_t fanout) {
 
 }  // namespace
 
-StealHarness::Config StealHarness::Config::FromSchedule(const Schedule& schedule) {
-  Config config;
-  config.mode = schedule.harness;
-  config.policy = schedule.policy;
-  config.initial_loads = schedule.initial_loads;
-  config.attempts_per_worker = schedule.attempts_per_worker;
-  config.seed = schedule.seed;
-  config.recheck = schedule.recheck;
-  config.max_steal_batch = schedule.max_steal_batch;
-  config.break_batch_bound = schedule.break_batch_bound;
-  config.mailbox_capacity = schedule.mailbox_capacity;
-  OPTSCHED_CHECK_MSG(runtime::ParseQueueBackend(schedule.backend, config.backend),
+StealHarness::StealHarness(Schedule schedule)
+    : schedule_(std::move(schedule)),
+      topology_(Topology::Smp(static_cast<uint32_t>(schedule_.initial_loads.size()))) {
+  OPTSCHED_CHECK(!schedule_.initial_loads.empty());
+  OPTSCHED_CHECK_MSG(runtime::ParseQueueBackend(schedule_.backend, backend_),
                      "unknown backend in schedule");
-  config.deque_capacity = schedule.deque_capacity;
-  config.broken_steal_order = schedule.broken_steal_order;
-  config.tree_depth = schedule.tree_depth;
-  config.fanout = schedule.fanout;
-  config.broken_join_counter = schedule.broken_join_counter;
-  config.broken_node_recycle = schedule.broken_node_recycle;
-  config.broken_termination_order = schedule.broken_termination_order;
-  config.broken_wakeup_gate = schedule.broken_wakeup_gate;
-  return config;
-}
-
-StealHarness::StealHarness(Config config)
-    : config_(std::move(config)),
-      topology_(Topology::Smp(static_cast<uint32_t>(config_.initial_loads.size()))) {
-  OPTSCHED_CHECK(!config_.initial_loads.empty());
-  OPTSCHED_CHECK_MSG(config_.mode == "balance" || config_.mode == "drain" ||
-                         config_.mode == "ingress" || config_.mode == "forkjoin",
+  OPTSCHED_CHECK_MSG(schedule_.harness == "balance" || schedule_.harness == "drain" ||
+                         schedule_.harness == "ingress" || schedule_.harness == "forkjoin",
                      "unknown harness mode");
-  if (config_.mode == "forkjoin") {
+  if (schedule_.harness == "forkjoin") {
     // The only seeded item is the root task: pre-seeded plain items would
     // blur the no-lost-spawns accounting (dynamic spawns are the point).
-    for (int64_t load : config_.initial_loads) {
+    for (int64_t load : schedule_.initial_loads) {
       OPTSCHED_CHECK_MSG(load == 0, "forkjoin mode seeds only the root task "
                                     "(initial_loads must be all zero)");
     }
-    OPTSCHED_CHECK(config_.tree_depth >= 1 && config_.fanout >= 1);
+    OPTSCHED_CHECK(schedule_.tree_depth >= 1 && schedule_.fanout >= 1);
   } else {
-    OPTSCHED_CHECK_MSG(!config_.broken_join_counter,
+    OPTSCHED_CHECK_MSG(!schedule_.broken_join_counter,
                        "broken_join_counter is a forkjoin fault knob");
-    OPTSCHED_CHECK_MSG(!config_.broken_node_recycle,
+    OPTSCHED_CHECK_MSG(!schedule_.broken_node_recycle,
                        "broken_node_recycle is a forkjoin fault knob");
-    OPTSCHED_CHECK_MSG(!config_.broken_termination_order,
+    OPTSCHED_CHECK_MSG(!schedule_.broken_termination_order,
                        "broken_termination_order is a forkjoin fault knob");
   }
-  OPTSCHED_CHECK_MSG(config_.mode == "ingress" || !config_.broken_wakeup_gate,
+  OPTSCHED_CHECK_MSG(schedule_.harness == "ingress" || !schedule_.broken_wakeup_gate,
                      "broken_wakeup_gate is an ingress fault knob");
-  OPTSCHED_CHECK_MSG(config_.mode == "balance" || !config_.break_batch_bound,
+  OPTSCHED_CHECK_MSG(schedule_.harness == "balance" || !schedule_.break_batch_bound,
                      "break_batch_bound is a balance fault knob (the executor never breaks it)");
   // The producer (worker 0) needs at least one owner to push to.
-  OPTSCHED_CHECK_MSG(config_.mode != "ingress" || config_.initial_loads.size() >= 2,
+  OPTSCHED_CHECK_MSG(schedule_.harness != "ingress" || schedule_.initial_loads.size() >= 2,
                      "ingress mode needs >= 2 workers (worker 0 is the producer)");
-  OPTSCHED_CHECK_MSG(config_.mode != "ingress" || config_.mailbox_capacity >= 1,
+  OPTSCHED_CHECK_MSG(schedule_.harness != "ingress" || schedule_.mailbox_capacity >= 1,
                      "ingress mode needs mailbox_capacity >= 1");
-  OPTSCHED_CHECK_MSG(config_.backend == runtime::QueueBackend::kChaseLev ||
-                         !config_.broken_steal_order,
+  OPTSCHED_CHECK_MSG(backend_ == runtime::QueueBackend::kChaseLev ||
+                         !schedule_.broken_steal_order,
                      "broken_steal_order is a chase_lev fault knob");
-  policy_ = policies::MakePolicyByName(config_.policy, topology_);
+  policy_ = policies::MakePolicyByName(schedule_.policy, topology_);
   OPTSCHED_CHECK_MSG(policy_ != nullptr, "unknown policy name");
 }
 
 int64_t StealHarness::InitialPotential() const {
-  return PotentialOfLoads(config_.initial_loads);
+  return PotentialOfLoads(schedule_.initial_loads);
 }
 
 // "forkjoin" mode's task runner: the real src/task join protocol, spawning
@@ -169,23 +147,23 @@ StealHarness::~StealHarness() = default;
 
 std::vector<std::function<void()>> StealHarness::MakeBodies() {
   const uint32_t n = num_workers();
-  const bool forkjoin = config_.mode == "forkjoin";
-  const bool ingress = config_.mode == "ingress";
+  const bool forkjoin = schedule_.harness == "forkjoin";
+  const bool ingress = schedule_.harness == "ingress";
   task_graph_.reset();
   tasks_.reset();
   if (forkjoin) {
     // Every internal node allocates one continuation plus `fanout` children;
     // chunked handout wastes up to one chunk per worker, covered by slack.
-    const uint64_t internal = UniformTreeInternalNodes(config_.tree_depth, config_.fanout);
-    const uint64_t capacity = 1 + internal * (config_.fanout + 1) + 16ull * n + 16;
+    const uint64_t internal = UniformTreeInternalNodes(schedule_.tree_depth, schedule_.fanout);
+    const uint64_t capacity = 1 + internal * (schedule_.fanout + 1) + 16ull * n + 16;
     task_graph_ = std::make_unique<task::TaskGraph>(
         task::TaskGraphOptions{.max_workers = n,
                                .arena_capacity = static_cast<uint32_t>(capacity),
-                               .broken_join_counter = config_.broken_join_counter,
-                               .broken_node_recycle = config_.broken_node_recycle});
+                               .broken_join_counter = schedule_.broken_join_counter,
+                               .broken_node_recycle = schedule_.broken_node_recycle});
     tasks_ = std::make_unique<Tasks>(*task_graph_, n);
   }
-  mailboxes_ = ingress ? std::make_unique<ingress::MailboxSet>(n, config_.mailbox_capacity)
+  mailboxes_ = ingress ? std::make_unique<ingress::MailboxSet>(n, schedule_.mailbox_capacity)
                        : nullptr;
 
   // The executor the owner modes run: its loop, parking after one fruitless
@@ -193,20 +171,20 @@ std::vector<std::function<void()>> StealHarness::MakeBodies() {
   runtime::ExecutorConfig exec;
   exec.num_workers = n;
   exec.spin_per_unit = 0;
-  exec.backend = config_.backend;
-  exec.chase_lev_capacity = config_.deque_capacity;
-  exec.recheck_filter = config_.recheck;
-  exec.max_steal_batch = config_.max_steal_batch;
+  exec.backend = backend_;
+  exec.chase_lev_capacity = schedule_.deque_capacity;
+  exec.recheck_filter = schedule_.recheck;
+  exec.max_steal_batch = schedule_.max_steal_batch;
   exec.idle_spins_before_yield = 1;
   exec.ingress = ingress ? this : nullptr;
   exec.task_runner = tasks_.get();
-  exec.seed = config_.seed;
+  exec.seed = schedule_.seed;
   executor_ = std::make_unique<runtime::Executor>(
       policy_, exec, &topology_,
       runtime::CheckerSeams{.probe = this,
-                            .broken_steal_order = config_.broken_steal_order,
-                            .broken_termination_order = config_.broken_termination_order,
-                            .broken_wakeup_gate = config_.broken_wakeup_gate});
+                            .broken_steal_order = schedule_.broken_steal_order,
+                            .broken_termination_order = schedule_.broken_termination_order,
+                            .broken_wakeup_gate = schedule_.broken_wakeup_gate});
   stats_.assign(n, runtime::WorkerStats{});
   counters_.assign(n, StealCounters{});
   steal_rounds_.assign(n, 0);
@@ -220,7 +198,7 @@ std::vector<std::function<void()>> StealHarness::MakeBodies() {
   std::vector<WorkItem> seed;
   for (uint32_t q = 0; q < n; ++q) {
     seed.clear();
-    for (int64_t k = 0; k < config_.initial_loads[q]; ++k) {
+    for (int64_t k = 0; k < schedule_.initial_loads[q]; ++k) {
       seed.push_back(WorkItem{.id = next_id, .work_units = 1, .weight = 1024});
       initial_item_ids_.push_back(next_id);
       ++next_id;
@@ -228,7 +206,7 @@ std::vector<std::function<void()>> StealHarness::MakeBodies() {
     if (seed.empty()) {
       continue;
     }
-    if (config_.mode == "balance") {
+    if (schedule_.harness == "balance") {
       // Owner-side seeding: on chase_lev this lands items in the deque (the
       // stealable structure), not the external-submit inbox — balance mode
       // never runs PopForRun, so inbox items would be invisible to thieves.
@@ -241,15 +219,15 @@ std::vector<std::function<void()>> StealHarness::MakeBodies() {
   if (forkjoin) {
     const WorkItem root = task_graph_->ItemFor(task_graph_->NewRoot(UniformTreeTask));
     task::TaskNode& node = *reinterpret_cast<task::TaskNode*>(root.task);
-    node.env[0] = config_.tree_depth;
-    node.env[1] = config_.fanout;
+    node.env[0] = schedule_.tree_depth;
+    node.env[1] = schedule_.fanout;
     executor_->Seed(0, {root});
     initial_item_ids_.push_back(root.id);
   }
 
   std::vector<std::function<void()>> bodies;
   bodies.reserve(n);
-  if (config_.mode == "balance") {
+  if (schedule_.harness == "balance") {
     for (uint32_t w = 0; w < n; ++w) {
       bodies.push_back([this, w] { BalanceBody(w); });
     }
@@ -311,9 +289,9 @@ bool StealHarness::StealOnce(uint32_t worker, Rng& rng, WorkItem* run_next) {
   const StealCounters before = counters_[worker];
   CpuId victim = 0;
   StealObservation observation;
-  const runtime::StealOptions options{.recheck = config_.recheck,
-                                      .max_batch = config_.max_steal_batch,
-                                      .break_batch_bound = config_.break_batch_bound};
+  const runtime::StealOptions options{.recheck = schedule_.recheck,
+                                      .max_batch = schedule_.max_steal_batch,
+                                      .break_batch_bound = schedule_.break_batch_bound};
   const bool ok = machine().TrySteal(*policy_, worker, snapshot, rng, options,
                                      counters_[worker], &topology_, &victim, &observation,
                                      /*scratch=*/nullptr, run_next);
@@ -323,8 +301,8 @@ bool StealHarness::StealOnce(uint32_t worker, Rng& rng, WorkItem* run_next) {
 
 void StealHarness::BalanceBody(uint32_t worker) {
   Scheduler* scheduler = ActiveScheduler();
-  Rng rng(config_.seed * 0x9e3779b97f4a7c15ull + worker + 1);
-  for (uint32_t attempt = 0; attempt < config_.attempts_per_worker; ++attempt) {
+  Rng rng(schedule_.seed * 0x9e3779b97f4a7c15ull + worker + 1);
+  for (uint32_t attempt = 0; attempt < schedule_.attempts_per_worker; ++attempt) {
     // The executor's landing steal while this worker holds nothing; once it
     // holds a running item, later steals land plainly (a running worker
     // never steals in the executor, but balance mode keeps attempting).
@@ -344,7 +322,7 @@ void StealHarness::ProducerBody() {
   // announced as admitted (kUserMailboxPush) or refused-full
   // (kUserMailboxShed): the dichotomy the accounting property relies on —
   // no third state, so every offered item is traceable.
-  for (uint32_t i = 0; i < config_.attempts_per_worker; ++i) {
+  for (uint32_t i = 0; i < schedule_.attempts_per_worker; ++i) {
     const uint32_t target = 1 + (i % (n - 1));
     const uint64_t id = next_ingress_id_++;
     const WorkItem item{.id = id, .work_units = 1, .weight = 1024};
@@ -387,7 +365,7 @@ void StealHarness::OnSteal(uint32_t /*worker*/, const StealCounters& before,
 }
 
 bool StealHarness::MaySteal(uint32_t worker) {
-  return steal_rounds_[worker]++ < config_.attempts_per_worker;
+  return steal_rounds_[worker]++ < schedule_.attempts_per_worker;
 }
 
 void StealHarness::OnPark(uint32_t worker) {
@@ -427,25 +405,7 @@ const PropertyReport* StealHarness::FirstViolation(const std::vector<PropertyRep
 }
 
 Schedule StealHarness::MakeSchedule(const std::vector<uint32_t>& choices) const {
-  Schedule schedule;
-  schedule.harness = config_.mode;
-  schedule.policy = config_.policy;
-  schedule.initial_loads = config_.initial_loads;
-  schedule.attempts_per_worker = config_.attempts_per_worker;
-  schedule.seed = config_.seed;
-  schedule.recheck = config_.recheck;
-  schedule.max_steal_batch = config_.max_steal_batch;
-  schedule.break_batch_bound = config_.break_batch_bound;
-  schedule.mailbox_capacity = config_.mailbox_capacity;
-  schedule.backend = runtime::QueueBackendName(config_.backend);
-  schedule.deque_capacity = config_.deque_capacity;
-  schedule.broken_steal_order = config_.broken_steal_order;
-  schedule.tree_depth = config_.tree_depth;
-  schedule.fanout = config_.fanout;
-  schedule.broken_join_counter = config_.broken_join_counter;
-  schedule.broken_node_recycle = config_.broken_node_recycle;
-  schedule.broken_termination_order = config_.broken_termination_order;
-  schedule.broken_wakeup_gate = config_.broken_wakeup_gate;
+  Schedule schedule = schedule_;
   schedule.choices = choices;
   return schedule;
 }
@@ -457,9 +417,9 @@ std::vector<PropertyReport> StealHarness::Evaluate(const ExecutionResult& result
     reports.push_back(PropertyReport{name, holds, std::move(detail)});
   };
 
-  const bool ingress_mode = config_.mode == "ingress";
-  const bool forkjoin_mode = config_.mode == "forkjoin";
-  const bool closed_run = config_.mode == "drain" || forkjoin_mode;
+  const bool ingress_mode = schedule_.harness == "ingress";
+  const bool forkjoin_mode = schedule_.harness == "forkjoin";
+  const bool closed_run = schedule_.harness == "drain" || forkjoin_mode;
 
   // --- no-lost-wakeup: judged from the park events alone, so it is reported
   // ahead of termination — a lost wakeup usually ends in exactly the
@@ -718,7 +678,7 @@ std::vector<PropertyReport> StealHarness::Evaluate(const ExecutionResult& result
     // guards the asymptotic shape, the E16 bench measures the constant.
     {
       const uint64_t bound = static_cast<uint64_t>(num_workers()) *
-                             (config_.tree_depth + 2) * config_.fanout;
+                             (schedule_.tree_depth + 2) * schedule_.fanout;
       add("bounded-steals-on-tree", items_moved <= bound,
           items_moved <= bound
               ? ""
@@ -729,7 +689,7 @@ std::vector<PropertyReport> StealHarness::Evaluate(const ExecutionResult& result
     return reports;
   }
 
-  if (config_.mode != "balance") {
+  if (schedule_.harness != "balance") {
     return reports;
   }
 
@@ -755,7 +715,7 @@ std::vector<PropertyReport> StealHarness::Evaluate(const ExecutionResult& result
   // competitor's kUserStealOk NOTE is emitted after its TrySteal returns and
   // may be scheduled past this thread's recheck event, so the event-window
   // scan below would flag spurious violations on a sound protocol.
-  if (config_.backend == runtime::QueueBackend::kLocked) {
+  if (backend_ == runtime::QueueBackend::kLocked) {
     bool holds = true;
     std::string detail;
     std::vector<int64_t> last_snapshot(num_workers(), -1);

@@ -66,61 +66,8 @@ struct PropertyReport {
 
 class StealHarness final : public runtime::WorkerProbe, public runtime::IngressSource {
  public:
-  struct Config {
-    std::string mode = "balance";  // balance|drain|ingress|forkjoin
-    std::string policy = "thread-count";
-    // Items seeded per queue; size() is the worker count.
-    std::vector<int64_t> initial_loads;
-    // "balance": steal attempts per worker. Owner modes: the steal-round
-    // budget per worker ("ingress": also the producer's push count).
-    uint32_t attempts_per_worker = 2;
-    uint64_t seed = 1;
-    bool recheck = true;
-    // Batched steal-half: cap on items per successful steal action (see
-    // StealOptions::max_batch). 1 = the original steal-one protocol.
-    uint32_t max_steal_batch = 1;
-    // Fault mode ("balance"): ignore the migration rule and the batch cap,
-    // stripping the victim bare — the checker must find the steal-safety
-    // violation and minimize it (see StealOptions::break_batch_bound).
-    bool break_batch_bound = false;
-    // "ingress" mode: BoundedMailbox capacity per owner. Small bounds (2)
-    // make the full/refuse path reachable in tiny explorations.
-    uint32_t mailbox_capacity = 2;
-    // Run-queue backend under test (see runtime::QueueBackend). Both backends
-    // discharge the same properties; failure-causality is locked-only.
-    runtime::QueueBackend backend = runtime::QueueBackend::kLocked;
-    // Chase-Lev ring capacity; small default keeps mc state bounded while
-    // still holding every seeded load without spilling to the inbox.
-    uint32_t deque_capacity = 64;
-    // Fault knob (chase_lev only): thieves read bottom before top with no
-    // fence, so a stale size window can claim an already-executed slot; the
-    // item runs twice and a closed run never reads drained (termination).
-    bool broken_steal_order = false;
-    // "forkjoin" mode: uniform spawn tree of this many levels below the root
-    // (tree_depth = 1 is a root forking `fanout` leaves). initial_loads must
-    // be all-zero in this mode — the only seeded item is the root task.
-    uint32_t tree_depth = 2;
-    uint32_t fanout = 2;
-    // Fault knob ("forkjoin"): TaskGraphOptions::broken_join_counter — a
-    // plain load/store join decrement that can lose a concurrent arrival and
-    // strand the continuation (join-fires-exactly-once).
-    bool broken_join_counter = false;
-    // Fault knob ("forkjoin"): TaskGraphOptions::broken_node_recycle — a
-    // child that does not reach zero frees the continuation, whose node the
-    // freeing worker may reuse while siblings still owe it
-    // (join-fires-exactly-once).
-    bool broken_node_recycle = false;
-    // Fault knob ("forkjoin"): TerminationCounts' broken_read_order — sum
-    // the submitted counts before the executed ones (no-premature-exit).
-    bool broken_termination_order = false;
-    // Fault knob ("ingress"): CheckerSeams::broken_wakeup_gate — owners park
-    // on the sample of the round in which they announced (no-lost-wakeup).
-    bool broken_wakeup_gate = false;
-
-    static Config FromSchedule(const Schedule& schedule);
-  };
-
-  explicit StealHarness(Config config);
+  // `schedule` is the configuration; its choices are ignored.
+  explicit StealHarness(Schedule schedule);
   ~StealHarness() override;
 
   // Fresh machine + per-worker state; bodies for one controlled execution.
@@ -136,11 +83,10 @@ class StealHarness final : public runtime::WorkerProbe, public runtime::IngressS
 
   static const PropertyReport* FirstViolation(const std::vector<PropertyReport>& reports);
 
-  // Serializable identity of `choices` under this harness configuration.
+  // The harness configuration with `choices` set.
   Schedule MakeSchedule(const std::vector<uint32_t>& choices) const;
 
-  const Config& config() const { return config_; }
-  uint32_t num_workers() const { return static_cast<uint32_t>(config_.initial_loads.size()); }
+  uint32_t num_workers() const { return static_cast<uint32_t>(schedule_.initial_loads.size()); }
   // d over the seeded task counts; /2 bounds successful steals (§4.3).
   int64_t InitialPotential() const;
 
@@ -170,7 +116,8 @@ class StealHarness final : public runtime::WorkerProbe, public runtime::IngressS
   bool StealOnce(uint32_t worker, Rng& rng, runtime::WorkItem* run_next = nullptr);
   runtime::ConcurrentMachine& machine() { return executor_->machine(); }
 
-  Config config_;
+  Schedule schedule_;
+  runtime::QueueBackend backend_ = runtime::QueueBackend::kLocked;  // parsed schedule_.backend
   Topology topology_;
   std::shared_ptr<const BalancePolicy> policy_;
   // Per-execution state, rebuilt by MakeBodies.

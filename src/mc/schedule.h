@@ -25,7 +25,9 @@ struct Schedule {
   std::string policy = "thread-count";
   // Items seeded per queue; its size is the worker count.
   std::vector<int64_t> initial_loads;
-  uint32_t attempts_per_worker = 0;
+  // "balance": steal attempts per worker. Owner modes: the steal-round
+  // budget per worker ("ingress": also the producer's push count).
+  uint32_t attempts_per_worker = 2;
   uint64_t seed = 1;
   bool recheck = true;
   // Batched steal-half cap (1 = steal-one; matches StealOptions::max_batch).
@@ -46,9 +48,10 @@ struct Schedule {
   // Fault mode: thieves read bottom before top with no fence between, so a
   // stale window can claim an already-executed slot (no-lost-items).
   bool broken_steal_order = false;
-  // "forkjoin" harness: uniform spawn-tree depth and fanout (see
-  // StealHarness::Config). Absent in pre-task golden files; FromJson
-  // defaults to 2 / 2.
+  // "forkjoin" harness: uniform spawn tree of tree_depth levels below the
+  // root, `fanout` children per internal node (tree_depth = 1 is a root
+  // forking `fanout` leaves; initial_loads must be all zero). Absent in
+  // pre-task golden files; FromJson defaults to 2 / 2.
   uint32_t tree_depth = 2;
   uint32_t fanout = 2;
   // Fault mode ("forkjoin"): plain load/store join decrement loses

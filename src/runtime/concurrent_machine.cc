@@ -118,9 +118,9 @@ OPTSCHED_HOT_PATH void ConcurrentRunQueue::DrainInboxToDeque() {
   if (moved <= 0) {
     return;
   }
-  // The items were already counted by Push (ext_enq) when admitted; only
-  // the inbox-residency counter changes — and it drops BEFORE the items
-  // reach the deque. A thief's gate adds the inbox count to the stealable
+  // The items were already counted by PushBatchExternal (ext_enq) when
+  // admitted; only the inbox-residency counter changes — and it drops BEFORE
+  // the items reach the deque. A thief's gate adds the inbox count to the stealable
   // items it peeks, so an item in both places would be counted twice and
   // the gate could strip the owner bare (steal-safety). In between, the
   // gate under-counts: it may steal less, never too much.
@@ -208,26 +208,6 @@ OPTSCHED_HOT_PATH void ConcurrentRunQueue::FinishCurrentAndRun(const WorkItem& n
   fin_weight_.store(fin_weight_.load(std::memory_order_relaxed) + w, std::memory_order_relaxed);
 }
 
-void ConcurrentRunQueue::Push(WorkItem item) {
-  if (backend_ == QueueBackend::kLocked) {
-    LockGuard guard(lock_);
-    PushLocked(item);
-    return;
-  }
-  // Any thread may submit, but only the owner may touch the deque's bottom:
-  // land in the inbox, visible to the load counters immediately so the
-  // selection phase sees the work before the owner has drained it.
-  {
-    LockGuard guard(lock_);
-    inbox_.push_back(item);
-  }
-  mc_hooks::SyncPoint(mc_hooks::SyncOp::kDequeLoadWrite, this);
-  inbox_count_.fetch_add(1, std::memory_order_release);
-  ext_enq_tasks_.fetch_add(1, std::memory_order_relaxed);  // order: external-submit-counter
-  // order: external-submit-counter
-  ext_enq_weight_.fetch_add(item.weight, std::memory_order_relaxed);
-}
-
 OPTSCHED_HOT_PATH void ConcurrentRunQueue::PushBatchOwner(const WorkItem* items,
                                                           uint32_t count) {
   if (count == 0) {
@@ -295,8 +275,8 @@ void ConcurrentRunQueue::PushBatchExternal(const WorkItem* items, uint32_t count
   }
   // Non-owner context: the deque's bottom and the own_enq counters are both
   // single-writer owner state, so the batch lands in the inbox and is charged
-  // to the external-submitter counters — the same path Push takes, amortized
-  // to one lock acquisition and one counter RMW pair per batch.
+  // to the external-submitter counters: one lock acquisition and one counter
+  // RMW triple per batch.
   int64_t weight = 0;
   {
     LockGuard guard(lock_);
@@ -381,12 +361,6 @@ OPTSCHED_HOT_PATH uint32_t ConcurrentRunQueue::StealTailLocked(
   return taken;
 }
 
-void ConcurrentRunQueue::PushLocked(WorkItem item) {
-  queued_weight_ += item.weight;
-  ready_.PushBack(item);
-  PublishLocked();
-}
-
 OPTSCHED_HOT_PATH void ConcurrentRunQueue::PushBatchLocked(const WorkItem* items,
                                                            uint32_t count) {
   if (count == 0) {
@@ -419,20 +393,6 @@ OPTSCHED_HOT_PATH ChaseLevDeque::TopPeek ConcurrentRunQueue::PeekSteal() const {
   return deque_->PeekTop();
 }
 
-OPTSCHED_HOT_PATH bool ConcurrentRunQueue::TakeSteal(const ChaseLevDeque::TopPeek& peek) {
-  OPTSCHED_DCHECK(backend_ == QueueBackend::kChaseLev);
-  if (!deque_->TakeTop(peek)) {
-    return false;
-  }
-  // No SyncPoint between the CAS and these decrements: under the checker the
-  // successful take and its load accounting are one atomic step, so a
-  // concurrent observer never sees a taken item still counted.
-  stolen_tasks_.fetch_add(1, std::memory_order_relaxed);  // order: steal-commit-batch
-  // order: steal-commit-batch
-  stolen_weight_.fetch_add(peek.item.weight, std::memory_order_relaxed);
-  return true;
-}
-
 OPTSCHED_HOT_PATH bool ConcurrentRunQueue::TakeStealDeferred(const ChaseLevDeque::TopPeek& peek) {
   OPTSCHED_DCHECK(backend_ == QueueBackend::kChaseLev);
   return deque_->TakeTop(peek);
@@ -445,7 +405,8 @@ OPTSCHED_HOT_PATH void ConcurrentRunQueue::CommitStealAccounting(uint32_t items,
   }
   // Deliberately NO SyncPoint: under the checker the deferred decrement
   // merges into the adjacent step, so the hook sequence (and every committed
-  // golden schedule) is identical to the per-item TakeSteal path. The
+  // golden schedule) is the one a take with its accounting inside the CAS
+  // step would produce. The
   // overcount window this hides is benign by the safe-direction argument in
   // the header — the checker still discharges the end-state properties.
   stolen_tasks_.fetch_add(items, std::memory_order_relaxed);  // order: steal-commit-batch
@@ -735,7 +696,7 @@ OPTSCHED_HOT_PATH bool ConcurrentMachine::TryStealChaseLev(
     }
     if (!options.break_batch_bound) {
       // Per-item migration gate, anchored to the SAME top index the commit
-      // CAS validates: if TakeSteal succeeds, no competing thief (and no
+      // CAS validates: if TakeStealDeferred succeeds, no competing thief (and no
       // owner-last-item pop) intervened since this peek, so the gate judged
       // the state it acted on. The victim load is recomputed from the peek
       // each iteration — peek.size counts exactly the still-stealable items

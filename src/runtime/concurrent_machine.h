@@ -20,9 +20,9 @@
 //     surfaced as `failed_recheck`: the paper's filter -> choice -> steal
 //     proof structure carries over with the CAS playing the role of the
 //     locked re-check. External producers cannot touch bottom (single-owner
-//     discipline), so Push lands in a small spinlock-protected INBOX the
-//     owner drains into the deque at its next pop; the published load is a
-//     pair of relaxed counters covering deque + inbox + running.
+//     discipline), so PushBatchExternal lands in a small spinlock-protected
+//     INBOX the owner drains into the deque at its next pop; the published
+//     load is a pair of relaxed counters covering deque + inbox + running.
 //
 // Steals that fail the re-check (or the CAS) are counted, not retried — they
 // are the paper's legitimate failures.
@@ -56,6 +56,7 @@
 #include "src/runtime/termination.h"
 #include "src/runtime/work_item.h"
 #include "src/sched/machine_state.h"
+#include "src/stats/counters.h"
 
 namespace optsched::runtime {
 
@@ -113,9 +114,6 @@ class ConcurrentRunQueue {
   // nothing when the two weights are equal. The task counters do not move,
   // so FinishedCount() still counts only finishes that lowered the load.
   void FinishCurrentAndRun(const WorkItem& next) OPTSCHED_EXCLUDES(lock_);
-  // Enqueues a new item from ANY thread (kLocked: tail under the lock;
-  // kChaseLev: the inbox — only the owner may touch the deque's bottom).
-  void Push(WorkItem item) OPTSCHED_EXCLUDES(lock_);
   // Owner-only batch append, backend-neutral: the executor's ingress drain
   // and the steal path's landing site. kLocked takes the queue lock once for
   // the whole batch; kChaseLev pushes at bottom lock-free, spilling to the
@@ -161,7 +159,6 @@ class ConcurrentRunQueue {
   // invalidation per steal action. Returns the number of items taken.
   uint32_t StealTailLocked(FunctionRef<bool(const WorkItem&)> eligible, uint32_t max_items,
                            std::vector<WorkItem>& out) OPTSCHED_REQUIRES(lock_);
-  void PushLocked(WorkItem item) OPTSCHED_REQUIRES(lock_);
   // Appends `count` items and publishes the new load once.
   void PushBatchLocked(const WorkItem* items, uint32_t count) OPTSCHED_REQUIRES(lock_);
   // Whether the owner currently runs an item (PopForRun..FinishCurrent).
@@ -174,16 +171,13 @@ class ConcurrentRunQueue {
 
   // --- Cross-core steal support: kChaseLev -----------------------------------
   // Observe the victim's top-of-deque (no locks). The peek carries the top
-  // index TakeSteal's CAS will validate, so the policy gate between peek and
-  // take judges exactly the state the commit acts on.
+  // index TakeStealDeferred's CAS will validate, so the policy gate between
+  // peek and take judges exactly the state the commit acts on.
   ChaseLevDeque::TopPeek PeekSteal() const;
-  // Commits the peeked steal; on success the victim-side load counters drop
-  // in the same checker-atomic step as the CAS. False = top moved since the
-  // peek — a failed re-check, never retried here.
-  bool TakeSteal(const ChaseLevDeque::TopPeek& peek);
-  // Batch variant for the steal hot path: commits the CAS but DEFERS the
-  // victim-side counter decrements — the caller accumulates the batch and
-  // applies it once via CommitStealAccounting. Between the two calls the
+  // Commits the peeked steal's CAS. False = top moved since the peek — a
+  // failed re-check, never retried here. The victim-side counter decrements
+  // are DEFERRED: the caller accumulates the batch and applies it once via
+  // CommitStealAccounting. Between the two calls the
   // victim's published load overcounts the taken items, which is the safe
   // direction for every consumer: steal gates judge an inflated victim (they
   // under-steal, never over-steal), and the quiescent properties
@@ -264,7 +258,7 @@ class ConcurrentRunQueue {
   //   weight = the same formula over the *_weight counters.
   // Each counter is monotonic and has exactly one writer class — the owner
   // (plain load+store, no lock-prefixed RMW on its hot path), external
-  // submitters (fetch_add in Push), thieves (one fetch_add pair per steal
+  // submitters (fetch_add in PushBatchExternal), thieves (one fetch_add pair per steal
   // batch) — so a reader may see a torn combination, the same staleness the
   // selection phase already tolerates from the seqlock (and the re-check
   // absorbs); the decomposition is exact at quiescence (published-depth).
@@ -283,14 +277,14 @@ class ConcurrentRunQueue {
   std::atomic<int64_t> running_a_{0};
   // mc: kDequeLoadRead, kDequeLoadWrite
   std::atomic<int64_t> running_weight_a_{0};
-  // External-submitter line (Push: any thread).
+  // External-submitter line (PushBatchExternal: any thread).
   // mc: kDequeLoadRead, kDequeLoadWrite
   alignas(kCacheLineSize) std::atomic<int64_t> ext_enq_tasks_{0};
   // mc: kDequeLoadRead, kDequeLoadWrite
   std::atomic<int64_t> ext_enq_weight_{0};
   // mc: kDequeLoadRead, kDequeLoadWrite
   std::atomic<int64_t> inbox_count_{0};
-  // Thief line (TakeSteal / CommitStealAccounting), kept off the owner's
+  // Thief line (CommitStealAccounting), kept off the owner's
   // lines so a steal commit does not invalidate the owner's finish path.
   // mc: kDequeLoadRead, kDequeLoadWrite
   alignas(kCacheLineSize) std::atomic<int64_t> stolen_tasks_{0};
@@ -317,7 +311,17 @@ struct StealCounters {
   uint64_t failed_recheck = 0;
   uint64_t failed_no_task = 0;
   uint64_t empty_filter = 0;
+
+  static constexpr stats::Counter<StealCounters> kCounters[] = {
+      {"attempts", &StealCounters::attempts},
+      {"successes", &StealCounters::successes},
+      {"items_stolen", &StealCounters::items_stolen},
+      {"failed_recheck", &StealCounters::failed_recheck},
+      {"failed_no_task", &StealCounters::failed_no_task},
+      {"empty_filter", &StealCounters::empty_filter},
+  };
 };
+static_assert(stats::CoversEveryField<StealCounters>());
 
 // Knobs of one TrySteal call. Defaults reproduce the paper's Listing 1
 // exactly: re-checked, one item per successful steal (`steal_one`).

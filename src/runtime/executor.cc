@@ -55,69 +55,19 @@ __attribute__((noinline, aligned(64))) void DoWork(uint64_t units, uint64_t spin
 
 }  // namespace
 
-uint64_t ExecutorReport::total_successes() const {
-  uint64_t total = 0;
+WorkerStats ExecutorReport::Totals() const {
+  WorkerStats total;
   for (const WorkerStats& w : workers) {
-    total += w.steals.successes;
+    stats::AddCounters(total, w);
+    total.steal_latency_ns.Merge(w.steal_latency_ns);
+    total.steal_fail_latency_ns.Merge(w.steal_fail_latency_ns);
+    total.selection_latency_ns.Merge(w.selection_latency_ns);
+    total.sojourn_ns.Merge(w.sojourn_ns);
   }
   return total;
 }
 
-uint64_t ExecutorReport::total_items_stolen() const {
-  uint64_t total = 0;
-  for (const WorkerStats& w : workers) {
-    total += w.steals.items_stolen;
-  }
-  return total;
-}
-
-uint64_t ExecutorReport::total_failed_recheck() const {
-  uint64_t total = 0;
-  for (const WorkerStats& w : workers) {
-    total += w.steals.failed_recheck;
-  }
-  return total;
-}
-
-uint64_t ExecutorReport::total_attempts() const {
-  uint64_t total = 0;
-  for (const WorkerStats& w : workers) {
-    total += w.steals.attempts;
-  }
-  return total;
-}
-
-uint64_t ExecutorReport::total_backoff_events() const {
-  uint64_t total = 0;
-  for (const WorkerStats& w : workers) {
-    total += w.backoff_events;
-  }
-  return total;
-}
-
-uint64_t ExecutorReport::total_crashes() const {
-  uint64_t total = 0;
-  for (const WorkerStats& w : workers) {
-    total += w.crashes;
-  }
-  return total;
-}
-
-uint64_t ExecutorReport::total_mailbox_items_drained() const {
-  uint64_t total = 0;
-  for (const WorkerStats& w : workers) {
-    total += w.mailbox_items_drained;
-  }
-  return total;
-}
-
-stats::LogHistogram ExecutorReport::MergedSojournNs() const {
-  stats::LogHistogram merged;
-  for (const WorkerStats& w : workers) {
-    merged.Merge(w.sojourn_ns);
-  }
-  return merged;
-}
+stats::LogHistogram ExecutorReport::MergedSojournNs() const { return Totals().sojourn_ns; }
 
 double ExecutorReport::throughput_items_per_ms() const {
   return wall_time_ns == 0
@@ -126,40 +76,28 @@ double ExecutorReport::throughput_items_per_ms() const {
 }
 
 std::string ExecutorReport::ToString() const {
-  std::string out = StrFormat(
-      "executor{items=%llu wall=%.2fms throughput=%.1f items/ms steals=%llu "
-      "stolen_items=%llu failed_recheck=%llu attempts=%llu backoffs=%llu}",
-      static_cast<unsigned long long>(total_items), static_cast<double>(wall_time_ns) / 1e6,
-      throughput_items_per_ms(), static_cast<unsigned long long>(total_successes()),
-      static_cast<unsigned long long>(total_items_stolen()),
-      static_cast<unsigned long long>(total_failed_recheck()),
-      static_cast<unsigned long long>(total_attempts()),
-      static_cast<unsigned long long>(total_backoff_events()));
-  stats::LogHistogram ok_ns;
-  stats::LogHistogram fail_ns;
-  for (const WorkerStats& w : workers) {
-    ok_ns.Merge(w.steal_latency_ns);
-    fail_ns.Merge(w.steal_fail_latency_ns);
-  }
+  const WorkerStats totals = Totals();
+  std::string out = StrFormat("executor{items=%llu wall=%.2fms throughput=%.1f items/ms} ",
+                              static_cast<unsigned long long>(total_items),
+                              static_cast<double>(wall_time_ns) / 1e6, throughput_items_per_ms()) +
+                    stats::FormatCounters(totals, "workers");
+  const stats::LogHistogram& ok_ns = totals.steal_latency_ns;
+  const stats::LogHistogram& fail_ns = totals.steal_fail_latency_ns;
   if (ok_ns.total() > 0 || fail_ns.total() > 0) {
     out += StrFormat(" steal_ns{ok_p50=%.0f ok_p99=%.0f fail_p50=%.0f fail_p99=%.0f}",
                      ok_ns.Percentile(0.5), ok_ns.Percentile(0.99), fail_ns.Percentile(0.5),
                      fail_ns.Percentile(0.99));
   }
-  if (total_mailbox_items_drained() > 0) {
-    out += StrFormat(" mailbox{items_drained=%llu}",
-                     static_cast<unsigned long long>(total_mailbox_items_drained()));
-  }
-  const stats::LogHistogram sojourn = MergedSojournNs();
+  const stats::LogHistogram& sojourn = totals.sojourn_ns;
   if (sojourn.total() > 0) {
     out += StrFormat(" sojourn_ns{p50=%.0f p99=%.0f p999=%.0f}", sojourn.Percentile(0.5),
                      sojourn.Percentile(0.99), sojourn.Percentile(0.999));
   }
-  if (faults.total() > 0) {
-    out += " " + faults.ToString();
+  if (stats::CounterSum(faults) > 0) {
+    out.append(" ").append(stats::FormatCounters(faults, "faults"));
   }
-  if (watchdog.observations > 0) {
-    out += " " + watchdog.ToString();
+  if (stats::CounterSum(watchdog) > 0) {
+    out.append(" ").append(stats::FormatCounters(watchdog, "watchdog"));
   }
   if (!trace_events.empty() || trace_dropped > 0) {
     out += StrFormat(" trace{events=%zu dropped=%llu}", trace_events.size(),
@@ -179,47 +117,19 @@ void ExecutorReport::ExportMetrics(trace::MetricsRegistry& registry) const {
   registry.Add("executor.trace.events", static_cast<double>(trace_events.size()));
   registry.Add("executor.trace.dropped", static_cast<double>(trace_dropped));
   registry.Add("executor.seqlock.read_retries", static_cast<double>(seqlock_read_retries));
-  registry.Add("executor.faults.stalled_attempts", static_cast<double>(faults.stalled_attempts));
-  registry.Add("executor.faults.injected_aborts", static_cast<double>(faults.injected_aborts));
-  registry.Add("executor.faults.stale_snapshots", static_cast<double>(faults.stale_snapshots));
-  registry.Add("executor.faults.dropped_rounds", static_cast<double>(faults.dropped_rounds));
-  registry.Add("executor.faults.crashes", static_cast<double>(faults.crashes));
-  registry.Add("executor.faults.delayed_drains", static_cast<double>(faults.delayed_drains));
-  watchdog.ExportTo(registry, "executor.watchdog");
-  const stats::LogHistogram sojourn = MergedSojournNs();
-  if (sojourn.total() > 0) {
-    registry.Set("executor.sojourn_ns.p50", sojourn.Percentile(0.50));
-    registry.Set("executor.sojourn_ns.p99", sojourn.Percentile(0.99));
-    registry.Set("executor.sojourn_ns.p999", sojourn.Percentile(0.999));
+  stats::ExportCounters(faults, registry, "executor.faults");
+  stats::ExportCounters(watchdog, registry, "executor.watchdog");
+  const WorkerStats totals = Totals();
+  if (totals.sojourn_ns.total() > 0) {
+    registry.Set("executor.sojourn_ns.p50", totals.sojourn_ns.Percentile(0.50));
+    registry.Set("executor.sojourn_ns.p99", totals.sojourn_ns.Percentile(0.99));
+    registry.Set("executor.sojourn_ns.p999", totals.sojourn_ns.Percentile(0.999));
   }
+  // Machine-wide aggregates plus the per-worker split for the
+  // load-distribution view.
+  stats::ExportCounters(totals, registry, "executor");
   for (size_t i = 0; i < workers.size(); ++i) {
-    const WorkerStats& w = workers[i];
-    // Machine-wide aggregates (Add merges across workers)...
-    registry.Add("executor.items_executed", static_cast<double>(w.items_executed));
-    registry.Add("executor.units_executed", static_cast<double>(w.units_executed));
-    registry.Add("executor.steals.attempts", static_cast<double>(w.steals.attempts));
-    registry.Add("executor.steals.successes", static_cast<double>(w.steals.successes));
-    registry.Add("executor.steals.items_stolen", static_cast<double>(w.steals.items_stolen));
-    registry.Add("executor.steals.failed_recheck", static_cast<double>(w.steals.failed_recheck));
-    registry.Add("executor.steals.failed_no_task", static_cast<double>(w.steals.failed_no_task));
-    registry.Add("executor.steals.empty_filter", static_cast<double>(w.steals.empty_filter));
-    registry.Add("executor.idle_loops", static_cast<double>(w.idle_loops));
-    registry.Add("executor.backoff.events", static_cast<double>(w.backoff_events));
-    registry.Add("executor.backoff.spins_total", static_cast<double>(w.backoff_spins_total));
-    registry.Add("executor.backoff.yields", static_cast<double>(w.yields));
-    registry.Add("executor.backoff.escalation_wakeups",
-                 static_cast<double>(w.escalation_wakeups));
-    registry.Add("executor.backoff.submit_wakeups", static_cast<double>(w.submit_wakeups));
-    registry.Add("executor.crashes", static_cast<double>(w.crashes));
-    registry.Add("executor.mailbox.drains", static_cast<double>(w.mailbox_drains));
-    registry.Add("executor.mailbox.items_drained",
-                 static_cast<double>(w.mailbox_items_drained));
-    // ...plus the per-worker split for the load-distribution view.
-    const std::string prefix = StrFormat("executor.worker%zu", i);
-    registry.Add(prefix + ".items_executed", static_cast<double>(w.items_executed));
-    registry.Add(prefix + ".steals.successes", static_cast<double>(w.steals.successes));
-    registry.Add(prefix + ".steals.attempts", static_cast<double>(w.steals.attempts));
-    registry.Add(prefix + ".crashes", static_cast<double>(w.crashes));
+    stats::ExportCounters(workers[i], registry, StrFormat("executor.worker%zu", i));
   }
 }
 
@@ -255,7 +165,7 @@ void Executor::Seed(uint32_t queue_index, const std::vector<WorkItem>& items) {
 void Executor::Submit(uint32_t queue_index, const WorkItem& item) {
   OPTSCHED_CHECK(queue_index < machine_.num_queues());
   counts_.AddExternal(1);
-  machine_.queue(queue_index).Push(item);
+  machine_.queue(queue_index).PushBatchExternal(&item, 1);
   // Notify strictly AFTER the push: a worker whose wakeup sample goes stale
   // re-runs its empty re-checks and is guaranteed to find this item.
   // Notifying before the push would let a woken worker re-check, miss the

@@ -209,6 +209,22 @@ struct WorkerStats {
   // executed items that carried an arrival stamp; empty in closed-system
   // runs, which don't stamp.
   stats::LogHistogram sojourn_ns;
+
+  static constexpr stats::Counter<WorkerStats> kCounters[] = {
+      {"items_executed", &WorkerStats::items_executed},
+      {"units_executed", &WorkerStats::units_executed},
+      {"idle_loops", &WorkerStats::idle_loops},
+      {"backoff.events", &WorkerStats::backoff_events},
+      {"backoff.spins_total", &WorkerStats::backoff_spins_total},
+      {"backoff.yields", &WorkerStats::yields},
+      {"backoff.escalation_wakeups", &WorkerStats::escalation_wakeups},
+      {"crashes", &WorkerStats::crashes},
+      {"mailbox.drains", &WorkerStats::mailbox_drains},
+      {"mailbox.items_drained", &WorkerStats::mailbox_items_drained},
+      {"backoff.submit_wakeups", &WorkerStats::submit_wakeups},
+  };
+  static constexpr stats::Nested<WorkerStats, StealCounters> kNested = {"steals",
+                                                                       &WorkerStats::steals};
 };
 
 struct ExecutorReport {
@@ -231,21 +247,14 @@ struct ExecutorReport {
   // under it (legitimate, but previously invisible).
   uint64_t seqlock_read_retries = 0;
 
-  uint64_t total_successes() const;
-  // Items migrated across all successful steal actions (>= total_successes();
-  // equal when max_steal_batch == 1).
-  uint64_t total_items_stolen() const;
-  uint64_t total_failed_recheck() const;
-  uint64_t total_attempts() const;
-  uint64_t total_backoff_events() const;
-  uint64_t total_crashes() const;
-  uint64_t total_mailbox_items_drained() const;
+  // Every worker's counters summed and histograms merged.
+  WorkerStats Totals() const;
   // Sojourn histograms of all workers merged (arrival-stamped items only).
   stats::LogHistogram MergedSojournNs() const;
   double throughput_items_per_ms() const;
-  // Snapshots every counter of the run — per-worker and aggregate steal
-  // outcomes, backoff, faults, watchdog, trace drops — into the registry
-  // under "executor.*" names.
+  // Snapshots every counter of the run — the workers' counter tables summed
+  // and per worker, faults, watchdog, trace drops — into the registry under
+  // "executor.*" names.
   void ExportMetrics(trace::MetricsRegistry& registry) const;
   std::string ToString() const;
 };

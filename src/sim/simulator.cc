@@ -3,26 +3,8 @@
 #include <algorithm>
 
 #include "src/base/check.h"
-#include "src/base/str.h"
 
 namespace optsched::sim {
-
-std::string SimMetrics::ToString() const {
-  return StrFormat(
-      "sim{submitted=%llu completed=%llu bursts=%llu migrations=%llu failed_steals=%llu "
-      "rounds=%llu preemptions=%llu wakeups=%llu newidle=%llu/%llu makespan=%lluus}",
-      static_cast<unsigned long long>(tasks_submitted),
-      static_cast<unsigned long long>(tasks_completed),
-      static_cast<unsigned long long>(bursts_completed),
-      static_cast<unsigned long long>(migrations),
-      static_cast<unsigned long long>(failed_steals),
-      static_cast<unsigned long long>(lb_rounds),
-      static_cast<unsigned long long>(preemptions),
-      static_cast<unsigned long long>(wakeups),
-      static_cast<unsigned long long>(newidle_steals),
-      static_cast<unsigned long long>(newidle_attempts),
-      static_cast<unsigned long long>(makespan_us));
-}
 
 Simulator::Simulator(const Topology& topology, std::shared_ptr<const BalancePolicy> policy,
                      const SimConfig& config, uint64_t seed)
@@ -510,29 +492,16 @@ SimTime Simulator::Run() {
 }
 
 void Simulator::ExportMetrics(trace::MetricsRegistry& registry) const {
-  registry.Add("sim.tasks_submitted", static_cast<double>(metrics_.tasks_submitted));
-  registry.Add("sim.tasks_completed", static_cast<double>(metrics_.tasks_completed));
-  registry.Add("sim.bursts_completed", static_cast<double>(metrics_.bursts_completed));
-  registry.Add("sim.migrations", static_cast<double>(metrics_.migrations));
-  registry.Add("sim.failed_steals", static_cast<double>(metrics_.failed_steals));
-  registry.Add("sim.lb_rounds", static_cast<double>(metrics_.lb_rounds));
-  registry.Add("sim.preemptions", static_cast<double>(metrics_.preemptions));
-  registry.Add("sim.wakeups", static_cast<double>(metrics_.wakeups));
-  registry.Add("sim.watchdog_escalations", static_cast<double>(metrics_.watchdog_escalations));
-  registry.Add("sim.makespan_us", static_cast<double>(metrics_.makespan_us));
+  stats::ExportCounters(metrics_, registry, "sim");
   registry.Set("sim.accounting.elapsed_us", static_cast<double>(accounting_.elapsed_us()));
   registry.Set("sim.accounting.wasted_us", static_cast<double>(accounting_.wasted_us()));
   registry.Set("sim.accounting.utilization", accounting_.utilization());
   registry.Set("sim.accounting.wasted_fraction", accounting_.wasted_fraction());
   registry.Add("sim.trace.events", static_cast<double>(trace_.events().size()));
   registry.Add("sim.trace.dropped", static_cast<double>(trace_.dropped()));
-  balancer_.stats().ExportTo(registry, "sim.balancer");
-  const fault::FaultStats faults = fault_stats();
-  registry.Add("sim.faults.stalled_attempts", static_cast<double>(faults.stalled_attempts));
-  registry.Add("sim.faults.injected_aborts", static_cast<double>(faults.injected_aborts));
-  registry.Add("sim.faults.stale_snapshots", static_cast<double>(faults.stale_snapshots));
-  registry.Add("sim.faults.dropped_rounds", static_cast<double>(faults.dropped_rounds));
-  watchdog_.stats().ExportTo(registry, "sim.watchdog");
+  stats::ExportCounters(balancer_.stats(), registry, "sim.balancer");
+  stats::ExportCounters(fault_stats(), registry, "sim.faults");
+  stats::ExportCounters(watchdog_.stats(), registry, "sim.watchdog");
 }
 
 }  // namespace optsched::sim

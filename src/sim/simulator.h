@@ -29,6 +29,7 @@
 #include "src/core/balancer.h"
 #include "src/fault/fault.h"
 #include "src/sched/machine_state.h"
+#include "src/stats/counters.h"
 #include "src/stats/histogram.h"
 #include "src/stats/summary.h"
 #include "src/topology/topology.h"
@@ -134,7 +135,25 @@ struct SimMetrics {
   stats::Summary ready_to_run_latency_us;
   stats::LogHistogram ready_to_run_hist_us;
 
-  std::string ToString() const;
+  // "newidle" counts newidle balancing attempts.
+  static constexpr stats::Counter<SimMetrics> kCounters[] = {
+      {"tasks_submitted", &SimMetrics::tasks_submitted},
+      {"tasks_completed", &SimMetrics::tasks_completed},
+      {"bursts_completed", &SimMetrics::bursts_completed},
+      {"migrations", &SimMetrics::migrations},
+      {"failed_steals", &SimMetrics::failed_steals},
+      {"lb_rounds", &SimMetrics::lb_rounds},
+      {"preemptions", &SimMetrics::preemptions},
+      {"wakeups", &SimMetrics::wakeups},
+      {"newidle", &SimMetrics::newidle_attempts},
+      {"newidle_steals", &SimMetrics::newidle_steals},
+      {"watchdog_escalations", &SimMetrics::watchdog_escalations},
+      {"cold_migrations", &SimMetrics::cold_migrations},
+      {"migration_penalty_us", &SimMetrics::migration_penalty_us},
+      {"makespan_us", &SimMetrics::makespan_us},
+  };
+
+  std::string ToString() const { return stats::FormatCounters(*this, "sim"); }
 };
 
 class Simulator {

@@ -108,27 +108,6 @@ std::vector<WastedEpisode> LoadSampler::WastedEpisodes() const {
   return episodes;
 }
 
-void WatchdogStats::ExportTo(MetricsRegistry& registry, const std::string& prefix) const {
-  registry.Add(prefix + ".observations", static_cast<double>(observations));
-  registry.Add(prefix + ".transient_violations", static_cast<double>(transient_violations));
-  registry.Add(prefix + ".persistent_violations", static_cast<double>(persistent_violations));
-  registry.Add(prefix + ".recoveries", static_cast<double>(recoveries));
-  registry.Add(prefix + ".escalations", static_cast<double>(escalations));
-  registry.Add(prefix + ".max_streak_rounds", static_cast<double>(max_streak_rounds));
-}
-
-std::string WatchdogStats::ToString() const {
-  return StrFormat(
-      "watchdog{observed=%llu transient=%llu persistent=%llu escalations=%llu "
-      "recoveries=%llu max_streak=%llu}",
-      static_cast<unsigned long long>(observations),
-      static_cast<unsigned long long>(transient_violations),
-      static_cast<unsigned long long>(persistent_violations),
-      static_cast<unsigned long long>(escalations),
-      static_cast<unsigned long long>(recoveries),
-      static_cast<unsigned long long>(max_streak_rounds));
-}
-
 ConservationWatchdog::ConservationWatchdog(uint32_t num_cpus, WatchdogConfig config)
     : num_cpus_(num_cpus),
       threshold_(config.threshold_rounds > 0 ? config.threshold_rounds

@@ -13,7 +13,7 @@
 #include <vector>
 
 #include "src/sched/machine_state.h"
-#include "src/trace/metrics.h"
+#include "src/stats/counters.h"
 #include "src/trace/trace.h"
 
 namespace optsched::trace {
@@ -116,10 +116,16 @@ struct WatchdogStats {
   uint64_t escalations = 0;
   uint64_t max_streak_rounds = 0;
 
-  // Exports every counter as "<prefix>.<name>" into the registry.
-  void ExportTo(MetricsRegistry& registry, const std::string& prefix) const;
-  std::string ToString() const;
+  static constexpr stats::Counter<WatchdogStats> kCounters[] = {
+      {"observations", &WatchdogStats::observations},
+      {"transient_violations", &WatchdogStats::transient_violations},
+      {"persistent_violations", &WatchdogStats::persistent_violations},
+      {"recoveries", &WatchdogStats::recoveries},
+      {"escalations", &WatchdogStats::escalations},
+      {"max_streak_rounds", &WatchdogStats::max_streak_rounds},
+  };
 };
+static_assert(stats::CoversEveryField<WatchdogStats>());
 
 class ConservationWatchdog {
  public:

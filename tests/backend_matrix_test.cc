@@ -37,7 +37,8 @@ TEST_P(BackendMatrix, ExternalPushPopFinishAccounting) {
   ConcurrentRunQueue queue(GetParam());
   EXPECT_EQ(queue.backend(), GetParam());
   for (uint64_t id = 1; id <= 3; ++id) {
-    queue.Push(Item(id, 100 * static_cast<uint32_t>(id)));
+    const WorkItem item = Item(id, 100 * static_cast<uint32_t>(id));
+    queue.PushBatchExternal(&item, 1);
   }
   runtime::LoadPair load = queue.ReadLoad();
   EXPECT_EQ(load.task_count, 3);
@@ -171,7 +172,8 @@ TEST_P(BackendMatrix, FinishCurrentAndPopHandsTheRunningSlotOn) {
   // An empty fused pop leaves the owner not running: a plain pop and a
   // later push/pop cycle work as before.
   EXPECT_FALSE(queue.PopForRun().has_value());
-  queue.Push(Item(9));
+  const WorkItem late = Item(9);
+  queue.PushBatchExternal(&late, 1);
   item = queue.PopForRun();
   ASSERT_TRUE(item.has_value());
   EXPECT_EQ(item->id, 9u);
@@ -267,11 +269,15 @@ TEST(BackendMatrixChaseLev, PeekTakeStealDecrementsPublishedLoad) {
   const auto first = queue.PeekSteal();
   const auto stale = queue.PeekSteal();
   ASSERT_TRUE(first.found);
-  EXPECT_TRUE(queue.TakeSteal(first));
+  EXPECT_TRUE(queue.TakeStealDeferred(first));
+  // Until the thief commits the accounting, the victim over-counts the taken
+  // item (the safe direction).
+  EXPECT_EQ(queue.ReadLoad().task_count, 2);
+  queue.CommitStealAccounting(1, first.item.weight);
   EXPECT_EQ(queue.ReadLoad().task_count, 1);
   // The stale observation's commit must fail — the failed re-check — and
   // must NOT touch the accounting.
-  EXPECT_FALSE(queue.TakeSteal(stale));
+  EXPECT_FALSE(queue.TakeStealDeferred(stale));
   EXPECT_EQ(queue.ReadLoad().task_count, 1);
   EXPECT_EQ(queue.ExactLoad().task_count, 1);
 }
@@ -307,7 +313,7 @@ TEST_P(BackendMatrix, ExecutorDrainsImbalancedSeedWithSteals) {
     }
     ASSERT_EQ(executed, 2000u);
     ASSERT_EQ(report.items_left_unexecuted, 0u);
-    total_successes = report.total_successes();
+    total_successes = report.Totals().steals.successes;
   }
   EXPECT_GT(total_successes, 0u);
 }

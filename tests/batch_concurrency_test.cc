@@ -17,6 +17,11 @@
 namespace optsched {
 namespace {
 
+// One item through the external submit path (Executor::Submit's).
+void PushOne(runtime::ConcurrentRunQueue& queue, const runtime::WorkItem& item) {
+  queue.PushBatchExternal(&item, 1);
+}
+
 runtime::WorkItem Item(uint64_t id) {
   return runtime::WorkItem{.id = id, .work_units = 1, .weight = 1024};
 }
@@ -27,7 +32,7 @@ runtime::WorkItem Item(uint64_t id) {
 TEST(BatchSteal, StealHalfMovesHalfTheGapInOneAction) {
   runtime::ConcurrentMachine machine(2);
   for (uint64_t id = 1; id <= 6; ++id) {
-    machine.queue(0).Push(Item(id));
+    PushOne(machine.queue(0), Item(id));
   }
   const auto policy = policies::MakeThreadCount();
   runtime::StealCounters counters;
@@ -50,7 +55,7 @@ TEST(BatchSteal, StealHalfMovesHalfTheGapInOneAction) {
 TEST(BatchSteal, CapOfOnePreservesStealOne) {
   runtime::ConcurrentMachine machine(2);
   for (uint64_t id = 1; id <= 6; ++id) {
-    machine.queue(0).Push(Item(id));
+    PushOne(machine.queue(0), Item(id));
   }
   const auto policy = policies::MakeThreadCount();
   runtime::StealCounters counters;
@@ -69,7 +74,7 @@ TEST(BatchSteal, CapOfOnePreservesStealOne) {
 TEST(BatchSteal, VictimNeverIdledEvenWithOversizedCap) {
   runtime::ConcurrentMachine machine(2);
   for (uint64_t id = 1; id <= 3; ++id) {
-    machine.queue(0).Push(Item(id));
+    PushOne(machine.queue(0), Item(id));
   }
   const auto policy = policies::MakeThreadCount();
   runtime::StealCounters counters;
@@ -88,7 +93,7 @@ TEST(BatchSteal, VictimNeverIdledEvenWithOversizedCap) {
 TEST(BatchSteal, BatchPublishesOncePerQueue) {
   runtime::ConcurrentMachine machine(2);
   for (uint64_t id = 1; id <= 6; ++id) {
-    machine.queue(0).Push(Item(id));
+    PushOne(machine.queue(0), Item(id));
   }
   const uint64_t victim_before = machine.queue(0).SeqlockWriteCount();
   const uint64_t thief_before = machine.queue(1).SeqlockWriteCount();
@@ -111,7 +116,7 @@ TEST(BatchSteal, BatchPublishesOncePerQueue) {
 TEST(BatchSteal, BrokenBatchBoundStripsVictimBare) {
   runtime::ConcurrentMachine machine(2);
   for (uint64_t id = 1; id <= 4; ++id) {
-    machine.queue(0).Push(Item(id));
+    PushOne(machine.queue(0), Item(id));
   }
   const auto policy = policies::MakeThreadCount();
   runtime::StealCounters counters;
@@ -131,8 +136,8 @@ TEST(BatchSteal, BrokenBatchBoundStripsVictimBare) {
 // as it was (the old order popped first, so the post-mortem state lied).
 TEST(RunQueueDeath, PopWhileRunningAbortsBeforeMutation) {
   runtime::ConcurrentRunQueue queue;
-  queue.Push(Item(1));
-  queue.Push(Item(2));
+  PushOne(queue, Item(1));
+  PushOne(queue, Item(2));
   ASSERT_TRUE(queue.PopForRun().has_value());
   EXPECT_DEATH(queue.PopForRun(), "owner already runs an item");
   // The parent's queue is untouched by the child's abort; the normal
@@ -154,7 +159,7 @@ TEST(BatchStealStress, NoVictimObservedIdleUnderConcurrentBatchSteals) {
   constexpr int kAttemptsPerThief = 3000;
   runtime::ConcurrentMachine machine(kThieves + 1);
   for (uint64_t id = 1; id <= 512; ++id) {
-    machine.queue(0).Push(Item(id));
+    PushOne(machine.queue(0), Item(id));
   }
   const auto policy = policies::MakeThreadCount();
   std::atomic<bool> victim_idled{false};
@@ -258,9 +263,9 @@ TEST(ExecutorBatch, BatchedRunDrainsAndSplitsActionAndItemCounts) {
   }
   EXPECT_EQ(executed, 2000u);
   EXPECT_EQ(report.items_left_unexecuted, 0u);
-  EXPECT_GE(report.total_items_stolen(), report.total_successes());
-  EXPECT_LE(report.total_items_stolen(),
-            report.total_successes() * uint64_t{config.max_steal_batch});
+  const runtime::StealCounters steals = report.Totals().steals;
+  EXPECT_GE(steals.items_stolen, steals.successes);
+  EXPECT_LE(steals.items_stolen, steals.successes * uint64_t{config.max_steal_batch});
 }
 
 }  // namespace

@@ -61,7 +61,7 @@ TEST(ExecutorDynamic, StealingSpreadsDynamicWork) {
     helper_items += report.workers[i].items_executed;
   }
   EXPECT_GT(helper_items, 0u) << report.ToString();
-  EXPECT_GT(report.total_successes(), 0u);
+  EXPECT_GT(report.Totals().steals.successes, 0u);
 }
 
 TEST(ExecutorDynamic, DeadlineWithoutProducerJustIdles) {

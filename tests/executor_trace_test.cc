@@ -74,7 +74,8 @@ TEST(ExecutorTrace, RecordsStealOutcomesFromMultipleWorkers) {
   }
   EXPECT_GE(stealing_lanes.size(), 2u);
   // Trace counts match the counters the workers kept.
-  EXPECT_EQ(CountType(report.trace_events, EventType::kSteal), report.total_successes());
+  EXPECT_EQ(CountType(report.trace_events, EventType::kSteal),
+            report.Totals().steals.successes);
 }
 
 TEST(ExecutorTrace, RecordsBackoffParksWithDurations) {
@@ -91,7 +92,7 @@ TEST(ExecutorTrace, RecordsBackoffParksWithDurations) {
   SCOPED_TRACE(report.ToString());
   const uint64_t parks = CountType(report.trace_events, EventType::kBackoffPark);
   EXPECT_GT(parks, 0u);
-  EXPECT_EQ(parks, report.total_backoff_events());
+  EXPECT_EQ(parks, report.Totals().backoff_events);
   for (const TraceEvent& e : report.trace_events) {
     if (e.type == EventType::kBackoffPark) {
       EXPECT_GT(e.detail, 0) << "parks carry their measured duration (ns)";
@@ -160,7 +161,7 @@ TEST(ExecutorStats, FailedStealLatencyIsRecordedSeparately) {
     fail += w.steal_fail_latency_ns.total();
     failed_attempts += w.steals.failed_recheck + w.steals.failed_no_task;
   }
-  EXPECT_EQ(ok, report.total_successes());
+  EXPECT_EQ(ok, report.Totals().steals.successes);
   EXPECT_GT(fail, 0u);
   EXPECT_EQ(fail, failed_attempts);
   // Both histograms surface in the human-readable report.
@@ -181,7 +182,7 @@ TEST(ExecutorStats, ExportMetricsAggregatesAndMerges) {
                    static_cast<double>(report.workers[0].items_executed +
                                        report.workers[1].items_executed));
   EXPECT_DOUBLE_EQ(registry.Get("executor.steals.successes"),
-                   static_cast<double>(report.total_successes()));
+                   static_cast<double>(report.Totals().steals.successes));
   EXPECT_TRUE(registry.Has("executor.worker0.items_executed"));
   EXPECT_TRUE(registry.Has("executor.trace.events"));
   // Merging two runs' registries sums the counters.

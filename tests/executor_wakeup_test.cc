@@ -258,7 +258,7 @@ TEST(ExecutorWakeup, MailboxNotifyWakesParkedOwner) {
   EXPECT_EQ(admitted.load(), 100u);
   EXPECT_EQ(executed, 100u);
   EXPECT_EQ(report.items_left_unexecuted, 0u);
-  EXPECT_EQ(report.total_mailbox_items_drained(), 100u);
+  EXPECT_EQ(report.Totals().mailbox_items_drained, 100u);
   EXPECT_EQ(mailboxes.TotalPending(), 0);
 }
 

@@ -50,7 +50,8 @@ TEST(ChaosModel, ConvergesUnderModerateFaultRates) {
     const ConvergenceResult result = RunUntilWorkConserved(balancer, machine, rng, options);
     SCOPED_TRACE(result.ToString());
     EXPECT_TRUE(result.converged) << "seed " << seed;
-    EXPECT_GT(injector.stats().total(), 0u) << "plan injected nothing — not a chaos run";
+    EXPECT_GT(stats::CounterSum(injector.stats()), 0u)
+        << "plan injected nothing — not a chaos run";
   }
 }
 
@@ -190,9 +191,9 @@ TEST(ChaosSim, WorkloadCompletesWithWatchdogCleanAtModerateRates) {
   simulator.Run();
   const sim::SimMetrics& metrics = simulator.metrics();
   SCOPED_TRACE(metrics.ToString());
-  EXPECT_EQ(metrics.tasks_completed, 64u);                  // no work lost to faults
-  EXPECT_GT(simulator.fault_stats().total(), 0u);           // chaos actually ran
-  EXPECT_GT(metrics.migrations, 0u);                        // balancing still worked
+  EXPECT_EQ(metrics.tasks_completed, 64u);                    // no work lost to faults
+  EXPECT_GT(stats::CounterSum(simulator.fault_stats()), 0u);  // chaos actually ran
+  EXPECT_GT(metrics.migrations, 0u);                          // balancing still worked
   EXPECT_EQ(simulator.watchdog_stats().persistent_violations, 0u);
   EXPECT_EQ(metrics.watchdog_escalations, 0u);
 }
@@ -210,7 +211,7 @@ TEST(ChaosSim, DeterministicUnderIdenticalPlans) {
                                                                     .initial_cpus = 1});
     simulator.Run();
     return std::tuple(simulator.metrics().makespan_us, simulator.metrics().migrations,
-                      simulator.fault_stats().total(),
+                      stats::CounterSum(simulator.fault_stats()),
                       simulator.watchdog_stats().observations);
   };
   EXPECT_EQ(run(), run());
@@ -266,7 +267,7 @@ TEST(ChaosExecutor, DrainsEverythingThroughCrashesAndAborts) {
   EXPECT_EQ(executed, 600u);  // crash-and-restart loses no items
   EXPECT_GT(report.faults.injected_aborts, 0u);
   EXPECT_GT(report.faults.crashes, 0u);  // workers really died and came back
-  EXPECT_EQ(report.faults.crashes, report.total_crashes());
+  EXPECT_EQ(report.faults.crashes, report.Totals().crashes);
   // Injected aborts are tallied apart from the genuine protocol outcomes, so
   // the counter identity attempts == successes + failed_recheck +
   // failed_no_task holds per worker even under injection.
@@ -340,7 +341,7 @@ TEST(ChaosExecutor, CrashesNeverStrandACarriedItem) {
   executor.Seed(1, std::vector<runtime::WorkItem>(items.begin() + 16000, items.end()));
   const runtime::ExecutorReport report = executor.Run();
   SCOPED_TRACE(report.ToString());
-  EXPECT_GT(report.total_crashes(), 0u);
+  EXPECT_GT(report.Totals().crashes, 0u);
   EXPECT_EQ(Executed(report), kItems);
   EXPECT_EQ(runner.Mismatches(), 0u);
 }
@@ -394,7 +395,7 @@ TEST(ChaosExecutor, CrashRestartKeepsSpawnCountsExact) {
   executor.Seed(1, std::vector<runtime::WorkItem>(roots.begin() + kRoots / 2, roots.end()));
   const runtime::ExecutorReport report = executor.Run();
   SCOPED_TRACE(report.ToString());
-  EXPECT_GT(report.total_crashes(), 0u);
+  EXPECT_GT(report.Totals().crashes, 0u);
   EXPECT_EQ(report.total_items, kRoots * kTreeNodes);
   EXPECT_EQ(Executed(report), kRoots * kTreeNodes);
   EXPECT_EQ(report.items_left_unexecuted, 0u);
@@ -441,7 +442,7 @@ TEST(ChaosExecutor, BackoffEngagesAndStaysBounded) {
   executor.Seed(0, {runtime::WorkItem{.id = 1, .work_units = 400'000, .weight = 1024}});
   const runtime::ExecutorReport report = executor.Run();
   SCOPED_TRACE(report.ToString());
-  EXPECT_GT(report.total_backoff_events(), 0u);
+  EXPECT_GT(report.Totals().backoff_events, 0u);
   for (const runtime::WorkerStats& w : report.workers) {
     if (w.backoff_events == 0) {
       continue;

@@ -99,7 +99,7 @@ void ExpectAdmittedConservation(const ChaosRun& run) {
             run.drained + static_cast<uint64_t>(run.mailbox_residue));
   // Executor conservation: every drained item was counted submitted, and is
   // either executed or still runqueued at the deadline.
-  EXPECT_EQ(run.drained, run.report.total_mailbox_items_drained());
+  EXPECT_EQ(run.drained, run.report.Totals().mailbox_items_drained);
   EXPECT_EQ(run.drained, run.report.total_items);
   uint64_t executed = 0;
   for (const auto& w : run.report.workers) {

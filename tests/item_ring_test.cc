@@ -127,7 +127,8 @@ TEST(ItemRing, StealScanErasesPastIneligibleItems) {
   // the ones the migration rule skips stay, in order.
   runtime::ConcurrentRunQueue queue(runtime::QueueBackend::kLocked);
   for (uint64_t id = 1; id <= 8; ++id) {
-    queue.Push(Item(id));
+    const WorkItem item = Item(id);
+    queue.PushBatchExternal(&item, 1);
   }
   std::vector<WorkItem> taken;
   {

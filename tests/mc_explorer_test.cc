@@ -82,8 +82,8 @@ TEST(DfsExplorerTest, EnumeratesMoreThanOneScheduleForContendingLocks) {
 
 TEST(DfsExplorerTest, ExhaustiveDischargesPaperPropertiesOnThreadCount) {
   MC_SKIP_UNDER_TSAN();
-  StealHarness::Config config;
-  config.mode = "balance";
+  Schedule config;
+  config.harness = "balance";
   config.policy = "thread-count";
   config.initial_loads = {0, 1, 2, 0};  // 4 workers, the acceptance shape
   config.attempts_per_worker = 1;
@@ -111,8 +111,8 @@ TEST(DfsExplorerTest, ExhaustiveDischargesPaperPropertiesOnThreadCount) {
 
 TEST(DfsExplorerTest, BrokenPolicyProducesMinimizedReplayableCounterexample) {
   MC_SKIP_UNDER_TSAN();
-  StealHarness::Config config;
-  config.mode = "balance";
+  Schedule config;
+  config.harness = "balance";
   config.policy = "broken-cansteal";
   config.initial_loads = {0, 1, 2};  // the paper's §4.3 ping-pong shape
   config.attempts_per_worker = 3;
@@ -163,8 +163,8 @@ TEST(DfsExplorerTest, BrokenPolicyProducesMinimizedReplayableCounterexample) {
 
 TEST(DfsExplorerTest, ExhaustiveDischargesPropertiesWithBatchedSteals) {
   MC_SKIP_UNDER_TSAN();
-  StealHarness::Config config;
-  config.mode = "balance";
+  Schedule config;
+  config.harness = "balance";
   config.policy = "thread-count";
   config.initial_loads = {0, 4, 0};
   config.attempts_per_worker = 1;
@@ -194,8 +194,8 @@ TEST(DfsExplorerTest, ExhaustiveDischargesPropertiesWithBatchedSteals) {
 
 TEST(DfsExplorerTest, BrokenBatchBoundProducesMinimizedReplayableCounterexample) {
   MC_SKIP_UNDER_TSAN();
-  StealHarness::Config config;
-  config.mode = "balance";
+  Schedule config;
+  config.harness = "balance";
   config.policy = "thread-count";
   config.initial_loads = {0, 4};
   config.attempts_per_worker = 1;
@@ -245,7 +245,7 @@ TEST(DfsExplorerTest, BrokenBatchBoundProducesMinimizedReplayableCounterexample)
   const std::optional<Schedule> parsed = Schedule::FromJson(schedule.ToJson());
   ASSERT_TRUE(parsed.has_value());
   EXPECT_TRUE(parsed->break_batch_bound);
-  StealHarness replay_harness(StealHarness::Config::FromSchedule(*parsed));
+  StealHarness replay_harness(*parsed);
   const ExecutionResult replayed = ReplayChoices(replay_harness.Factory(), parsed->choices);
   const std::vector<PropertyReport> reports = replay_harness.Evaluate(replayed);
   bool violated = false;
@@ -259,8 +259,8 @@ TEST(DfsExplorerTest, BrokenBatchBoundProducesMinimizedReplayableCounterexample)
 
 TEST(DfsExplorerTest, DrainModeConservesItems) {
   MC_SKIP_UNDER_TSAN();
-  StealHarness::Config config;
-  config.mode = "drain";
+  Schedule config;
+  config.harness = "drain";
   config.policy = "thread-count";
   config.initial_loads = {3, 0};
   config.attempts_per_worker = 1;
@@ -285,8 +285,8 @@ TEST(DfsExplorerTest, DrainModeConservesItems) {
 
 TEST(DfsExplorerTest, IngressModeDischargesNoLostAdmittedItems) {
   MC_SKIP_UNDER_TSAN();
-  StealHarness::Config config;
-  config.mode = "ingress";
+  Schedule config;
+  config.harness = "ingress";
   config.policy = "thread-count";
   // Worker 0 is the producer; workers 1 and 2 run the shipped loop, each
   // owning a mailbox and a runqueue.
@@ -330,8 +330,8 @@ TEST(DfsExplorerTest, IngressModeDischargesNoLostAdmittedItems) {
 
 TEST(DfsExplorerTest, IngressScheduleRoundTripsThroughJson) {
   MC_SKIP_UNDER_TSAN();
-  StealHarness::Config config;
-  config.mode = "ingress";
+  Schedule config;
+  config.harness = "ingress";
   config.policy = "thread-count";
   config.initial_loads = {0, 0};
   config.attempts_per_worker = 2;
@@ -350,7 +350,7 @@ TEST(DfsExplorerTest, IngressScheduleRoundTripsThroughJson) {
   const std::optional<Schedule> parsed = Schedule::FromJson(schedule.ToJson());
   ASSERT_TRUE(parsed.has_value());
   EXPECT_EQ(parsed->mailbox_capacity, 3u);
-  StealHarness replay_harness(StealHarness::Config::FromSchedule(*parsed));
+  StealHarness replay_harness(*parsed);
   const ExecutionResult replayed = ReplayChoices(replay_harness.Factory(), parsed->choices);
   EXPECT_EQ(replayed.events, result.events);
   const std::vector<PropertyReport> reports = replay_harness.Evaluate(replayed);
@@ -376,7 +376,7 @@ TEST(DfsExplorerTest, FindsEverySeededFaultWithinItsGoldensPreemptions) {
     buffer << in.rdbuf();
     const std::optional<Schedule> golden = Schedule::FromJson(buffer.str());
     ASSERT_TRUE(golden.has_value()) << name;
-    StealHarness harness(StealHarness::Config::FromSchedule(*golden));
+    StealHarness harness(*golden);
     const auto violates = [&](const ExecutionResult& result) {
       for (const PropertyReport& report : harness.Evaluate(result)) {
         if (report.name == golden->property && !report.holds) {
@@ -402,8 +402,8 @@ TEST(DfsExplorerTest, FindsEverySeededFaultWithinItsGoldensPreemptions) {
 
 TEST(PctStrategyTest, RandomizedSamplingDischargesPropertiesOnThreadCount) {
   MC_SKIP_UNDER_TSAN();
-  StealHarness::Config config;
-  config.mode = "balance";
+  Schedule config;
+  config.harness = "balance";
   config.policy = "thread-count";
   config.initial_loads = {0, 1, 2};
   config.attempts_per_worker = 2;

@@ -36,14 +36,14 @@
 namespace optsched::mc {
 namespace {
 
-StealHarness::Config ForkJoinConfig(runtime::QueueBackend backend, uint32_t workers,
-                                    uint32_t depth, uint32_t fanout) {
-  StealHarness::Config config;
-  config.mode = "forkjoin";
+Schedule ForkJoinConfig(runtime::QueueBackend backend, uint32_t workers, uint32_t depth,
+                        uint32_t fanout) {
+  Schedule config;
+  config.harness = "forkjoin";
   config.policy = "thread-count";
   config.initial_loads.assign(workers, 0);  // only the root task is seeded
   config.attempts_per_worker = 2;
-  config.backend = backend;
+  config.backend = runtime::QueueBackendName(backend);
   config.tree_depth = depth;
   config.fanout = fanout;
   return config;
@@ -104,7 +104,7 @@ TEST(McForkJoinTest, ChaseLevStealNeverSeesAnUncountedOwnerPush) {
   // deque slots: a thief took an item its victim had not counted yet, and
   // steal-safety blamed a correct victim. The counters now come first.
   for (const uint64_t seed : {7u, 11u}) {
-    StealHarness::Config config = ForkJoinConfig(runtime::QueueBackend::kChaseLev, 3, 2, 2);
+    Schedule config = ForkJoinConfig(runtime::QueueBackend::kChaseLev, 3, 2, 2);
     config.seed = seed;
     StealHarness harness(config);
     PctStrategy pct(harness.num_workers(), /*depth_estimate=*/256, /*num_change_points=*/3,
@@ -124,7 +124,7 @@ TEST(McForkJoinTest, ChaseLevStealNeverSeesAnUncountedOwnerPush) {
 // The DFS at preemption bound 2 must find a join-fires-exactly-once
 // violation under `config`'s seeded fault, and the shrunk schedule must still
 // violate it.
-void ExpectJoinViolationFoundAndMinimized(const StealHarness::Config& config) {
+void ExpectJoinViolationFoundAndMinimized(const Schedule& config) {
   StealHarness harness(config);
   auto still_violates = [&](const ExecutionResult& result) {
     for (const PropertyReport& report : harness.Evaluate(result)) {
@@ -159,7 +159,7 @@ TEST(McForkJoinTest, BrokenJoinCounterIsFoundAndMinimized) {
   // The seeded fault: a plain load/store decrement pair. Two children
   // completing concurrently read the same counter value, one decrement is
   // lost, and the continuation strands.
-  StealHarness::Config config = ForkJoinConfig(runtime::QueueBackend::kLocked, 2, 1, 2);
+  Schedule config = ForkJoinConfig(runtime::QueueBackend::kLocked, 2, 1, 2);
   config.broken_join_counter = true;
   ExpectJoinViolationFoundAndMinimized(config);
 }
@@ -170,13 +170,13 @@ TEST(McForkJoinTest, BrokenNodeRecycleIsFoundAndMinimized) {
   // frees the continuation. The worker's next fork reuses the node while a
   // sibling still owes it, and the original join never fires. Node ids
   // carry a generation, so the property tells the two lifetimes apart.
-  StealHarness::Config config = ForkJoinConfig(runtime::QueueBackend::kLocked, 2, 2, 2);
+  Schedule config = ForkJoinConfig(runtime::QueueBackend::kLocked, 2, 2, 2);
   config.broken_node_recycle = true;
   ExpectJoinViolationFoundAndMinimized(config);
 }
 
 TEST(McForkJoinTest, ScheduleRoundTripsForkJoinFields) {
-  StealHarness::Config config = ForkJoinConfig(runtime::QueueBackend::kChaseLev, 3, 3, 2);
+  Schedule config = ForkJoinConfig(runtime::QueueBackend::kChaseLev, 3, 3, 2);
   config.broken_join_counter = true;
   config.broken_termination_order = true;
   config.broken_node_recycle = true;
@@ -185,8 +185,8 @@ TEST(McForkJoinTest, ScheduleRoundTripsForkJoinFields) {
   const std::optional<Schedule> parsed = Schedule::FromJson(schedule.ToJson());
   ASSERT_TRUE(parsed.has_value());
   EXPECT_EQ(*parsed, schedule);
-  const StealHarness::Config round = StealHarness::Config::FromSchedule(*parsed);
-  EXPECT_EQ(round.mode, "forkjoin");
+  const Schedule& round = *parsed;
+  EXPECT_EQ(round.harness, "forkjoin");
   EXPECT_EQ(round.tree_depth, 3u);
   EXPECT_EQ(round.fanout, 2u);
   EXPECT_TRUE(round.broken_join_counter);
@@ -217,7 +217,7 @@ std::optional<Schedule> LoadGolden(const char* name) {
 // recorded choices) every property must hold; without it the replay must
 // follow the recorded choices exactly.
 bool ReplayViolatesJoin(const Schedule& schedule, bool expect_clean) {
-  StealHarness harness(StealHarness::Config::FromSchedule(schedule));
+  StealHarness harness(schedule);
   const ExecutionResult result = ReplayChoices(harness.Factory(), schedule.choices);
   if (!expect_clean) {
     EXPECT_EQ(result.choices, schedule.choices);  // no divergence

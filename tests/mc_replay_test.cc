@@ -73,8 +73,8 @@ TEST(ScheduleJsonTest, RejectsMalformedInput) {
 
 TEST(ReplayTest, RecordedExecutionReplaysToIdenticalEventStream) {
   MC_SKIP_UNDER_TSAN();
-  StealHarness::Config config;
-  config.mode = "balance";
+  Schedule config;
+  config.harness = "balance";
   config.policy = "thread-count";
   config.initial_loads = {0, 2, 2};
   config.attempts_per_worker = 2;
@@ -92,19 +92,15 @@ TEST(ReplayTest, RecordedExecutionReplaysToIdenticalEventStream) {
 
 TEST(ReplayTest, ScheduleCarriesHarnessIdentity) {
   MC_SKIP_UNDER_TSAN();
-  StealHarness::Config config;
-  config.mode = "balance";
+  Schedule config;
+  config.harness = "balance";
   config.policy = "thread-count";
   config.initial_loads = {0, 2};
   config.attempts_per_worker = 1;
   StealHarness harness(config);
-  const Schedule schedule = harness.MakeSchedule({0, 1, 0});
-  const StealHarness::Config round = StealHarness::Config::FromSchedule(schedule);
-  EXPECT_EQ(round.mode, config.mode);
-  EXPECT_EQ(round.policy, config.policy);
-  EXPECT_EQ(round.initial_loads, config.initial_loads);
-  EXPECT_EQ(round.attempts_per_worker, config.attempts_per_worker);
-  EXPECT_EQ(round.recheck, config.recheck);
+  Schedule expected = config;
+  expected.choices = {0, 1, 0};
+  EXPECT_EQ(harness.MakeSchedule({0, 1, 0}), expected);
 }
 
 TEST(ReplayGoldenTest, CommittedBrokenCounterexampleStillViolates) {
@@ -123,7 +119,7 @@ TEST(ReplayGoldenTest, CommittedBrokenCounterexampleStillViolates) {
   EXPECT_EQ(schedule->ToJson(), content);
   EXPECT_EQ(schedule->property, "bounded-steals");
 
-  StealHarness harness(StealHarness::Config::FromSchedule(*schedule));
+  StealHarness harness(*schedule);
   const ExecutionResult result = ReplayChoices(harness.Factory(), schedule->choices);
   EXPECT_EQ(result.choices, schedule->choices);  // no divergence
 
@@ -151,7 +147,7 @@ TEST(ReplayGoldenTest, CommittedBrokenBatchBoundStillIdlesItsVictim) {
   EXPECT_TRUE(schedule->break_batch_bound);
   EXPECT_EQ(schedule->property, "steal-safety");
 
-  StealHarness harness(StealHarness::Config::FromSchedule(*schedule));
+  StealHarness harness(*schedule);
   const ExecutionResult result = ReplayChoices(harness.Factory(), schedule->choices);
   EXPECT_EQ(result.choices, schedule->choices);
 
@@ -186,7 +182,7 @@ TEST(ReplayGoldenTest, CommittedBrokenChaseLevOrderStillExecutesAnItemTwice) {
   EXPECT_TRUE(schedule->broken_steal_order);
   EXPECT_EQ(schedule->property, "termination");
 
-  StealHarness harness(StealHarness::Config::FromSchedule(*schedule));
+  StealHarness harness(*schedule);
   const ExecutionResult result = ReplayChoices(harness.Factory(), schedule->choices);
   EXPECT_EQ(result.choices, schedule->choices);
   EXPECT_TRUE(result.deadlock);
@@ -219,7 +215,7 @@ TEST(ReplayGoldenTest, CorrectChaseLevOrderSurvivesTheGoldenSchedule) {
   ASSERT_TRUE(schedule.has_value());
   schedule->broken_steal_order = false;
 
-  StealHarness harness(StealHarness::Config::FromSchedule(*schedule));
+  StealHarness harness(*schedule);
   const ExecutionResult result = ReplayChoices(harness.Factory(), schedule->choices);
   for (const PropertyReport& report : harness.Evaluate(result)) {
     EXPECT_TRUE(report.holds) << report.name << ": " << report.detail;
@@ -235,12 +231,12 @@ TEST(McChaseLevTest, SizeOneTakeStealRaceIsExhaustivelyClean) {
   // one side wins, nothing is lost, and the accounting stays exact.
   for (const std::vector<int64_t>& loads :
        {std::vector<int64_t>{1, 0}, std::vector<int64_t>{1, 1}}) {
-    StealHarness::Config config;
-    config.mode = "drain";
+    Schedule config;
+    config.harness = "drain";
     config.policy = "thread-count";
     config.initial_loads = loads;
     config.attempts_per_worker = 2;
-    config.backend = runtime::QueueBackend::kChaseLev;
+    config.backend = "chase_lev";
     StealHarness harness(config);
 
     DfsExplorer::Options options;
@@ -268,12 +264,12 @@ TEST(McChaseLevTest, InboxRefillIsNeverCountedTwiceByTheStealGate) {
   // item (steal-safety, found by the shipped-loop drain sweep). The gate now
   // reads the inbox count after its peek, and the refill drops the count
   // before it pushes.
-  StealHarness::Config config;
-  config.mode = "drain";
+  Schedule config;
+  config.harness = "drain";
   config.policy = "thread-count";
   config.initial_loads = {0, 2, 0};
   config.attempts_per_worker = 1;
-  config.backend = runtime::QueueBackend::kChaseLev;
+  config.backend = "chase_lev";
   StealHarness harness(config);
 
   DfsExplorer::Options options;
@@ -299,12 +295,12 @@ TEST(McIngressModeTest, NotifyBetweenDrainAndParkNeverStrandsItems) {
   // admitted work.
   for (const auto backend :
        {runtime::QueueBackend::kLocked, runtime::QueueBackend::kChaseLev}) {
-    StealHarness::Config config;
-    config.mode = "ingress";
+    Schedule config;
+    config.harness = "ingress";
     config.policy = "thread-count";
     config.initial_loads = {0, 0};
     config.attempts_per_worker = 2;
-    config.backend = backend;
+    config.backend = runtime::QueueBackendName(backend);
     StealHarness harness(config);
 
     DfsExplorer::Options options;
@@ -345,7 +341,7 @@ bool Violates(StealHarness& harness, const ExecutionResult& result, const std::s
 
 // Explores `config` exhaustively at `bound` until `property` fails, then
 // minimizes the counterexample; empty when the checker found nothing.
-std::vector<uint32_t> FindAndMinimize(const StealHarness::Config& config, uint32_t bound,
+std::vector<uint32_t> FindAndMinimize(const Schedule& config, uint32_t bound,
                                       const std::string& property) {
   StealHarness harness(config);
   DfsExplorer::Options options;
@@ -374,8 +370,8 @@ TEST(McIngressModeTest, BrokenWakeupGateIsFoundAndMinimized) {
   // the announcement. A push landing between that round's mailbox check and
   // the announcement reads no idle owner, the gated notify skips its bump,
   // and the owner parks through the item.
-  StealHarness::Config config;
-  config.mode = "ingress";
+  Schedule config;
+  config.harness = "ingress";
   config.policy = "thread-count";
   config.initial_loads = {0, 0};
   config.attempts_per_worker = 2;
@@ -392,8 +388,8 @@ TEST(McForkJoinTerminationTest, BrokenTerminationOrderIsFoundAndMinimized) {
   // counts first, the root runs and spawns in between, and its executed
   // bump then balances the stale submitted sum — the idle worker exits with
   // the children still queued. Two preemptions suffice.
-  StealHarness::Config config;
-  config.mode = "forkjoin";
+  Schedule config;
+  config.harness = "forkjoin";
   config.policy = "thread-count";
   config.initial_loads = {0, 0};
   config.attempts_per_worker = 2;
@@ -418,7 +414,7 @@ TEST(ReplayGoldenTest, CommittedBrokenTerminationOrderStillExitsEarly) {
   EXPECT_TRUE(schedule->broken_termination_order);
   EXPECT_EQ(schedule->property, "no-premature-exit");
 
-  StealHarness harness(StealHarness::Config::FromSchedule(*schedule));
+  StealHarness harness(*schedule);
   const ExecutionResult result = ReplayChoices(harness.Factory(), schedule->choices);
   EXPECT_EQ(result.choices, schedule->choices);
   EXPECT_TRUE(Violates(harness, result, "no-premature-exit"))
@@ -433,7 +429,7 @@ TEST(ReplayGoldenTest, ShippedTerminationOrderSurvivesTheGoldenSchedule) {
       Schedule::FromJson(ReadGolden("mc_broken_termination_order.json"));
   ASSERT_TRUE(schedule.has_value());
   schedule->broken_termination_order = false;
-  StealHarness harness(StealHarness::Config::FromSchedule(*schedule));
+  StealHarness harness(*schedule);
   const ExecutionResult result = ReplayChoices(harness.Factory(), schedule->choices);
   for (const PropertyReport& report : harness.Evaluate(result)) {
     EXPECT_TRUE(report.holds) << report.name << ": " << report.detail;
@@ -451,7 +447,7 @@ TEST(ReplayGoldenTest, CommittedBrokenWakeupGateStillParksThroughAnItem) {
   EXPECT_TRUE(schedule->broken_wakeup_gate);
   EXPECT_EQ(schedule->property, "no-lost-wakeup");
 
-  StealHarness harness(StealHarness::Config::FromSchedule(*schedule));
+  StealHarness harness(*schedule);
   const ExecutionResult result = ReplayChoices(harness.Factory(), schedule->choices);
   EXPECT_EQ(result.choices, schedule->choices);
   EXPECT_TRUE(Violates(harness, result, "no-lost-wakeup"))
@@ -465,7 +461,7 @@ TEST(ReplayGoldenTest, ShippedWakeupGateSurvivesTheGoldenSchedule) {
   std::optional<Schedule> schedule = Schedule::FromJson(ReadGolden("mc_broken_wakeup_gate.json"));
   ASSERT_TRUE(schedule.has_value());
   schedule->broken_wakeup_gate = false;
-  StealHarness harness(StealHarness::Config::FromSchedule(*schedule));
+  StealHarness harness(*schedule);
   const ExecutionResult result = ReplayChoices(harness.Factory(), schedule->choices);
   for (const PropertyReport& report : harness.Evaluate(result)) {
     EXPECT_TRUE(report.holds) << report.name << ": " << report.detail;
@@ -474,8 +470,8 @@ TEST(ReplayGoldenTest, ShippedWakeupGateSurvivesTheGoldenSchedule) {
 
 TEST(TraceExportTest, ExecutionExportsToChromeTraceJson) {
   MC_SKIP_UNDER_TSAN();
-  StealHarness::Config config;
-  config.mode = "balance";
+  Schedule config;
+  config.harness = "balance";
   config.policy = "thread-count";
   config.initial_loads = {0, 2, 2};
   config.attempts_per_worker = 1;

@@ -33,7 +33,7 @@ TEST(RuntimeSmoke, DrainsAllItemsWithStealing) {
     executed += w.items_executed;
   }
   EXPECT_EQ(executed, 400u);           // nothing lost, nothing duplicated
-  EXPECT_GT(report.total_successes(), 0u);  // stealing happened
+  EXPECT_GT(report.Totals().steals.successes, 0u);  // stealing happened
   // At least one non-seed worker did real work.
   uint64_t helper_items = 0;
   for (size_t i = 1; i < report.workers.size(); ++i) {

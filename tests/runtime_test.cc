@@ -16,6 +16,11 @@
 namespace optsched {
 namespace {
 
+// One item through the external submit path (Executor::Submit's).
+void PushOne(runtime::ConcurrentRunQueue& queue, const runtime::WorkItem& item) {
+  queue.PushBatchExternal(&item, 1);
+}
+
 TEST(SpinLock, MutualExclusionCounter) {
   runtime::SpinLock lock;
   int64_t counter = 0;
@@ -104,8 +109,8 @@ TEST(Seqlock, ReadersNeverSeeTornPairs) {
 TEST(ConcurrentRunQueue, LoadTracksOwnerOperations) {
   runtime::ConcurrentRunQueue q;
   EXPECT_EQ(q.ReadLoad().task_count, 0);
-  q.Push({.id = 1, .work_units = 1, .weight = 100});
-  q.Push({.id = 2, .work_units = 1, .weight = 200});
+  PushOne(q, {.id = 1, .work_units = 1, .weight = 100});
+  PushOne(q, {.id = 2, .work_units = 1, .weight = 200});
   EXPECT_EQ(q.ReadLoad().task_count, 2);
   EXPECT_EQ(q.ReadLoad().weighted_load, 300);
   const auto item = q.PopForRun();
@@ -119,9 +124,9 @@ TEST(ConcurrentRunQueue, LoadTracksOwnerOperations) {
 
 TEST(ConcurrentMachine, StealMovesTailToThief) {
   runtime::ConcurrentMachine machine(2);
-  machine.queue(0).Push({.id = 1, .work_units = 1, .weight = 1024});
-  machine.queue(0).Push({.id = 2, .work_units = 1, .weight = 1024});
-  machine.queue(0).Push({.id = 3, .work_units = 1, .weight = 1024});
+  PushOne(machine.queue(0), {.id = 1, .work_units = 1, .weight = 1024});
+  PushOne(machine.queue(0), {.id = 2, .work_units = 1, .weight = 1024});
+  PushOne(machine.queue(0), {.id = 3, .work_units = 1, .weight = 1024});
   const auto policy = policies::MakeThreadCount();
   runtime::StealCounters counters;
   Rng rng(1);
@@ -134,8 +139,8 @@ TEST(ConcurrentMachine, StealMovesTailToThief) {
 
 TEST(ConcurrentMachine, StaleSnapshotFailsRecheck) {
   runtime::ConcurrentMachine machine(2);
-  machine.queue(0).Push({.id = 1, .work_units = 1, .weight = 1024});
-  machine.queue(0).Push({.id = 2, .work_units = 1, .weight = 1024});
+  PushOne(machine.queue(0), {.id = 1, .work_units = 1, .weight = 1024});
+  PushOne(machine.queue(0), {.id = 2, .work_units = 1, .weight = 1024});
   const auto policy = policies::MakeThreadCount();
   const LoadSnapshot stale = machine.Snapshot();  // loads (2, 0)
   // The queue drains behind the snapshot's back.
@@ -165,8 +170,8 @@ TEST(ConcurrentMachine, WeightedMigrationRespectsDiff) {
   runtime::ConcurrentMachine machine(2);
   // Victim: two heavy items. Thief weighted load 0 -> only items lighter
   // than the diff migrate; both qualify here, tail goes first.
-  machine.queue(0).Push({.id = 1, .work_units = 1, .weight = 9000});
-  machine.queue(0).Push({.id = 2, .work_units = 1, .weight = 100});
+  PushOne(machine.queue(0), {.id = 1, .work_units = 1, .weight = 9000});
+  PushOne(machine.queue(0), {.id = 2, .work_units = 1, .weight = 100});
   const auto policy = policies::MakeWeightedLoad();
   runtime::StealCounters counters;
   Rng rng(1);
@@ -177,7 +182,7 @@ TEST(ConcurrentMachine, WeightedMigrationRespectsDiff) {
 
 TEST(ConcurrentMachine, LockedSnapshotIsExact) {
   runtime::ConcurrentMachine machine(3);
-  machine.queue(2).Push({.id = 1, .work_units = 1, .weight = 1024});
+  PushOne(machine.queue(2), {.id = 1, .work_units = 1, .weight = 1024});
   const LoadSnapshot snap = machine.LockedSnapshot();
   EXPECT_EQ(snap.task_count[2], 1);
   EXPECT_EQ(snap.task_count[0], 0);

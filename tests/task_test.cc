@@ -521,7 +521,7 @@ TEST_P(TaskExecutorTest, CrashAfterAHandoffPushesTheHandedItemBack) {
   for (const runtime::WorkerStats& w : report.workers) {
     executed += w.items_executed;
   }
-  EXPECT_GT(report.total_crashes(), 0u);
+  EXPECT_GT(report.Totals().crashes, 0u);
   EXPECT_TRUE(graph.done());
   EXPECT_EQ(counter, 2 * kLinks + 1);
   EXPECT_EQ(report.total_items, 2 * kLinks + 1) << report.ToString();
