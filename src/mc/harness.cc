@@ -175,7 +175,6 @@ std::vector<std::function<void()>> StealHarness::MakeBodies() {
   exec.chase_lev_capacity = schedule_.deque_capacity;
   exec.recheck_filter = schedule_.recheck;
   exec.max_steal_batch = schedule_.max_steal_batch;
-  exec.idle_spins_before_yield = 1;
   exec.ingress = ingress ? this : nullptr;
   exec.task_runner = tasks_.get();
   exec.seed = schedule_.seed;

@@ -22,6 +22,15 @@ namespace {
 constexpr uint32_t kIngressDrainBatch = 64;
 constexpr uint64_t kIngressDrainIntervalItems = 32;
 
+// Fruitless rounds an announced worker spins through before its first park:
+// against parking on the first, they halve serve_zipf's p50 sojourn, since
+// work arriving within them is found without a park to end (EXPERIMENTS.md
+// E23). Under the model checker a worker parks after 1: the spun rounds only
+// repeat the same empty re-checks on fresh loop-top samples, the wakeup
+// argument (wakeup_gate.h) holds after any number of them, and exploring
+// them exhausts the checker's 2^20-schedule budget.
+constexpr uint32_t kIdleRoundsBeforePark = 16;
+
 uint64_t NowNs() {
   return static_cast<uint64_t>(std::chrono::duration_cast<std::chrono::nanoseconds>(
                                    std::chrono::steady_clock::now().time_since_epoch())
@@ -316,12 +325,15 @@ OPTSCHED_HOT_PATH void Executor::WorkerMain(uint32_t worker_index, WorkerStats& 
   LoadSnapshot stale_view;
   bool has_stale_view = false;
   // True while this worker is counted idle by the wakeup gate: from its
-  // first fruitless round until it gets an item (or leaves the loop).
+  // first fruitless round until it gets an item (or leaves the loop). Its
+  // fruitless rounds and backoff window end with it.
   bool announced = false;
   const auto retract = [&] {
     if (announced) {
       wakeup_.Retract();
       announced = false;
+      fruitless = 0;
+      backoff_spins = 0;
     }
   };
 
@@ -356,73 +368,6 @@ OPTSCHED_HOT_PATH void Executor::WorkerMain(uint32_t worker_index, WorkerStats& 
     state.store(kCrashed, std::memory_order_release);
   };
 
-  // True when the wakeup epoch moved past the value sampled at the loop top
-  // — new work was published after this worker's last empty re-check.
-  const auto wakeup_stale = [&](uint64_t wakeup_before) {
-    return wakeup_.Sample() != wakeup_before;
-  };
-
-  // Bounded park: CpuRelax for `spins`, bailing early on shutdown, on a
-  // watchdog escalation (new epoch -> retry immediately at full rate), or on
-  // a submit/mailbox wakeup. `wakeup_before` was sampled AFTER this worker
-  // announced itself idle and BEFORE its last empty re-checks: any bump
-  // after that sample might be work the re-checks missed, so the park
-  // refuses to start (and keeps checking) rather than sleep through it. The
-  // escalation epoch deliberately keeps its old late-sample semantics — it
-  // means "retry at full rate from NOW", not "you missed something".
-  const auto park = [&](uint64_t spins, uint64_t wakeup_before) {
-    ++stats.backoff_events;
-    stats.backoff_spins_total += spins;
-    const auto submit_wakeup = [&] {
-      ++stats.submit_wakeups;
-      backoff_spins = 0;
-      if (ring != nullptr) {
-        ring->TryPush({.time = trace_now_us(),
-                       .type = trace::EventType::kIngressWakeup,
-                       .cpu = worker_index});
-      }
-    };
-    if (wakeup_stale(wakeup_before)) {
-      submit_wakeup();
-      return;
-    }
-    mc_hooks::SyncPoint(mc_hooks::SyncOp::kEpochLoad, &escalation_epoch_);
-    const uint64_t epoch = escalation_epoch_.load(std::memory_order_acquire);
-    // Under the model checker the spin is a block on the same disjunction
-    // the poll below tests, so a park that nothing can end is a deadlock the
-    // checker reports instead of a spin it cannot explore. In production
-    // BlockUntil is one null check and returns false.
-    const ParkWait wait{this, wakeup_before, epoch};
-    if (probe_ != nullptr && !ParkMayEnd(&wait)) {
-      probe_->OnPark(worker_index);
-    }
-    const bool blocked = mc_hooks::BlockUntil(mc_hooks::SyncOp::kEpochLoad,
-                                              wakeup_.epoch_word(), &ParkMayEnd, &wait);
-    for (uint64_t i = 0; i < spins; ++i) {
-      CpuRelax();
-      if (blocked || (i & 255u) == 255u) {
-        if (!keep_running()) {
-          return;
-        }
-        if (wakeup_stale(wakeup_before)) {
-          submit_wakeup();
-          return;
-        }
-        mc_hooks::SyncPoint(mc_hooks::SyncOp::kEpochLoad, &escalation_epoch_);
-        if (escalation_epoch_.load(std::memory_order_acquire) != epoch) {
-          ++stats.escalation_wakeups;
-          backoff_spins = 0;
-          if (ring != nullptr) {
-            ring->TryPush({.time = trace_now_us(),
-                           .type = trace::EventType::kEscalationWakeup,
-                           .cpu = worker_index});
-          }
-          return;
-        }
-      }
-    }
-  };
-
   // The item this worker runs, carried between iterations: popped at the
   // loop top, or handed over by the previous item's fused finish+pop or by
   // its body's run-next handoff, or landed by a steal. It is already the
@@ -436,7 +381,7 @@ OPTSCHED_HOT_PATH void Executor::WorkerMain(uint32_t worker_index, WorkerStats& 
       // Sample the wakeup epoch FIRST: everything below (own-queue pop,
       // mailbox check, steal filter) is an empty re-check relative to this
       // sample, so a submit that lands anywhere after it cannot be slept
-      // through — park() compares against this very value. Only a loop-top
+      // through — the park compares against this very value. Only a loop-top
       // sample can feed a park: a worker parks only once announced, and it
       // always comes back here between announcing and parking.
       wakeup_before = wakeup_.Sample();
@@ -515,8 +460,6 @@ OPTSCHED_HOT_PATH void Executor::WorkerMain(uint32_t worker_index, WorkerStats& 
         crash();
         return;
       }
-      fruitless = 0;
-      backoff_spins = 0;
       // Items the drain cadence below moved into the own queue: with no
       // carried item they are popped at the loop top, never left behind by a
       // park.
@@ -545,8 +488,6 @@ OPTSCHED_HOT_PATH void Executor::WorkerMain(uint32_t worker_index, WorkerStats& 
       if (injector == nullptr || !injector->DelayDrain(worker_index)) {
         executed_since_drain = 0;
         if (DrainIngress(worker_index, stats, drain_batch, ring) > 0) {
-          fruitless = 0;
-          backoff_spins = 0;
           continue;
         }
       }
@@ -613,8 +554,6 @@ OPTSCHED_HOT_PATH void Executor::WorkerMain(uint32_t worker_index, WorkerStats& 
       }
     }
     if (stole) {
-      fruitless = 0;
-      backoff_spins = 0;
       continue;
     }
     ++stats.idle_loops;
@@ -628,29 +567,58 @@ OPTSCHED_HOT_PATH void Executor::WorkerMain(uint32_t worker_index, WorkerStats& 
       if (!broken_wakeup_gate_) {
         continue;
       }
-    } else if (++fruitless < config_.idle_spins_before_yield) {
+    } else if (++fruitless < (probe_ != nullptr ? 1 : kIdleRoundsBeforePark)) {
       continue;
     }
     fruitless = 0;
+    // Park: CpuRelax for a window that doubles up to the cap, ending early
+    // on shutdown or on a bump of the wakeup epoch — a submit, a mailbox
+    // notify or a watchdog escalation. `wakeup_before` was sampled AFTER
+    // this worker announced itself idle and BEFORE its last empty re-checks:
+    // any bump after that sample might be work the re-checks missed, so the
+    // park refuses to start (and keeps checking) rather than sleep through
+    // it. Jittering the window and yielding at the cap were measured and
+    // lost (EXPERIMENTS.md E23).
     backoff_spins = backoff_spins == 0 ? config_.initial_backoff_spins
                                        : std::min(backoff_spins * 2, config_.max_backoff_spins);
-    uint64_t spins = backoff_spins;
-    if (config_.backoff_jitter && spins >= 2) {
-      spins = spins / 2 + rng.NextBelow(spins / 2 + 1);  // uniform in [s/2, s]
+    ++stats.backoff_events;
+    stats.backoff_spins_total += backoff_spins;
+    const uint64_t park_start = ring != nullptr ? NowNs() : 0;
+    bool woken = wakeup_.Sample() != wakeup_before;
+    if (!woken) {
+      // Under the model checker the spin is a block on the same disjunction
+      // the poll below tests, so a park that nothing can end is a deadlock
+      // the checker reports instead of a spin it cannot explore. In
+      // production BlockUntil is one null check and returns false.
+      const ParkWait wait{this, wakeup_before};
+      if (probe_ != nullptr && !ParkMayEnd(&wait)) {
+        probe_->OnPark(worker_index);
+      }
+      const bool blocked = mc_hooks::BlockUntil(mc_hooks::SyncOp::kEpochLoad,
+                                                wakeup_.epoch_word(), &ParkMayEnd, &wait);
+      for (uint64_t i = 0; i < backoff_spins && !woken; ++i) {
+        CpuRelax();
+        if (blocked || (i & 255u) == 255u) {
+          if (!keep_running()) {
+            break;
+          }
+          woken = wakeup_.Sample() != wakeup_before;
+        }
+      }
+    }
+    if (woken) {
+      ++stats.submit_wakeups;
+      backoff_spins = 0;
     }
     if (ring != nullptr) {
-      const uint64_t park_start = NowNs();
-      park(spins, wakeup_before);
+      const uint64_t now = NowNs();
       ring->TryPush({.time = (park_start - run_start_ns_) / 1000,
                      .type = trace::EventType::kBackoffPark, .cpu = worker_index,
-                     .detail = static_cast<int64_t>(NowNs() - park_start)});
-    } else {
-      park(spins, wakeup_before);
-    }
-    if (backoff_spins >= config_.max_backoff_spins) {
-      // At the cap: hand the OS a scheduling opportunity between parks.
-      std::this_thread::yield();
-      ++stats.yields;
+                     .detail = static_cast<int64_t>(now - park_start)});
+      if (woken) {
+        ring->TryPush({.time = (now - run_start_ns_) / 1000, .type = trace::EventType::kWakeup,
+                       .cpu = worker_index});
+      }
     }
   }
   retract();
@@ -662,8 +630,7 @@ bool Executor::ParkMayEnd(const void* wait) {
   Executor& e = *w.executor;
   const bool run_over = e.deadline_mode_ ? e.stop_.load(std::memory_order_acquire)
                                          : e.counts_.PeekDrained(e.machine_);
-  return run_over || e.wakeup_.PeekEpoch() != w.wakeup_before ||
-         e.escalation_epoch_.load(std::memory_order_acquire) != w.escalation;
+  return run_over || e.wakeup_.PeekEpoch() != w.wakeup_before;
 }
 
 void Executor::BeginRun(bool deadline_mode) {
@@ -672,7 +639,6 @@ void Executor::BeginRun(bool deadline_mode) {
   // submitted count and would strand items admitted after the last drain.
   OPTSCHED_CHECK(config_.ingress == nullptr || deadline_mode_);
   stop_.store(false, std::memory_order_release);
-  escalation_epoch_.store(0, std::memory_order_release);
   wakeup_.Reset();
   injector_ = config_.fault_plan.any()
                   ? std::make_unique<fault::FaultInjector>(config_.fault_plan, config_.num_workers)
@@ -831,10 +797,11 @@ ExecutorReport Executor::RunInternal(uint64_t duration_ms,
       if (watchdog.ObserveRound((now - start) / 1000, watchdog_snapshot.task_count,
                                 watchdog_pending, &watchdog_trace)) {
         watchdog.RecordEscalation((now - start) / 1000, &watchdog_trace);
-        // Snap every backing-off worker awake: an immediate full-rate
-        // balancing attempt is the runtime's "forced global round".
-        mc_hooks::SyncPoint(mc_hooks::SyncOp::kEpochBump, &escalation_epoch_);
-        escalation_epoch_.fetch_add(1, std::memory_order_acq_rel);
+        // Snap every parked worker awake through the wakeup gate: an
+        // immediate full-rate balancing attempt is the runtime's "forced
+        // global round". Every parked worker has announced itself idle, so
+        // the notify bumps the epoch whenever one is parked.
+        wakeup_.Notify();
       }
       if (supervisor_ring != nullptr) {
         forward_watchdog_events();

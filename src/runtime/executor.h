@@ -10,10 +10,12 @@
 // ablation (D2) disables the steal-phase re-check.
 //
 // Robustness layer (docs/robustness.md):
-//  * After `idle_spins_before_yield` fruitless protocol attempts a worker
-//    enters bounded exponential backoff with jitter instead of hammering the
-//    snapshot path (Leiserson-style: failed steals are bounded, so idle cores
-//    should pay less for each extra failure).
+//  * A worker whose protocol attempts keep failing parks in bounded
+//    exponential backoff instead of hammering the snapshot path
+//    (Leiserson-style: failed steals are bounded, so idle cores should pay
+//    less for each extra failure). It announces itself idle on its first
+//    fruitless round and parks after a fixed number of fruitless rounds
+//    more.
 //  * A FaultPlan (src/fault) perturbs the seams: stalled stragglers, forced
 //    steal aborts, artificially stale snapshots, and worker crash-and-restart
 //    — the worker thread genuinely exits and a supervisor respawns it after
@@ -21,8 +23,10 @@
 //    fail-stop between items, as in the paper's model).
 //  * A work-conservation watchdog samples the lock-free load snapshot,
 //    tracks idle-while-overloaded streaks, and escalates a persistent
-//    violation by bumping an escalation epoch that snaps every worker out of
-//    backoff into an immediate full-rate balancing attempt.
+//    violation by notifying the wakeup gate, which snaps every parked worker
+//    out of backoff into an immediate full-rate balancing attempt. The gate
+//    is the idle path's one wakeup protocol: new work and escalations end a
+//    park the same way.
 
 #ifndef OPTSCHED_SRC_RUNTIME_EXECUTOR_H_
 #define OPTSCHED_SRC_RUNTIME_EXECUTOR_H_
@@ -98,18 +102,13 @@ struct ExecutorConfig {
   // still individually gated by the migration rule under both locks. 1 (the
   // default) preserves the original behaviour — the `steal_one` ablation.
   uint32_t max_steal_batch = 1;
-  // Enter backoff after this many consecutive fruitless steal attempts.
-  uint32_t idle_spins_before_yield = 16;
-  // Bounded exponential backoff: the park length starts at
-  // `initial_backoff_spins` CpuRelax iterations and doubles per consecutive
-  // fruitless episode up to `max_backoff_spins` (the bound — an idle worker
-  // is never more than one capped park away from retrying, so transient
-  // faults delay convergence by a bounded, configurable amount). With
-  // `backoff_jitter` each park draws uniformly from [spins/2, spins] to
-  // decorrelate thieves that went idle together.
+  // Bounded exponential backoff: an idle worker's first park lasts
+  // `initial_backoff_spins` CpuRelax iterations, doubling per consecutive
+  // park up to `max_backoff_spins` (the bound — an idle worker is never more
+  // than one capped park away from retrying, so transient faults delay
+  // convergence by a bounded, configurable amount).
   uint64_t initial_backoff_spins = 64;
   uint64_t max_backoff_spins = 1 << 15;
-  bool backoff_jitter = true;
   // Fault injection (all-zero plan = no injector, zero overhead in the loop).
   fault::FaultPlan fault_plan;
   // Work-conservation watchdog (supervisor thread): samples loads every
@@ -122,7 +121,7 @@ struct ExecutorConfig {
   // Concurrent observability (docs/observability.md): per-worker lock-free
   // SPSC trace rings, plus one supervisor ring for watchdog verdicts and
   // restarts, merged into ExecutorReport::trace_events after the run. Steal
-  // outcomes, backoff parks, escalation wakeups and crashes are recorded
+  // outcomes, backoff parks, park wakeups and crashes are recorded
   // WITHOUT any lock on the selection fast path. 0 disables recording; the
   // disabled path costs one null-pointer check per event site, so throughput
   // numbers don't move.
@@ -183,18 +182,14 @@ struct WorkerStats {
   uint64_t units_executed = 0;
   StealCounters steals;
   uint64_t idle_loops = 0;
-  // Backoff accounting: parks entered, CpuRelax spins paid inside them, bare
-  // yields between parks at the backoff cap, and watchdog-escalation wakeups
-  // that cut a park short.
+  // Backoff accounting: parks entered and CpuRelax spins paid inside them.
   uint64_t backoff_events = 0;
   uint64_t backoff_spins_total = 0;
-  uint64_t yields = 0;
-  uint64_t escalation_wakeups = 0;
   // Injected crash-and-restarts this worker index suffered.
   uint64_t crashes = 0;
-  // Ingress accounting: drain actions, items moved mailbox->runqueue, and
-  // parks cut short by a submit/mailbox notify of the wakeup gate (the
-  // lost-wakeup fix — see WakeupGate `wakeup_` below).
+  // Ingress accounting: drain actions and items moved mailbox->runqueue.
+  // `submit_wakeups` counts every park cut short by the wakeup gate: a
+  // submit, a mailbox notify or a watchdog escalation (see `wakeup_` below).
   uint64_t mailbox_drains = 0;
   uint64_t mailbox_items_drained = 0;
   uint64_t submit_wakeups = 0;
@@ -216,8 +211,6 @@ struct WorkerStats {
       {"idle_loops", &WorkerStats::idle_loops},
       {"backoff.events", &WorkerStats::backoff_events},
       {"backoff.spins_total", &WorkerStats::backoff_spins_total},
-      {"backoff.yields", &WorkerStats::yields},
-      {"backoff.escalation_wakeups", &WorkerStats::escalation_wakeups},
       {"crashes", &WorkerStats::crashes},
       {"mailbox.drains", &WorkerStats::mailbox_drains},
       {"mailbox.items_drained", &WorkerStats::mailbox_items_drained},
@@ -354,14 +347,13 @@ class Executor {
   // scratch. Returns items moved.
   uint32_t DrainIngress(uint32_t worker, WorkerStats& stats, std::vector<WorkItem>& batch,
                         trace::SpscTraceRing* ring);
-  // Whether a park sampled at (`wakeup_before`, `escalation`) may end: new
-  // work was published, the watchdog escalated, or the run is over. Reads
-  // without mc hooks, so the checker can block on it (see park() in
+  // Whether a park sampled at `wakeup_before` may end: the wakeup epoch
+  // moved (new work or a watchdog escalation) or the run is over. Reads
+  // without mc hooks, so the checker can block on it (see the park in
   // WorkerMain).
   struct ParkWait {
     Executor* executor;
     uint64_t wakeup_before;
-    uint64_t escalation;
   };
   static bool ParkMayEnd(const void* wait);
   // Resets the per-run state shared by Run, RunFor and BeginCheckedRun.
@@ -387,19 +379,16 @@ class Executor {
   uint64_t executed_at_run_start_ = 0;
   // optsched-lint: allow(mc-hook-coverage): deadline-mode stop flag — set once per run; the checker's parks poll it hook-free (ParkMayEnd)
   std::atomic<bool> stop_{false};
-  // Bumped by the supervisor when the watchdog escalates; workers snap out of
-  // backoff when they observe a new epoch.
-  // mc: kEpochLoad, kEpochBump
-  std::atomic<uint64_t> escalation_epoch_{0};
   // Submit/SubmitBatch/SubmitFromWorker/NotifyIngress notify it AFTER the
-  // new work is visible; it bumps its wakeup epoch only while some worker has
-  // announced itself idle (wakeup_gate.h). A worker
-  // announces on its first fruitless round, samples the epoch at the TOP of
-  // the next round — before its empty re-checks of queue, mailboxes and the
-  // steal filter — and a park bails as soon as that sample goes stale. This
-  // closes the lost-wakeup window the escalation epoch alone had: a submit
-  // landing between a worker's last re-check and its park entry used to be
-  // invisible until the park expired (regression: executor_wakeup_test).
+  // new work is visible, and the supervisor notifies it on a watchdog
+  // escalation; it bumps its wakeup epoch only while some worker has
+  // announced itself idle (wakeup_gate.h). A worker announces on its first
+  // fruitless round, samples the epoch at the TOP of the next round —
+  // before its empty re-checks of queue, mailboxes and the steal filter —
+  // and a park bails as soon as that sample goes stale, so a submit landing
+  // between a worker's last re-check and its park entry is never slept
+  // through (regression: executor_wakeup_test). The gate is a cache line of
+  // its own, apart from the fields every worker reads per item.
   WakeupGate wakeup_;
   // One run-next slot per worker (HandOffFromWorker), written and read only
   // by that worker's own thread. Empty whenever the worker is between items.

@@ -30,10 +30,13 @@
 #include <cstdint>
 
 #include "src/runtime/mc_hooks.h"
+#include "src/runtime/work_item.h"
 
 namespace optsched::runtime {
 
-class WakeupGate {
+// A line of its own: idle workers RMW `idle_` on every announce and retract,
+// so no field a busy worker reads may share it.
+class alignas(kCacheLineSize) WakeupGate {
  public:
   // --- Sleeper side ----------------------------------------------------------
 

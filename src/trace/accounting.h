@@ -122,7 +122,7 @@ struct WatchdogStats {
       {"persistent_violations", &WatchdogStats::persistent_violations},
       {"recoveries", &WatchdogStats::recoveries},
       {"escalations", &WatchdogStats::escalations},
-      {"max_streak_rounds", &WatchdogStats::max_streak_rounds},
+      {"max_streak_rounds", &WatchdogStats::max_streak_rounds, stats::Aggregate::kMax},
   };
 };
 static_assert(stats::CoversEveryField<WatchdogStats>());

@@ -17,7 +17,7 @@ const char* EventCategory(EventType type) {
     case EventType::kRecovery:
       return "watchdog";
     case EventType::kBackoffPark:
-    case EventType::kEscalationWakeup:
+    case EventType::kWakeup:
       return "backoff";
     case EventType::kCrash:
     case EventType::kRestart:
@@ -25,7 +25,6 @@ const char* EventCategory(EventType type) {
     case EventType::kProducerStall:
       return "fault";
     case EventType::kMailboxDrain:
-    case EventType::kIngressWakeup:
     case EventType::kAdmissionShed:
     case EventType::kAdmissionSpill:
     case EventType::kAdmissionBlock:

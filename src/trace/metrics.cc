@@ -1,23 +1,11 @@
 #include "src/trace/metrics.h"
 
+#include <algorithm>
 #include <cmath>
-#include <utility>
 
 #include "src/base/str.h"
 
 namespace optsched::trace {
-
-MetricsRegistry& MetricsRegistry::operator=(const MetricsRegistry& other) {
-  if (this == &other) {
-    return *this;
-  }
-  // Same two-phase shape as Merge: copy out of `other` first, then swap in
-  // under our own lock — the locks are never held together.
-  std::map<std::string, double> snapshot = other.values();
-  LockGuard guard(lock_);
-  values_ = std::move(snapshot);
-  return *this;
-}
 
 void MetricsRegistry::Set(const std::string& name, double value) {
   LockGuard guard(lock_);
@@ -27,6 +15,13 @@ void MetricsRegistry::Set(const std::string& name, double value) {
 void MetricsRegistry::Add(const std::string& name, double delta) {
   LockGuard guard(lock_);
   values_[name] += delta;
+}
+
+void MetricsRegistry::Max(const std::string& name, double value) {
+  LockGuard guard(lock_);
+  maxima_.insert(name);
+  double& slot = values_[name];
+  slot = std::max(slot, value);
 }
 
 double MetricsRegistry::Get(const std::string& name) const {
@@ -44,10 +39,18 @@ void MetricsRegistry::Merge(const MetricsRegistry& other) {
   // Snapshot first: registries have no global rank, so holding both locks
   // would be an unordered dual acquisition — exactly the discipline bug the
   // runtime's DualLockGuard exists to prevent. (Also makes self-merge safe.)
-  const std::map<std::string, double> snapshot = other.values();
+  std::map<std::string, double> values;
+  std::set<std::string> maxima;
+  {
+    LockGuard other_guard(other.lock_);
+    values = other.values_;
+    maxima = other.maxima_;
+  }
   LockGuard guard(lock_);
-  for (const auto& [name, value] : snapshot) {
-    values_[name] += value;
+  maxima_.insert(maxima.begin(), maxima.end());
+  for (const auto& [name, value] : values) {
+    double& slot = values_[name];
+    slot = maxima_.count(name) > 0 ? std::max(slot, value) : slot + value;
   }
 }
 

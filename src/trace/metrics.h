@@ -5,9 +5,10 @@
 // Each producer exports its counters under a dotted prefix (e.g.
 // "executor.worker3.steals.successes"); registries merge by summing values
 // with the same name, so per-worker snapshots aggregate into machine-wide
-// totals and repeated runs accumulate. Values are doubles: counters fit
-// exactly up to 2^53 and ratios (utilization, wasted fraction) need no
-// second type.
+// totals and repeated runs accumulate. A name written through Max records a
+// maximum (a longest streak) and merges by keeping the larger value. Values
+// are doubles: counters fit exactly up to 2^53 and ratios (utilization,
+// wasted fraction) need no second type.
 //
 // Thread safety: internally synchronized — every method may be called from
 // any thread (a supervisor exporting mid-run while the main thread merges,
@@ -20,6 +21,7 @@
 
 #include <cstdint>
 #include <map>
+#include <set>
 #include <string>
 
 #include "src/base/mutex.h"
@@ -30,21 +32,21 @@ namespace optsched::trace {
 class MetricsRegistry {
  public:
   MetricsRegistry() = default;
-  // Copying a registry snapshots it (used by Merge to avoid holding two
-  // registry locks at once — there is no global registry order to rank them).
-  MetricsRegistry(const MetricsRegistry& other) : values_(other.values()) {}
-  MetricsRegistry& operator=(const MetricsRegistry& other);
 
   // Overwrites (or creates) `name`.
   void Set(const std::string& name, double value) OPTSCHED_EXCLUDES(lock_);
   // Adds `delta` to `name`, creating it at zero first.
   void Add(const std::string& name, double delta) OPTSCHED_EXCLUDES(lock_);
+  // Raises `name` to at least `value`, creating it at zero first, and marks
+  // it a maximum, which Merge combines by keeping the larger value.
+  void Max(const std::string& name, double value) OPTSCHED_EXCLUDES(lock_);
   // 0.0 when absent.
   double Get(const std::string& name) const OPTSCHED_EXCLUDES(lock_);
   bool Has(const std::string& name) const OPTSCHED_EXCLUDES(lock_);
 
-  // Value-wise sum: names present in either side survive. Snapshots `other`
-  // first, so the two locks are never held together (no ordering to violate).
+  // Value-wise sum (maximum on a name either side marked through Max): names
+  // present in either side survive. Snapshots `other` first, so the two
+  // locks are never held together (no ordering to violate).
   void Merge(const MetricsRegistry& other) OPTSCHED_EXCLUDES(lock_);
 
   size_t size() const OPTSCHED_EXCLUDES(lock_);
@@ -59,6 +61,7 @@ class MetricsRegistry {
  private:
   mutable Mutex lock_;
   std::map<std::string, double> values_ OPTSCHED_GUARDED_BY(lock_);
+  std::set<std::string> maxima_ OPTSCHED_GUARDED_BY(lock_);
 };
 
 }  // namespace optsched::trace

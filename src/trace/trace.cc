@@ -19,11 +19,10 @@ const char* EventTypeName(EventType type) {
     case EventType::kEscalation: return "escalation";
     case EventType::kRecovery: return "recovery";
     case EventType::kBackoffPark: return "backoff-park";
-    case EventType::kEscalationWakeup: return "escalation-wakeup";
+    case EventType::kWakeup: return "wakeup";
     case EventType::kCrash: return "crash";
     case EventType::kRestart: return "restart";
     case EventType::kMailboxDrain: return "mailbox-drain";
-    case EventType::kIngressWakeup: return "ingress-wakeup";
     case EventType::kAdmissionShed: return "admission-shed";
     case EventType::kAdmissionSpill: return "admission-spill";
     case EventType::kAdmissionBlock: return "admission-block";

@@ -33,13 +33,12 @@ enum class EventType {
   kEscalation,   // watchdog: forced global balancing round in response
   kRecovery,     // watchdog: a persistent violation cleared
   // Real-thread executor events (recorded into per-worker SPSC rings):
-  kBackoffPark,       // bounded backoff park; detail = measured duration (ns)
-  kEscalationWakeup,  // a park cut short by a watchdog escalation epoch bump
-  kCrash,             // injected worker crash (thread exits)
-  kRestart,           // supervisor respawned a crashed worker slot
+  kBackoffPark,  // bounded backoff park; detail = measured duration (ns)
+  kWakeup,       // a park cut short by the wakeup gate (new work or an escalation)
+  kCrash,        // injected worker crash (thread exits)
+  kRestart,      // supervisor respawned a crashed worker slot
   // Serving-ingress events (docs/serving.md). Executor side:
   kMailboxDrain,    // owner moved a batch mailbox->runqueue; detail = items
-  kIngressWakeup,   // a park cut short by a submit/mailbox wakeup-epoch bump
   // Router side (per-shard buffers; cpu = home worker, task = item id):
   kAdmissionShed,   // item dropped by the shed policy; detail = mailbox depth
   kAdmissionSpill,  // item admitted to a sibling; other_cpu = actual worker

@@ -67,12 +67,15 @@ TYPED_TEST(CounterTable, AddExportAndPrintCoverEveryRowUnderItsName) {
     value += 7;
   }
 
+  // Adding a struct to itself doubles every count and keeps every maximum.
   TypeParam sum = s;
   stats::AddCounters(sum, s);
   const std::vector<std::pair<std::string, uint64_t*>> sum_rows = Rows(sum);
-  for (size_t i = 0; i < rows.size(); ++i) {
-    EXPECT_EQ(*sum_rows[i].second, 2 * *rows[i].second) << rows[i].first;
-  }
+  size_t next = 0;
+  stats::ForEachCounter(s, "", [&](const std::string& name, uint64_t value, stats::Aggregate a) {
+    EXPECT_EQ(*sum_rows[next++].second, a == stats::Aggregate::kMax ? value : 2 * value) << name;
+  });
+  EXPECT_EQ(next, rows.size());
 
   trace::MetricsRegistry registry;
   stats::ExportCounters(s, registry, "p");
@@ -86,6 +89,24 @@ TYPED_TEST(CounterTable, AddExportAndPrintCoverEveryRowUnderItsName) {
     expected += (i == 0 ? "" : " ") + rows[i].first + "=" + std::to_string(*rows[i].second);
   }
   EXPECT_EQ(stats::FormatCounters(s, "x"), expected + "}");
+}
+
+// A longest streak is a maximum, not a count: runs whose longest streaks
+// were 3 and 5 rounds had a longest streak of 5, whether their stats are
+// added or their exported registries merged.
+TEST(CounterAggregate, LongestStreaksCombineByMaximum) {
+  trace::WatchdogStats a{.escalations = 1, .max_streak_rounds = 3};
+  const trace::WatchdogStats b{.escalations = 2, .max_streak_rounds = 5};
+  trace::MetricsRegistry merged;
+  stats::ExportCounters(a, merged, "w");
+  trace::MetricsRegistry other;
+  stats::ExportCounters(b, other, "w");
+  merged.Merge(other);
+  EXPECT_EQ(merged.Get("w.max_streak_rounds"), 5.0);
+  EXPECT_EQ(merged.Get("w.escalations"), 3.0);
+  stats::AddCounters(a, b);
+  EXPECT_EQ(a.max_streak_rounds, 5u);
+  EXPECT_EQ(a.escalations, 3u);
 }
 
 fault::FaultPlan ChaosPlan(uint64_t seed) {

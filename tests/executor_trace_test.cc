@@ -81,7 +81,6 @@ TEST(ExecutorTrace, RecordsStealOutcomesFromMultipleWorkers) {
 TEST(ExecutorTrace, RecordsBackoffParksWithDurations) {
   ExecutorConfig config;
   config.num_workers = 4;
-  config.idle_spins_before_yield = 4;
   config.initial_backoff_spins = 32;
   config.max_backoff_spins = 1 << 10;
   config.trace_ring_capacity = 1 << 12;

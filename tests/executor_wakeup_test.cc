@@ -11,6 +11,9 @@
 // itself idle; a worker announces on its first fruitless round and parks only
 // on a sample taken after the announcement.
 //
+// A watchdog escalation notifies the same gate, so it ends a park the way
+// new work does.
+//
 // These tests make the old window fatal: backoff long enough to outlast the
 // whole run, work submitted only once every worker is deep in its park. If a
 // wakeup is lost, the items are still queued at the deadline and
@@ -37,46 +40,12 @@ runtime::ExecutorConfig DeepParkConfig() {
   runtime::ExecutorConfig config;
   config.num_workers = 4;
   config.spin_per_unit = 20;
-  // Park almost immediately when idle, and park LONG: a lost wakeup means the
-  // worker sleeps past the RunFor deadline (the park's periodic stop-check
-  // still lets the run terminate — with the submitted items unexecuted).
-  config.idle_spins_before_yield = 1;
+  // Park LONG once idle: a lost wakeup means the worker sleeps past the
+  // RunFor deadline (the park's periodic stop-check still lets the run
+  // terminate — with the submitted items unexecuted).
   config.initial_backoff_spins = 1ull << 22;
   config.max_backoff_spins = 1ull << 34;
-  config.backoff_jitter = false;
   return config;
-}
-
-TEST(ExecutorWakeup, SubmitDuringDeepParkIsNotLost) {
-  runtime::Executor executor(policies::MakeThreadCount(), DeepParkConfig());
-
-  std::atomic<uint64_t> produced{0};
-  const auto producer = [&](runtime::Executor& e) {
-    // Let every worker run out of work and sink into its park first.
-    std::this_thread::sleep_for(60ms);
-    for (uint64_t id = 0; id < 100; ++id) {
-      e.Submit(static_cast<uint32_t>(id % 4), {.id = id, .work_units = 1, .weight = 1024});
-      produced.fetch_add(1, std::memory_order_relaxed);
-    }
-  };
-  const runtime::ExecutorReport report = executor.RunFor(/*duration_ms=*/400, producer);
-  SCOPED_TRACE(report.ToString());
-
-  uint64_t executed = 0;
-  uint64_t submit_wakeups = 0;
-  for (const auto& w : report.workers) {
-    executed += w.items_executed;
-    submit_wakeups += w.submit_wakeups;
-  }
-  EXPECT_EQ(produced.load(), 100u);
-  // The regression: without the wakeup epoch these stay queued until the
-  // deadline and show up here instead of in items_executed.
-  EXPECT_EQ(report.items_left_unexecuted, 0u);
-  EXPECT_EQ(executed, 100u);
-  // At least one worker must have been cut out of (or kept from entering) a
-  // park by the submit — with 60ms of warm-up idle and 2^22-spin initial
-  // parks, all four are parked when the submits land.
-  EXPECT_GT(submit_wakeups, 0u);
 }
 
 TEST(ExecutorWakeup, SubmitBatchBumpsOncePerBatchAndWakes) {
@@ -115,8 +84,15 @@ TEST_P(ExecutorWakeupBackend, SubmitDuringDeepParkIsNotLost) {
   };
   const runtime::ExecutorReport report = executor.RunFor(400, producer);
   SCOPED_TRACE(report.ToString());
+  // The regression: without the wakeup epoch these stay queued until the
+  // deadline and show up here instead of in items_executed.
   EXPECT_EQ(report.total_items, 100u);
   EXPECT_EQ(report.items_left_unexecuted, 0u);
+  EXPECT_EQ(report.Totals().items_executed, 100u);
+  // With 60ms of idle warm-up and 2^22-spin initial parks, all four workers
+  // are parked when the submits land: some park was cut short (or kept from
+  // starting) by them.
+  EXPECT_GT(report.Totals().submit_wakeups, 0u);
 }
 
 TEST_P(ExecutorWakeupBackend, SingleNotifyOnParkEdgeIsNotStranded) {
@@ -222,6 +198,38 @@ TEST_P(ExecutorWakeupBackend, LastBusyWorkerSpawnWakesParkedSiblings) {
   EXPECT_EQ(report.workers[runner.spawner()].items_executed, 1u);
   EXPECT_EQ(siblings_executed, 100u);
   EXPECT_GT(submit_wakeups, 0u);
+}
+
+TEST(ExecutorWakeup, WatchdogEscalationWakesParkedWorkers) {
+  // The watchdog's escalation goes through the same gate: the supervisor's
+  // Notify must cut the parks short. Every item is seeded on queue 0 and
+  // every steal is aborted, so workers 1-3 sit idle next to an overloaded
+  // queue, park for 2^22 spins and stay parked — no submission follows the
+  // seeding, so only an escalation can move the epoch.
+  runtime::ExecutorConfig config = DeepParkConfig();
+  config.fault_plan.steal_abort_rate = 1.0;
+  config.watchdog = true;
+  // A streak of two samples escalates. The watchdog excuses a sample in
+  // which a worker got no CPU time, so on a loaded host a short poll breaks
+  // streaks; a 500 us poll over about 100 ms of work leaves enough unbroken.
+  config.watchdog_threshold_samples = 1;
+  config.supervisor_poll_us = 500;
+  runtime::Executor executor(policies::MakeThreadCount(), config);
+  std::vector<runtime::WorkItem> items;
+  for (uint64_t id = 0; id < 20'000; ++id) {
+    items.push_back({.id = id, .work_units = 100, .weight = 1024});
+  }
+  executor.Seed(0, items);
+
+  const runtime::ExecutorReport report = executor.Run();
+  SCOPED_TRACE(report.ToString());
+  EXPECT_GT(report.watchdog.escalations, 0u);
+  EXPECT_GT(report.Totals().submit_wakeups, 0u);
+  // The run drains: worker 0 executes everything, nothing is stolen.
+  EXPECT_EQ(report.total_items, 20'000u);
+  EXPECT_EQ(report.items_left_unexecuted, 0u);
+  EXPECT_EQ(report.workers[0].items_executed, 20'000u);
+  EXPECT_EQ(report.Totals().steals.successes, 0u);
 }
 
 TEST(ExecutorWakeup, MailboxNotifyWakesParkedOwner) {

@@ -433,7 +433,6 @@ TEST(ChaosExecutor, BackoffEngagesAndStaysBounded) {
   runtime::ExecutorConfig config;
   config.num_workers = 4;
   config.spin_per_unit = 300;
-  config.idle_spins_before_yield = 4;
   config.initial_backoff_spins = 32;
   config.max_backoff_spins = 1 << 10;
   config.seed = 9;
