@@ -86,7 +86,7 @@ namespace {
 
 using bench::F;
 
-runtime::WorkItem Item(uint64_t id, uint64_t units = 1) {
+runtime::WorkItem Item(uint64_t id, uint32_t units = 1) {
   return runtime::WorkItem{.id = id, .work_units = units, .weight = 1024};
 }
 
@@ -173,7 +173,7 @@ struct ModeResult {
   uint64_t failed_recheck = 0;
 };
 
-ModeResult RunMode(const std::string& mode, uint32_t workers, uint64_t items, uint64_t units,
+ModeResult RunMode(const std::string& mode, uint32_t workers, uint64_t items, uint32_t units,
                    uint64_t spin_per_unit, uint32_t max_batch, bool locked_selection,
                    int repeat,
                    runtime::QueueBackend backend = runtime::QueueBackend::kLocked) {
@@ -262,7 +262,7 @@ TreeResult RunTreeBound(runtime::QueueBackend backend, uint32_t workers, uint32_
       const runtime::StealOptions options{.recheck = true, .max_batch = 1};
       while (executed.load(std::memory_order_acquire) < total) {
         if (std::optional<runtime::WorkItem> item = own.PopForRun()) {
-          const uint64_t node_depth = item->work_units;
+          const uint32_t node_depth = item->work_units;
           if (node_depth < depth) {
             const uint64_t base = next_id.fetch_add(2, std::memory_order_relaxed);
             const runtime::WorkItem children[2] = {Item(base, node_depth + 1),
@@ -321,8 +321,8 @@ int Main(int argc, char** argv) {
   // ~1000 calibrated spins per item: heavy enough that the run outlives
   // thread startup and the hot queue stays contended, light enough that
   // scheduling overhead (what E14 measures) is a visible fraction.
-  const uint64_t units =
-      static_cast<uint64_t>(std::atoll(FlagValue(argc, argv, "units", "20").c_str()));
+  const uint32_t units =
+      static_cast<uint32_t>(std::atoll(FlagValue(argc, argv, "units", "20").c_str()));
   const uint64_t spin =
       static_cast<uint64_t>(std::atoll(FlagValue(argc, argv, "spin", "50").c_str()));
   const int repeat = std::atoi(FlagValue(argc, argv, "repeat", "3").c_str());

@@ -62,7 +62,7 @@ struct ServingParams {
   uint64_t sessions = 1ull << 20;  // >= 1M distinct keyed sessions
   uint32_t mailbox_capacity = 256;
   uint64_t spin_per_unit = 40;
-  uint64_t work_units = 1;
+  uint32_t work_units = 1;
   uint64_t duration_ms = 400;
   uint64_t seed = 1;
 };

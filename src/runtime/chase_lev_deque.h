@@ -46,7 +46,9 @@
 // read a slot the owner is concurrently overwriting (its CAS then fails and
 // the torn value is discarded) — word-wise relaxed atomics make that
 // protocol race-free under the C++ model and ThreadSanitizer, and compile to
-// plain loads/stores (same technique as Seqlock).
+// plain loads/stores (same technique as Seqlock). A slot is four words
+// (WorkItem is 32 bytes, work_item.h), so each push stores 4 words and each
+// pop or peek loads 4.
 //
 // Concurrency contract: exactly ONE owner thread may call PushBottom /
 // PopBottom; any number of thieves may call PeekTop / TakeTop concurrently

@@ -293,7 +293,16 @@ void ConcurrentRunQueue::PushBatchExternal(const WorkItem* items, uint32_t count
 
 OPTSCHED_HOT_PATH LoadPair ConcurrentRunQueue::ReadLoad() const {
   if (backend_ == QueueBackend::kLocked) {
-    return published_.Read();
+    LoadPair load;
+    if (!published_.TryRead(load, kSeqlockReadAttempts)) {
+      // An owner that publishes faster than this reader copies can tear
+      // every attempt: under ThreadSanitizer the supervisor's watchdog
+      // snapshot spent most of a 40 ms run here (EXPERIMENTS.md E24).
+      // Writers publish under the queue lock, so one read under it succeeds.
+      LockGuard guard(lock_);
+      load = published_.Read();
+    }
+    return load;
   }
   mc_hooks::SyncPoint(mc_hooks::SyncOp::kDequeLoadRead, this);
   LoadPair load;

@@ -128,7 +128,12 @@ class ConcurrentRunQueue {
   void PushBatchExternal(const WorkItem* items, uint32_t count) OPTSCHED_EXCLUDES(lock_);
 
   // --- Lock-free observation (selection phase) -------------------------------
-  LoadPair ReadLoad() const;
+  // kLocked reads the seqlock-published load; after kSeqlockReadAttempts
+  // torn attempts in a row it takes the queue lock for one read, so a reader
+  // makes progress however often the owner publishes. The caller must not
+  // hold this queue's lock.
+  static constexpr uint64_t kSeqlockReadAttempts = 64;
+  LoadPair ReadLoad() const OPTSCHED_EXCLUDES(lock_);
   // Exact structural load — counts the actual container contents (+ running)
   // rather than the published value. The mc harness' published-depth
   // property asserts ReadLoad() == ExactLoad() at quiescence: any mutation

@@ -716,8 +716,9 @@ ExecutorReport Executor::RunInternal(uint64_t duration_ms,
   const uint64_t restart_delay_ns = config_.fault_plan.crash_restart_us * 1000ull;
   LoadSnapshot watchdog_snapshot;  // reused across polls
   std::vector<int64_t> watchdog_pending;  // per worker: work it has that no queue shows
-  // Each worker thread's CPU time at the previous poll.
+  // Each worker thread's CPU time and executed count at the previous poll.
   std::vector<uint64_t> watchdog_cpu_ns(config_.num_workers, 0);
+  std::vector<uint64_t> watchdog_executed(config_.num_workers, 0);
   for (;;) {
     const uint64_t now = NowNs();
     if (deadline_mode_ && !stop_.load(std::memory_order_acquire) && now >= stop_at) {
@@ -780,6 +781,12 @@ ExecutorReport Executor::RunInternal(uint64_t duration_ms,
       // thread is not an idle core. Without this, a host with more runnable
       // threads than CPUs read its time-slice waits as persistent violations
       // (ingress_chaos_test; ROADMAP item 7).
+      // So is a worker that finished an item since the previous sample: it
+      // was not idle over the interval, whatever its load reads at the
+      // sample. A thief whose steal rounds cost more than the items it steals
+      // reads load 0 at most samples while it runs an item every few
+      // microseconds (ThreadSanitizer's slowdown does this; EXPERIMENTS.md
+      // E24).
       watchdog_pending.assign(config_.num_workers, 0);
       for (uint32_t i = 0; i < config_.num_workers; ++i) {
         if (config_.ingress != nullptr) {
@@ -789,10 +796,12 @@ ExecutorReport Executor::RunInternal(uint64_t duration_ms,
           watchdog_pending[i] += config_.task_runner->OutstandingFor(i);
         }
         const uint64_t cpu_ns = ThreadCpuNs(slots[i]->thread);
-        if (cpu_ns == watchdog_cpu_ns[i]) {
+        const uint64_t executed = TerminationCounts::Executed(machine_.queue(i).counts());
+        if (cpu_ns == watchdog_cpu_ns[i] || executed != watchdog_executed[i]) {
           ++watchdog_pending[i];
         }
         watchdog_cpu_ns[i] = cpu_ns;
+        watchdog_executed[i] = executed;
       }
       if (watchdog.ObserveRound((now - start) / 1000, watchdog_snapshot.task_count,
                                 watchdog_pending, &watchdog_trace)) {

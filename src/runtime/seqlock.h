@@ -30,6 +30,7 @@
 #include <atomic>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <type_traits>
 
 #include "src/base/thread_annotations.h"
@@ -86,8 +87,20 @@ class Seqlock {
   // staleness pressure — how often the selection phase raced a publisher —
   // which ExecutorReport surfaces as executor.seqlock.read_retries.
   OPTSCHED_HOT_PATH T Read() const {
+    T out;
+    TryRead(out, std::numeric_limits<uint64_t>::max());
+    return out;
+  }
+
+  // Read() that gives up after `max_attempts` torn attempts: false, `out`
+  // untouched. Retrying alone is not wait-free: a writer that publishes more
+  // often than a reader can copy the words tears every attempt, and the
+  // reader spins as long as the writer keeps writing. A caller that must make
+  // progress bounds the attempts and then serializes with the writers
+  // (ConcurrentRunQueue::ReadLoad takes the queue lock).
+  OPTSCHED_HOT_PATH bool TryRead(T& out, uint64_t max_attempts) const {
     uint64_t staging[kWords];
-    for (;;) {
+    for (uint64_t attempt = 0; attempt < max_attempts; ++attempt) {
       mc_hooks::SyncPoint(mc_hooks::SyncOp::kSeqRead, this);
       const uint64_t before = sequence_.load(std::memory_order_acquire);
       if (before & 1) {
@@ -101,12 +114,12 @@ class Seqlock {
       std::atomic_thread_fence(std::memory_order_acquire);
       const uint64_t after = sequence_.load(std::memory_order_acquire);
       if (before == after) {
-        T out;
         std::memcpy(&out, staging, sizeof(T));
-        return out;
+        return true;
       }
       ReadRetryPause();
     }
+    return false;
   }
 
   // Torn-read loop iterations observed by Read() since construction. Relaxed:

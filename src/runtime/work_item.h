@@ -6,6 +6,23 @@
 // 64-bit words through relaxed atomics (same TSan-clean technique as
 // Seqlock), so WorkItem must stay trivially copyable and a multiple of 8
 // bytes — both are static_asserted at the storage site.
+//
+// WorkItem is exactly 32 bytes, four words (static_asserted below), so every
+// item store (the locked ready ring, the chase_lev slots, the inbox, the
+// run-next slot, spawn batches, ingress mailboxes and callers' seed vectors)
+// holds 8 bytes less per item than with a whole word for `work_units`:
+//   * `work_units` is a 32-bit bit-field of type uint64_t in the word it
+//     shares with `weight`. Its bound is 2^32 - 1 spin units; a larger value
+//     is truncated on store.
+//   * It is not a plain uint32_t because a caller's brace initializer from
+//     a non-constant uint64_t would then narrow (a warning under GCC, an
+//     error under clang).
+//   * Arithmetic on it promotes it to unsigned int, as for any bit-field no
+//     wider than int: widen it (`uint64_t{item.work_units}`) before
+//     multiplying.
+// There is no alignas: `alignas(32)` here and a 64-byte-aligned ring buffer
+// both raised burst_locked peak RSS above the unaligned record's
+// (EXPERIMENTS.md E24).
 
 #ifndef OPTSCHED_SRC_RUNTIME_WORK_ITEM_H_
 #define OPTSCHED_SRC_RUNTIME_WORK_ITEM_H_
@@ -33,11 +50,12 @@ inline constexpr std::size_t kCacheLineSize = 64;
 // dependency and the item stays trivially copyable.
 struct WorkItem {
   uint64_t id = 0;
-  uint64_t work_units = 1;
+  uint64_t work_units : 32 = 1;
   uint32_t weight = 1024;
   uint64_t arrival_ns = 0;
   uint64_t task = 0;
 };
+static_assert(sizeof(WorkItem) == 32, "WorkItem is four 64-bit words");
 
 }  // namespace optsched::runtime
 

@@ -23,7 +23,7 @@ using runtime::WorkItem;
 using trace::EventType;
 using trace::TraceEvent;
 
-std::vector<WorkItem> Items(uint64_t count, uint64_t units) {
+std::vector<WorkItem> Items(uint64_t count, uint32_t units) {
   std::vector<WorkItem> items;
   for (uint64_t i = 0; i < count; ++i) {
     items.push_back(WorkItem{.id = i + 1, .work_units = units, .weight = 1024});

@@ -216,13 +216,9 @@ class DeschedulingIngress final : public runtime::IngressSource {
   mutable std::atomic<bool> napped_{false};
 };
 
-// Worker 1 goes idle at once and then sleeps for 30 ms while worker 0's
-// queue holds thousands of items: idle-while-overloaded by the loads alone,
-// about 300 watchdog samples long. A thread the OS does not run cannot act
-// on the loads it is shown, so none of those samples may count toward a
-// persistent violation.
-TEST(IngressWatchdog, ExcusesAWorkerTheOsDidNotRun) {
-  DeschedulingIngress ingress(std::chrono::milliseconds(30));
+// Two workers with the watchdog on and `ingress` attached, 20k items seeded
+// on worker 0, for 40 ms.
+runtime::ExecutorReport RunSeededPairFor40Ms(runtime::IngressSource& ingress) {
   runtime::ExecutorConfig config;
   config.num_workers = 2;
   config.watchdog = true;
@@ -233,7 +229,54 @@ TEST(IngressWatchdog, ExcusesAWorkerTheOsDidNotRun) {
     items[i] = {.id = i + 1, .work_units = 20, .weight = 1024};
   }
   executor.Seed(0, items);
-  const runtime::ExecutorReport report = executor.RunFor(/*duration_ms=*/40);
+  return executor.RunFor(/*duration_ms=*/40);
+}
+
+// Worker 1 goes idle at once and then sleeps for 30 ms while worker 0's
+// queue holds thousands of items: idle-while-overloaded by the loads alone,
+// about 300 watchdog samples long. A thread the OS does not run cannot act
+// on the loads it is shown, so none of those samples may count toward a
+// persistent violation.
+TEST(IngressWatchdog, ExcusesAWorkerTheOsDidNotRun) {
+  DeschedulingIngress ingress(std::chrono::milliseconds(30));
+  const runtime::ExecutorReport report = RunSeededPairFor40Ms(ingress);
+  EXPECT_GT(report.watchdog.observations, 100u) << report.ToString();
+  EXPECT_EQ(report.watchdog.persistent_violations, 0u) << report.ToString();
+}
+
+// A thief whose every round boundary costs 40 us of its own CPU time, on a
+// worker whose items take a few microseconds: it steals one item, runs it and
+// spends the rest of each ~45 us cycle at the boundary with load 0, so most
+// watchdog samples (every 50 us and more) read it idle next to a sibling
+// holding thousands. It runs an item between almost any two samples, so it is
+// not idle over the intervals, and no streak may count as persistent. This
+// is the shape ThreadSanitizer's slowdown gave ExcusesAWorkerTheOsDidNotRun.
+class SlowBoundaryIngress final : public runtime::IngressSource {
+ public:
+  SlowBoundaryIngress() : supervisor_(std::this_thread::get_id()) {}
+
+  uint32_t Drain(uint32_t /*worker*/, std::vector<runtime::WorkItem>& /*out*/,
+                 uint32_t /*max_items*/) override {
+    return 0;
+  }
+  int64_t PendingFor(uint32_t worker) const override {
+    if (worker == 1 && std::this_thread::get_id() != supervisor_) {
+      const auto until = std::chrono::steady_clock::now() + std::chrono::microseconds(40);
+      while (std::chrono::steady_clock::now() < until) {
+        runtime::CpuRelax();
+      }
+    }
+    return 0;
+  }
+
+ private:
+  const std::thread::id supervisor_;
+};
+
+TEST(IngressWatchdog, ExcusesAThiefThatRanItemsBetweenSamples) {
+  SlowBoundaryIngress ingress;
+  const runtime::ExecutorReport report = RunSeededPairFor40Ms(ingress);
+  EXPECT_GT(report.workers[1].steals.successes, 100u) << report.ToString();
   EXPECT_GT(report.watchdog.observations, 100u) << report.ToString();
   EXPECT_EQ(report.watchdog.persistent_violations, 0u) << report.ToString();
 }

@@ -1,12 +1,14 @@
 // ItemRing — the locked backend's ready queue: FIFO order across the wrap
 // point, exact growth for batches, erase of the items a steal scan takes
 // past skipped ones, and no allocator calls once the ring is at its
-// high-water size.
+// high-water size. Also the packed 32-byte WorkItem through every item
+// store: the ring, the chase_lev deque and its inbox, and a mailbox.
 
 #include "src/runtime/item_ring.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
@@ -14,6 +16,8 @@
 #include <optional>
 #include <vector>
 
+#include "src/ingress/mailbox.h"
+#include "src/runtime/chase_lev_deque.h"
 #include "src/runtime/concurrent_machine.h"
 
 namespace {
@@ -178,6 +182,125 @@ TEST(ItemRing, AllocatesNothingOnceAtItsHighWaterSize) {
   }
   EXPECT_EQ(g_allocs.load(std::memory_order_relaxed) - before, 0u);
   EXPECT_EQ(ring.capacity(), 24u);
+}
+
+// --- The packed record through every item store -----------------------------
+
+constexpr uint64_t kMaxUnits = 0xFFFF'FFFFu;
+constexpr uint32_t kMaxWeight = 0xFFFF'FFFFu;
+
+// Every field at its extreme, and no two of an item's words alike: id,
+// arrival_ns and task are all-ones except for k at a different bit offset in
+// each, and work_units and weight fill their shared word with ones. A store
+// that drops, shifts or swaps a word changes some field. k >= 1.
+WorkItem Extreme(uint64_t k) {
+  return WorkItem{.id = ~(k << 8), .work_units = kMaxUnits, .weight = kMaxWeight,
+                  .arrival_ns = ~(k << 24), .task = ~(k << 40)};
+}
+
+void ExpectExtreme(const WorkItem& item, uint64_t k) {
+  EXPECT_EQ(item.id, ~(k << 8));
+  EXPECT_EQ(item.work_units, kMaxUnits);
+  EXPECT_EQ(item.weight, kMaxWeight);
+  EXPECT_EQ(item.arrival_ns, ~(k << 24));
+  EXPECT_EQ(item.task, ~(k << 40));
+}
+
+// Which Extreme(k) an item is, read from its id alone.
+uint64_t ExtremeIndex(const WorkItem& item) { return ~item.id >> 8; }
+
+TEST(PackedWorkItem, HoldsEveryFieldAtItsBound) {
+  const WorkItem item = Extreme(1);
+  ExpectExtreme(item, 1);
+  // The bit-field promotes to unsigned int in arithmetic; widened first, the
+  // product is exact.
+  EXPECT_EQ(uint64_t{item.work_units} * 2, 2 * kMaxUnits);
+}
+
+TEST(PackedWorkItem, SurvivesTheLockedRingAcrossTheWrapAndATailErase) {
+  ItemRing ring;
+  for (uint64_t id = 1; id <= 10; ++id) {
+    ring.PushBack(Item(id));
+  }
+  for (int i = 0; i < 10; ++i) {
+    ring.PopFront();
+  }
+  // Head at slot 10 of 16: items 7..12 wrap to the front of the buffer.
+  for (uint64_t k = 1; k <= 12; ++k) {
+    ring.PushBack(Extreme(k));
+  }
+  ASSERT_EQ(ring.capacity(), 16u);
+  ring.Erase(ring.size() - 1);
+  ring.Erase(2);  // k = 3: items 4..11 move one slot back across the wrap
+  ExpectExtreme(ring.PopBack(), 11);
+  for (uint64_t k : {1, 2, 4, 5, 6, 7, 8, 9, 10}) {
+    ExpectExtreme(ring.PopFront(), k);
+  }
+  EXPECT_TRUE(ring.empty());
+}
+
+TEST(PackedWorkItem, SurvivesTheDequeByPopAndByPeekAndTake) {
+  runtime::ChaseLevDeque deque(4);
+  // Move the indices past the capacity so the items sit across the wrap.
+  for (uint64_t id = 1; id <= 6; ++id) {
+    ASSERT_TRUE(deque.PushBottom(Item(id)));
+    ASSERT_TRUE(deque.PopBottom().has_value());
+  }
+  for (uint64_t k = 1; k <= 4; ++k) {
+    ASSERT_TRUE(deque.PushBottom(Extreme(k)));
+  }
+  const std::optional<WorkItem> newest = deque.PopBottom();
+  ASSERT_TRUE(newest.has_value());
+  ExpectExtreme(*newest, 4);
+  for (uint64_t k = 1; k <= 2; ++k) {
+    const runtime::ChaseLevDeque::TopPeek peek = deque.PeekTop();
+    ASSERT_TRUE(peek.found);
+    ExpectExtreme(peek.item, k);
+    ASSERT_TRUE(deque.TakeTop(peek));
+  }
+  const std::optional<WorkItem> last = deque.PopBottom();
+  ASSERT_TRUE(last.has_value());
+  ExpectExtreme(*last, 3);
+  EXPECT_EQ(deque.SizeRelaxed(), 0);
+}
+
+TEST(PackedWorkItem, SurvivesTheInboxSpillOfAFullDeque) {
+  // A 2-slot deque: an owner batch of 6 spills 4 items to the inbox, and an
+  // external batch lands in the inbox whole.
+  runtime::ConcurrentRunQueue queue(runtime::QueueBackend::kChaseLev, /*deque_capacity=*/2);
+  std::vector<WorkItem> batch;
+  for (uint64_t k = 1; k <= 9; ++k) {
+    batch.push_back(Extreme(k));
+  }
+  queue.PushBatchOwner(batch.data(), 6);
+  queue.PushBatchExternal(batch.data() + 6, 3);
+  std::vector<bool> seen(10, false);
+  while (std::optional<WorkItem> item = queue.PopForRun()) {
+    const uint64_t k = ExtremeIndex(*item);
+    ASSERT_TRUE(k >= 1 && k <= 9 && !seen[k]) << k;
+    seen[k] = true;
+    ExpectExtreme(*item, k);
+    queue.FinishCurrent();
+  }
+  EXPECT_EQ(std::count(seen.begin(), seen.end(), true), 9);
+}
+
+TEST(PackedWorkItem, SurvivesAMailboxAcrossTheWrap) {
+  ingress::BoundedMailbox mailbox(4);
+  std::vector<WorkItem> out;
+  for (uint64_t id = 1; id <= 3; ++id) {
+    ASSERT_TRUE(mailbox.TryPush(Item(id)));
+  }
+  ASSERT_EQ(mailbox.DrainInto(out, 3), 3u);
+  out.clear();
+  for (uint64_t k = 1; k <= 4; ++k) {
+    ASSERT_TRUE(mailbox.TryPush(Extreme(k)));
+  }
+  EXPECT_FALSE(mailbox.TryPush(Extreme(5)));
+  ASSERT_EQ(mailbox.DrainInto(out, 8), 4u);
+  for (uint64_t k = 1; k <= 4; ++k) {
+    ExpectExtreme(out[k - 1], k);
+  }
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <thread>
 
@@ -120,6 +121,35 @@ TEST(ConcurrentRunQueue, LoadTracksOwnerOperations) {
   q.FinishCurrent();
   EXPECT_EQ(q.ReadLoad().task_count, 1);
   EXPECT_EQ(q.ReadLoad().weighted_load, item->id == 1 ? 200 : 100);
+}
+
+TEST(ConcurrentRunQueue, ReadLoadBoundsItsRetriesAgainstANonstopPublisher) {
+  // The owner publishes twice per cycle (pop, finish) without a pause. Each
+  // ReadLoad absorbs at most kSeqlockReadAttempts torn attempts and then
+  // reads under the queue lock, so no read waits on the owner going quiet,
+  // and every read is a consistent pair (weight 1024 per task).
+  runtime::ConcurrentRunQueue q;
+  std::atomic<bool> stop{false};
+  std::thread owner([&] {
+    const runtime::WorkItem item{.id = 1, .work_units = 1, .weight = 1024};
+    while (!stop.load(std::memory_order_relaxed)) {
+      q.PushBatchOwner(&item, 1);
+      q.PopForRun();
+      q.FinishCurrent();
+    }
+  });
+  uint64_t max_retries = 0;
+  uint64_t torn = 0;
+  for (int i = 0; i < 20000; ++i) {
+    const uint64_t before = q.SeqlockReadRetries();
+    const runtime::LoadPair load = q.ReadLoad();
+    max_retries = std::max(max_retries, q.SeqlockReadRetries() - before);
+    torn += load.weighted_load != 1024 * load.task_count ? 1 : 0;
+  }
+  stop = true;
+  owner.join();
+  EXPECT_LE(max_retries, runtime::ConcurrentRunQueue::kSeqlockReadAttempts);
+  EXPECT_EQ(torn, 0u);
 }
 
 TEST(ConcurrentMachine, StealMovesTailToThief) {
