@@ -22,6 +22,7 @@
 #include "src/workload/workloads.h"
 
 #if OPTSCHED_MC_HOOKS
+#include <algorithm>
 #include <fstream>
 #include <optional>
 #include <sstream>
@@ -29,6 +30,7 @@
 
 #include "src/mc/explorer.h"
 #include "src/mc/harness.h"
+#include "src/mc/modes.h"
 #include "src/mc/schedule.h"
 #include "src/mc/trace_export.h"
 #endif
@@ -91,31 +93,31 @@ void PrintUsage(const char* prog) {
   std::printf("  --metrics           dump the full metrics registry (name=value lines)\n");
   std::printf("model checker (src/mc):\n");
   std::printf("  --mc                explore schedules of the real steal protocol instead\n");
-  std::printf("  --mc-harness=MODE   balance | drain | ingress | forkjoin\n");
-  std::printf("                      (default balance)\n");
+#if OPTSCHED_MC_HOOKS
+  std::printf("  --mc-harness=MODE   one of:");
+  for (const optsched::mc::HarnessMode* mode : optsched::mc::Modes()) {
+    std::printf(" %s", std::string(mode->name).c_str());
+  }
+  std::printf(" (default balance)\n");
+#endif
   std::printf("  --mc-backend=NAME   run-queue backend: locked | chase_lev (default locked)\n");
   std::printf("  --mc-deque-capacity=N  chase_lev ring capacity (default 64)\n");
-  std::printf("  --mc-broken-steal-order  fault mode: thief reads bottom before top, no fence\n");
   std::printf("  --mc-loads=CSV      items seeded per queue, e.g. 0,1,2 (size = workers)\n");
   std::printf("  --mc-workers=N      shorthand for --mc-loads=0,1,...,N-1\n");
   std::printf("  --mc-attempts=N     steal attempts per worker (default 2; ingress: also pushes)\n");
   std::printf("  --mc-batch=N        max items per steal action (default 1 = steal-one)\n");
   std::printf("  --mc-mailbox=N      ingress harness: mailbox capacity per owner (default 2)\n");
-  std::printf("  --mc-break-batch    fault mode: unbounded batch ignoring the migration\n");
-  std::printf("                      rule (steal-safety cex, balance harness)\n");
   std::printf("  --mc-tree-depth=N   forkjoin harness: spawn-tree depth below the root (default 2)\n");
   std::printf("  --mc-fanout=N       forkjoin harness: children per internal node (default 2)\n");
-  std::printf("  --mc-broken-join    fault mode: plain load/store join decrement loses a\n");
-  std::printf("                      concurrent arrival (join-fires-exactly-once cex)\n");
-  std::printf("  --mc-broken-node-recycle  fault mode: a non-last child frees the\n");
-  std::printf("                      continuation, whose reuse strands its join\n");
-  std::printf("                      (join-fires-exactly-once cex, forkjoin harness)\n");
-  std::printf("  --mc-broken-termination-order  fault mode: the quiescence sum reads the\n");
-  std::printf("                      submitted counts before the executed ones\n");
-  std::printf("                      (no-premature-exit cex, forkjoin harness)\n");
-  std::printf("  --mc-broken-wakeup-gate  fault mode: owners park on the sample of the round\n");
-  std::printf("                      they announced idle in (no-lost-wakeup cex, ingress)\n");
-  std::printf("  harness-specific flags are rejected (exit 2) when passed to a harness or\n");
+#if OPTSCHED_MC_HOOKS
+  std::printf("  --mc-fault=NAME     seeded fault (default none), one of:\n");
+  for (const optsched::mc::SeededFault& fault : optsched::mc::Faults()) {
+    std::printf("    %-26s %s, breaks %s:\n%31s%s\n", std::string(fault.name).c_str(),
+                fault.Scope().c_str(), std::string(fault.property).c_str(), "",
+                std::string(fault.summary).c_str());
+  }
+#endif
+  std::printf("  flags and faults are rejected (exit 2) when passed to a harness or\n");
   std::printf("  backend they do not apply to, instead of being silently ignored\n");
   std::printf("  --mc-bound=N        preemption bound for exhaustive mode (default 2)\n");
   std::printf("  --mc-budget=N       completed+pruned execution budget for exhaustive mode\n");
@@ -209,15 +211,36 @@ int RunMcReplay(const std::string& path, const std::string& trace_out) {
 // explored schedule; 1 = a counterexample was found (and written, if asked).
 int RunMcExplore(int argc, char** argv) {
   using namespace optsched::mc;
+  // An --mc-* flag nobody reads (a typo, or a fault flag older than
+  // --mc-fault) is an error, not a fault-free sweep.
+  static const char* const kMcFlags[] = {
+      "mc-harness", "mc-backend", "mc-deque-capacity", "mc-loads", "mc-workers", "mc-attempts",
+      "mc-batch",   "mc-mailbox", "mc-tree-depth",     "mc-fanout", "mc-fault",   "mc-bound",
+      "mc-budget",  "mc-mode",    "mc-samples",        "mc-out"};
+  for (int i = 1; i < argc; ++i) {
+    if (std::strncmp(argv[i], "--mc-", 5) != 0) {
+      continue;
+    }
+    const std::string name(argv[i] + 2, std::strcspn(argv[i] + 2, "="));
+    if (std::none_of(std::begin(kMcFlags), std::end(kMcFlags),
+                     [&](const char* known) { return name == known; })) {
+      std::fprintf(stderr, "unknown flag --%s (try --help)\n", name.c_str());
+      return 2;
+    }
+  }
   Schedule config;
   config.harness = FlagValue(argc, argv, "mc-harness", "balance");
+  const HarnessMode* harness_mode = FindMode(config.harness);
+  if (harness_mode == nullptr) {
+    std::fprintf(stderr, "unknown --mc-harness '%s' (try --help)\n", config.harness.c_str());
+    return 2;
+  }
   config.policy = FlagValue(argc, argv, "policy", "thread-count");
   config.attempts_per_worker =
       static_cast<uint32_t>(std::atoi(FlagValue(argc, argv, "mc-attempts", "2").c_str()));
   config.seed = static_cast<uint64_t>(std::atoll(FlagValue(argc, argv, "seed", "1").c_str()));
   const int batch = std::atoi(FlagValue(argc, argv, "mc-batch", "1").c_str());
   config.max_steal_batch = batch >= 1 ? static_cast<uint32_t>(batch) : 1;
-  config.break_batch_bound = HasFlag(argc, argv, "mc-break-batch");
   const int mailbox = std::atoi(FlagValue(argc, argv, "mc-mailbox", "2").c_str());
   config.mailbox_capacity = mailbox >= 1 ? static_cast<uint32_t>(mailbox) : 1;
   config.backend = FlagValue(argc, argv, "mc-backend", "locked");
@@ -230,55 +253,42 @@ int RunMcExplore(int argc, char** argv) {
   const int deque_capacity =
       std::atoi(FlagValue(argc, argv, "mc-deque-capacity", "64").c_str());
   config.deque_capacity = deque_capacity >= 2 ? static_cast<uint32_t>(deque_capacity) : 64;
-  config.broken_steal_order = HasFlag(argc, argv, "mc-broken-steal-order");
   const int tree_depth = std::atoi(FlagValue(argc, argv, "mc-tree-depth", "2").c_str());
   config.tree_depth = tree_depth >= 1 ? static_cast<uint32_t>(tree_depth) : 2;
   const int fanout = std::atoi(FlagValue(argc, argv, "mc-fanout", "2").c_str());
   config.fanout = fanout >= 1 ? static_cast<uint32_t>(fanout) : 2;
-  config.broken_join_counter = HasFlag(argc, argv, "mc-broken-join");
-  config.broken_node_recycle = HasFlag(argc, argv, "mc-broken-node-recycle");
-  config.broken_termination_order = HasFlag(argc, argv, "mc-broken-termination-order");
-  config.broken_wakeup_gate = HasFlag(argc, argv, "mc-broken-wakeup-gate");
 
-  // Harness- and backend-specific flags are rejected up front when they do
-  // not apply to this run, rather than silently parsed into fields the
-  // harness never reads — a typo'd combination must not masquerade as a
-  // clean sweep of the fault it meant to inject.
-  static const char* kKnownModes[] = {"balance", "drain", "ingress", "forkjoin"};
-  bool known_mode = false;
-  for (const char* m : kKnownModes) {
-    known_mode |= config.harness == m;
-  }
-  if (!known_mode) {
-    std::fprintf(stderr,
-                 "unknown --mc-harness '%s' (balance | drain | ingress | forkjoin)\n",
-                 config.harness.c_str());
-    return 2;
-  }
-  const bool forkjoin_mode = config.harness == "forkjoin";
-  const bool ingress_mode = config.harness == "ingress";
-  const bool chase_lev = backend == optsched::runtime::QueueBackend::kChaseLev;
+  // Flags and faults that do not apply to this run are rejected up front,
+  // rather than silently parsed into fields the harness never reads — a
+  // typo'd combination must not masquerade as a clean sweep of the fault it
+  // meant to inject.
   struct FlagScope {
     const char* flag;
-    bool applicable;
-    const char* scope;
+    bool HarnessMode::*reads;
   };
-  const FlagScope kScopedFlags[] = {
-      {"mc-tree-depth", forkjoin_mode, "the forkjoin harness"},
-      {"mc-fanout", forkjoin_mode, "the forkjoin harness"},
-      {"mc-broken-join", forkjoin_mode, "the forkjoin harness"},
-      {"mc-broken-node-recycle", forkjoin_mode, "the forkjoin harness"},
-      {"mc-broken-termination-order", forkjoin_mode, "the forkjoin harness"},
-      {"mc-broken-wakeup-gate", ingress_mode, "the ingress harness"},
-      {"mc-mailbox", ingress_mode, "the ingress harness"},
-      {"mc-break-batch", config.harness == "balance", "the balance harness"},
-      {"mc-broken-steal-order", chase_lev, "the chase_lev backend"},
-  };
+  const FlagScope kScopedFlags[] = {{"mc-tree-depth", &HarnessMode::spawn_tree},
+                                    {"mc-fanout", &HarnessMode::spawn_tree},
+                                    {"mc-mailbox", &HarnessMode::mailboxes}};
   for (const FlagScope& scoped : kScopedFlags) {
-    if (FlagPresent(argc, argv, scoped.flag) && !scoped.applicable) {
+    if (FlagPresent(argc, argv, scoped.flag) && !(harness_mode->*scoped.reads)) {
+      std::fprintf(stderr, "--%s does not apply to the %s harness\n", scoped.flag,
+                   config.harness.c_str());
+      return 2;
+    }
+  }
+  config.fault = FlagValue(argc, argv, "mc-fault", "");
+  if (!config.fault.empty()) {
+    const SeededFault* fault = FindFault(config.fault);
+    if (fault == nullptr) {
+      std::fprintf(stderr, "unknown --mc-fault '%s' (try --help)\n", config.fault.c_str());
+      return 2;
+    }
+    if (!fault->AppliesTo(*harness_mode, backend)) {
       std::fprintf(stderr,
-                   "--%s only applies to %s (this run: --mc-harness=%s, --mc-backend=%s)\n",
-                   scoped.flag, scoped.scope, config.harness.c_str(), config.backend.c_str());
+                   "--mc-fault=%s only applies to %s (this run: --mc-harness=%s, "
+                   "--mc-backend=%s)\n",
+                   config.fault.c_str(), fault->Scope().c_str(), config.harness.c_str(),
+                   config.backend.c_str());
       return 2;
     }
   }
@@ -287,20 +297,19 @@ int RunMcExplore(int argc, char** argv) {
   if (config.initial_loads.empty()) {
     const int workers = std::atoi(FlagValue(argc, argv, "mc-workers", "3").c_str());
     for (int i = 0; i < workers; ++i) {
-      // Forkjoin seeds only the root task: the loads must be all zero there.
-      config.initial_loads.push_back(config.harness == "forkjoin" ? 0 : i);
+      // A spawn tree seeds only the root task: the loads must be all zero.
+      config.initial_loads.push_back(harness_mode->spawn_tree ? 0 : i);
     }
   }
   StealHarness harness(config);
-  std::printf("mc:        %s harness, %s backend%s, policy %s, loads ", config.harness.c_str(),
-              config.backend.c_str(),
-              config.broken_steal_order ? " (BROKEN STEAL ORDER)" : "", config.policy.c_str());
+  std::printf("mc:        %s harness, %s backend, policy %s, loads ", config.harness.c_str(),
+              config.backend.c_str(), config.policy.c_str());
   for (size_t i = 0; i < config.initial_loads.size(); ++i) {
     std::printf("%s%lld", i ? "," : "", static_cast<long long>(config.initial_loads[i]));
   }
-  std::printf(", %u attempts, batch %u%s, d0/2 = %lld\n", config.attempts_per_worker,
-              config.max_steal_batch, config.break_batch_bound ? " (BROKEN BOUND)" : "",
-              static_cast<long long>(harness.InitialPotential() / 2));
+  std::printf(", %u attempts, batch %u, d0/2 = %lld%s%s\n", config.attempts_per_worker,
+              config.max_steal_batch, static_cast<long long>(harness.InitialPotential() / 2),
+              config.fault.empty() ? "" : ", FAULT ", config.fault.c_str());
 
   std::vector<uint32_t> counterexample;
   std::vector<PropertyReport> violated_reports;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <utility>
 
 #include "src/base/check.h"
 #include "src/base/str.h"
@@ -52,41 +53,42 @@ uint64_t UniformTreeInternalNodes(uint32_t depth, uint32_t fanout) {
 
 StealHarness::StealHarness(Schedule schedule)
     : schedule_(std::move(schedule)),
+      mode_(FindMode(schedule_.harness)),
       topology_(Topology::Smp(static_cast<uint32_t>(schedule_.initial_loads.size()))) {
-  OPTSCHED_CHECK(!schedule_.initial_loads.empty());
+  const uint32_t n = num_workers();
+  OPTSCHED_CHECK(n > 0);
+  OPTSCHED_CHECK_MSG(mode_ != nullptr, "unknown harness mode");
   OPTSCHED_CHECK_MSG(runtime::ParseQueueBackend(schedule_.backend, backend_),
                      "unknown backend in schedule");
-  OPTSCHED_CHECK_MSG(schedule_.harness == "balance" || schedule_.harness == "drain" ||
-                         schedule_.harness == "ingress" || schedule_.harness == "forkjoin",
-                     "unknown harness mode");
-  if (schedule_.harness == "forkjoin") {
+  if (mode_->spawn_tree) {
     // The only seeded item is the root task: pre-seeded plain items would
     // blur the no-lost-spawns accounting (dynamic spawns are the point).
     for (int64_t load : schedule_.initial_loads) {
-      OPTSCHED_CHECK_MSG(load == 0, "forkjoin mode seeds only the root task "
+      OPTSCHED_CHECK_MSG(load == 0, "a spawn-tree mode seeds only the root task "
                                     "(initial_loads must be all zero)");
     }
     OPTSCHED_CHECK(schedule_.tree_depth >= 1 && schedule_.fanout >= 1);
-  } else {
-    OPTSCHED_CHECK_MSG(!schedule_.broken_join_counter,
-                       "broken_join_counter is a forkjoin fault knob");
-    OPTSCHED_CHECK_MSG(!schedule_.broken_node_recycle,
-                       "broken_node_recycle is a forkjoin fault knob");
-    OPTSCHED_CHECK_MSG(!schedule_.broken_termination_order,
-                       "broken_termination_order is a forkjoin fault knob");
   }
-  OPTSCHED_CHECK_MSG(schedule_.harness == "ingress" || !schedule_.broken_wakeup_gate,
-                     "broken_wakeup_gate is an ingress fault knob");
-  OPTSCHED_CHECK_MSG(schedule_.harness == "balance" || !schedule_.break_batch_bound,
-                     "break_batch_bound is a balance fault knob (the executor never breaks it)");
   // The producer (worker 0) needs at least one owner to push to.
-  OPTSCHED_CHECK_MSG(schedule_.harness != "ingress" || schedule_.initial_loads.size() >= 2,
-                     "ingress mode needs >= 2 workers (worker 0 is the producer)");
-  OPTSCHED_CHECK_MSG(schedule_.harness != "ingress" || schedule_.mailbox_capacity >= 1,
-                     "ingress mode needs mailbox_capacity >= 1");
-  OPTSCHED_CHECK_MSG(backend_ == runtime::QueueBackend::kChaseLev ||
-                         !schedule_.broken_steal_order,
-                     "broken_steal_order is a chase_lev fault knob");
+  OPTSCHED_CHECK_MSG(!mode_->mailboxes || (n >= 2 && schedule_.mailbox_capacity >= 1),
+                     "a mailbox mode needs >= 2 workers (worker 0 is the producer) "
+                     "and mailbox_capacity >= 1");
+  seams_.steal.recheck = schedule_.recheck;
+  seams_.steal.max_batch = schedule_.max_steal_batch;
+  seams_.checker.probe = this;
+  // Every internal node allocates one continuation plus `fanout` children;
+  // chunked handout wastes up to one chunk per worker, covered by slack.
+  const uint64_t internal = UniformTreeInternalNodes(schedule_.tree_depth, schedule_.fanout);
+  seams_.task.max_workers = n;
+  seams_.task.arena_capacity =
+      static_cast<uint32_t>(1 + internal * (schedule_.fanout + 1) + 16ull * n + 16);
+  if (!schedule_.fault.empty()) {
+    const SeededFault* fault = FindFault(schedule_.fault);
+    OPTSCHED_CHECK_MSG(fault != nullptr, "unknown fault in schedule");
+    OPTSCHED_CHECK_MSG(fault->AppliesTo(*mode_, backend_),
+                       "the schedule's fault does not apply to its mode or backend");
+    fault->set(seams_);
+  }
   policy_ = policies::MakePolicyByName(schedule_.policy, topology_);
   OPTSCHED_CHECK_MSG(policy_ != nullptr, "unknown policy name");
 }
@@ -147,24 +149,15 @@ StealHarness::~StealHarness() = default;
 
 std::vector<std::function<void()>> StealHarness::MakeBodies() {
   const uint32_t n = num_workers();
-  const bool forkjoin = schedule_.harness == "forkjoin";
-  const bool ingress = schedule_.harness == "ingress";
   task_graph_.reset();
   tasks_.reset();
-  if (forkjoin) {
-    // Every internal node allocates one continuation plus `fanout` children;
-    // chunked handout wastes up to one chunk per worker, covered by slack.
-    const uint64_t internal = UniformTreeInternalNodes(schedule_.tree_depth, schedule_.fanout);
-    const uint64_t capacity = 1 + internal * (schedule_.fanout + 1) + 16ull * n + 16;
-    task_graph_ = std::make_unique<task::TaskGraph>(
-        task::TaskGraphOptions{.max_workers = n,
-                               .arena_capacity = static_cast<uint32_t>(capacity),
-                               .broken_join_counter = schedule_.broken_join_counter,
-                               .broken_node_recycle = schedule_.broken_node_recycle});
+  if (mode_->spawn_tree) {
+    task_graph_ = std::make_unique<task::TaskGraph>(seams_.task);
     tasks_ = std::make_unique<Tasks>(*task_graph_, n);
   }
-  mailboxes_ = ingress ? std::make_unique<ingress::MailboxSet>(n, schedule_.mailbox_capacity)
-                       : nullptr;
+  mailboxes_ = mode_->mailboxes
+                   ? std::make_unique<ingress::MailboxSet>(n, schedule_.mailbox_capacity)
+                   : nullptr;
 
   // The executor the owner modes run: its loop, parking after one fruitless
   // round past the idle announcement, with no calibrated spin per item.
@@ -175,15 +168,10 @@ std::vector<std::function<void()>> StealHarness::MakeBodies() {
   exec.chase_lev_capacity = schedule_.deque_capacity;
   exec.recheck_filter = schedule_.recheck;
   exec.max_steal_batch = schedule_.max_steal_batch;
-  exec.ingress = ingress ? this : nullptr;
+  exec.ingress = mailboxes_ != nullptr ? this : nullptr;
   exec.task_runner = tasks_.get();
   exec.seed = schedule_.seed;
-  executor_ = std::make_unique<runtime::Executor>(
-      policy_, exec, &topology_,
-      runtime::CheckerSeams{.probe = this,
-                            .broken_steal_order = schedule_.broken_steal_order,
-                            .broken_termination_order = schedule_.broken_termination_order,
-                            .broken_wakeup_gate = schedule_.broken_wakeup_gate});
+  executor_ = std::make_unique<runtime::Executor>(policy_, exec, &topology_, seams_.checker);
   stats_.assign(n, runtime::WorkerStats{});
   counters_.assign(n, StealCounters{});
   steal_rounds_.assign(n, 0);
@@ -205,17 +193,18 @@ std::vector<std::function<void()>> StealHarness::MakeBodies() {
     if (seed.empty()) {
       continue;
     }
-    if (schedule_.harness == "balance") {
+    if (!mode_->shipped_loop) {
       // Owner-side seeding: on chase_lev this lands items in the deque (the
-      // stealable structure), not the external-submit inbox — balance mode
-      // never runs PopForRun, so inbox items would be invisible to thieves.
+      // stealable structure), not the external-submit inbox — Figure 1's
+      // loop never runs PopForRun, so inbox items would be invisible to
+      // thieves.
       machine().queue(q).PushBatchOwner(seed.data(), static_cast<uint32_t>(seed.size()));
     } else {
       executor_->Seed(q, seed);
     }
   }
   next_ingress_id_ = next_id;
-  if (forkjoin) {
+  if (mode_->spawn_tree) {
     const WorkItem root = task_graph_->ItemFor(task_graph_->NewRoot(UniformTreeTask));
     task::TaskNode& node = *reinterpret_cast<task::TaskNode*>(root.task);
     node.env[0] = schedule_.tree_depth;
@@ -226,15 +215,15 @@ std::vector<std::function<void()>> StealHarness::MakeBodies() {
 
   std::vector<std::function<void()>> bodies;
   bodies.reserve(n);
-  if (schedule_.harness == "balance") {
+  if (!mode_->shipped_loop) {
     for (uint32_t w = 0; w < n; ++w) {
       bodies.push_back([this, w] { BalanceBody(w); });
     }
     return bodies;
   }
-  executor_->BeginCheckedRun(/*deadline_mode=*/ingress);
+  executor_->BeginCheckedRun(/*deadline_mode=*/!mode_->closed_run);
   for (uint32_t w = 0; w < n; ++w) {
-    if (ingress && w == 0) {
+    if (mailboxes_ != nullptr && w == 0) {
       bodies.push_back([this] { ProducerBody(); });
     } else {
       bodies.push_back([this, w] { executor_->RunWorker(w, stats_[w]); });
@@ -288,10 +277,7 @@ bool StealHarness::StealOnce(uint32_t worker, Rng& rng, WorkItem* run_next) {
   const StealCounters before = counters_[worker];
   CpuId victim = 0;
   StealObservation observation;
-  const runtime::StealOptions options{.recheck = schedule_.recheck,
-                                      .max_batch = schedule_.max_steal_batch,
-                                      .break_batch_bound = schedule_.break_batch_bound};
-  const bool ok = machine().TrySteal(*policy_, worker, snapshot, rng, options,
+  const bool ok = machine().TrySteal(*policy_, worker, snapshot, rng, seams_.steal,
                                      counters_[worker], &topology_, &victim, &observation,
                                      /*scratch=*/nullptr, run_next);
   NoteSteal(before, counters_[worker], victim, observation, ok);
@@ -409,44 +395,109 @@ Schedule StealHarness::MakeSchedule(const std::vector<uint32_t>& choices) const 
   return schedule;
 }
 
-std::vector<PropertyReport> StealHarness::Evaluate(const ExecutionResult& result) {
-  OPTSCHED_CHECK_MSG(executor_ != nullptr, "Evaluate before MakeBodies");
+// What one Evaluate call shares between the property sets.
+struct StealHarness::Evaluation {
+  explicit Evaluation(const ExecutionResult& execution) : result(execution) {}
+
+  const ExecutionResult& result;
+  // False after a deadlock or the step cap: the machine state cannot be
+  // trusted (a worker may have been unwound mid-protocol).
+  bool terminated = !result.deadlock && !result.step_limit_hit;
   std::vector<PropertyReport> reports;
-  auto add = [&](const char* name, bool holds, std::string detail = "") {
-    reports.push_back(PropertyReport{name, holds, std::move(detail)});
-  };
 
-  const bool ingress_mode = schedule_.harness == "ingress";
-  const bool forkjoin_mode = schedule_.harness == "forkjoin";
-  const bool closed_run = schedule_.harness == "drain" || forkjoin_mode;
-
-  // --- no-lost-wakeup: judged from the park events alone, so it is reported
-  // ahead of termination — a lost wakeup usually ends in exactly the
-  // deadlock below (the owner parks and the producer's deadline never
-  // comes), and this names the cause.
-  if (ingress_mode) {
-    bool holds = true;
-    std::string detail;
+  void Add(std::string_view name, bool holds, std::string detail = "") {
+    reports.push_back(PropertyReport{std::string(name), holds, std::move(detail)});
+  }
+  // `name` holds unless some event of `kind` satisfies `violates`; the
+  // first such event is described by `describe`.
+  template <typename Violates, typename Describe>
+  void NoEvent(std::string_view name, uint32_t kind, Violates violates, Describe describe) {
     for (const McEvent& event : result.events) {
-      if (event.user_kind == kUserLostWakeup) {
-        holds = false;
-        detail = StrFormat("owner %lld parked with %lld mailbox items and no notify on its way",
-                           static_cast<long long>(event.arg0),
-                           static_cast<long long>(event.arg1));
-        break;
+      if (event.user_kind == kind && violates(event)) {
+        Add(name, false, describe(event));
+        return;
       }
     }
-    add("no-lost-wakeup", holds, std::move(detail));
+    Add(name, true);
   }
+  // Successful steal actions and the items they moved.
+  std::pair<uint64_t, uint64_t> Steals() const {
+    uint64_t actions = 0;
+    uint64_t items = 0;
+    for (const McEvent& event : result.events) {
+      actions += event.user_kind == kUserStealOk;
+      items += event.user_kind == kUserStealBatch ? static_cast<uint64_t>(event.arg0) : 0;
+    }
+    return {actions, items};
+  }
+};
 
-  // Termination next: a deadlock or step-cap means the machine state cannot
-  // be trusted (a worker may have been unwound mid-protocol).
-  if (result.deadlock || result.step_limit_hit) {
-    add("termination", false,
-        result.deadlock ? result.deadlock_note : "decision-step limit hit");
-    return reports;
+std::vector<PropertyReport> StealHarness::Evaluate(const ExecutionResult& result) {
+  OPTSCHED_CHECK_MSG(executor_ != nullptr, "Evaluate before MakeBodies");
+  Evaluation eval(result);
+  for (const PropertySet set : mode_->properties) {
+    switch (set) {
+      case PropertySet::kWakeup:
+        WakeupProperties(eval);
+        break;
+      case PropertySet::kTermination:
+        TerminationProperties(eval);
+        break;
+      case PropertySet::kSteal:
+        StealProperties(eval);
+        break;
+      case PropertySet::kStealBounds:
+        StealBoundProperties(eval);
+        break;
+      case PropertySet::kJoin:
+        JoinProperties(eval);
+        break;
+    }
+    // Nothing past a failed termination is judged.
+    if (set == PropertySet::kTermination && !eval.terminated) {
+      break;
+    }
   }
-  add("termination", true);
+  return std::move(eval.reports);
+}
+
+void StealHarness::WakeupProperties(Evaluation& eval) {
+  // --- no-lost-wakeup: judged from the park events alone, so it is reported
+  // ahead of termination — a lost wakeup usually ends in a deadlock (the
+  // owner parks and the producer's deadline never comes), and this names
+  // the cause.
+  eval.NoEvent(
+      "no-lost-wakeup", kUserLostWakeup, [](const McEvent&) { return true; },
+      [](const McEvent& event) {
+        return StrFormat("owner %lld parked with %lld mailbox items and no notify on its way",
+                         static_cast<long long>(event.arg0), static_cast<long long>(event.arg1));
+      });
+  if (!eval.terminated) {
+    return;
+  }
+  // --- wakeup-no-stranded-items: no owner may exit over a mailbox-resident
+  // item. Checked BEFORE the conservation drain empties the mailboxes.
+  bool holds = true;
+  std::string detail;
+  for (uint32_t w = 0; w < num_workers() && holds; ++w) {
+    const int64_t pending = mailboxes_->PendingFor(w);
+    if (pending > 0) {
+      holds = false;
+      detail = StrFormat("owner %u exited with %lld items stranded in its mailbox", w,
+                         static_cast<long long>(pending));
+    }
+  }
+  eval.Add("wakeup-no-stranded-items", holds, std::move(detail));
+}
+
+void StealHarness::TerminationProperties(Evaluation& eval) {
+  const ExecutionResult& result = eval.result;
+  if (!eval.terminated) {
+    eval.Add("termination", false,
+             result.deadlock ? result.deadlock_note : "decision-step limit hit");
+    return;
+  }
+  eval.Add("termination", true);
 
   // --- published-depth: the lock-free load publication agrees with the -------
   // structural queue state at quiescence. Evaluated BEFORE the conservation
@@ -470,44 +521,23 @@ std::vector<PropertyReport> StealHarness::Evaluate(const ExecutionResult& result
                            static_cast<long long>(exact.weighted_load));
       }
     }
-    add("published-depth", holds, std::move(detail));
+    eval.Add("published-depth", holds, std::move(detail));
   }
 
-  // --- wakeup-no-stranded-items: no owner may exit over a mailbox-resident
-  // item. Checked BEFORE the conservation drain empties the mailboxes.
-  if (ingress_mode) {
-    bool holds = true;
-    std::string detail;
-    for (uint32_t w = 0; w < num_workers() && holds; ++w) {
-      const int64_t pending = mailboxes_->PendingFor(w);
-      if (pending > 0) {
-        holds = false;
-        detail = StrFormat("owner %u exited with %lld items stranded in its mailbox", w,
-                           static_cast<long long>(pending));
-      }
-    }
-    add("wakeup-no-stranded-items", holds, std::move(detail));
-  }
-
-  // --- no-lost-items: initial multiset == remaining ∪ executed ---------------
-  // Ingress mode widens both sides: every item the mailbox ACCEPTED joins
-  // the expected multiset (kUserMailboxPush; refused pushes never entered
-  // the system and are accounted by their kUserMailboxShed event alone),
-  // and mailbox-resident items still undrained at the end join the
-  // accounted side — admitted work may be in a queue, executed, or still in
-  // its mailbox, but never gone.
-  // Forkjoin mode widens the expected side the same way: every dynamically
-  // spawned task (kUserTaskSpawn — the root is seeded, so it is in
-  // initial_item_ids_) must be executed or still queued, never gone
-  // (no-lost-spawns: conservation over work created mid-exploration).
+  // --- conservation: initial multiset == remaining ∪ executed ---------------
+  // The expected side also holds every item a mailbox ACCEPTED
+  // (kUserMailboxPush; refused pushes never entered the system and are
+  // accounted by their kUserMailboxShed event alone) and every dynamically
+  // spawned task (kUserTaskSpawn; the root is seeded, so it is in
+  // initial_item_ids_). The accounted side also holds mailbox-resident items
+  // still undrained at the end: admitted or spawned work may be queued,
+  // executed, or still in its mailbox, but never gone.
   std::vector<uint64_t> seen;
   std::vector<uint64_t> expected = initial_item_ids_;
   for (const McEvent& event : result.events) {
     if (event.user_kind == kUserExecuteItem) {
       seen.push_back(static_cast<uint64_t>(event.arg0));
-    } else if (ingress_mode && event.user_kind == kUserMailboxPush) {
-      expected.push_back(static_cast<uint64_t>(event.arg0));
-    } else if (forkjoin_mode && event.user_kind == kUserTaskSpawn) {
+    } else if (event.user_kind == kUserMailboxPush || event.user_kind == kUserTaskSpawn) {
       expected.push_back(static_cast<uint64_t>(event.arg0));
     }
   }
@@ -522,7 +552,7 @@ std::vector<PropertyReport> StealHarness::Evaluate(const ExecutionResult& result
       queue.FinishCurrent();
     }
   }
-  if (ingress_mode) {
+  if (mailboxes_ != nullptr) {
     std::vector<WorkItem> leftover;
     for (uint32_t w = 0; w < num_workers(); ++w) {
       mailboxes_->Drain(w, leftover, ~0u);
@@ -533,57 +563,11 @@ std::vector<PropertyReport> StealHarness::Evaluate(const ExecutionResult& result
   }
   std::sort(seen.begin(), seen.end());
   std::sort(expected.begin(), expected.end());
-  const char* conservation_name = forkjoin_mode  ? "no-lost-spawns"
-                                  : ingress_mode ? "no-lost-admitted-items"
-                                                 : "no-lost-items";
-  add(conservation_name, seen == expected,
-      seen == expected ? ""
-                       : StrFormat("item multiset changed: %zu seeded+admitted, %zu accounted",
-                                   expected.size(), seen.size()));
-
-  // --- steal-safety: no successful steal idled its victim --------------------
-  // Batched steals included: arg1 is the victim's task count after the WHOLE
-  // batch left, read under both locks.
-  uint64_t successes = 0;
-  uint64_t items_moved = 0;
-  for (const McEvent& event : result.events) {
-    if (event.user_kind == kUserStealBatch) {
-      items_moved += static_cast<uint64_t>(event.arg0);
-      continue;
-    }
-    if (event.user_kind != kUserStealOk) {
-      continue;
-    }
-    ++successes;
-    if (event.arg1 < 1) {
-      add("steal-safety", false,
-          StrFormat("worker %u idled victim %lld at step %u", event.thread,
-                    static_cast<long long>(event.arg0), event.step));
-    }
-  }
-  if (reports.back().name != "steal-safety") {
-    add("steal-safety", true);
-  }
-
-  // --- publish-batching: ≤ 2 seqlock publishes per steal critical section ----
-  // One per queue, however many items the batch moved. This is the seqlock
-  // write-count assertion: per-item publishing under both held locks would
-  // show up here as seqlock_writes == items_moved + 1.
-  {
-    bool holds = true;
-    std::string detail;
-    for (const McEvent& event : result.events) {
-      if (event.user_kind == kUserStealBatch && event.arg1 > 2) {
-        holds = false;
-        detail = StrFormat(
-            "worker %u published %lld times in one steal critical section (%lld items)",
-            event.thread, static_cast<long long>(event.arg1),
-            static_cast<long long>(event.arg0));
-        break;
-      }
-    }
-    add("publish-batching", holds, std::move(detail));
-  }
+  eval.Add(mode_->conservation, seen == expected,
+           seen == expected
+               ? ""
+               : StrFormat("item multiset changed: %zu seeded+admitted, %zu accounted",
+                           expected.size(), seen.size()));
 
   // --- no-premature-exit: a worker whose quiescence sum read drained exits
   // only once every item of the final workload (seeds ∪ all spawns) has
@@ -592,7 +576,7 @@ std::vector<PropertyReport> StealHarness::Evaluate(const ExecutionResult& result
   // body ran, lets a worker leave with work still to come; in the executor,
   // a worker or supervisor acting on such a sum treats the run as over while
   // it is not.
-  if (closed_run) {
+  if (mode_->closed_run) {
     bool holds = true;
     std::string detail;
     size_t finished = 0;
@@ -609,103 +593,47 @@ std::vector<PropertyReport> StealHarness::Evaluate(const ExecutionResult& result
         break;
       }
     }
-    add("no-premature-exit", holds, std::move(detail));
+    eval.Add("no-premature-exit", holds, std::move(detail));
   }
+}
 
-  if (forkjoin_mode) {
-    // --- join-fires-exactly-once: every forked continuation's counter reaches
-    // zero exactly once. Ids name node lifetimes (the item id carries the
-    // arena slot's generation), so a reused node is a new continuation. A
-    // lost decrement (broken_join_counter's plain load/store race) strands
-    // the continuation — fork with no fire — and so does a node reused while
-    // a child still owed it (broken_node_recycle); the acq_rel RMW chain
-    // makes a double fire structurally impossible, but the property checks
-    // both directions anyway.
-    {
-      bool holds = true;
-      std::string detail;
-      std::vector<uint64_t> forked;
-      std::map<uint64_t, uint64_t> fires;
-      for (const McEvent& event : result.events) {
-        if (event.user_kind == kUserTaskFork) {
-          forked.push_back(static_cast<uint64_t>(event.arg0));
-        } else if (event.user_kind == kUserJoinFire) {
-          ++fires[static_cast<uint64_t>(event.arg0)];
-        }
-      }
-      for (uint64_t id : forked) {
-        const auto it = fires.find(id);
-        const uint64_t count = it == fires.end() ? 0 : it->second;
-        if (count != 1) {
-          holds = false;
-          detail = StrFormat("continuation %llu forked but its join fired %llu times",
-                             static_cast<unsigned long long>(id),
-                             static_cast<unsigned long long>(count));
-          break;
-        }
-        fires.erase(it);
-      }
-      if (holds && !fires.empty()) {
-        holds = false;
-        detail = StrFormat("continuation %llu fired without a fork",
-                           static_cast<unsigned long long>(fires.begin()->first));
-      }
-      add("join-fires-exactly-once", holds, std::move(detail));
-    }
+void StealHarness::StealProperties(Evaluation& eval) {
+  // --- steal-safety: no successful steal idled its victim --------------------
+  // Batched steals included: arg1 is the victim's task count after the WHOLE
+  // batch left, read under both locks.
+  eval.NoEvent(
+      "steal-safety", kUserStealOk, [](const McEvent& event) { return event.arg1 < 1; },
+      [](const McEvent& event) {
+        return StrFormat("worker %u idled victim %lld at step %u", event.thread,
+                         static_cast<long long>(event.arg0), event.step);
+      });
+  // --- publish-batching: ≤ 2 seqlock publishes per steal critical section ----
+  // One per queue, however many items the batch moved. This is the seqlock
+  // write-count assertion: per-item publishing under both held locks would
+  // show up here as seqlock_writes == items_moved + 1.
+  eval.NoEvent(
+      "publish-batching", kUserStealBatch, [](const McEvent& event) { return event.arg1 > 2; },
+      [](const McEvent& event) {
+        return StrFormat(
+            "worker %u published %lld times in one steal critical section (%lld items)",
+            event.thread, static_cast<long long>(event.arg1), static_cast<long long>(event.arg0));
+      });
+}
 
-    // --- no-worker-blocks-on-join: the continuation-counting discipline never
-    // waits — a finishing child decrements and moves on. Termination without
-    // deadlock already held above; a park noted inside a task body would
-    // mean a worker suspended inside the protocol (idle parks between items
-    // are the loop's, not the join's).
-    {
-      bool holds = true;
-      std::string detail;
-      for (const McEvent& event : result.events) {
-        if (event.user_kind == kUserPark && event.arg0 == 1) {
-          holds = false;
-          detail = StrFormat("worker %u parked inside the fork-join protocol", event.thread);
-          break;
-        }
-      }
-      add("no-worker-blocks-on-join", holds, std::move(detail));
-    }
-
-    // --- bounded-steals-on-tree: migrations on a rooted spawn tree stay in
-    // the O(W·depth) regime (Leiserson/Schardl/Suksompong), never the task
-    // count. The constant here is deliberately generous — the property
-    // guards the asymptotic shape, the E16 bench measures the constant.
-    {
-      const uint64_t bound = static_cast<uint64_t>(num_workers()) *
-                             (schedule_.tree_depth + 2) * schedule_.fanout;
-      add("bounded-steals-on-tree", items_moved <= bound,
-          items_moved <= bound
-              ? ""
-              : StrFormat("%llu items migrated vs W*(depth+2)*fanout = %llu",
-                          static_cast<unsigned long long>(items_moved),
-                          static_cast<unsigned long long>(bound)));
-    }
-    return reports;
-  }
-
-  if (schedule_.harness != "balance") {
-    return reports;
-  }
-
+void StealHarness::StealBoundProperties(Evaluation& eval) {
   // --- bounded-steals: migrated items ≤ d(initial)/2 (§4.3) ------------------
   // Each permitted migration strictly decreases the potential by ≥ 2, so the
   // ITEM count is bounded by d0/2 — and since every successful action moves
   // ≥ 1 item, the action count inherits the same bound (successes ≤ items).
+  const auto [successes, items_moved] = eval.Steals();
   const int64_t bound = InitialPotential() / 2;
-  const bool actions_bounded = successes <= items_moved;
-  const bool items_bounded = static_cast<int64_t>(items_moved) <= bound;
-  add("bounded-steals", actions_bounded && items_bounded,
-      actions_bounded && items_bounded
-          ? ""
-          : StrFormat("%llu actions / %llu migrated items vs d0/2 = %lld",
-                      static_cast<unsigned long long>(successes),
-                      static_cast<unsigned long long>(items_moved),
-                      static_cast<long long>(bound)));
+  const bool bounded = successes <= items_moved && static_cast<int64_t>(items_moved) <= bound;
+  eval.Add("bounded-steals", bounded,
+           bounded ? ""
+                   : StrFormat("%llu actions / %llu migrated items vs d0/2 = %lld",
+                               static_cast<unsigned long long>(successes),
+                               static_cast<unsigned long long>(items_moved),
+                               static_cast<long long>(bound)));
 
   // --- failure-causality: every failed re-check has a concurrent successful
   // steal inside its snapshot→recheck window (§4.2) --------------------------
@@ -714,35 +642,102 @@ std::vector<PropertyReport> StealHarness::Evaluate(const ExecutionResult& result
   // competitor's kUserStealOk NOTE is emitted after its TrySteal returns and
   // may be scheduled past this thread's recheck event, so the event-window
   // scan below would flag spurious violations on a sound protocol.
-  if (backend_ == runtime::QueueBackend::kLocked) {
-    bool holds = true;
-    std::string detail;
-    std::vector<int64_t> last_snapshot(num_workers(), -1);
-    for (size_t i = 0; i < result.events.size() && holds; ++i) {
-      const McEvent& event = result.events[i];
-      if (event.user_kind == kUserSnapshot) {
-        last_snapshot[event.thread] = static_cast<int64_t>(i);
-      } else if (event.user_kind == kUserStealFailRecheck) {
-        bool caused = false;
-        for (int64_t j = last_snapshot[event.thread] + 1; j < static_cast<int64_t>(i); ++j) {
-          const McEvent& cause = result.events[j];
-          if (cause.user_kind == kUserStealOk && cause.thread != event.thread) {
-            caused = true;
-            break;
-          }
-        }
-        if (!caused) {
-          holds = false;
-          detail = StrFormat(
-              "worker %u failed its re-check at step %u with no concurrent steal in the window",
-              event.thread, event.step);
+  if (backend_ != runtime::QueueBackend::kLocked) {
+    return;
+  }
+  const std::vector<McEvent>& events = eval.result.events;
+  bool holds = true;
+  std::string detail;
+  std::vector<int64_t> last_snapshot(num_workers(), -1);
+  for (size_t i = 0; i < events.size() && holds; ++i) {
+    const McEvent& event = events[i];
+    if (event.user_kind == kUserSnapshot) {
+      last_snapshot[event.thread] = static_cast<int64_t>(i);
+    } else if (event.user_kind == kUserStealFailRecheck) {
+      bool caused = false;
+      for (int64_t j = last_snapshot[event.thread] + 1; j < static_cast<int64_t>(i); ++j) {
+        const McEvent& cause = events[j];
+        if (cause.user_kind == kUserStealOk && cause.thread != event.thread) {
+          caused = true;
+          break;
         }
       }
+      if (!caused) {
+        holds = false;
+        detail = StrFormat(
+            "worker %u failed its re-check at step %u with no concurrent steal in the window",
+            event.thread, event.step);
+      }
     }
-    add("failure-causality", holds, std::move(detail));
+  }
+  eval.Add("failure-causality", holds, std::move(detail));
+}
+
+void StealHarness::JoinProperties(Evaluation& eval) {
+  // --- join-fires-exactly-once: every forked continuation's counter reaches
+  // zero exactly once. Ids name node lifetimes (the item id carries the
+  // arena slot's generation), so a reused node is a new continuation. A
+  // lost decrement (broken_join_counter's plain load/store race) strands
+  // the continuation — fork with no fire — and so does a node reused while
+  // a child still owed it (broken_node_recycle); the acq_rel RMW chain
+  // makes a double fire structurally impossible, but the property checks
+  // both directions anyway.
+  {
+    bool holds = true;
+    std::string detail;
+    std::vector<uint64_t> forked;
+    std::map<uint64_t, uint64_t> fires;
+    for (const McEvent& event : eval.result.events) {
+      if (event.user_kind == kUserTaskFork) {
+        forked.push_back(static_cast<uint64_t>(event.arg0));
+      } else if (event.user_kind == kUserJoinFire) {
+        ++fires[static_cast<uint64_t>(event.arg0)];
+      }
+    }
+    for (uint64_t id : forked) {
+      const auto it = fires.find(id);
+      const uint64_t count = it == fires.end() ? 0 : it->second;
+      if (count != 1) {
+        holds = false;
+        detail = StrFormat("continuation %llu forked but its join fired %llu times",
+                           static_cast<unsigned long long>(id),
+                           static_cast<unsigned long long>(count));
+        break;
+      }
+      fires.erase(it);
+    }
+    if (holds && !fires.empty()) {
+      holds = false;
+      detail = StrFormat("continuation %llu fired without a fork",
+                         static_cast<unsigned long long>(fires.begin()->first));
+    }
+    eval.Add("join-fires-exactly-once", holds, std::move(detail));
   }
 
-  return reports;
+  // --- no-worker-blocks-on-join: the continuation-counting discipline never
+  // waits — a finishing child decrements and moves on. Termination without
+  // deadlock already held; a park noted inside a task body would mean a
+  // worker suspended inside the protocol (idle parks between items are the
+  // loop's, not the join's).
+  eval.NoEvent(
+      "no-worker-blocks-on-join", kUserPark, [](const McEvent& event) { return event.arg0 == 1; },
+      [](const McEvent& event) {
+        return StrFormat("worker %u parked inside the fork-join protocol", event.thread);
+      });
+
+  // --- bounded-steals-on-tree: migrations on a rooted spawn tree stay in
+  // the O(W·depth) regime (Leiserson/Schardl/Suksompong), never the task
+  // count. The constant here is deliberately generous — the property
+  // guards the asymptotic shape, the E16 bench measures the constant.
+  const uint64_t items_moved = eval.Steals().second;
+  const uint64_t bound =
+      static_cast<uint64_t>(num_workers()) * (schedule_.tree_depth + 2) * schedule_.fanout;
+  eval.Add("bounded-steals-on-tree", items_moved <= bound,
+           items_moved <= bound
+               ? ""
+               : StrFormat("%llu items migrated vs W*(depth+2)*fanout = %llu",
+                           static_cast<unsigned long long>(items_moved),
+                           static_cast<unsigned long long>(bound)));
 }
 
 }  // namespace optsched::mc

@@ -2,11 +2,12 @@
 // BalancePolicy, the same code the executor runs) driven by N virtual
 // workers, with the paper's properties evaluated over each execution.
 //
-// Every mode except "balance" runs the SHIPPED worker loop
-// (Executor::WorkerMain, through Executor::RunWorker) on the checker's
-// fibers, so a mode is only a workload plus a property set. The loop reports
-// through its WorkerProbe seams, and its park blocks under the checker on
-// the condition its spin polls: a park nothing can end is a deadlock.
+// src/mc/modes.h declares the modes and the seeded faults. Every mode except
+// "balance" runs the SHIPPED worker loop (Executor::WorkerMain, through
+// Executor::RunWorker) on the checker's fibers, so a mode is only a workload
+// plus its property sets. The loop reports through its WorkerProbe seams,
+// and its park blocks under the checker on the condition its spin polls: a
+// park nothing can end is a deadlock.
 //   * "balance"  — Figure 1's loop in isolation: snapshot, (yield), steal,
 //     repeat for a fixed attempt budget. Queues only change through steals,
 //     which is what makes failure causality and the d0/2 steal bound exact.
@@ -24,18 +25,9 @@
 // In the owner modes attempts_per_worker bounds each worker's steal rounds
 // (later rounds are fruitless, as a straggler's are).
 //
-// Properties (docs/model_checking.md has the table per mode):
-//   termination, no-lost-items (no-lost-admitted-items / no-lost-spawns),
-//   steal-safety (§4.1, batches included), publish-batching (≤ 2 seqlock
-//   publishes per steal), published-depth (published load == structural
-//   load at quiescence); "balance": bounded-steals (migrated items ≤ d0/2,
-//   §4.3) and, on the locked backend, failure-causality (§4.2); closed runs:
-//   no-premature-exit (a worker that read drained exits only once every
-//   item has executed); "ingress": no-lost-wakeup (no owner blocks while its
-//   mailbox holds an item and no notify is on its way) and
-//   wakeup-no-stranded-items; "forkjoin": join-fires-exactly-once,
-//   no-worker-blocks-on-join (no park inside a task body) and
-//   bounded-steals-on-tree (≤ W·(depth+2)·fanout migrated items).
+// Properties come in sets, one per protocol (wakeup, termination, steal,
+// steal bounds, join): PropertySet in src/mc/modes.h lists each set, and
+// docs/model_checking.md has the table per mode.
 
 #ifndef OPTSCHED_SRC_MC_HARNESS_H_
 #define OPTSCHED_SRC_MC_HARNESS_H_
@@ -50,6 +42,7 @@
 #include "src/core/policy.h"
 #include "src/ingress/mailbox.h"
 #include "src/mc/explorer.h"
+#include "src/mc/modes.h"
 #include "src/mc/schedule.h"
 #include "src/mc/scheduler.h"
 #include "src/runtime/executor.h"
@@ -107,6 +100,14 @@ class StealHarness final : public runtime::WorkerProbe, public runtime::IngressS
 
  private:
   class Tasks;
+  struct Evaluation;
+
+  // The property sets (PropertySet), each appending its reports.
+  void WakeupProperties(Evaluation& eval);
+  void TerminationProperties(Evaluation& eval);
+  void StealProperties(Evaluation& eval);
+  void StealBoundProperties(Evaluation& eval);
+  void JoinProperties(Evaluation& eval);
 
   void BalanceBody(uint32_t worker);
   // "ingress" mode's worker 0.
@@ -117,7 +118,10 @@ class StealHarness final : public runtime::WorkerProbe, public runtime::IngressS
   runtime::ConcurrentMachine& machine() { return executor_->machine(); }
 
   Schedule schedule_;
+  const HarnessMode* mode_;  // parsed schedule_.harness
   runtime::QueueBackend backend_ = runtime::QueueBackend::kLocked;  // parsed schedule_.backend
+  // The runtime options the bodies pass, with the schedule's fault set.
+  FaultSeams seams_;
   Topology topology_;
   std::shared_ptr<const BalancePolicy> policy_;
   // Per-execution state, rebuilt by MakeBodies.

@@ -3,8 +3,10 @@
 #include <cctype>
 #include <cstdlib>
 #include <map>
+#include <set>
 
 #include "src/base/str.h"
+#include "src/mc/modes.h"
 
 namespace optsched::mc {
 
@@ -52,32 +54,32 @@ class FlatJsonScanner {
     }
   }
 
-  bool GetString(const std::string& key, std::string& out) const {
-    auto it = strings_.find(key);
-    if (it == strings_.end()) return false;
-    out = it->second;
+  // Each getter marks its key read when the key holds a value of its type.
+  bool GetString(const std::string& key, std::string& out) { return Get(strings_, key, out); }
+  bool GetInt(const std::string& key, int64_t& out) { return Get(ints_, key, out); }
+  bool GetBool(const std::string& key, bool& out) { return Get(bools_, key, out); }
+  bool GetIntArray(const std::string& key, std::vector<int64_t>& out) {
+    return Get(arrays_, key, out);
+  }
+  // An integer of at least `min` into `out`; a smaller one keeps the default.
+  bool GetUint(const std::string& key, int64_t min, uint32_t& out) {
+    int64_t value = 0;
+    if (!GetInt(key, value)) return false;
+    if (value >= min) out = static_cast<uint32_t>(value);
     return true;
   }
-  bool GetInt(const std::string& key, int64_t& out) const {
-    auto it = ints_.find(key);
-    if (it == ints_.end()) return false;
-    out = it->second;
-    return true;
-  }
-  bool GetBool(const std::string& key, bool& out) const {
-    auto it = bools_.find(key);
-    if (it == bools_.end()) return false;
-    out = it->second;
-    return true;
-  }
-  bool GetIntArray(const std::string& key, std::vector<int64_t>& out) const {
-    auto it = arrays_.find(key);
-    if (it == arrays_.end()) return false;
-    out = it->second;
-    return true;
-  }
+  // True when every parsed key was read: no unknown or mistyped key.
+  bool AllRead() const { return read_.size() == keys_.size(); }
 
  private:
+  template <typename T>
+  bool Get(const std::map<std::string, T>& values, const std::string& key, T& out) {
+    auto it = values.find(key);
+    if (it == values.end()) return false;
+    out = it->second;
+    read_.insert(key);
+    return true;
+  }
   void SkipWs() {
     while (pos_ < text_.size() && std::isspace(static_cast<unsigned char>(text_[pos_]))) {
       ++pos_;
@@ -113,7 +115,7 @@ class FlatJsonScanner {
     return true;
   }
   bool ParseValue(const std::string& key) {
-    if (pos_ >= text_.size()) return false;
+    if (pos_ >= text_.size() || !keys_.insert(key).second) return false;
     const char c = text_[pos_];
     if (c == '"') {
       std::string s;
@@ -165,6 +167,8 @@ class FlatJsonScanner {
   std::map<std::string, int64_t> ints_;
   std::map<std::string, bool> bools_;
   std::map<std::string, std::vector<int64_t>> arrays_;
+  std::set<std::string> keys_;
+  std::set<std::string> read_;
 };
 
 void AppendIntArray(std::string& out, const std::vector<int64_t>& values) {
@@ -189,32 +193,14 @@ std::string Schedule::ToJson() const {
   out += StrFormat(",\n  \"seed\": %llu", static_cast<unsigned long long>(seed));
   out += std::string(",\n  \"recheck\": ") + (recheck ? "true" : "false");
   out += StrFormat(",\n  \"max_steal_batch\": %u", max_steal_batch);
-  out += std::string(",\n  \"break_batch_bound\": ") + (break_batch_bound ? "true" : "false");
   out += StrFormat(",\n  \"mailbox_capacity\": %u", mailbox_capacity);
   out += ",\n  \"backend\": ";
   AppendEscaped(out, backend);
   out += StrFormat(",\n  \"deque_capacity\": %u", deque_capacity);
-  out += std::string(",\n  \"broken_steal_order\": ") + (broken_steal_order ? "true" : "false");
-  // Forkjoin-only fields are omitted for the other harnesses so their
-  // committed goldens stay byte-stable across the schema growth (FromJson
-  // defaults the fields when absent).
-  if (harness == "forkjoin") {
-    out += StrFormat(",\n  \"tree_depth\": %u", tree_depth);
-    out += StrFormat(",\n  \"fanout\": %u", fanout);
-    out += std::string(",\n  \"broken_join_counter\": ") +
-           (broken_join_counter ? "true" : "false");
-    out += std::string(",\n  \"broken_termination_order\": ") +
-           (broken_termination_order ? "true" : "false");
-    // Written only when set, so the forkjoin goldens older than the knob
-    // stay byte-stable.
-    if (broken_node_recycle) {
-      out += ",\n  \"broken_node_recycle\": true";
-    }
-  }
-  if (harness == "ingress") {
-    out += std::string(",\n  \"broken_wakeup_gate\": ") +
-           (broken_wakeup_gate ? "true" : "false");
-  }
+  out += StrFormat(",\n  \"tree_depth\": %u", tree_depth);
+  out += StrFormat(",\n  \"fanout\": %u", fanout);
+  out += ",\n  \"fault\": ";
+  AppendEscaped(out, fault);
   out += ",\n  \"property\": ";
   AppendEscaped(out, property);
   out += ",\n  \"note\": ";
@@ -232,53 +218,33 @@ std::optional<Schedule> Schedule::FromJson(const std::string& json) {
     return std::nullopt;
   }
   Schedule schedule;
-  if (!scanner.GetString("harness", schedule.harness) ||
-      !scanner.GetString("policy", schedule.policy)) {
+  int64_t version = 1;
+  scanner.GetInt("version", version);
+  if (version != 1 || !scanner.GetString("harness", schedule.harness) ||
+      FindMode(schedule.harness) == nullptr || !scanner.GetString("policy", schedule.policy) ||
+      !scanner.GetIntArray("initial_loads", schedule.initial_loads)) {
     return std::nullopt;
   }
-  if (!scanner.GetIntArray("initial_loads", schedule.initial_loads)) {
-    return std::nullopt;
-  }
-  int64_t attempts = 0;
-  if (scanner.GetInt("attempts_per_worker", attempts)) {
-    schedule.attempts_per_worker = static_cast<uint32_t>(attempts);
-  }
+  scanner.GetUint("attempts_per_worker", 0, schedule.attempts_per_worker);
   int64_t seed = 1;
   if (scanner.GetInt("seed", seed)) {
     schedule.seed = static_cast<uint64_t>(seed);
   }
   scanner.GetBool("recheck", schedule.recheck);
-  int64_t max_batch = 0;
-  if (scanner.GetInt("max_steal_batch", max_batch) && max_batch >= 1) {
-    schedule.max_steal_batch = static_cast<uint32_t>(max_batch);
-  }
-  scanner.GetBool("break_batch_bound", schedule.break_batch_bound);
-  int64_t mailbox_capacity = 0;
-  if (scanner.GetInt("mailbox_capacity", mailbox_capacity) && mailbox_capacity >= 1) {
-    schedule.mailbox_capacity = static_cast<uint32_t>(mailbox_capacity);
-  }
+  scanner.GetUint("max_steal_batch", 1, schedule.max_steal_batch);
+  scanner.GetUint("mailbox_capacity", 1, schedule.mailbox_capacity);
   scanner.GetString("backend", schedule.backend);
-  int64_t deque_capacity = 0;
-  if (scanner.GetInt("deque_capacity", deque_capacity) && deque_capacity >= 2) {
-    schedule.deque_capacity = static_cast<uint32_t>(deque_capacity);
+  scanner.GetUint("deque_capacity", 2, schedule.deque_capacity);
+  scanner.GetUint("tree_depth", 1, schedule.tree_depth);
+  scanner.GetUint("fanout", 1, schedule.fanout);
+  if (scanner.GetString("fault", schedule.fault) && !schedule.fault.empty() &&
+      FindFault(schedule.fault) == nullptr) {
+    return std::nullopt;
   }
-  scanner.GetBool("broken_steal_order", schedule.broken_steal_order);
-  int64_t tree_depth = 0;
-  if (scanner.GetInt("tree_depth", tree_depth) && tree_depth >= 1) {
-    schedule.tree_depth = static_cast<uint32_t>(tree_depth);
-  }
-  int64_t fanout = 0;
-  if (scanner.GetInt("fanout", fanout) && fanout >= 1) {
-    schedule.fanout = static_cast<uint32_t>(fanout);
-  }
-  scanner.GetBool("broken_join_counter", schedule.broken_join_counter);
-  scanner.GetBool("broken_termination_order", schedule.broken_termination_order);
-  scanner.GetBool("broken_node_recycle", schedule.broken_node_recycle);
-  scanner.GetBool("broken_wakeup_gate", schedule.broken_wakeup_gate);
   scanner.GetString("property", schedule.property);
   scanner.GetString("note", schedule.note);
   std::vector<int64_t> choices;
-  if (!scanner.GetIntArray("choices", choices)) {
+  if (!scanner.GetIntArray("choices", choices) || !scanner.AllRead()) {
     return std::nullopt;
   }
   schedule.choices.assign(choices.begin(), choices.end());

@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -282,40 +283,69 @@ TEST(BackendMatrixChaseLev, PeekTakeStealDecrementsPublishedLoad) {
   EXPECT_EQ(queue.ExactLoad().task_count, 1);
 }
 
+// Blocks the first item worker 0 runs until another worker has executed an
+// item. Every item is seeded on queue 0, so that can only happen through a
+// steal; the wait is bounded so a run that never steals fails, not hangs.
+class StealGate final : public runtime::TaskRunner {
+ public:
+  void RunItem(const WorkItem& /*item*/, runtime::Executor& /*executor*/,
+               uint32_t worker) override {
+    if (worker != 0) {
+      elsewhere_.fetch_add(1, std::memory_order_release);
+      return;
+    }
+    if (gated_) {
+      return;
+    }
+    gated_ = true;
+    const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    while (elsewhere_.load(std::memory_order_acquire) == 0) {
+      if (std::chrono::steady_clock::now() > deadline) {
+        timed_out_ = true;
+        return;
+      }
+      std::this_thread::yield();
+    }
+  }
+  int64_t OutstandingFor(uint32_t /*worker*/) const override { return 0; }
+
+  bool timed_out() const { return timed_out_; }
+
+ private:
+  std::atomic<uint64_t> elsewhere_{0};
+  bool gated_ = false;     // worker 0's thread only
+  bool timed_out_ = false;  // worker 0's thread; read after Run joins it
+};
+
 TEST_P(BackendMatrix, ExecutorDrainsImbalancedSeedWithSteals) {
   // Everything seeded on queue 0: workers 1-3 can only make progress by
   // stealing, so completion exercises the backend's steal path end to end.
-  // Whether a steal actually lands is a race against worker spin-up (on an
-  // oversubscribed CI host the owner can drain the whole seed first), so
-  // retry the run until one does; drain correctness is asserted every time.
-  uint64_t total_successes = 0;
-  for (int attempt = 0; attempt < 5 && total_successes == 0; ++attempt) {
-    runtime::ExecutorConfig config;
-    config.num_workers = 4;
-    config.backend = GetParam();
-    // Long enough per item that the run outlives worker spin-up: thieves
-    // must find work remaining on queue 0 for a steal to be possible at all.
-    config.spin_per_unit = 200;
-    runtime::Executor executor(policies::MakeThreadCount(), config);
-    std::vector<WorkItem> seed;
-    for (uint64_t id = 0; id < 2000; ++id) {
-      WorkItem item = Item(id);
-      item.work_units = 5;
-      seed.push_back(item);
-    }
-    executor.Seed(0, seed);
-    const runtime::ExecutorReport report = executor.Run();
-    SCOPED_TRACE(report.ToString());
-
-    uint64_t executed = 0;
-    for (const auto& w : report.workers) {
-      executed += w.items_executed;
-    }
-    ASSERT_EQ(executed, 2000u);
-    ASSERT_EQ(report.items_left_unexecuted, 0u);
-    total_successes = report.Totals().steals.successes;
+  // Worker 0 holds its first item until a stolen one has run, so a steal
+  // lands on every run, however late the thieves spin up.
+  StealGate gate;
+  runtime::ExecutorConfig config;
+  config.num_workers = 4;
+  config.backend = GetParam();
+  config.task_runner = &gate;
+  runtime::Executor executor(policies::MakeThreadCount(), config);
+  std::vector<WorkItem> seed;
+  for (uint64_t id = 0; id < 2000; ++id) {
+    WorkItem item = Item(id);
+    item.task = 1;  // run through the gate
+    seed.push_back(item);
   }
-  EXPECT_GT(total_successes, 0u);
+  executor.Seed(0, seed);
+  const runtime::ExecutorReport report = executor.Run();
+  SCOPED_TRACE(report.ToString());
+
+  uint64_t executed = 0;
+  for (const auto& w : report.workers) {
+    executed += w.items_executed;
+  }
+  EXPECT_FALSE(gate.timed_out()) << "no other worker ran an item within 30 s";
+  EXPECT_EQ(executed, 2000u);
+  EXPECT_EQ(report.items_left_unexecuted, 0u);
+  EXPECT_GT(report.Totals().steals.successes, 0u);
 }
 
 TEST_P(BackendMatrix, ExecutorDrainsMailboxIngress) {

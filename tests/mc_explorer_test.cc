@@ -199,7 +199,7 @@ TEST(DfsExplorerTest, BrokenBatchBoundProducesMinimizedReplayableCounterexample)
   config.policy = "thread-count";
   config.initial_loads = {0, 4};
   config.attempts_per_worker = 1;
-  config.break_batch_bound = true;  // strip victims bare: violates steal safety
+  config.fault = "break_batch_bound";  // strip victims bare: violates steal safety
   StealHarness harness(config);
 
   auto violates_safety = [&](const ExecutionResult& result) {
@@ -244,7 +244,7 @@ TEST(DfsExplorerTest, BrokenBatchBoundProducesMinimizedReplayableCounterexample)
   const Schedule schedule = harness.MakeSchedule(minimized);
   const std::optional<Schedule> parsed = Schedule::FromJson(schedule.ToJson());
   ASSERT_TRUE(parsed.has_value());
-  EXPECT_TRUE(parsed->break_batch_bound);
+  EXPECT_EQ(parsed->fault, "break_batch_bound");
   StealHarness replay_harness(*parsed);
   const ExecutionResult replayed = ReplayChoices(replay_harness.Factory(), parsed->choices);
   const std::vector<PropertyReport> reports = replay_harness.Evaluate(replayed);

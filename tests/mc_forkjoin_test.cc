@@ -1,11 +1,8 @@
 // The "forkjoin" mc harness: exhaustive sweeps of the continuation-counted
-// join protocol (src/task) over the real queues on both backends, the seeded
-// broken-join-counter and broken-node-recycle faults, and their committed
-// golden counterexamples.
+// join protocol (src/task) over the real queues on both backends, and the
+// seeded broken_join_counter and broken_node_recycle faults (their committed
+// goldens replay in mc_replay_test).
 
-#include <fstream>
-#include <optional>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -27,10 +24,6 @@
 #define MC_SKIP_UNDER_TSAN() GTEST_SKIP() << "ucontext fibers are not supported under TSan"
 #else
 #define MC_SKIP_UNDER_TSAN() (void)0
-#endif
-
-#ifndef MC_GOLDEN_DIR
-#define MC_GOLDEN_DIR "tests/golden"
 #endif
 
 namespace optsched::mc {
@@ -160,7 +153,7 @@ TEST(McForkJoinTest, BrokenJoinCounterIsFoundAndMinimized) {
   // completing concurrently read the same counter value, one decrement is
   // lost, and the continuation strands.
   Schedule config = ForkJoinConfig(runtime::QueueBackend::kLocked, 2, 1, 2);
-  config.broken_join_counter = true;
+  config.fault = "broken_join_counter";
   ExpectJoinViolationFoundAndMinimized(config);
 }
 
@@ -171,103 +164,8 @@ TEST(McForkJoinTest, BrokenNodeRecycleIsFoundAndMinimized) {
   // sibling still owes it, and the original join never fires. Node ids
   // carry a generation, so the property tells the two lifetimes apart.
   Schedule config = ForkJoinConfig(runtime::QueueBackend::kLocked, 2, 2, 2);
-  config.broken_node_recycle = true;
+  config.fault = "broken_node_recycle";
   ExpectJoinViolationFoundAndMinimized(config);
-}
-
-TEST(McForkJoinTest, ScheduleRoundTripsForkJoinFields) {
-  Schedule config = ForkJoinConfig(runtime::QueueBackend::kChaseLev, 3, 3, 2);
-  config.broken_join_counter = true;
-  config.broken_termination_order = true;
-  config.broken_node_recycle = true;
-  StealHarness harness(config);
-  const Schedule schedule = harness.MakeSchedule({0, 1, 2});
-  const std::optional<Schedule> parsed = Schedule::FromJson(schedule.ToJson());
-  ASSERT_TRUE(parsed.has_value());
-  EXPECT_EQ(*parsed, schedule);
-  const Schedule& round = *parsed;
-  EXPECT_EQ(round.harness, "forkjoin");
-  EXPECT_EQ(round.tree_depth, 3u);
-  EXPECT_EQ(round.fanout, 2u);
-  EXPECT_TRUE(round.broken_join_counter);
-  EXPECT_TRUE(round.broken_termination_order);
-  EXPECT_TRUE(round.broken_node_recycle);
-}
-
-// A committed forkjoin golden: byte-stable through the schedule parser, and
-// its replay follows the recorded choices.
-std::optional<Schedule> LoadGolden(const char* name) {
-  const std::string path = std::string(MC_GOLDEN_DIR) + "/" + name;
-  std::ifstream in(path);
-  EXPECT_TRUE(in.good()) << "missing golden file " << path;
-  std::stringstream buffer;
-  buffer << in.rdbuf();
-  std::optional<Schedule> schedule = Schedule::FromJson(buffer.str());
-  EXPECT_TRUE(schedule.has_value()) << path;
-  if (schedule.has_value()) {
-    EXPECT_EQ(schedule->ToJson(), buffer.str()) << path;
-    EXPECT_EQ(schedule->harness, "forkjoin") << path;
-    EXPECT_EQ(schedule->property, "join-fires-exactly-once") << path;
-  }
-  return schedule;
-}
-
-// Replays `schedule`; true when join-fires-exactly-once is violated. With
-// `expect_clean` (the fault knob turned off, so the run may leave the
-// recorded choices) every property must hold; without it the replay must
-// follow the recorded choices exactly.
-bool ReplayViolatesJoin(const Schedule& schedule, bool expect_clean) {
-  StealHarness harness(schedule);
-  const ExecutionResult result = ReplayChoices(harness.Factory(), schedule.choices);
-  if (!expect_clean) {
-    EXPECT_EQ(result.choices, schedule.choices);  // no divergence
-  }
-  bool violated = false;
-  for (const PropertyReport& report : harness.Evaluate(result)) {
-    violated |= report.name == "join-fires-exactly-once" && !report.holds;
-    if (expect_clean) {
-      EXPECT_TRUE(report.holds) << report.name << ": " << report.detail;
-    }
-  }
-  return violated;
-}
-
-TEST(McForkJoinGoldenTest, CommittedBrokenJoinCounterStillStrandsItsContinuation) {
-  MC_SKIP_UNDER_TSAN();
-  const std::optional<Schedule> schedule = LoadGolden("mc_broken_join_counter.json");
-  ASSERT_TRUE(schedule.has_value());
-  EXPECT_TRUE(schedule->broken_join_counter);
-  EXPECT_TRUE(ReplayViolatesJoin(*schedule, /*expect_clean=*/false))
-      << "golden no longer violates join-fires-exactly-once";
-}
-
-TEST(McForkJoinGoldenTest, CorrectJoinCounterSurvivesTheGoldenSchedule) {
-  MC_SKIP_UNDER_TSAN();
-  // The SAME schedule with the atomic RMW restored must be clean: the
-  // violation is pinned on the lost decrement, not on the harness.
-  std::optional<Schedule> schedule = LoadGolden("mc_broken_join_counter.json");
-  ASSERT_TRUE(schedule.has_value());
-  schedule->broken_join_counter = false;
-  EXPECT_FALSE(ReplayViolatesJoin(*schedule, /*expect_clean=*/true));
-}
-
-TEST(McForkJoinGoldenTest, CommittedBrokenNodeRecycleStillStrandsItsContinuation) {
-  MC_SKIP_UNDER_TSAN();
-  const std::optional<Schedule> schedule = LoadGolden("mc_broken_node_recycle.json");
-  ASSERT_TRUE(schedule.has_value());
-  EXPECT_TRUE(schedule->broken_node_recycle);
-  EXPECT_TRUE(ReplayViolatesJoin(*schedule, /*expect_clean=*/false))
-      << "golden no longer violates join-fires-exactly-once";
-}
-
-TEST(McForkJoinGoldenTest, ShippedRecycleSurvivesTheGoldenSchedule) {
-  MC_SKIP_UNDER_TSAN();
-  // The same schedule with nodes freed only at the end of their own run is
-  // clean: reuse is safe once the lifetime rule holds.
-  std::optional<Schedule> schedule = LoadGolden("mc_broken_node_recycle.json");
-  ASSERT_TRUE(schedule.has_value());
-  schedule->broken_node_recycle = false;
-  EXPECT_FALSE(ReplayViolatesJoin(*schedule, /*expect_clean=*/true));
 }
 
 }  // namespace

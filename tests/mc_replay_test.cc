@@ -1,7 +1,8 @@
-// Schedule serialization, record/replay round-trips, the committed golden
+// Schedule serialization, record/replay round-trips, every committed golden
 // counterexample, and the Chrome-trace export of executions.
 
 #include <algorithm>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -11,6 +12,7 @@
 
 #include "src/mc/explorer.h"
 #include "src/mc/harness.h"
+#include "src/mc/modes.h"
 #include "src/mc/schedule.h"
 #include "src/mc/trace_export.h"
 
@@ -43,6 +45,13 @@ TEST(ScheduleJsonTest, RoundTripsAllFields) {
   schedule.attempts_per_worker = 3;
   schedule.seed = 12345;
   schedule.recheck = false;
+  schedule.max_steal_batch = 4;
+  schedule.mailbox_capacity = 3;
+  schedule.backend = "chase_lev";
+  schedule.deque_capacity = 8;
+  schedule.tree_depth = 3;
+  schedule.fanout = 4;
+  schedule.fault = "broken_steal_order";
   schedule.property = "bounded-steals";
   schedule.note = "5 successful steals > d0/2 = 4";
   schedule.choices = {0, 0, 1, 2, 1, 2, 0};
@@ -69,6 +78,27 @@ TEST(ScheduleJsonTest, RejectsMalformedInput) {
   EXPECT_FALSE(Schedule::FromJson("[]").has_value());
   EXPECT_FALSE(Schedule::FromJson("{}").has_value());  // missing required fields
   EXPECT_FALSE(Schedule::FromJson(R"({"harness": "balance"})").has_value());
+}
+
+// A key the schedule does not know, or a harness or fault no table row
+// carries, must not replay as something else: a schedule written before the
+// one `fault` field would otherwise replay fault-free and report clean.
+TEST(ScheduleJsonTest, RejectsUnknownKeysModesAndFaults) {
+  Schedule schedule;
+  schedule.harness = "ingress";
+  schedule.initial_loads = {0, 0};
+  const std::string json = schedule.ToJson();
+  ASSERT_TRUE(Schedule::FromJson(json).has_value());
+  const auto with = [&](const std::string& from, const std::string& to) {
+    std::string edited = json;
+    edited.replace(edited.find(from), from.size(), to);
+    return Schedule::FromJson(edited);
+  };
+  EXPECT_FALSE(with("\"fault\": \"\"", "\"broken_wakeup_gate\": true").has_value());
+  EXPECT_FALSE(with("\"fault\": \"\"", "\"fault\": \"broken_gate\"").has_value());
+  EXPECT_FALSE(with("\"harness\": \"ingress\"", "\"harness\": \"sleeper\"").has_value());
+  EXPECT_FALSE(with("\"fanout\": 2", "\"fanout\": \"2\"").has_value());
+  EXPECT_TRUE(with("\"fault\": \"\"", "\"fault\": \"broken_wakeup_gate\"").has_value());
 }
 
 TEST(ReplayTest, RecordedExecutionReplaysToIdenticalEventStream) {
@@ -101,125 +131,6 @@ TEST(ReplayTest, ScheduleCarriesHarnessIdentity) {
   Schedule expected = config;
   expected.choices = {0, 1, 0};
   EXPECT_EQ(harness.MakeSchedule({0, 1, 0}), expected);
-}
-
-TEST(ReplayGoldenTest, CommittedBrokenCounterexampleStillViolates) {
-  MC_SKIP_UNDER_TSAN();
-  const std::string path = std::string(MC_GOLDEN_DIR) + "/mc_broken_minimized.json";
-  std::ifstream in(path);
-  ASSERT_TRUE(in.good()) << "missing golden file " << path;
-  std::stringstream buffer;
-  buffer << in.rdbuf();
-  const std::string content = buffer.str();
-
-  const std::optional<Schedule> schedule = Schedule::FromJson(content);
-  ASSERT_TRUE(schedule.has_value());
-  // Serialization is byte-stable: re-emitting the parsed schedule reproduces
-  // the committed file.
-  EXPECT_EQ(schedule->ToJson(), content);
-  EXPECT_EQ(schedule->property, "bounded-steals");
-
-  StealHarness harness(*schedule);
-  const ExecutionResult result = ReplayChoices(harness.Factory(), schedule->choices);
-  EXPECT_EQ(result.choices, schedule->choices);  // no divergence
-
-  bool violated = false;
-  for (const PropertyReport& report : harness.Evaluate(result)) {
-    if (report.name == "bounded-steals" && !report.holds) {
-      violated = true;
-    }
-  }
-  EXPECT_TRUE(violated) << "golden counterexample no longer violates bounded-steals";
-}
-
-TEST(ReplayGoldenTest, CommittedBrokenBatchBoundStillIdlesItsVictim) {
-  MC_SKIP_UNDER_TSAN();
-  const std::string path = std::string(MC_GOLDEN_DIR) + "/mc_broken_batch_minimized.json";
-  std::ifstream in(path);
-  ASSERT_TRUE(in.good()) << "missing golden file " << path;
-  std::stringstream buffer;
-  buffer << in.rdbuf();
-  const std::string content = buffer.str();
-
-  const std::optional<Schedule> schedule = Schedule::FromJson(content);
-  ASSERT_TRUE(schedule.has_value());
-  EXPECT_EQ(schedule->ToJson(), content);
-  EXPECT_TRUE(schedule->break_batch_bound);
-  EXPECT_EQ(schedule->property, "steal-safety");
-
-  StealHarness harness(*schedule);
-  const ExecutionResult result = ReplayChoices(harness.Factory(), schedule->choices);
-  EXPECT_EQ(result.choices, schedule->choices);
-
-  bool violated = false;
-  for (const PropertyReport& report : harness.Evaluate(result)) {
-    if (report.name == "steal-safety" && !report.holds) {
-      violated = true;
-    }
-  }
-  EXPECT_TRUE(violated) << "golden counterexample no longer violates steal-safety";
-}
-
-TEST(ReplayGoldenTest, CommittedBrokenChaseLevOrderStillExecutesAnItemTwice) {
-  MC_SKIP_UNDER_TSAN();
-  // The broken-memory-order golden: a thief reading bottom before top (no
-  // fence) pairs a stale bottom with a fresh top and claims a slot the owner
-  // already executed. The item runs twice, the executed sum overtakes the
-  // submitted sum, and the closed run can never read drained again: the
-  // thief parks for good (termination). The same sweep with the correct
-  // ordering is clean.
-  const std::string path = std::string(MC_GOLDEN_DIR) + "/mc_broken_chaselev_minimized.json";
-  std::ifstream in(path);
-  ASSERT_TRUE(in.good()) << "missing golden file " << path;
-  std::stringstream buffer;
-  buffer << in.rdbuf();
-  const std::string content = buffer.str();
-
-  const std::optional<Schedule> schedule = Schedule::FromJson(content);
-  ASSERT_TRUE(schedule.has_value());
-  EXPECT_EQ(schedule->ToJson(), content);
-  EXPECT_EQ(schedule->backend, "chase_lev");
-  EXPECT_TRUE(schedule->broken_steal_order);
-  EXPECT_EQ(schedule->property, "termination");
-
-  StealHarness harness(*schedule);
-  const ExecutionResult result = ReplayChoices(harness.Factory(), schedule->choices);
-  EXPECT_EQ(result.choices, schedule->choices);
-  EXPECT_TRUE(result.deadlock);
-  std::vector<uint64_t> executed;
-  for (const McEvent& event : result.events) {
-    if (event.user_kind == kUserExecuteItem) {
-      executed.push_back(static_cast<uint64_t>(event.arg0));
-    }
-  }
-  std::sort(executed.begin(), executed.end());
-  EXPECT_NE(std::adjacent_find(executed.begin(), executed.end()), executed.end())
-      << "golden no longer executes an item twice";
-  bool violated = false;
-  for (const PropertyReport& report : harness.Evaluate(result)) {
-    violated |= report.name == "termination" && !report.holds;
-  }
-  EXPECT_TRUE(violated) << "golden no longer violates termination";
-}
-
-TEST(ReplayGoldenTest, CorrectChaseLevOrderSurvivesTheGoldenSchedule) {
-  MC_SKIP_UNDER_TSAN();
-  // The SAME schedule replayed against the correct memory ordering must be
-  // clean: the violation is pinned on the ordering, not on the harness.
-  const std::string path = std::string(MC_GOLDEN_DIR) + "/mc_broken_chaselev_minimized.json";
-  std::ifstream in(path);
-  ASSERT_TRUE(in.good()) << "missing golden file " << path;
-  std::stringstream buffer;
-  buffer << in.rdbuf();
-  std::optional<Schedule> schedule = Schedule::FromJson(buffer.str());
-  ASSERT_TRUE(schedule.has_value());
-  schedule->broken_steal_order = false;
-
-  StealHarness harness(*schedule);
-  const ExecutionResult result = ReplayChoices(harness.Factory(), schedule->choices);
-  for (const PropertyReport& report : harness.Evaluate(result)) {
-    EXPECT_TRUE(report.holds) << report.name << ": " << report.detail;
-  }
 }
 
 TEST(McChaseLevTest, SizeOneTakeStealRaceIsExhaustivelyClean) {
@@ -375,7 +286,7 @@ TEST(McIngressModeTest, BrokenWakeupGateIsFoundAndMinimized) {
   config.policy = "thread-count";
   config.initial_loads = {0, 0};
   config.attempts_per_worker = 2;
-  config.broken_wakeup_gate = true;
+  config.fault = "broken_wakeup_gate";
   const std::vector<uint32_t> minimized = FindAndMinimize(config, 2, "no-lost-wakeup");
   ASSERT_FALSE(minimized.empty()) << "checker missed the broken wakeup gate";
   StealHarness harness(config);
@@ -395,7 +306,7 @@ TEST(McForkJoinTerminationTest, BrokenTerminationOrderIsFoundAndMinimized) {
   config.attempts_per_worker = 2;
   config.tree_depth = 1;
   config.fanout = 2;
-  config.broken_termination_order = true;
+  config.fault = "broken_termination_order";
   const std::vector<uint32_t> minimized = FindAndMinimize(config, 2, "no-premature-exit");
   ASSERT_FALSE(minimized.empty()) << "checker missed the broken termination read order";
   StealHarness harness(config);
@@ -403,70 +314,71 @@ TEST(McForkJoinTerminationTest, BrokenTerminationOrderIsFoundAndMinimized) {
       Violates(harness, ReplayChoices(harness.Factory(), minimized), "no-premature-exit"));
 }
 
-TEST(ReplayGoldenTest, CommittedBrokenTerminationOrderStillExitsEarly) {
-  MC_SKIP_UNDER_TSAN();
-  const std::string content = ReadGolden("mc_broken_termination_order.json");
-  ASSERT_FALSE(content.empty()) << "missing golden mc_broken_termination_order.json";
-  const std::optional<Schedule> schedule = Schedule::FromJson(content);
-  ASSERT_TRUE(schedule.has_value());
-  EXPECT_EQ(schedule->ToJson(), content);
-  EXPECT_EQ(schedule->harness, "forkjoin");
-  EXPECT_TRUE(schedule->broken_termination_order);
-  EXPECT_EQ(schedule->property, "no-premature-exit");
-
-  StealHarness harness(*schedule);
-  const ExecutionResult result = ReplayChoices(harness.Factory(), schedule->choices);
-  EXPECT_EQ(result.choices, schedule->choices);
-  EXPECT_TRUE(Violates(harness, result, "no-premature-exit"))
-      << "golden no longer violates no-premature-exit";
+// Every committed counterexample, tests/golden/mc_*.json.
+std::vector<std::string> GoldenNames() {
+  std::vector<std::string> names;
+  for (const auto& entry : std::filesystem::directory_iterator(MC_GOLDEN_DIR)) {
+    const std::string name = entry.path().filename().string();
+    if (name.starts_with("mc_") && name.ends_with(".json")) {
+      names.push_back(name);
+    }
+  }
+  std::sort(names.begin(), names.end());
+  return names;
 }
 
-TEST(ReplayGoldenTest, ShippedTerminationOrderSurvivesTheGoldenSchedule) {
+class GoldenTest : public ::testing::TestWithParam<std::string> {};
+
+// A golden is byte-stable through the schedule parser, replays without
+// diverging, and violates its recorded property. A fault golden's choices
+// replayed on the shipped code (fault cleared) violate nothing: the
+// violation is pinned on the fault, not on the interleaving.
+TEST_P(GoldenTest, ReplaysItsViolationAndOnlyWithItsFault) {
   MC_SKIP_UNDER_TSAN();
-  // The SAME schedule with executed-then-submitted restored is clean: the
-  // violation is pinned on the read order, not on the interleaving.
-  std::optional<Schedule> schedule =
-      Schedule::FromJson(ReadGolden("mc_broken_termination_order.json"));
+  const std::string content = ReadGolden(GetParam());
+  std::optional<Schedule> schedule = Schedule::FromJson(content);
   ASSERT_TRUE(schedule.has_value());
-  schedule->broken_termination_order = false;
+  EXPECT_EQ(schedule->ToJson(), content);
+  ASSERT_FALSE(schedule->property.empty());
+
   StealHarness harness(*schedule);
   const ExecutionResult result = ReplayChoices(harness.Factory(), schedule->choices);
-  for (const PropertyReport& report : harness.Evaluate(result)) {
-    EXPECT_TRUE(report.holds) << report.name << ": " << report.detail;
+  EXPECT_EQ(result.choices, schedule->choices);  // no divergence
+  EXPECT_TRUE(Violates(harness, result, schedule->property))
+      << "golden no longer violates " << schedule->property;
+
+  if (GetParam() == "mc_broken_chaselev_minimized.json") {
+    // A thief reading bottom before top pairs a stale bottom with a fresh
+    // top and claims a slot the owner already executed. The item runs twice,
+    // the executed sum overtakes the submitted sum, and the closed run can
+    // never read drained again: the thief parks for good (termination).
+    EXPECT_TRUE(result.deadlock);
+    std::vector<uint64_t> executed;
+    for (const McEvent& event : result.events) {
+      if (event.user_kind == kUserExecuteItem) {
+        executed.push_back(static_cast<uint64_t>(event.arg0));
+      }
+    }
+    std::sort(executed.begin(), executed.end());
+    EXPECT_NE(std::adjacent_find(executed.begin(), executed.end()), executed.end())
+        << "golden no longer executes an item twice";
+  }
+
+  if (const SeededFault* fault = FindFault(schedule->fault)) {
+    EXPECT_EQ(schedule->property, fault->property);
+    schedule->fault.clear();
+    StealHarness shipped(*schedule);
+    const ExecutionResult clean = ReplayChoices(shipped.Factory(), schedule->choices);
+    for (const PropertyReport& report : shipped.Evaluate(clean)) {
+      EXPECT_TRUE(report.holds) << report.name << ": " << report.detail;
+    }
   }
 }
 
-TEST(ReplayGoldenTest, CommittedBrokenWakeupGateStillParksThroughAnItem) {
-  MC_SKIP_UNDER_TSAN();
-  const std::string content = ReadGolden("mc_broken_wakeup_gate.json");
-  ASSERT_FALSE(content.empty()) << "missing golden mc_broken_wakeup_gate.json";
-  const std::optional<Schedule> schedule = Schedule::FromJson(content);
-  ASSERT_TRUE(schedule.has_value());
-  EXPECT_EQ(schedule->ToJson(), content);
-  EXPECT_EQ(schedule->harness, "ingress");
-  EXPECT_TRUE(schedule->broken_wakeup_gate);
-  EXPECT_EQ(schedule->property, "no-lost-wakeup");
-
-  StealHarness harness(*schedule);
-  const ExecutionResult result = ReplayChoices(harness.Factory(), schedule->choices);
-  EXPECT_EQ(result.choices, schedule->choices);
-  EXPECT_TRUE(Violates(harness, result, "no-lost-wakeup"))
-      << "golden no longer violates no-lost-wakeup";
-}
-
-TEST(ReplayGoldenTest, ShippedWakeupGateSurvivesTheGoldenSchedule) {
-  MC_SKIP_UNDER_TSAN();
-  // Announce-then-recheck restored: the owner goes round once more after
-  // announcing, sees the item, and never parks through it.
-  std::optional<Schedule> schedule = Schedule::FromJson(ReadGolden("mc_broken_wakeup_gate.json"));
-  ASSERT_TRUE(schedule.has_value());
-  schedule->broken_wakeup_gate = false;
-  StealHarness harness(*schedule);
-  const ExecutionResult result = ReplayChoices(harness.Factory(), schedule->choices);
-  for (const PropertyReport& report : harness.Evaluate(result)) {
-    EXPECT_TRUE(report.holds) << report.name << ": " << report.detail;
-  }
-}
+INSTANTIATE_TEST_SUITE_P(Committed, GoldenTest, ::testing::ValuesIn(GoldenNames()),
+                         [](const ::testing::TestParamInfo<std::string>& info) {
+                           return info.param.substr(0, info.param.size() - 5);  // no ".json"
+                         });
 
 TEST(TraceExportTest, ExecutionExportsToChromeTraceJson) {
   MC_SKIP_UNDER_TSAN();
