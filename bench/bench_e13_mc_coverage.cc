@@ -8,7 +8,7 @@
 //   E13b (sampling): PCT randomized sampling rate on the same harness — the
 //                    fast path for spaces exhaustion cannot cover.
 //   E13c (overhead): the interposition seam's cost when the checker is NOT
-//                    driving: uncontended SpinLock lock/unlock and seqlock
+//                    driving: uncontended SpinLock lock/unlock and published
 //                    load reads, in ns/op. Build twice (-DOPTSCHED_MC_HOOKS=
 //                    ON/OFF) and compare: the null-check seam must be free.
 //
@@ -102,7 +102,7 @@ double LockOverheadNs(uint64_t iters) {
   return timer.ElapsedUs() * 1000.0 / static_cast<double>(iters);
 }
 
-double SeqlockReadOverheadNs(uint64_t iters) {
+double LoadReadOverheadNs(uint64_t iters) {
   runtime::ConcurrentRunQueue queue;
   const runtime::WorkItem item{.id = 1, .work_units = 1, .weight = 1024};
   queue.PushBatchExternal(&item, 1);
@@ -164,13 +164,13 @@ int main() {
   bench::Section("E13c — interposition seam overhead (checker not attached)");
   constexpr uint64_t kIters = 2'000'000;
   const double lock_ns = LockOverheadNs(kIters);
-  const double read_ns = SeqlockReadOverheadNs(kIters);
+  const double read_ns = LoadReadOverheadNs(kIters);
   bench::Note(StrFormat("uncontended lock+unlock: %.1f ns/op", lock_ns));
-  bench::Note(StrFormat("seqlock load read:       %.1f ns/op", read_ns));
+  bench::Note(StrFormat("published load read:     %.1f ns/op", read_ns));
 
   std::printf(
       "\nJSON: {\"experiment\":\"e13\",\"hooks\":%d,\"coverage\":%s,\"pct\":%s,"
-      "\"lock_ns\":%.2f,\"seqlock_read_ns\":%.2f}\n",
+      "\"lock_ns\":%.2f,\"load_read_ns\":%.2f}\n",
       OPTSCHED_MC_HOOKS ? 1 : 0, coverage_json.c_str(), pct_json.c_str(), lock_ns, read_ns);
   return 0;
 }

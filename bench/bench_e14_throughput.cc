@@ -381,7 +381,7 @@ int Main(int argc, char** argv) {
 
   // The backend axis proper: 1-unit items with no spin, so per-item cost IS
   // the synchronization substrate (pop + finish + steal traffic). This is
-  // the operating point where replacing the lock+seqlock pair with the
+  // the operating point where replacing the lock and published load with the
   // Chase-Lev deque must pay for itself — the gate in
   // bench/e14_throughput_floor.json reads these numbers.
   const uint64_t sync_items =

@@ -7,9 +7,9 @@
 // optimistic decisions based on these observations, without locks."
 //
 // Reproduction (real threads): the work-stealing executor drains an
-// imbalanced work set with (a) the paper's lock-free seqlock-snapshot
-// selection and (b) a selection phase that locks every runqueue to get an
-// exact snapshot. We report wall time, throughput, selection-phase latency
+// imbalanced work set with (a) the paper's lock-free selection over the
+// published loads and (b) a selection phase that locks every runqueue to get
+// an exact snapshot. We report wall time, throughput, selection-phase latency
 // percentiles and steal outcomes as worker count grows.
 
 #include <cstdio>
@@ -81,7 +81,7 @@ RunResult RunMedian(uint32_t workers, bool locked_selection) {
 
 int main() {
   using namespace optsched;
-  bench::Section("E5: lock-free (seqlock) vs locked selection phase, real threads");
+  bench::Section("E5: lock-free vs locked selection phase, real threads");
   const uint32_t hw = std::max(2u, std::thread::hardware_concurrency());
   std::vector<uint32_t> worker_counts{2, 4};
   if (hw >= 8) {
@@ -95,7 +95,7 @@ int main() {
   for (uint32_t workers : worker_counts) {
     for (const bool locked : {false, true}) {
       const auto r = RunMedian(workers, locked);
-      rows.push_back({F("%u", workers), locked ? "locked-all-queues" : "lock-free-seqlock",
+      rows.push_back({F("%u", workers), locked ? "locked-all-queues" : "lock-free",
                       F("%.1f", r.wall_ms), F("%.0f", r.throughput), F("%.0f", r.sel_p50_ns),
                       F("%.0f", r.sel_p99_ns),
                       F("%llu", static_cast<unsigned long long>(r.steals)),
@@ -127,7 +127,7 @@ int main() {
       for (const auto& w : report.workers) {
         executed += w.items_executed;
       }
-      rows.push_back({locked ? "locked-all-queues" : "lock-free-seqlock",
+      rows.push_back({locked ? "locked-all-queues" : "lock-free",
                       F("%llu", static_cast<unsigned long long>(report.total_items)),
                       F("%llu", static_cast<unsigned long long>(executed)),
                       F("%llu", static_cast<unsigned long long>(report.items_left_unexecuted)),

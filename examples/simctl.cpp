@@ -195,7 +195,13 @@ int RunMcReplay(const std::string& path, const std::string& trace_out) {
   if (!schedule->property.empty()) {
     reproduced = false;
     for (const PropertyReport& report : reports) {
-      reproduced |= report.name == schedule->property && !report.holds;
+      if (report.name == schedule->property && !report.holds) {
+        reproduced = report.detail == schedule->note;
+        if (!reproduced) {
+          std::fprintf(stderr, "recorded note \"%s\" replayed as \"%s\"\n",
+                       schedule->note.c_str(), report.detail.c_str());
+        }
+      }
     }
     if (!reproduced) {
       std::fprintf(stderr, "recorded %s violation did NOT reproduce\n",

@@ -57,7 +57,7 @@ uint32_t BoundedMailbox::DrainInto(std::vector<WorkItem>& out, uint32_t max_item
     }
     if (moved > 0) {
       // One publish per drain action, not per item (publish batching, the
-      // same discipline StealTailLocked follows for the runqueue seqlock).
+      // same discipline StealTailLocked follows for the runqueue's load).
       depth_.store(static_cast<int64_t>(size_), std::memory_order_release);
     }
   }

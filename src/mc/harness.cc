@@ -238,6 +238,23 @@ BodyFactory StealHarness::Factory() {
 
 namespace {
 
+// The calling thread's published-load writes since its last kUserSnapshot:
+// every publish of one steal, from its selection to its outcome.
+int64_t LoadWritesSinceSnapshot(const Scheduler& scheduler) {
+  const std::vector<McEvent>& events = scheduler.events();
+  int64_t writes = 0;
+  for (auto it = events.rbegin(); it != events.rend(); ++it) {
+    if (it->thread != scheduler.current_thread()) {
+      continue;
+    }
+    if (it->user_kind == kUserSnapshot) {
+      break;
+    }
+    writes += it->user_kind == kUserNone && it->op.op == SyncOp::kLoadWrite ? 1 : 0;
+  }
+  return writes;
+}
+
 // The outcome notes of one steal attempt, from its counter deltas.
 void NoteSteal(const StealCounters& before, const StealCounters& after, CpuId victim,
                const StealObservation& observation, bool ok) {
@@ -253,7 +270,7 @@ void NoteSteal(const StealCounters& before, const StealCounters& after, CpuId vi
                     observation.victim_tasks_after + observation.victim_finished_delta,
                     static_cast<int64_t>(observation.item_id));
     scheduler->Note(kUserStealBatch, static_cast<int64_t>(observation.items_moved),
-                    static_cast<int64_t>(observation.seqlock_writes), victim);
+                    LoadWritesSinceSnapshot(*scheduler), victim);
   } else if (after.failed_recheck > before.failed_recheck) {
     scheduler->Note(kUserStealFailRecheck, victim);
   } else if (after.failed_no_task > before.failed_no_task) {
@@ -268,7 +285,7 @@ void NoteSteal(const StealCounters& before, const StealCounters& after, CpuId vi
 bool StealHarness::StealOnce(uint32_t worker, Rng& rng, WorkItem* run_next) {
   Scheduler* scheduler = ActiveScheduler();
   OPTSCHED_CHECK(scheduler != nullptr);
-  // The snapshot marker precedes the seqlock reads: a steal interleaved into
+  // The snapshot marker precedes the load reads: a steal interleaved into
   // the middle of Snapshot() is inside the causality window too.
   scheduler->Note(kUserSnapshot, static_cast<int64_t>(counters_[worker].attempts));
   const LoadSnapshot snapshot = machine().Snapshot();
@@ -350,7 +367,12 @@ void StealHarness::OnSteal(uint32_t /*worker*/, const StealCounters& before,
 }
 
 bool StealHarness::MaySteal(uint32_t worker) {
-  return steal_rounds_[worker]++ < schedule_.attempts_per_worker;
+  if (steal_rounds_[worker] >= schedule_.attempts_per_worker) {
+    return false;
+  }
+  // The round's selection starts here: publish-batching counts from it.
+  ActiveScheduler()->Note(kUserSnapshot, steal_rounds_[worker]++);
+  return true;
 }
 
 void StealHarness::OnPark(uint32_t worker) {
@@ -502,8 +524,9 @@ void StealHarness::TerminationProperties(Evaluation& eval) {
   // --- published-depth: the lock-free load publication agrees with the -------
   // structural queue state at quiescence. Evaluated BEFORE the conservation
   // drain below mutates the queues. A batched operation that forgot its
-  // publish (locked backend: seqlock write; chase_lev: counter update) shows
-  // up here as a stale depth no observation-based property would notice.
+  // publish (locked backend: the two published words; chase_lev: a counter
+  // update) shows up here as a stale depth no observation-based property
+  // would notice.
   {
     bool holds = true;
     std::string detail;
@@ -607,16 +630,17 @@ void StealHarness::StealProperties(Evaluation& eval) {
         return StrFormat("worker %u idled victim %lld at step %u", event.thread,
                          static_cast<long long>(event.arg0), event.step);
       });
-  // --- publish-batching: ≤ 2 seqlock publishes per steal critical section ----
-  // One per queue, however many items the batch moved. This is the seqlock
-  // write-count assertion: per-item publishing under both held locks would
-  // show up here as seqlock_writes == items_moved + 1.
+  // --- publish-batching: ≤ 2 load publishes per steal ------------------------
+  // One per queue, however many items the batch moved. arg1 counts the
+  // thief's kLoadWrite events between its kUserSnapshot and kUserStealOk
+  // notes: per-item publishing under both held locks would show up here as
+  // items_moved + 1.
   eval.NoEvent(
       "publish-batching", kUserStealBatch, [](const McEvent& event) { return event.arg1 > 2; },
       [](const McEvent& event) {
-        return StrFormat(
-            "worker %u published %lld times in one steal critical section (%lld items)",
-            event.thread, static_cast<long long>(event.arg1), static_cast<long long>(event.arg0));
+        return StrFormat("worker %u published %lld times in one steal (%lld items)",
+                         event.thread, static_cast<long long>(event.arg1),
+                         static_cast<long long>(event.arg0));
       });
 }
 

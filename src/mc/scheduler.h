@@ -9,12 +9,11 @@
 // recorded choice sequence fully determines the execution, which is what
 // makes record/replay exact and exhaustive exploration possible.
 //
-// Blocking points (contended lock, seqlock reader racing a writer, a parked
-// worker waiting for a wakeup) disable the thread until the predicate holds;
-// enabledness is re-evaluated before every decision. If unfinished threads
-// exist but none is enabled, the execution is a deadlock — itself a
-// reportable property violation (e.g. "no notify ever woke the parked
-// worker").
+// Blocking points (contended lock, a parked worker waiting for a wakeup)
+// disable the thread until the predicate holds; enabledness is re-evaluated
+// before every decision. If unfinished threads exist but none is enabled,
+// the execution is a deadlock — itself a reportable property violation
+// (e.g. "no notify ever woke the parked worker").
 
 #ifndef OPTSCHED_SRC_MC_SCHEDULER_H_
 #define OPTSCHED_SRC_MC_SCHEDULER_H_
@@ -91,8 +90,8 @@ enum UserEventKind : uint32_t {
   kUserPark = 7,         // worker blocks in its park; arg0 = 1 inside a task body
   // 8-9 are retired.
   // Batch facts of the immediately preceding kUserStealOk (same thread):
-  // arg0 = items moved, arg1 = seqlock publishes inside the critical section
-  // (publish batching requires <= 2), arg2 = victim.
+  // arg0 = items moved, arg1 = the thief's published-load writes (kLoadWrite)
+  // since its kUserSnapshot (publish batching requires <= 2), arg2 = victim.
   kUserStealBatch = 10,
   // Ingress harness (bounded-mailbox drain, docs/serving.md):
   kUserMailboxPush = 11,   // arg0 = item id, arg1 = target worker (admitted)
@@ -178,6 +177,8 @@ class Scheduler : public runtime::mc_hooks::Interposer {
   void BlockUntil(SyncOp op, const void* addr, std::function<bool()> ready);
 
   uint32_t current_thread() const { return current_; }
+  // The running execution's events so far.
+  const std::vector<McEvent>& events() const { return result_.events; }
 
   // --- Interposer ------------------------------------------------------------
   void OnSync(SyncOp op, const void* addr) override;

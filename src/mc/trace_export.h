@@ -15,7 +15,7 @@ namespace optsched::mc {
 
 // Maps the harness-level events of one execution (steal outcomes, item
 // executions, parks/wakes/bumps) to TraceEvents. Pure sync events (lock and
-// seqlock hooks) are omitted unless `include_sync` — they are numerous and
+// load hooks) are omitted unless `include_sync` — they are numerous and
 // usually noise at trace scale. Time is the decision step (microseconds in
 // the rendered trace, one step apart).
 std::vector<trace::TraceEvent> ToTraceEvents(const std::vector<McEvent>& events,

@@ -33,12 +33,12 @@ ConcurrentRunQueue::ConcurrentRunQueue(QueueBackend backend, uint32_t deque_capa
                                        bool broken_steal_order)
     : backend_(backend) {
   // The kLocked hot line (see the header): lock word, running slot, weights
-  // and published load within the first 64 bytes of the object.
+  // and both published words within the first 64 bytes of the object.
 #pragma GCC diagnostic push
 #pragma GCC diagnostic ignored "-Winvalid-offsetof"
   static_assert(offsetof(ConcurrentRunQueue, lock_) % kCacheLineSize == 0 &&
-                    offsetof(ConcurrentRunQueue, published_) + sizeof(published_) -
-                            offsetof(ConcurrentRunQueue, lock_) <=
+                    offsetof(ConcurrentRunQueue, published_weight_) +
+                            sizeof(published_weight_) - offsetof(ConcurrentRunQueue, lock_) <=
                         kCacheLineSize,
                 "the kLocked lock, running slot, weights and published load must share one line");
 #pragma GCC diagnostic pop
@@ -48,10 +48,12 @@ ConcurrentRunQueue::ConcurrentRunQueue(QueueBackend backend, uint32_t deque_capa
 }
 
 OPTSCHED_HOT_PATH void ConcurrentRunQueue::PublishLocked() {
-  LoadPair load;
-  load.task_count = static_cast<int64_t>(ready_.size()) + (running_ ? 1 : 0);
-  load.weighted_load = queued_weight_ + running_weight_;
-  published_.Write(load);
+  const LoadPair load = ExactLoadLocked();
+  mc_hooks::SyncPoint(mc_hooks::SyncOp::kLoadWrite, this);
+  // order: publish-under-lock
+  published_tasks_.store(load.task_count, std::memory_order_relaxed);
+  // order: publish-under-lock
+  published_weight_.store(load.weighted_load, std::memory_order_relaxed);
 }
 
 std::optional<WorkItem> ConcurrentRunQueue::PopForRun() {
@@ -87,14 +89,14 @@ std::optional<WorkItem> ConcurrentRunQueue::PopForRunChaseLev() {
   // The popped item stays in the published count (it is the core's
   // "current" until
   // FinishCurrent) — only the running flag and its weight attribution move.
-  mc_hooks::SyncPoint(mc_hooks::SyncOp::kDequeLoadWrite, this);
+  mc_hooks::SyncPoint(mc_hooks::SyncOp::kLoadWrite, this);
   running_a_.store(1, std::memory_order_relaxed);  // order: single-writer-store
   running_weight_a_.store(item->weight, std::memory_order_relaxed);  // order: single-writer-store
   return item;
 }
 
 OPTSCHED_HOT_PATH void ConcurrentRunQueue::DrainInboxToDeque() {
-  mc_hooks::SyncPoint(mc_hooks::SyncOp::kDequeLoadRead, this);
+  mc_hooks::SyncPoint(mc_hooks::SyncOp::kLoadRead, this);
   if (inbox_count_.load(std::memory_order_acquire) == 0) {
     return;
   }
@@ -124,7 +126,7 @@ OPTSCHED_HOT_PATH void ConcurrentRunQueue::DrainInboxToDeque() {
   // items it peeks, so an item in both places would be counted twice and
   // the gate could strip the owner bare (steal-safety). In between, the
   // gate under-counts: it may steal less, never too much.
-  mc_hooks::SyncPoint(mc_hooks::SyncOp::kDequeLoadWrite, this);
+  mc_hooks::SyncPoint(mc_hooks::SyncOp::kLoadWrite, this);
   inbox_count_.fetch_sub(moved, std::memory_order_release);
   for (int64_t i = 0; i < moved; ++i) {
     const bool pushed = deque_->PushBottom(inbox_.front());
@@ -150,7 +152,7 @@ void ConcurrentRunQueue::FinishCurrent() {
   // (StealObservation::victim_finished_delta). Every counter here is
   // owner-written only, so plain load+store replaces lock-prefixed RMWs on
   // the per-item hot path.
-  mc_hooks::SyncPoint(mc_hooks::SyncOp::kDequeLoadWrite, this);
+  mc_hooks::SyncPoint(mc_hooks::SyncOp::kLoadWrite, this);
   // order: single-writer-store
   const int64_t w = running_weight_a_.load(std::memory_order_relaxed);
   running_a_.store(0, std::memory_order_relaxed);  // order: single-writer-store
@@ -199,7 +201,7 @@ OPTSCHED_HOT_PATH void ConcurrentRunQueue::FinishCurrentAndRun(const WorkItem& n
   }
   // One decision point, like FinishCurrent. `next` is counted in before the
   // finished item is counted out: a reader between the stores sees both.
-  mc_hooks::SyncPoint(mc_hooks::SyncOp::kDequeLoadWrite, this);
+  mc_hooks::SyncPoint(mc_hooks::SyncOp::kLoadWrite, this);
   // order: single-writer-store, handoff-count-before-finish
   own_enq_weight_.store(own_enq_weight_.load(std::memory_order_relaxed) + next.weight,
                         std::memory_order_relaxed);
@@ -233,7 +235,7 @@ OPTSCHED_HOT_PATH void ConcurrentRunQueue::PushBatchOwner(const WorkItem* items,
 // emptier than it is (steal-safety observes exactly that load). Between the
 // two the load overcounts, the safe direction for every reader.
 void ConcurrentRunQueue::CountOwnerEnqueue(int64_t tasks, int64_t weight) {
-  mc_hooks::SyncPoint(mc_hooks::SyncOp::kDequeLoadWrite, this);
+  mc_hooks::SyncPoint(mc_hooks::SyncOp::kLoadWrite, this);
   // order: single-writer-store, count-before-push
   own_enq_tasks_.store(own_enq_tasks_.load(std::memory_order_relaxed) + tasks,
                        std::memory_order_relaxed);
@@ -260,7 +262,7 @@ void ConcurrentRunQueue::PushToDeque(const WorkItem* items, uint32_t count) {
       inbox_.push_back(items[i]);
     }
   }
-  mc_hooks::SyncPoint(mc_hooks::SyncOp::kDequeLoadWrite, this);
+  mc_hooks::SyncPoint(mc_hooks::SyncOp::kLoadWrite, this);
   inbox_count_.fetch_add(count - pushed, std::memory_order_release);
 }
 
@@ -285,27 +287,22 @@ void ConcurrentRunQueue::PushBatchExternal(const WorkItem* items, uint32_t count
       weight += items[i].weight;
     }
   }
-  mc_hooks::SyncPoint(mc_hooks::SyncOp::kDequeLoadWrite, this);
+  mc_hooks::SyncPoint(mc_hooks::SyncOp::kLoadWrite, this);
   inbox_count_.fetch_add(count, std::memory_order_release);
   ext_enq_tasks_.fetch_add(count, std::memory_order_relaxed);  // order: external-submit-counter
   ext_enq_weight_.fetch_add(weight, std::memory_order_relaxed);  // order: external-submit-counter
 }
 
 OPTSCHED_HOT_PATH LoadPair ConcurrentRunQueue::ReadLoad() const {
+  mc_hooks::SyncPoint(mc_hooks::SyncOp::kLoadRead, this);
+  LoadPair load;
   if (backend_ == QueueBackend::kLocked) {
-    LoadPair load;
-    if (!published_.TryRead(load, kSeqlockReadAttempts)) {
-      // An owner that publishes faster than this reader copies can tear
-      // every attempt: under ThreadSanitizer the supervisor's watchdog
-      // snapshot spent most of a 40 ms run here (EXPERIMENTS.md E24).
-      // Writers publish under the queue lock, so one read under it succeeds.
-      LockGuard guard(lock_);
-      load = published_.Read();
-    }
+    // order: torn-read-tolerated
+    load.task_count = published_tasks_.load(std::memory_order_relaxed);
+    // order: torn-read-tolerated
+    load.weighted_load = published_weight_.load(std::memory_order_relaxed);
     return load;
   }
-  mc_hooks::SyncPoint(mc_hooks::SyncOp::kDequeLoadRead, this);
-  LoadPair load;
   load.task_count = TasksRelaxed();
   // order: torn-read-tolerated
   load.weighted_load = own_enq_weight_.load(std::memory_order_relaxed) +
@@ -362,9 +359,8 @@ OPTSCHED_HOT_PATH uint32_t ConcurrentRunQueue::StealTailLocked(
     ++taken;
   }
   if (taken > 0) {
-    // One publish for the whole batch: with per-item publishes a batch of N
-    // performed N seqlock writes under BOTH held locks, each one stalling
-    // every concurrent snapshot reader into a retry loop.
+    // One publish for the whole batch, not one per item (the checker's
+    // publish-batching property).
     PublishLocked();
   }
   return taken;
@@ -497,22 +493,6 @@ LoadSnapshot ConcurrentMachine::LockedSnapshot() {
   return snap;
 }
 
-uint64_t ConcurrentMachine::TotalSeqlockReadRetries() const {
-  uint64_t total = 0;
-  for (const auto& queue : queues_) {
-    total += queue->SeqlockReadRetries();
-  }
-  return total;
-}
-
-uint64_t ConcurrentMachine::TotalSeqlockWrites() const {
-  uint64_t total = 0;
-  for (const auto& queue : queues_) {
-    total += queue->SeqlockWriteCount();
-  }
-  return total;
-}
-
 OPTSCHED_HOT_PATH bool ConcurrentMachine::TrySteal(
     const BalancePolicy& policy, CpuId thief, const LoadSnapshot& snapshot, Rng& rng,
     const StealOptions& options, StealCounters& counters, const Topology* topology,
@@ -584,9 +564,6 @@ OPTSCHED_HOT_PATH bool ConcurrentMachine::TryStealLocked(
     return false;
   }
 
-  const uint64_t writes_before =
-      victim_queue.SeqlockWriteCount() + thief_queue.SeqlockWriteCount();
-
   const LoadMetric metric = policy.metric();
   // Running pair loads, updated as the batch grows so every migration is
   // judged against the loads it would actually act on.
@@ -632,8 +609,6 @@ OPTSCHED_HOT_PATH bool ConcurrentMachine::TryStealLocked(
   if (observation_out != nullptr) {
     observation_out->item_id = s.batch.front().id;
     observation_out->items_moved = moved;
-    observation_out->seqlock_writes =
-        victim_queue.SeqlockWriteCount() + thief_queue.SeqlockWriteCount() - writes_before;
     observation_out->victim_tasks_after = victim_queue.ExactLoadLocked().task_count;
     observation_out->thief_tasks_after = thief_queue.ExactLoadLocked().task_count;
     observation_out->victim_finished_delta = 0;  // victim frozen under its lock
@@ -764,7 +739,6 @@ OPTSCHED_HOT_PATH bool ConcurrentMachine::TryStealChaseLev(
   if (observation_out != nullptr) {
     observation_out->item_id = s.batch.front().id;
     observation_out->items_moved = moved;
-    observation_out->seqlock_writes = 0;  // no seqlock on this backend
     // Read tasks BEFORE the finished count: a FinishCurrent landing between
     // the reads then inflates the sum (safe direction — the property asserts
     // a lower bound) instead of deflating it into a spurious violation.

@@ -5,7 +5,7 @@
 // synchronization substrates (docs/runtime.md#queue-backends):
 //
 //   * QueueBackend::kLocked — the reference/ablation backend: a
-//     spinlock-protected ready ring plus a seqlock-published load. The
+//     spinlock-protected ready ring plus a load published under the lock. The
 //     SELECTION phase reads loads of all cores lock-free (possibly stale — the
 //     optimistic part); the STEALING phase locks exactly the thief's and the
 //     victim's queues (queue-index order), re-checks the policy's filter
@@ -51,7 +51,6 @@
 #include "src/core/policy.h"
 #include "src/runtime/chase_lev_deque.h"
 #include "src/runtime/item_ring.h"
-#include "src/runtime/seqlock.h"
 #include "src/runtime/spinlock.h"
 #include "src/runtime/termination.h"
 #include "src/runtime/work_item.h"
@@ -62,7 +61,7 @@ namespace optsched::runtime {
 
 // Which synchronization substrate backs each run queue.
 enum class QueueBackend {
-  kLocked,    // spinlock-protected ready ring + seqlock-published load (reference)
+  kLocked,    // spinlock-protected ready ring + load published under the lock (reference)
   kChaseLev,  // bounded lock-free Chase-Lev deque + counter-published load
 };
 
@@ -70,6 +69,10 @@ const char* QueueBackendName(QueueBackend backend);
 // Parses "locked" / "chase_lev"; false (out untouched) on anything else.
 bool ParseQueueBackend(std::string_view name, QueueBackend& out);
 
+// A queue's load. Read lock-free (ReadLoad) on kLocked, each column is a
+// value some publish wrote, and a pair may mix two publishes; that is enough,
+// since every reader uses one column (the policy's metric). kChaseLev's
+// columns are sums of counters read one by one, exact at quiescence.
 struct LoadPair {
   int64_t task_count = 0;
   int64_t weighted_load = 0;
@@ -128,25 +131,15 @@ class ConcurrentRunQueue {
   void PushBatchExternal(const WorkItem* items, uint32_t count) OPTSCHED_EXCLUDES(lock_);
 
   // --- Lock-free observation (selection phase) -------------------------------
-  // kLocked reads the seqlock-published load; after kSeqlockReadAttempts
-  // torn attempts in a row it takes the queue lock for one read, so a reader
-  // makes progress however often the owner publishes. The caller must not
-  // hold this queue's lock.
-  static constexpr uint64_t kSeqlockReadAttempts = 64;
-  LoadPair ReadLoad() const OPTSCHED_EXCLUDES(lock_);
+  // Wait-free: relaxed loads, no lock and no retry (see LoadPair for what a
+  // pair read this way means).
+  LoadPair ReadLoad() const;
   // Exact structural load — counts the actual container contents (+ running)
   // rather than the published value. The mc harness' published-depth
   // property asserts ReadLoad() == ExactLoad() at quiescence: any mutation
   // path that forgets to (re)publish diverges the two. kLocked takes the
   // queue lock; kChaseLev takes the inbox lock and walks the ring.
   LoadPair ExactLoad() OPTSCHED_EXCLUDES(lock_);
-  // Torn-read retries the published-load seqlock has absorbed (staleness
-  // pressure on this queue's snapshot; 0 on kChaseLev, which has no seqlock).
-  uint64_t SeqlockReadRetries() const { return published_.read_retries(); }
-  // Completed publishes of this queue's load. The steal path must bump this
-  // at most once per held-lock critical section (publish batching); 0 on
-  // kChaseLev — counter updates don't invalidate concurrent readers at all.
-  uint64_t SeqlockWriteCount() const { return published_.write_count(); }
 
   // The owning worker's termination counts (see counts_ below).
   WorkerCounts& counts() { return counts_; }
@@ -160,8 +153,8 @@ class ConcurrentRunQueue {
   // COMMITS the removal (callers update their running victim/thief loads
   // inside the callback). Ineligible items are skipped, the scan continues
   // toward the head. The published load is written ONCE, after the last
-  // removal — not per item — so concurrent seqlock readers see one
-  // invalidation per steal action. Returns the number of items taken.
+  // removal — not per item — so a steal publishes once per queue however
+  // many items it moves. Returns the number of items taken.
   uint32_t StealTailLocked(FunctionRef<bool(const WorkItem&)> eligible, uint32_t max_items,
                            std::vector<WorkItem>& out) OPTSCHED_REQUIRES(lock_);
   // Appends `count` items and publishes the new load once.
@@ -234,7 +227,7 @@ class ConcurrentRunQueue {
   const QueueBackend backend_;
 
   // kLocked hot line: the lock word, the running slot, both weights and the
-  // published load share ONE 64-byte line (pinned by a static_assert in the
+  // two published words share ONE 64-byte line (pinned by a static_assert in the
   // constructor). Every critical section writes the lock word and publishes,
   // so with the published load on a line of its own each owner item and each
   // steal dirtied two lines, the second of which every thief's snapshot also
@@ -247,11 +240,14 @@ class ConcurrentRunQueue {
   bool running_ OPTSCHED_GUARDED_BY(lock_) = false;
   int64_t running_weight_ OPTSCHED_GUARDED_BY(lock_) = 0;
   int64_t queued_weight_ OPTSCHED_GUARDED_BY(lock_) = 0;
-  // Written only under lock_ (PublishLocked), read lock-free by any thread:
-  // the seqlock IS the synchronization, so no GUARDED_BY — the write-side
-  // discipline is the REQUIRES on PublishLocked plus the lint rule
-  // seqlock-write-context.
-  Seqlock<LoadPair> published_;
+  // The published load: stored relaxed under lock_ (PublishLocked), read
+  // relaxed by any thread (ReadLoad). Readers take no lock, so no
+  // GUARDED_BY; the write side is the REQUIRES on PublishLocked plus the
+  // lint rule load-publish-context.
+  // mc: kLoadRead, kLoadWrite
+  std::atomic<int64_t> published_tasks_{0};
+  // mc: kLoadRead, kLoadWrite
+  std::atomic<int64_t> published_weight_{0};
   ItemRing ready_ OPTSCHED_GUARDED_BY(lock_);
 
   // --- kChaseLev state (idle on kLocked) -------------------------------------
@@ -265,35 +261,36 @@ class ConcurrentRunQueue {
   // (plain load+store, no lock-prefixed RMW on its hot path), external
   // submitters (fetch_add in PushBatchExternal), thieves (one fetch_add pair per steal
   // batch) — so a reader may see a torn combination, the same staleness the
-  // selection phase already tolerates from the seqlock (and the re-check
-  // absorbs); the decomposition is exact at quiescence (published-depth).
+  // selection phase already tolerates from the locked backend's two words
+  // (and the re-check absorbs); the decomposition is exact at quiescence
+  // (published-depth).
   //
   // Owner-written line: single-writer plain stores, read by any thread.
-  // mc: kDequeLoadRead, kDequeLoadWrite
+  // mc: kLoadRead, kLoadWrite
   alignas(kCacheLineSize) std::atomic<int64_t> own_enq_tasks_{0};
-  // mc: kDequeLoadRead, kDequeLoadWrite
+  // mc: kLoadRead, kLoadWrite
   std::atomic<int64_t> own_enq_weight_{0};
   // fin_tasks_ doubles as FinishedCount(), the steal-safety excuse counter.
-  // mc: kDequeLoadRead, kDequeLoadWrite
+  // mc: kLoadRead, kLoadWrite
   std::atomic<int64_t> fin_tasks_{0};
-  // mc: kDequeLoadRead, kDequeLoadWrite
+  // mc: kLoadRead, kLoadWrite
   std::atomic<int64_t> fin_weight_{0};
-  // mc: kDequeLoadRead, kDequeLoadWrite
+  // mc: kLoadRead, kLoadWrite
   std::atomic<int64_t> running_a_{0};
-  // mc: kDequeLoadRead, kDequeLoadWrite
+  // mc: kLoadRead, kLoadWrite
   std::atomic<int64_t> running_weight_a_{0};
   // External-submitter line (PushBatchExternal: any thread).
-  // mc: kDequeLoadRead, kDequeLoadWrite
+  // mc: kLoadRead, kLoadWrite
   alignas(kCacheLineSize) std::atomic<int64_t> ext_enq_tasks_{0};
-  // mc: kDequeLoadRead, kDequeLoadWrite
+  // mc: kLoadRead, kLoadWrite
   std::atomic<int64_t> ext_enq_weight_{0};
-  // mc: kDequeLoadRead, kDequeLoadWrite
+  // mc: kLoadRead, kLoadWrite
   std::atomic<int64_t> inbox_count_{0};
   // Thief line (CommitStealAccounting), kept off the owner's
   // lines so a steal commit does not invalidate the owner's finish path.
-  // mc: kDequeLoadRead, kDequeLoadWrite
+  // mc: kLoadRead, kLoadWrite
   alignas(kCacheLineSize) std::atomic<int64_t> stolen_tasks_{0};
-  // mc: kDequeLoadRead, kDequeLoadWrite
+  // mc: kLoadRead, kLoadWrite
   std::atomic<int64_t> stolen_weight_{0};
 
   // Termination counts of the worker that owns this queue (termination.h),
@@ -363,10 +360,6 @@ struct StealScratch {
 struct StealObservation {
   uint64_t item_id = 0;  // first migrated item
   uint32_t items_moved = 0;
-  // Seqlock publishes performed inside this critical section across both
-  // queues. Publish batching requires <= 2 (one per queue) regardless of
-  // items_moved; the mc harness asserts exactly that. Always 0 on kChaseLev.
-  uint64_t seqlock_writes = 0;
   int64_t victim_tasks_after = 0;
   int64_t thief_tasks_after = 0;
   // kChaseLev only (0 on kLocked, where the victim lock freezes execution):
@@ -430,11 +423,6 @@ class ConcurrentMachine {
                 const Topology* topology = nullptr, CpuId* victim_out = nullptr,
                 StealObservation* observation_out = nullptr,
                 StealScratch* scratch = nullptr, WorkItem* run_next = nullptr);
-
-  // Sum of SeqlockReadRetries over all queues.
-  uint64_t TotalSeqlockReadRetries() const;
-  // Sum of SeqlockWriteCount over all queues.
-  uint64_t TotalSeqlockWrites() const;
 
  private:
   bool TryStealLocked(const BalancePolicy& policy, CpuId thief, const LoadSnapshot& snapshot,

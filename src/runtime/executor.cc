@@ -112,10 +112,6 @@ std::string ExecutorReport::ToString() const {
     out += StrFormat(" trace{events=%zu dropped=%llu}", trace_events.size(),
                      static_cast<unsigned long long>(trace_dropped));
   }
-  if (seqlock_read_retries > 0) {
-    out += StrFormat(" seqlock_retries=%llu",
-                     static_cast<unsigned long long>(seqlock_read_retries));
-  }
   return out;
 }
 
@@ -125,7 +121,6 @@ void ExecutorReport::ExportMetrics(trace::MetricsRegistry& registry) const {
   registry.Add("executor.items_left_unexecuted", static_cast<double>(items_left_unexecuted));
   registry.Add("executor.trace.events", static_cast<double>(trace_events.size()));
   registry.Add("executor.trace.dropped", static_cast<double>(trace_dropped));
-  registry.Add("executor.seqlock.read_retries", static_cast<double>(seqlock_read_retries));
   stats::ExportCounters(faults, registry, "executor.faults");
   stats::ExportCounters(watchdog, registry, "executor.watchdog");
   const WorkerStats totals = Totals();
@@ -686,9 +681,6 @@ ExecutorReport Executor::RunInternal(uint64_t duration_ms,
 
   const uint64_t start = run_start_ns_;
   const uint64_t stop_at = deadline_mode_ ? start + duration_ms * 1'000'000ull : 0;
-  // Seqlock retry counters are cumulative per queue; report the delta so a
-  // reused instance attributes retries to the run that incurred them.
-  const uint64_t seqlock_retries_at_start = machine_.TotalSeqlockReadRetries();
 
   std::vector<std::unique_ptr<WorkerSlot>> slots;
   slots.reserve(config_.num_workers);
@@ -833,7 +825,6 @@ ExecutorReport Executor::RunInternal(uint64_t duration_ms,
   }
 
   report.wall_time_ns = NowNs() - start;
-  report.seqlock_read_retries = machine_.TotalSeqlockReadRetries() - seqlock_retries_at_start;
   // Every worker and the producer have joined, so the sums are exact.
   const TerminationCounts::Sums sums = counts_.Read(machine_);
   report.total_items = sums.submitted - executed_at_run_start_;

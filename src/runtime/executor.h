@@ -4,10 +4,10 @@
 // One std::thread per simulated core. Each worker loops: pop from its own
 // runqueue, execute the item (a calibrated spin), and when its queue is
 // empty, run the three-step balancing protocol to steal work. Selection is
-// lock-free by default (seqlock snapshot, DESIGN.md D3); the `locked_selection`
-// ablation takes every runqueue lock during selection instead, quantifying
-// the cost the paper's optimistic design avoids. The `recheck_filter`
-// ablation (D2) disables the steal-phase re-check.
+// lock-free by default (a snapshot of the published loads, DESIGN.md D3); the
+// `locked_selection` ablation takes every runqueue lock during selection
+// instead, quantifying the cost the paper's optimistic design avoids. The
+// `recheck_filter` ablation (D2) disables the steal-phase re-check.
 //
 // Robustness layer (docs/robustness.md):
 //  * A worker whose protocol attempts keep failing parks in bounded
@@ -233,11 +233,8 @@ struct ExecutorReport {
   // trace_ring_capacity == 0) and the events lost to full rings.
   std::vector<trace::TraceEvent> trace_events;
   uint64_t trace_dropped = 0;
-  // Seqlock reader retries across all runqueues during this run: how often a
-  // lock-free load read raced an in-flight publish and had to loop. This is
-  // the direct measure of snapshot staleness pressure — high values mean the
-  // selection phase frequently decides on loads that were being rewritten
-  // under it (legitimate, but previously invisible).
+  // Always 0: a load read never retries. Kept only because
+  // perfbench/src/layers.cc reads it for its seqlock.retries_per_attempt row.
   uint64_t seqlock_read_retries = 0;
 
   // Every worker's counters summed and histograms merged.

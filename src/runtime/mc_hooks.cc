@@ -14,11 +14,6 @@ const char* SyncOpName(SyncOp op) {
     case SyncOp::kLockTry: return "lock-try";
     case SyncOp::kLockRelease: return "lock-release";
     case SyncOp::kLockWait: return "lock-wait";
-    case SyncOp::kSeqWriteBegin: return "seq-write-begin";
-    case SyncOp::kSeqWriteTorn: return "seq-write-torn";
-    case SyncOp::kSeqWriteEnd: return "seq-write-end";
-    case SyncOp::kSeqRead: return "seq-read";
-    case SyncOp::kSeqReadRetry: return "seq-read-retry";
     case SyncOp::kEpochLoad: return "epoch-load";
     case SyncOp::kEpochBump: return "epoch-bump";
     case SyncOp::kMailboxPush: return "mailbox-push";
@@ -28,8 +23,8 @@ const char* SyncOpName(SyncOp op) {
     case SyncOp::kDequeTopCas: return "deque-top-cas";
     case SyncOp::kDequeBottomLoad: return "deque-bottom-load";
     case SyncOp::kDequeBottomStore: return "deque-bottom-store";
-    case SyncOp::kDequeLoadRead: return "deque-load-read";
-    case SyncOp::kDequeLoadWrite: return "deque-load-write";
+    case SyncOp::kLoadRead: return "load-read";
+    case SyncOp::kLoadWrite: return "load-write";
     case SyncOp::kTaskJoinLoad: return "task-join-load";
     case SyncOp::kTaskJoinDec: return "task-join-dec";
     case SyncOp::kCountLoad: return "count-load";
@@ -48,26 +43,21 @@ bool SyncOpWrites(SyncOp op) {
     case SyncOp::kLockTry:
     case SyncOp::kLockRelease:
     case SyncOp::kLockWait:  // resumes by acquiring the lock
-    case SyncOp::kSeqWriteBegin:
-    case SyncOp::kSeqWriteTorn:
-    case SyncOp::kSeqWriteEnd:
     case SyncOp::kEpochBump:
     case SyncOp::kMailboxPush:
     case SyncOp::kMailboxDrain:
     case SyncOp::kDequeTopCas:
     case SyncOp::kDequeBottomStore:
-    case SyncOp::kDequeLoadWrite:
+    case SyncOp::kLoadWrite:
     case SyncOp::kTaskJoinDec:
     case SyncOp::kCountStore:
     case SyncOp::kIdleWrite:
       return true;
-    case SyncOp::kSeqRead:
-    case SyncOp::kSeqReadRetry:
     case SyncOp::kEpochLoad:
     case SyncOp::kMailboxDepth:
     case SyncOp::kDequeTopLoad:
     case SyncOp::kDequeBottomLoad:
-    case SyncOp::kDequeLoadRead:
+    case SyncOp::kLoadRead:
     case SyncOp::kTaskJoinLoad:
     case SyncOp::kCountLoad:
     case SyncOp::kIdleLoad:

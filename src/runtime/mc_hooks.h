@@ -1,7 +1,7 @@
 // Model-checking interposition seam for the runtime's synchronization
 // primitives (docs/model_checking.md).
 //
-// Every synchronization point in SpinLock, Seqlock, the executor's
+// Every synchronization point in SpinLock, the published loads, the executor's
 // escalation/wakeup epochs and its termination counts funnels through the two inline functions below.
 // In production nothing is registered and each call is a single
 // predictably-not-taken thread-local null check; building with
@@ -17,8 +17,8 @@
 // fibers, schedules, or exploration strategies. It only promises to announce
 // "I am about to perform this synchronization action on this object" (a
 // SyncPoint) or "I cannot make progress until this predicate holds" (a
-// BlockUntil — e.g. a contended lock or a seqlock reader that observed a
-// write in progress). Blocking points carry the predicate so the checker can
+// BlockUntil — e.g. a contended lock or a parked worker waiting for a
+// wakeup). Blocking points carry the predicate so the checker can
 // mark the virtual thread disabled instead of letting it spin, which keeps
 // exploration finite: a blocked thread is rescheduled only after another
 // thread's dependent action re-enables it.
@@ -41,11 +41,6 @@ enum class SyncOp {
   kLockTry,       // SpinLock::try_lock entry
   kLockRelease,   // SpinLock::unlock (store just performed)
   kLockWait,      // blocking: lock held by another thread
-  kSeqWriteBegin, // Seqlock::Write entry (sequence still even)
-  kSeqWriteTorn,  // mid-write: sequence odd, payload words in flight
-  kSeqWriteEnd,   // write published (sequence even again)
-  kSeqRead,       // Seqlock::Read attempt start
-  kSeqReadRetry,  // blocking: reader saw an odd sequence or a torn pair
   kEpochLoad,     // executor escalation/wakeup-epoch load
   kEpochBump,     // executor escalation/wakeup-epoch fetch_add
   kMailboxPush,   // ingress mailbox: producer-side bounded enqueue
@@ -55,8 +50,8 @@ enum class SyncOp {
   kDequeTopCas,      // chase-lev deque: CAS on the top index (thief take / owner last-item race)
   kDequeBottomLoad,  // chase-lev deque: load of the bottom index
   kDequeBottomStore, // chase-lev deque: owner store to the bottom index
-  kDequeLoadRead,    // chase-lev backend: lock-free published-load read
-  kDequeLoadWrite,   // chase-lev backend: published-load counter update
+  kLoadRead,         // either backend: lock-free published-load read (ReadLoad)
+  kLoadWrite,        // either backend: published-load update (a publish or a counter store)
   kTaskJoinLoad,  // task layer: plain load of a join counter (fault variant)
   kTaskJoinDec,   // task layer: join-counter decrement (last arriver fires)
   kCountLoad,     // termination counts: quiescence-sum load of one counter

@@ -3,11 +3,11 @@
 //
 // The runtime shards the machine into per-core runqueues each protected by
 // one of these, reproducing the paper's locking discipline: the selection
-// phase takes NO locks (it reads seqlock-published loads), and the stealing
-// phase takes exactly two — the thief's and the victim's runqueue locks, in
-// queue-index order to avoid deadlock (§3.1, Figure 1). With the capability
-// annotations (src/base/thread_annotations.h) that discipline is checked at
-// compile time under clang: touching a GUARDED_BY field or calling a
+// phase takes NO locks (it reads each queue's published load), and the
+// stealing phase takes exactly two — the thief's and the victim's runqueue
+// locks, in queue-index order to avoid deadlock (§3.1, Figure 1). With the
+// capability annotations (src/base/thread_annotations.h) that discipline is
+// checked at compile time under clang: touching a GUARDED_BY field or calling a
 // REQUIRES method without the lock fails a -Werror=thread-safety build.
 //
 // Every synchronization point is announced through the mc_hooks seam

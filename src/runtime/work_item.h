@@ -3,9 +3,9 @@
 // Split out of concurrent_machine.h so the lock-free Chase-Lev deque
 // (chase_lev_deque.h) can store items without pulling in the full runqueue
 // facade. The layout is load-bearing: the deque stores items as whole
-// 64-bit words through relaxed atomics (same TSan-clean technique as
-// Seqlock), so WorkItem must stay trivially copyable and a multiple of 8
-// bytes — both are static_asserted at the storage site.
+// 64-bit words through relaxed atomics (TSan-clean), so WorkItem must stay
+// trivially copyable and a multiple of 8 bytes — both are static_asserted at
+// the storage site.
 //
 // WorkItem is exactly 32 bytes, four words (static_asserted below), so every
 // item store (the locked ready ring, the chase_lev slots, the inbox, the

@@ -76,17 +76,9 @@ TEST_P(BackendMatrix, PushBatchOwnerPublishesTheWholeBatch) {
   for (uint64_t id = 1; id <= 16; ++id) {
     batch.push_back(Item(id));
   }
-  const uint64_t writes_before = queue.SeqlockWriteCount();
   queue.PushBatchOwner(batch.data(), static_cast<uint32_t>(batch.size()));
   EXPECT_EQ(queue.ReadLoad().task_count, 16);
   EXPECT_EQ(queue.ExactLoad().task_count, 16);
-  if (GetParam() == QueueBackend::kLocked) {
-    // One seqlock publish for the whole batch, not one per item.
-    EXPECT_EQ(queue.SeqlockWriteCount() - writes_before, 1u);
-  } else {
-    // chase_lev has no seqlock at all; the counters carry the load.
-    EXPECT_EQ(queue.SeqlockWriteCount(), 0u);
-  }
 }
 
 TEST_P(BackendMatrix, ExternalPushStaysExactAtQuiescence) {
@@ -155,12 +147,8 @@ TEST_P(BackendMatrix, FinishCurrentAndPopHandsTheRunningSlotOn) {
     ids.push_back(item->id);
     tasks -= 1;
     weight -= item->weight;
-    const uint64_t writes_before = queue.SeqlockWriteCount();
-    // The finished item leaves the load and the next one (if any) runs,
-    // with exactly one publish on kLocked.
+    // The finished item leaves the load and the next one (if any) runs.
     item = queue.FinishCurrentAndPop();
-    EXPECT_EQ(queue.SeqlockWriteCount() - writes_before,
-              GetParam() == QueueBackend::kLocked ? 1u : 0u);
     const runtime::LoadPair published = queue.ReadLoad();
     const runtime::LoadPair exact = queue.ExactLoad();
     EXPECT_EQ(published.task_count, tasks);
@@ -225,9 +213,6 @@ TEST_P(BackendMatrix, StealLandsThePoppedItemAsRunning) {
                                 landing_counters, nullptr, nullptr, &observation, nullptr,
                                 &landed));
   EXPECT_EQ(observation.items_moved, 4u);  // steal-half of 9 vs 0
-  if (GetParam() == QueueBackend::kLocked) {
-    EXPECT_LE(observation.seqlock_writes, 2u);  // publish batching holds
-  }
   ConcurrentRunQueue& thief = landing->queue(0);
   EXPECT_EQ(thief.ReadLoad().task_count, 4);
   EXPECT_EQ(thief.ExactLoad().task_count, 4);

@@ -185,7 +185,7 @@ TEST(DfsExplorerTest, ExhaustiveDischargesPropertiesWithBatchedSteals) {
         return true;
       });
   // Every explored schedule satisfies no-lost-items, steal-safety,
-  // publish-batching (<= 2 seqlock writes per steal critical section) and the
+  // publish-batching (<= 2 load publishes per steal, one per queue) and the
   // d0/2 ITEM bound — batches move more per action, never more in total.
   EXPECT_FALSE(stats.stopped_by_sink) << violation;
   EXPECT_FALSE(stats.budget_exhausted);

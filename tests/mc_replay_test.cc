@@ -330,7 +330,8 @@ std::vector<std::string> GoldenNames() {
 class GoldenTest : public ::testing::TestWithParam<std::string> {};
 
 // A golden is byte-stable through the schedule parser, replays without
-// diverging, and violates its recorded property. A fault golden's choices
+// diverging, and violates its recorded property with its recorded note (a
+// stale note fails). A fault golden's choices
 // replayed on the shipped code (fault cleared) violate nothing: the
 // violation is pinned on the fault, not on the interleaving.
 TEST_P(GoldenTest, ReplaysItsViolationAndOnlyWithItsFault) {
@@ -344,8 +345,12 @@ TEST_P(GoldenTest, ReplaysItsViolationAndOnlyWithItsFault) {
   StealHarness harness(*schedule);
   const ExecutionResult result = ReplayChoices(harness.Factory(), schedule->choices);
   EXPECT_EQ(result.choices, schedule->choices);  // no divergence
-  EXPECT_TRUE(Violates(harness, result, schedule->property))
-      << "golden no longer violates " << schedule->property;
+  const std::vector<PropertyReport> reports = harness.Evaluate(result);
+  const auto violated = std::find_if(reports.begin(), reports.end(), [&](const auto& report) {
+    return report.name == schedule->property && !report.holds;
+  });
+  ASSERT_NE(violated, reports.end()) << "golden no longer violates " << schedule->property;
+  EXPECT_EQ(violated->detail, schedule->note);
 
   if (GetParam() == "mc_broken_chaselev_minimized.json") {
     // A thief reading bottom before top pairs a stale bottom with a fresh

@@ -99,8 +99,8 @@ TEST(FiberTest, AbortRunsDestructorsOnTheFiberStack) {
 TEST(OpsDependentTest, SameObjectWithAWriteIsDependent) {
   const ThreadOp acquire{SyncOp::kLockAcquire, 3};
   const ThreadOp release{SyncOp::kLockRelease, 3};
-  const ThreadOp read{SyncOp::kSeqRead, 3};
-  const ThreadOp other_read{SyncOp::kSeqRead, 4};
+  const ThreadOp read{SyncOp::kLoadRead, 3};
+  const ThreadOp other_read{SyncOp::kLoadRead, 4};
   const ThreadOp yield{SyncOp::kYield, 0};
   EXPECT_TRUE(OpsDependent(acquire, release));
   EXPECT_TRUE(OpsDependent(acquire, read));
@@ -112,7 +112,7 @@ TEST(OpsDependentTest, SameObjectWithAWriteIsDependent) {
 TEST(OpsDependentTest, LockAcquiresNeverStaySleeping) {
   const ThreadOp acquire{SyncOp::kLockAcquire, 3};
   const ThreadOp yield{SyncOp::kYield, 0};
-  const ThreadOp read{SyncOp::kSeqRead, 5};
+  const ThreadOp read{SyncOp::kLoadRead, 5};
   // Releases are recorded without a decision point, so any executed segment
   // may hide one: pending acquisitions must always be woken.
   EXPECT_FALSE(CanStaySleeping(acquire, yield));

@@ -10,7 +10,6 @@
 
 #include "src/base/mutex.h"
 #include "src/runtime/concurrent_machine.h"
-#include "src/runtime/seqlock.h"
 #include "src/runtime/spinlock.h"
 
 namespace optsched::runtime {
@@ -39,42 +38,10 @@ TEST(DualLockGuard, DistinctLocksAcquireAndRelease) {
   b.unlock();
 }
 
-struct Pair {
-  uint64_t a = 0;
-  uint64_t b = 0;
-};
-
-// Regression: the constructor used to publish the zero-initialized payload
-// through Write(), so a freshly built seqlock reported write_count() == 1
-// and every "how many publishes did this phase do" assertion carried a
-// spurious +1 per queue. Construction is initialization, not publication.
-TEST(Seqlock, FreshInstanceHasZeroWriteCount) {
-  Seqlock<Pair> seqlock;
-  EXPECT_EQ(seqlock.write_count(), 0u);
-  // The zero-initialized payload is still readable before the first Write.
-  const Pair fresh = seqlock.Read();
-  EXPECT_EQ(fresh.a, 0u);
-  EXPECT_EQ(fresh.b, 0u);
-
-  Pair value{7, 9};
-  seqlock.Write(value);
-  EXPECT_EQ(seqlock.write_count(), 1u);
-  const Pair read = seqlock.Read();
-  EXPECT_EQ(read.a, 7u);
-  EXPECT_EQ(read.b, 9u);
-}
-
-// Same property one layer up: a fresh machine has published nothing, and the
-// lock-free snapshot still sees every queue as empty (zero-initialized
-// payload words, not garbage).
-TEST(Seqlock, FreshMachinePublishesNothingYetSnapshotsEmpty) {
+// A fresh machine's lock-free snapshot sees every queue as empty: the
+// published words start at zero, not garbage.
+TEST(ConcurrentMachine, FreshMachineSnapshotsEmpty) {
   ConcurrentMachine machine(4);
-  uint64_t writes = 0;
-  for (uint32_t q = 0; q < machine.num_queues(); ++q) {
-    writes += machine.queue(q).SeqlockWriteCount();
-  }
-  EXPECT_EQ(writes, 0u);
-
   LoadSnapshot snapshot;
   machine.SnapshotInto(snapshot);
   for (uint32_t q = 0; q < machine.num_queues(); ++q) {

@@ -13,10 +13,11 @@ docs/static_analysis.md for the full rationale):
   dual-lock-rank         DualLockGuard acquisition order comes from queue
                          indices (the machine-wide rank), never from
                          comparing lock addresses.
-  seqlock-write-context  Seqlock<T>::Write is only called from functions that
-                         are OPTSCHED_REQUIRES-annotated or follow the
-                         *Locked naming convention -- the seqlock tolerates
-                         torn reads, not torn writes.
+  load-publish-context   stores to a runqueue's published load words
+                         (published_*) happen only in functions that are
+                         OPTSCHED_REQUIRES-annotated or follow the *Locked
+                         naming convention -- readers take no lock, so the
+                         queue lock is the only thing serializing writers.
   mc-hook-coverage       every raw std::atomic member in src/runtime,
                          src/ingress (mailbox sync state included),
                          src/task, and src/sched carries
@@ -63,7 +64,7 @@ import sys
 RULES = (
     "atomic-memory-order",
     "dual-lock-rank",
-    "seqlock-write-context",
+    "load-publish-context",
     "mc-hook-coverage",
     "hot-path-alloc",
 )
@@ -73,7 +74,7 @@ RULE_SCOPES = {
     "atomic-memory-order": ("src/runtime/", "src/trace/", "src/ingress/",
                             "src/task/", "src/sched/"),
     "dual-lock-rank": ("src/",),
-    "seqlock-write-context": ("src/",),
+    "load-publish-context": ("src/",),
     "mc-hook-coverage": ("src/runtime/", "src/ingress/", "src/task/", "src/sched/"),
     "hot-path-alloc": ("src/",),
 }
@@ -95,7 +96,8 @@ ATOMIC_MEMBER_RE = re.compile(
 DUAL_GUARD_RE = re.compile(r"\bDualLockGuard\b")
 ADDRESS_CMP_RE = re.compile(
     r"&\s*[A-Za-z_][\w.\[\]]*(?:(?:->|\.)\w+(?:\(\))?)*\s*[<>]=?\s*&")
-SEQ_WRITE_RE = re.compile(r"\.\s*Write\s*\(")
+PUBLISH_STORE_RE = re.compile(
+    r"\bpublished_\w*\s*\.\s*(store|exchange|fetch_\w+|compare_exchange_\w+)\s*\(")
 SYNC_ANNOUNCE_RE = re.compile(r"SyncOp::(k\w+)")
 HOT_PATH_TOKEN = "OPTSCHED_HOT_PATH"
 
@@ -452,19 +454,19 @@ def rule_dual_lock_rank(ctx):
                 break
 
 
-def rule_seqlock_write_context(ctx):
+def rule_load_publish_context(ctx):
     for idx, line in enumerate(ctx.stripped):
-        if not SEQ_WRITE_RE.search(line):
+        if not PUBLISH_STORE_RE.search(line):
             continue
         func = ctx.line_funcs[idx]
         if func is None:
-            ctx.report(idx, "seqlock-write-context",
-                       "Seqlock Write() outside any function body")
+            ctx.report(idx, "load-publish-context",
+                       "published-load store outside any function body")
             continue
         if "OPTSCHED_REQUIRES" in func.header or func.name.endswith("Locked"):
             continue
-        ctx.report(idx, "seqlock-write-context",
-                   f"Seqlock Write() from '{func.name}', which is neither "
+        ctx.report(idx, "load-publish-context",
+                   f"published-load store from '{func.name}', which is neither "
                    "OPTSCHED_REQUIRES-annotated nor *Locked -- writers must "
                    "hold the owning queue's lock")
 
@@ -543,8 +545,8 @@ def lint_file(path, rel, root, valid_ops, ignore_scopes=False):
         rule_atomic_memory_order(ctx)
     if in_scope("dual-lock-rank"):
         rule_dual_lock_rank(ctx)
-    if in_scope("seqlock-write-context"):
-        rule_seqlock_write_context(ctx)
+    if in_scope("load-publish-context"):
+        rule_load_publish_context(ctx)
     if in_scope("mc-hook-coverage"):
         rule_mc_hook_coverage(ctx, valid_ops)
     if in_scope("hot-path-alloc"):
