@@ -9,9 +9,13 @@
 // Reproduction (real threads): the work-stealing executor drains an
 // imbalanced work set with (a) the paper's lock-free selection over the
 // published loads and (b) a selection phase that locks every runqueue to get
-// an exact snapshot. We report wall time, throughput, selection-phase latency
-// percentiles and steal outcomes as worker count grows.
+// an exact snapshot. We report wall time and throughput (median and IQR over
+// repeated drains), selection-phase latency percentiles and steal outcomes
+// at worker counts up to the hardware threads minus one, so the caller's
+// thread never competes with a worker for a CPU.
 
+#include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <thread>
 
@@ -24,11 +28,20 @@ namespace {
 
 using bench::F;
 
+// Repetitions: a closed drain lasts a few milliseconds and one 100 ms open
+// window is short too, so single runs swing more between runs than between
+// the two modes.
+constexpr int kDrainRepeats = 11;
+constexpr int kWindowRepeats = 5;
+// One arrival per gap in the open window: 20k items per 100 ms, the load a
+// producer spinning 1500 iterations between submits offered while it shared
+// the CPUs with four workers.
+constexpr std::chrono::microseconds kArrivalGap{5};
+
 struct RunResult {
   double wall_ms = 0;
   double throughput = 0;
-  double sel_p50_ns = 0;
-  double sel_p99_ns = 0;
+  stats::LogHistogram selection_ns;
   uint64_t steals = 0;
   uint64_t failed_recheck = 0;
 };
@@ -46,34 +59,51 @@ RunResult RunOnce(uint32_t workers, bool locked_selection, uint64_t seed) {
   for (uint64_t i = 0; i < 3000; ++i) {
     items.push_back({.id = i, .work_units = 60, .weight = 1024});
   }
-  runtime::Executor* e = &executor;
-  e->Seed(0, items);
-  e->Seed(1, std::vector<runtime::WorkItem>(items.begin(), items.begin() + 200));
+  executor.Seed(0, items);
+  executor.Seed(1, std::vector<runtime::WorkItem>(items.begin(), items.begin() + 200));
 
   const auto report = executor.Run();
   RunResult out;
   out.wall_ms = static_cast<double>(report.wall_time_ns) / 1e6;
   out.throughput = report.throughput_items_per_ms();
-  stats::LogHistogram selection;
   for (const auto& w : report.workers) {
-    selection.Merge(w.selection_latency_ns);
+    out.selection_ns.Merge(w.selection_latency_ns);
     out.steals += w.steals.successes;
     out.failed_recheck += w.steals.failed_recheck;
   }
-  out.sel_p50_ns = selection.Percentile(0.5);
-  out.sel_p99_ns = selection.Percentile(0.99);
   return out;
 }
 
-// Median-of-3 to tame scheduling noise.
-RunResult RunMedian(uint32_t workers, bool locked_selection) {
-  RunResult results[3];
-  for (int i = 0; i < 3; ++i) {
-    results[i] = RunOnce(workers, locked_selection, 100 + i);
+// Keeps every hardware thread busy for `seconds`. On a virtual machine whose
+// CPUs sat idle, threads started right away lose much of their first second
+// to stalls, which made a run's first rows read several times slower than
+// the rest.
+void WarmUpCpus(uint32_t threads, double seconds) {
+  const auto until = std::chrono::steady_clock::now() + std::chrono::duration<double>(seconds);
+  const auto spin = [until] {
+    while (std::chrono::steady_clock::now() < until) {
+    }
+  };
+  std::vector<std::thread> spinners;
+  for (uint32_t i = 1; i < threads; ++i) {
+    spinners.emplace_back(spin);
   }
-  std::sort(std::begin(results), std::end(results),
-            [](const RunResult& a, const RunResult& b) { return a.wall_ms < b.wall_ms; });
-  return results[1];
+  spin();
+  for (std::thread& t : spinners) {
+    t.join();
+  }
+}
+
+// The q-quantile of `values` (nearest rank on a sorted copy).
+double Quantile(std::vector<double> values, double q) {
+  std::sort(values.begin(), values.end());
+  return values[static_cast<size_t>(q * static_cast<double>(values.size() - 1) + 0.5)];
+}
+
+// "median [q1, q3]"
+std::string MedianIqr(const std::vector<double>& values, const char* fmt) {
+  return F(fmt, Quantile(values, 0.5)) + " [" + F(fmt, Quantile(values, 0.25)) + ", " +
+         F(fmt, Quantile(values, 0.75)) + "]";
 }
 
 }  // namespace
@@ -83,61 +113,99 @@ int main() {
   using namespace optsched;
   bench::Section("E5: lock-free vs locked selection phase, real threads");
   const uint32_t hw = std::max(2u, std::thread::hardware_concurrency());
-  std::vector<uint32_t> worker_counts{2, 4};
-  if (hw >= 8) {
-    worker_counts.push_back(8);
+  const uint32_t max_workers = std::max(2u, hw - 1);
+  WarmUpCpus(hw, 1.0);
+  std::vector<uint32_t> worker_counts;
+  for (uint32_t workers : {2u, 4u, 8u, 16u}) {
+    if (workers <= max_workers) {
+      worker_counts.push_back(workers);
+    }
   }
-  if (hw >= 16) {
-    worker_counts.push_back(16);
+  if (worker_counts.back() != max_workers) {
+    worker_counts.push_back(max_workers);
   }
 
   std::vector<std::vector<std::string>> rows;
   for (uint32_t workers : worker_counts) {
     for (const bool locked : {false, true}) {
-      const auto r = RunMedian(workers, locked);
+      std::vector<double> wall_ms;
+      std::vector<double> throughput;
+      std::vector<double> steals;
+      std::vector<double> failed_recheck;
+      stats::LogHistogram selection_ns;
+      for (int i = 0; i < kDrainRepeats; ++i) {
+        const RunResult r = RunOnce(workers, locked, 100 + i);
+        wall_ms.push_back(r.wall_ms);
+        throughput.push_back(r.throughput);
+        steals.push_back(static_cast<double>(r.steals));
+        failed_recheck.push_back(static_cast<double>(r.failed_recheck));
+        selection_ns.Merge(r.selection_ns);
+      }
       rows.push_back({F("%u", workers), locked ? "locked-all-queues" : "lock-free",
-                      F("%.1f", r.wall_ms), F("%.0f", r.throughput), F("%.0f", r.sel_p50_ns),
-                      F("%.0f", r.sel_p99_ns),
-                      F("%llu", static_cast<unsigned long long>(r.steals)),
-                      F("%llu", static_cast<unsigned long long>(r.failed_recheck))});
+                      MedianIqr(wall_ms, "%.2f"), MedianIqr(throughput, "%.0f"),
+                      F("%.0f", selection_ns.Percentile(0.5)),
+                      F("%.0f", selection_ns.Percentile(0.99)),
+                      F("%.0f", Quantile(steals, 0.5)), F("%.0f", Quantile(failed_recheck, 0.5))});
     }
   }
-  bench::PrintTable({"workers", "selection", "wall_ms", "items/ms", "sel_p50_ns", "sel_p99_ns",
-                     "steals", "failed_recheck"},
+  bench::PrintTable({"workers", "selection", "wall_ms [IQR]", "items/ms [IQR]", "sel_p50_ns",
+                     "sel_p99_ns", "steals", "failed_recheck"},
                     rows);
-  bench::Section("E5b: open system — sustained arrivals on one queue, 100ms window");
+  bench::Note(F("(%d drains per row: median and interquartile range; selection percentiles over "
+                "every attempt of the row; steals and failed re-checks are per-drain medians)",
+                kDrainRepeats));
+
+  // The producer takes the CPU the closed drains leave to the caller.
+  bench::Section(F("E5b: open system — arrivals every %lld us on one queue, 100ms window, %u "
+                   "workers",
+                   static_cast<long long>(kArrivalGap.count()), max_workers));
   {
     std::vector<std::vector<std::string>> rows;
     for (const bool locked : {false, true}) {
-      runtime::ExecutorConfig config;
-      config.num_workers = std::min(4u, hw * 2);
-      config.locked_selection = locked;
-      config.spin_per_unit = 60;
-      runtime::Executor executor(policies::MakeThreadCount(), config);
-      const auto producer = [](runtime::Executor& e) {
-        uint64_t id = 0;
-        while (!e.stopped()) {
-          e.Submit(0, {.id = id++, .work_units = 60, .weight = 1024});
-          for (volatile int spin = 0; spin < 1500; ++spin) {
+      std::vector<double> submitted;
+      std::vector<double> executed;
+      std::vector<double> left;
+      std::vector<double> steals;
+      for (int i = 0; i < kWindowRepeats; ++i) {
+        runtime::ExecutorConfig config;
+        config.num_workers = max_workers;
+        config.locked_selection = locked;
+        config.spin_per_unit = 60;
+        config.seed = 200 + i;
+        runtime::Executor executor(policies::MakeThreadCount(), config);
+        // Paced arrivals, so the offered load does not depend on how much
+        // CPU the producer gets beside the workers.
+        const auto producer = [](runtime::Executor& e) {
+          uint64_t id = 0;
+          auto next = std::chrono::steady_clock::now();
+          while (!e.stopped()) {
+            if (std::chrono::steady_clock::now() >= next) {
+              e.Submit(0, {.id = id++, .work_units = 60, .weight = 1024});
+              next += kArrivalGap;
+            }
           }
+        };
+        const auto report = executor.RunFor(100, producer);
+        uint64_t ran = 0;
+        for (const auto& w : report.workers) {
+          ran += w.items_executed;
         }
-      };
-      const auto report = executor.RunFor(100, producer);
-      uint64_t executed = 0;
-      for (const auto& w : report.workers) {
-        executed += w.items_executed;
+        submitted.push_back(static_cast<double>(report.total_items));
+        executed.push_back(static_cast<double>(ran));
+        left.push_back(static_cast<double>(report.items_left_unexecuted));
+        steals.push_back(static_cast<double>(report.Totals().steals.successes));
       }
       rows.push_back({locked ? "locked-all-queues" : "lock-free",
-                      F("%llu", static_cast<unsigned long long>(report.total_items)),
-                      F("%llu", static_cast<unsigned long long>(executed)),
-                      F("%llu", static_cast<unsigned long long>(report.items_left_unexecuted)),
-                      F("%llu", static_cast<unsigned long long>(report.Totals().steals.successes))});
+                      F("%.0f", Quantile(submitted, 0.5)), F("%.0f", Quantile(executed, 0.5)),
+                      MedianIqr(left, "%.0f"), F("%.0f", Quantile(steals, 0.5))});
     }
-    bench::PrintTable({"selection", "submitted", "executed", "left at deadline", "steals"},
+    bench::PrintTable({"selection", "submitted", "executed", "left at deadline [IQR]", "steals"},
                       rows);
+    bench::Note(F("(%d windows per row: medians, and the interquartile range of left items)",
+                  kWindowRepeats));
   }
 
-  bench::Note(F("\n(host has %u hardware threads)", hw));
+  bench::Note(F("\n(host has %u hardware threads; workers capped at %u)", hw, max_workers));
   bench::Note("Expected shape (paper): lock-free selection keeps the selection phase cheap\n"
               "and non-intrusive; locking every runqueue inflates selection latency and, as\n"
               "core count grows, stalls owners and hurts drain time. Failed re-checks are\n"

@@ -99,7 +99,7 @@ int64_t StealHarness::InitialPotential() const {
 
 // "forkjoin" mode's task runner: the real src/task join protocol, spawning
 // through the executor's own SubmitFromWorker (count, owner push, notify) and
-// ending each body with its run-next handoff (HandOffFromWorker).
+// ending each body with its spawn-segment handoff (HandOffFromWorker).
 // The harness adds only its notes, and tracks which workers are inside a
 // body for no-worker-blocks-on-join.
 class StealHarness::Tasks final : public runtime::TaskRunner, public task::SpawnSink {
@@ -133,7 +133,7 @@ class StealHarness::Tasks final : public runtime::TaskRunner, public task::Spawn
   bool in_body(uint32_t worker) const { return in_body_[worker]; }
 
  private:
-  // The handed item counts as spawned like the pushed ones (no-lost-spawns).
+  // Kept items count as spawned like the pushed ones (no-lost-spawns).
   static void NoteSpawns(uint32_t worker, const WorkItem* items, uint32_t count) {
     for (uint32_t i = 0; i < count; ++i) {
       ActiveScheduler()->Note(kUserTaskSpawn, static_cast<int64_t>(items[i].id), worker);
@@ -349,9 +349,9 @@ void StealHarness::ProducerBody() {
   executor_->Stop();
 }
 
-void StealHarness::OnExecuted(uint32_t /*worker*/, uint64_t item_id) {
+void StealHarness::OnExecuted(uint32_t /*worker*/, uint64_t item_id, uint32_t kept) {
   ++executed_;
-  ActiveScheduler()->Note(kUserExecuteItem, static_cast<int64_t>(item_id));
+  ActiveScheduler()->Note(kUserExecuteItem, static_cast<int64_t>(item_id), kept);
 }
 
 void StealHarness::OnQuiescent(uint32_t /*worker*/,
@@ -473,6 +473,9 @@ std::vector<PropertyReport> StealHarness::Evaluate(const ExecutionResult& result
         break;
       case PropertySet::kJoin:
         JoinProperties(eval);
+        break;
+      case PropertySet::kIdleness:
+        IdlenessProperties(eval);
         break;
     }
     // Nothing past a failed termination is judged.
@@ -762,6 +765,56 @@ void StealHarness::JoinProperties(Evaluation& eval) {
                : StrFormat("%llu items migrated vs W*(depth+2)*fanout = %llu",
                            static_cast<unsigned long long>(items_moved),
                            static_cast<unsigned long long>(bound)));
+}
+
+void StealHarness::IdlenessProperties(Evaluation& eval) {
+  // --- bounded-idleness: a busy worker's private spawns keep a parked
+  // sibling waiting for at most one of its items. Worker A parks only after
+  // announcing itself idle, so the item boundary that worker B passes after
+  // its next full item peeks at a non-zero idle count: B publishes its spawn
+  // segment there or has nothing left to keep. A boundary that raced A's
+  // announcement gets that one item of grace, which is why A must have
+  // parked before B's previous boundary (or before B started).
+  const std::vector<McEvent>& events = eval.result.events;
+  constexpr int64_t kNone = -1;
+  // Per worker: the index of its park note while it stays parked, and of
+  // its latest item boundary (its first event until it has one). The event
+  // a worker records right after its park note announces the block itself
+  // (events are announced before they run), so only a later one ends the
+  // park.
+  std::vector<int64_t> parked_at(num_workers(), kNone);
+  std::vector<bool> blocking(num_workers(), false);
+  std::vector<int64_t> boundary_at(num_workers(), kNone);
+  for (size_t i = 0; i < events.size(); ++i) {
+    const McEvent& event = events[i];
+    const uint32_t b = event.thread;
+    if (b >= num_workers()) {
+      continue;
+    }
+    if (event.user_kind == kUserExecuteItem && event.arg1 > 0) {
+      for (uint32_t a = 0; a < num_workers(); ++a) {
+        if (a != b && parked_at[a] != kNone && parked_at[a] < boundary_at[b]) {
+          eval.Add("bounded-idleness", false,
+                   StrFormat("worker %u kept %lld spawns private through a whole item while "
+                             "worker %u stayed parked",
+                             b, static_cast<long long>(event.arg1), a));
+          return;
+        }
+      }
+    }
+    if (event.user_kind == kUserPark) {
+      parked_at[b] = static_cast<int64_t>(i);
+      blocking[b] = true;
+    } else if (blocking[b]) {
+      blocking[b] = false;
+    } else {
+      parked_at[b] = kNone;
+    }
+    if (boundary_at[b] == kNone || event.user_kind == kUserExecuteItem) {
+      boundary_at[b] = static_cast<int64_t>(i);
+    }
+  }
+  eval.Add("bounded-idleness", true);
 }
 
 }  // namespace optsched::mc

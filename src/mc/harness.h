@@ -21,12 +21,14 @@
 //     `fanout` children per internal node) seeded on queue 0 and run through
 //     the real src/task graph, a closed run. The join decrement is a
 //     decision point (kTaskJoinDec), so the checker drives every
-//     last-arriver race.
+//     last-arriver race. Each body's final flush stays in its worker's
+//     private spawn segment, so the idle peek that publishes it (kIdleLoad)
+//     is a decision point too.
 // In the owner modes attempts_per_worker bounds each worker's steal rounds
 // (later rounds are fruitless, as a straggler's are).
 //
 // Properties come in sets, one per protocol (wakeup, termination, steal,
-// steal bounds, join): PropertySet in src/mc/modes.h lists each set, and
+// steal bounds, join, idleness): PropertySet in src/mc/modes.h lists each set, and
 // docs/model_checking.md has the table per mode.
 
 #ifndef OPTSCHED_SRC_MC_HARNESS_H_
@@ -84,7 +86,7 @@ class StealHarness final : public runtime::WorkerProbe, public runtime::IngressS
   int64_t InitialPotential() const;
 
   // runtime::WorkerProbe: the shipped loop's checker seams.
-  void OnExecuted(uint32_t worker, uint64_t item_id) override;
+  void OnExecuted(uint32_t worker, uint64_t item_id, uint32_t kept) override;
   void OnQuiescent(uint32_t worker, const runtime::TerminationCounts::Sums& sums) override;
   void OnSteal(uint32_t worker, const runtime::StealCounters& before,
                const runtime::StealCounters& after, CpuId victim,
@@ -108,6 +110,7 @@ class StealHarness final : public runtime::WorkerProbe, public runtime::IngressS
   void StealProperties(Evaluation& eval);
   void StealBoundProperties(Evaluation& eval);
   void JoinProperties(Evaluation& eval);
+  void IdlenessProperties(Evaluation& eval);
 
   void BalanceBody(uint32_t worker);
   // "ingress" mode's worker 0.

@@ -24,7 +24,7 @@ const HarnessMode kForkJoin{.name = "forkjoin",
                             .closed_run = true,
                             .spawn_tree = true,
                             .conservation = "no-lost-spawns",
-                            .properties = {kTermination, kSteal, kJoin}};
+                            .properties = {kTermination, kSteal, kJoin, kIdleness}};
 
 const HarnessMode* const kModes[] = {&kBalance, &kDrain, &kIngress, &kForkJoin};
 
@@ -41,6 +41,9 @@ const SeededFault kFaults[] = {
     {"broken_node_recycle", &kForkJoin, std::nullopt, "join-fires-exactly-once",
      "a non-last child frees the continuation, whose reuse strands its join",
      [](FaultSeams& s) { s.task.broken_node_recycle = true; }},
+    {"broken_lazy_publish", &kForkJoin, std::nullopt, "bounded-idleness",
+     "a busy owner never peeks at the idle count, so its spawn segment stays private",
+     [](FaultSeams& s) { s.checker.broken_lazy_publish = true; }},
     {"broken_termination_order", &kForkJoin, std::nullopt, "no-premature-exit",
      "the quiescence sum reads the submitted counts before the executed ones",
      [](FaultSeams& s) { s.checker.broken_termination_order = true; }},

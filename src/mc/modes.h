@@ -28,6 +28,7 @@ enum class PropertySet {
   kStealBounds,  // bounded-steals (§4.3), failure-causality (§4.2, locked)
   kJoin,         // join-fires-exactly-once, no-worker-blocks-on-join,
                  // bounded-steals-on-tree
+  kIdleness,     // bounded-idleness
 };
 
 struct HarnessMode {

@@ -86,7 +86,9 @@ enum UserEventKind : uint32_t {
   kUserStealFailRecheck = 3,  // arg0 = victim
   kUserStealFailNoTask = 4,   // arg0 = victim
   kUserStealEmptyFilter = 5,
-  kUserExecuteItem = 6,  // arg0 = item id (executed count bumped: the body finished)
+  // arg0 = item id (executed count bumped: the body finished), arg1 = items
+  // the worker's private spawn segment keeps after this item boundary.
+  kUserExecuteItem = 6,
   kUserPark = 7,         // worker blocks in its park; arg0 = 1 inside a task body
   // 8-9 are retired.
   // Batch facts of the immediately preceding kUserStealOk (same thread):

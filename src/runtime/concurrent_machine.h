@@ -109,8 +109,8 @@ class ConcurrentRunQueue {
   // it anyway. kChaseLev runs the two calls back to back.
   std::optional<WorkItem> FinishCurrentAndPop() OPTSCHED_EXCLUDES(lock_);
   // Finishes the current item and makes `next`, which the owner holds and
-  // this queue never held, the running item: the run-next handoff
-  // (Executor::HandOffFromWorker). The task count stays as it is, since one
+  // this queue never held, the running item: the top of the executor's
+  // private spawn segment (Executor::HandOffFromWorker). The task count stays as it is, since one
   // running item replaces another. kLocked moves the running weight in one
   // lock hold and one publish. kChaseLev stores own_enq_weight before
   // fin_weight, so the weighted load only over-counts in between, and stores

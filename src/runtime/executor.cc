@@ -147,9 +147,10 @@ Executor::Executor(std::shared_ptr<const BalancePolicy> policy, const ExecutorCo
                               .deque_capacity = config.chase_lev_capacity,
                               .broken_steal_order = seams.broken_steal_order}),
       counts_(seams.broken_termination_order),
-      run_next_(std::make_unique<RunNextSlot[]>(config.num_workers)),
+      segments_(std::make_unique<SpawnSegment[]>(config.num_workers)),
       probe_(seams.probe),
-      broken_wakeup_gate_(seams.broken_wakeup_gate) {
+      broken_wakeup_gate_(seams.broken_wakeup_gate),
+      broken_lazy_publish_(seams.broken_lazy_publish) {
   OPTSCHED_CHECK(policy_ != nullptr);
   OPTSCHED_CHECK(config_.num_workers > 0);
   OPTSCHED_CHECK(config_.max_backoff_spins >= 1);
@@ -232,27 +233,35 @@ OPTSCHED_HOT_PATH void Executor::SubmitFromWorker(uint32_t worker, const WorkIte
   wakeup_.Notify();
 }
 
-// SubmitFromWorker for a body's final flush, minus the work the last item
-// does not need: it stays on this worker, so it is neither pushed nor popped
-// and wakes nobody. Its count is stored now, while the parent item still
-// runs, so the parent's executed bump covers it exactly as it covers a
-// pushed child. Only the pushed items are notified, after their push.
+// SubmitFromWorker for a body's final flush, minus the publication: the
+// batch stays in this worker's private segment, so it is neither pushed nor
+// popped and wakes nobody until the loop publishes it. Its count is stored
+// now, while the parent item still runs, so the parent's executed bump
+// covers it exactly as it covers a pushed child.
 OPTSCHED_HOT_PATH void Executor::HandOffFromWorker(uint32_t worker, const WorkItem* items,
                                                    uint32_t count) {
   OPTSCHED_CHECK(worker < machine_.num_queues());
+  OPTSCHED_CHECK(count <= kSpawnSegmentCapacity / 2);
   if (count == 0) {
     return;
   }
-  RunNextSlot& slot = run_next_[worker];
-  OPTSCHED_CHECK_MSG(!slot.full, "one run-next handoff per item");
-  ConcurrentRunQueue& own = machine_.queue(worker);
-  TerminationCounts::AddSubmitted(own.counts(), count);
-  if (count > 1) {
-    own.PushBatchOwner(items, count - 1);
-    wakeup_.Notify();
+  TerminationCounts::AddSubmitted(machine_.queue(worker).counts(), count);
+  SpawnSegment& segment = segments_[worker];
+  if (segment.depth + count > kSpawnSegmentCapacity) {
+    // Overflow: the oldest half spills, leaving room for any flush.
+    PublishOldest(worker, segment, segment.depth / 2);
   }
-  slot.item = items[count - 1];
-  slot.full = true;
+  std::copy(items, items + count, segment.items + segment.depth);
+  segment.depth += count;
+}
+
+OPTSCHED_HOT_PATH void Executor::PublishOldest(uint32_t worker, SpawnSegment& segment,
+                                               uint32_t count) {
+  machine_.queue(worker).PushBatchOwner(segment.items, count);
+  segment.depth -= count;
+  std::copy(segment.items + count, segment.items + count + segment.depth, segment.items);
+  // One notify per publication, after the push (see Submit).
+  wakeup_.Notify();
 }
 
 void Executor::NotifyIngress(uint32_t /*worker*/) {
@@ -302,6 +311,7 @@ OPTSCHED_HOT_PATH void Executor::WorkerMain(uint32_t worker_index, WorkerStats& 
   fault::FaultInjector* injector = injector_.get();
   IngressSource* ingress = config_.ingress;
   TaskRunner* task_runner = config_.task_runner;
+  SpawnSegment& segment = segments_[worker_index];
   uint32_t fruitless = 0;
   uint64_t backoff_spins = 0;  // current window; 0 = not backing off
   // Locally executed items since the last mailbox drain (sustained-load
@@ -364,11 +374,11 @@ OPTSCHED_HOT_PATH void Executor::WorkerMain(uint32_t worker_index, WorkerStats& 
   };
 
   // The item this worker runs, carried between iterations: popped at the
-  // loop top, or handed over by the previous item's fused finish+pop or by
-  // its body's run-next handoff, or landed by a steal. It is already the
-  // queue's running item, so the loop never exits, parks or crashes while
-  // holding one — a carried item runs to completion even past a RunFor
-  // deadline.
+  // loop top, or handed over by the previous item's fused finish+pop or
+  // taken from the top of its spawn segment, or landed by a steal. It is
+  // already the queue's running item, so the loop never exits, parks or
+  // crashes while holding one — a carried item runs to completion even past
+  // a RunFor deadline.
   std::optional<WorkItem> item;
   uint64_t wakeup_before = 0;
   while (item.has_value() || keep_running()) {
@@ -393,23 +403,19 @@ OPTSCHED_HOT_PATH void Executor::WorkerMain(uint32_t worker_index, WorkerStats& 
     if (item.has_value()) {
       // Got an item: no longer idle, so wakers stop bumping on our account.
       retract();
-      // The run-next slot, when the body left an item in it.
-      RunNextSlot* handed = nullptr;
+      // Whether the body left items in the spawn segment. Flat items never
+      // hand off, so their path never reads the segment.
+      bool kept = false;
       if (item->task != 0) {
         // Structured-parallelism item: the task layer runs the body and
         // flushes any spawned children back through SubmitFromWorker or
         // HandOffFromWorker before returning — all while this item still
         // counts as running, so the counter ordering note in
-        // SubmitFromWorker holds. The slot is read only here: flat items
-        // never hand off, so their path pays nothing for it.
+        // SubmitFromWorker holds.
         OPTSCHED_CHECK_MSG(task_runner != nullptr,
                            "task item submitted without a task_runner configured");
         task_runner->RunItem(*item, *this, worker_index);
-        RunNextSlot& slot = run_next_[worker_index];
-        if (slot.full) {
-          slot.full = false;
-          handed = &slot;
-        }
+        kept = segment.depth > 0;
       } else {
         DoWork(item->work_units, config_.spin_per_unit);
       }
@@ -425,23 +431,30 @@ OPTSCHED_HOT_PATH void Executor::WorkerMain(uint32_t worker_index, WorkerStats& 
       // sample is taken here: this worker is not announced, so it cannot
       // park before passing the loop top again.
       // Nothing more is popped by a worker about to crash or past a RunFor
-      // deadline, and a handed item goes back on the own queue, counted
+      // deadline, and its whole spawn segment goes on the own queue, counted
       // since its handoff, where the restarted worker, a thief or the next
       // run finds it. A closed run needs no deadline check here: a queued
       // item is submitted but not executed, so the run cannot read as
-      // drained. Otherwise the handed item takes over the running slot.
+      // drained. Otherwise the segment's newest item takes over the running
+      // slot. Only a worker with more than that one item asks whether a
+      // sibling is idle.
       const bool crashing = injector != nullptr && injector->CrashWorker(worker_index);
       const uint64_t ran_id = item->id;
       if (crashing || (deadline_mode_ && stop_.load(std::memory_order_acquire))) {
-        if (handed != nullptr) {
-          own.PushBatchOwner(&handed->item, 1);
-          wakeup_.Notify();
+        if (kept) {
+          PublishOldest(worker_index, segment, segment.depth);
         }
         own.FinishCurrent();
         item.reset();
-      } else if (handed != nullptr) {
-        own.FinishCurrentAndRun(handed->item);
-        item = handed->item;
+      } else if (kept) {
+        // A sibling that announced itself idle may be waiting for exactly
+        // the items no snapshot shows: publish all but the one run next.
+        if (segment.depth > 1 && !broken_lazy_publish_ && wakeup_.AnyIdle()) {
+          PublishOldest(worker_index, segment, segment.depth - 1);
+        }
+        const WorkItem& next = segment.items[--segment.depth];
+        own.FinishCurrentAndRun(next);
+        item = next;
       } else {
         item = own.FinishCurrentAndPop();
       }
@@ -449,7 +462,7 @@ OPTSCHED_HOT_PATH void Executor::WorkerMain(uint32_t worker_index, WorkerStats& 
       // counts this execution also covers the children it submitted.
       TerminationCounts::AddExecuted(own.counts(), 1);
       if (probe_ != nullptr) {
-        probe_->OnExecuted(worker_index, ran_id);
+        probe_->OnExecuted(worker_index, ran_id, segment.depth);
       }
       if (crashing) {
         crash();

@@ -27,6 +27,17 @@
 //    out of backoff into an immediate full-rate balancing attempt. The gate
 //    is the idle path's one wakeup protocol: new work and escalations end a
 //    park the same way.
+//
+// Publication on demand (docs/runtime.md, "Spawn segment"): a task body's
+// final flush stays in its worker's private spawn segment, counted as
+// submitted but in no queue, and the worker runs the newest item next. The
+// segment is published (one owner push, one notify) at an item boundary
+// where a relaxed peek of the gate's idle count reads non-zero, on a crash,
+// at a RunFor deadline, and in halves on overflow. So an idle thief may see
+// an owner at load 1 that holds k private items. The gap is bounded: once
+// an idle announcement is visible to the owner, the owner publishes or
+// empties its segment at its next item boundary, before it finishes one
+// more item (the checker's bounded-idleness property, forkjoin mode).
 
 #ifndef OPTSCHED_SRC_RUNTIME_EXECUTOR_H_
 #define OPTSCHED_SRC_RUNTIME_EXECUTOR_H_
@@ -66,10 +77,10 @@ class TaskRunner {
   // calibrated spin. Children spawned and join continuations fired while the
   // body runs must be submitted before this returns: through
   // Executor::SubmitFromWorker, or, for the body's final flush, through
-  // Executor::HandOffFromWorker, which keeps the flush's last item back as
-  // the one this worker runs next. A worker holds back at most that item,
-  // and never past the end of `item`: the loop runs it next, or pushes it
-  // back on a crash or a RunFor deadline.
+  // Executor::HandOffFromWorker, which keeps the flush in the worker's
+  // private spawn segment. The loop runs the segment's newest item next and
+  // publishes the rest once a sibling is idle, on a crash or at a RunFor
+  // deadline.
   virtual void RunItem(const WorkItem& item, Executor& executor, uint32_t worker) = 0;
 
   // Join continuations forked by `worker` that have not yet been submitted
@@ -148,8 +159,9 @@ class WorkerProbe {
  public:
   virtual ~WorkerProbe() = default;
 
-  // `worker` finished item `item_id` and bumped its executed count.
-  virtual void OnExecuted(uint32_t worker, uint64_t item_id) = 0;
+  // `worker` finished item `item_id` and bumped its executed count; `kept`
+  // items stay in its private spawn segment after this item boundary.
+  virtual void OnExecuted(uint32_t worker, uint64_t item_id, uint32_t kept) = 0;
   // `worker` read the quiescence sum as drained and leaves the loop.
   virtual void OnQuiescent(uint32_t worker, const TerminationCounts::Sums& sums) = 0;
   // One steal round of `worker`: its counters before and after, the victim
@@ -175,6 +187,9 @@ struct CheckerSeams {
   // The loop parks on the sample of the round in which it announced itself
   // idle instead of going round once more (wakeup_gate.h).
   bool broken_wakeup_gate = false;
+  // A busy worker never asks whether a sibling is idle, so its spawn segment
+  // is published only on overflow, a crash or a deadline.
+  bool broken_lazy_publish = false;
 };
 
 struct WorkerStats {
@@ -290,12 +305,18 @@ class Executor {
   // siblings come looking for the new work.
   void SubmitFromWorker(uint32_t worker, const WorkItem* items, uint32_t count);
 
-  // The run-next handoff: the final flush of the task body `worker` runs.
-  // Counts the whole batch as SubmitFromWorker does, pushes all but the last
-  // item (notifying only when it pushed any), and keeps the last item in the
-  // worker's run-next slot. The loop runs it next, in place of a pop, so it
-  // skips the push and pop, their fences and the wakeup notify. At most one
-  // call per item, from inside TaskRunner::RunItem on `worker`'s own thread.
+  // Items a worker's private spawn segment holds; 1 KiB of items per worker.
+  static constexpr uint32_t kSpawnSegmentCapacity = 32;
+
+  // The final flush of the task body `worker` runs. Counts the whole batch
+  // as SubmitFromWorker does and keeps it in the worker's private spawn
+  // segment, a LIFO stack no queue, thief or load snapshot sees. The loop
+  // runs the segment's newest item next, in place of a pop, so a kept item
+  // costs no push, no pop, no fence and no wakeup notify until a sibling is
+  // idle (see the header comment for when the segment is published). A
+  // flush that would overflow the segment first publishes its oldest half.
+  // From inside TaskRunner::RunItem on `worker`'s own thread, at most
+  // kSpawnSegmentCapacity / 2 items.
   void HandOffFromWorker(uint32_t worker, const WorkItem* items, uint32_t count);
 
   // True once the run deadline passed; producers should poll this and return.
@@ -387,16 +408,22 @@ class Executor {
   // through (regression: executor_wakeup_test). The gate is a cache line of
   // its own, apart from the fields every worker reads per item.
   WakeupGate wakeup_;
-  // One run-next slot per worker (HandOffFromWorker), written and read only
-  // by that worker's own thread. Empty whenever the worker is between items.
-  struct alignas(kCacheLineSize) RunNextSlot {
-    WorkItem item;
-    bool full = false;
+  // One private spawn segment per worker (HandOffFromWorker), written and
+  // read only by that worker's own thread: items[0] is the oldest. Its items
+  // are counted as submitted but sit in no queue, so it is empty whenever
+  // the worker is between items.
+  struct alignas(kCacheLineSize) SpawnSegment {
+    WorkItem items[kSpawnSegmentCapacity];
+    uint32_t depth = 0;
   };
-  std::unique_ptr<RunNextSlot[]> run_next_;
+  // Pushes the `count` oldest items of `worker`'s segment onto its own queue
+  // and notifies the wakeup gate once. They were counted when they entered.
+  void PublishOldest(uint32_t worker, SpawnSegment& segment, uint32_t count);
+  std::unique_ptr<SpawnSegment[]> segments_;
   // Checker seams; null and false in every executor-built run.
   WorkerProbe* const probe_;
   const bool broken_wakeup_gate_;
+  const bool broken_lazy_publish_;
   bool deadline_mode_ = false;
   // Wall-clock origin of the current run; trace timestamps are relative μs.
   uint64_t run_start_ns_ = 0;

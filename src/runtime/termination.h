@@ -60,8 +60,9 @@ class TerminationCounts {
   }
 
   // Owner of `slot` only, BEFORE the items become poppable (the push that
-  // follows publishes the store along with the items) and, for an item
-  // handed to run next, before the running item's AddExecuted.
+  // follows publishes the store along with the items) and, for items kept
+  // in the executor's private spawn segment, before the running item's
+  // AddExecuted.
   static void AddSubmitted(WorkerCounts& slot, uint64_t n) {
     mc_hooks::SyncPoint(mc_hooks::SyncOp::kCountStore, &slot.submitted_items);
     // order: single-writer-count

@@ -22,6 +22,11 @@
 // item. Parking on the announcing round's own sample instead reopens the
 // lost-wakeup window (the model checker's seeded `broken_wakeup_gate`
 // fault, CheckerSeams in executor.h).
+//
+// A busy worker that keeps spawned items private also peeks at the idle
+// count (AnyIdle) at its item boundaries, so an announcement is what makes
+// the owner publish: the announcing worker's wait for work is bounded by one
+// of the owner's items (executor.h).
 
 #ifndef OPTSCHED_SRC_RUNTIME_WAKEUP_GATE_H_
 #define OPTSCHED_SRC_RUNTIME_WAKEUP_GATE_H_
@@ -73,6 +78,18 @@ class alignas(kCacheLineSize) WakeupGate {
     mc_hooks::SyncPoint(mc_hooks::SyncOp::kEpochBump, &epoch_);
     epoch_.fetch_add(1, std::memory_order_release);
     return true;
+  }
+
+  // --- Owner side --------------------------------------------------------------
+
+  // Whether some worker has announced itself idle: one relaxed load and no
+  // fence. A busy worker holding private spawns asks at its item boundaries
+  // and publishes them when this reads true (Executor::HandOffFromWorker).
+  // Nothing waits on the answer: a stale zero only defers the publication to
+  // a later boundary, and the publication itself notifies through Notify.
+  bool AnyIdle() const {
+    mc_hooks::SyncPoint(mc_hooks::SyncOp::kIdleLoad, &idle_);
+    return idle_.load(std::memory_order_relaxed) != 0;  // order: idle-peek
   }
 
   // --- Run boundaries and the checker ----------------------------------------

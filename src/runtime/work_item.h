@@ -9,7 +9,7 @@
 //
 // WorkItem is exactly 32 bytes, four words (static_asserted below), so every
 // item store (the locked ready ring, the chase_lev slots, the inbox, the
-// run-next slot, spawn batches, ingress mailboxes and callers' seed vectors)
+// spawn segments, spawn batches, ingress mailboxes and callers' seed vectors)
 // holds 8 bytes less per item than with a whole word for `work_units`:
 //   * `work_units` is a 32-bit bit-field of type uint64_t in the word it
 //     shares with `weight`. Its bound is 2^32 - 1 spin units; a larger value

@@ -17,8 +17,8 @@ using runtime::WorkItem;
 namespace {
 
 // The executor binding: spawn batches land on the worker's own deque through
-// the worker-context submit seam, and a body's final flush hands its last
-// item to the worker to run next.
+// the worker-context submit seam, and a body's final flush stays in the
+// worker's private spawn segment.
 class ExecutorSink final : public SpawnSink {
  public:
   explicit ExecutorSink(runtime::Executor& executor) : executor_(executor) {}
@@ -241,8 +241,8 @@ OPTSCHED_HOT_PATH void TaskGraph::RunItemOn(const WorkItem& item, uint32_t worke
   }
   // Flush strictly before returning: the worker is about to FinishCurrent
   // and look for more work, and held-back spawns would be invisible to
-  // thieves and to the termination count. The sink may keep the last item
-  // back for this worker to run next; it is counted all the same.
+  // thieves and to the termination count. The sink may keep the flush in
+  // this worker's private spawn segment; it is counted all the same.
   ctx.FlushFinal();
 }
 

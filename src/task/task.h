@@ -24,12 +24,13 @@
 //     allocations — spawns append to a small worker-local batch that flushes
 //     through Executor::SubmitFromWorker onto the owner's deque-bottom push
 //     path (rule hot-path-alloc; audited by bench_e16).
-//   * The flush that ends a body hands its last item — the last child a
-//     fork spawned, or the continuation a join just fired — to the same
-//     worker to run next (Executor::HandOffFromWorker). Only the items
-//     before it are pushed, and a flush of one item pushes nothing and wakes
-//     nobody, so a leaf's fired continuation and a fork's last child skip
-//     the deque push, its pop and their fences.
+//   * The flush that ends a body — a fork's children, or the continuation a
+//     join just fired — stays in the worker's private spawn segment
+//     (Executor::HandOffFromWorker), and the worker runs its newest item
+//     next: the last child spawned, or the fired continuation. Kept items
+//     skip the deque push, its pop and their fences until a sibling is idle
+//     and the worker publishes them, so while every worker is busy a
+//     fork-join run touches no deque at all.
 //   * The graph implements runtime::TaskRunner, so the executor dispatches
 //     items with WorkItem::task != 0 here instead of the calibrated spin,
 //     and the conservation watchdog counts forked-but-unfired continuations
@@ -101,10 +102,10 @@ static_assert(std::is_trivially_destructible_v<TaskNode>,
 
 // Where a flushed spawn batch lands. The executor binding routes to
 // Executor::SubmitFromWorker, and a body's final flush to
-// Executor::HandOffFromWorker; the mc harness does the same through its own
-// sink, adding its notes, and the allocation audit drives ConcurrentMachine
-// directly, so the whole fork/join/spawn path runs unmodified under the
-// model checker.
+// Executor::HandOffFromWorker (the private spawn segment); the mc harness
+// does the same through its own sink, adding its notes, and the allocation
+// audit drives ConcurrentMachine directly, so the whole fork/join/spawn path
+// runs unmodified under the model checker.
 class SpawnSink {
  public:
   virtual ~SpawnSink() = default;
@@ -114,7 +115,7 @@ class SpawnSink {
                            uint32_t count) = 0;
 
   // The flush that ends a body (RunItemOn's last). The executor binding
-  // hands the last item to `worker` to run next (Executor::
+  // keeps it in `worker`'s private spawn segment (Executor::
   // HandOffFromWorker); every other sink takes it as one more SubmitBatch.
   virtual void SubmitFinalBatch(uint32_t worker, const runtime::WorkItem* items,
                                 uint32_t count) {
@@ -143,10 +144,12 @@ struct TaskGraphOptions {
   uint32_t max_workers = 4;
   // Nodes preallocated per graph. Nodes are reused as tasks finish, so the
   // arena must hold the nodes live at once plus the free-list slack (up to
-  // 32 per worker, handed out in 16-node chunks): O(W * depth) on chase_lev,
-  // but a breadth-first share of the tree on the locked backend, whose owner
-  // pops its oldest item. Exhaustion is a loud CHECK, never a silent
-  // fallback allocation (docs/tasks.md#sizing).
+  // 32 per worker, handed out in 16-node chunks). Workers run their spawn
+  // segments newest first, so that is O(W * depth) on both backends while
+  // few workers idle (fib(36, 12) on 3 workers: 96-112 nodes on chase_lev,
+  // 128-144 on locked), but published items run oldest first on the locked
+  // backend. Exhaustion is a loud CHECK, never a silent fallback allocation
+  // (docs/tasks.md#sizing).
   uint32_t arena_capacity = 1u << 14;
   // Fault knob (mc `forkjoin` harness): replace the atomic join decrement
   // with a plain load/store pair. Two last-arriving children can then read
@@ -291,7 +294,7 @@ class TaskGraph : public runtime::TaskRunner {
 // by RunItemOn; holds the worker-local spawn batch (flushed to the sink at
 // the latest when the body's item finishes, the final flush through
 // SpawnSink::SubmitFinalBatch, so a worker never exits an item holding back
-// runnable work other than the one item it runs next).
+// runnable work outside its spawn segment).
 class TaskContext {
  public:
   // Spawns per sink flush: one SubmitFromWorker (count bump + owner pushes +

@@ -364,7 +364,11 @@ TEST(DfsExplorerTest, IngressScheduleRoundTripsThroughJson) {
 // this (the DFS used to need bound 3 for the 2-preemption termination-order
 // golden). The broken-cansteal ping-pong golden is left out: it replays with
 // one preemption and the DFS still needs bound 3 (see
-// BrokenPolicyProducesMinimizedReplayableCounterexample).
+// BrokenPolicyProducesMinimizedReplayableCounterexample). So is the
+// lazy-publish golden: minimized, it lets worker 1 park before worker 0
+// starts, which costs no preemption, but worker 0 then sleeps at its
+// kThreadStart behind a free switch, and the DFS needs bound 1 (see
+// BrokenLazyPublishIsCaughtOnlyByBoundedIdleness).
 TEST(DfsExplorerTest, FindsEverySeededFaultWithinItsGoldensPreemptions) {
   MC_SKIP_UNDER_TSAN();
   for (const char* name :

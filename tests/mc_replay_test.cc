@@ -314,6 +314,31 @@ TEST(McForkJoinTerminationTest, BrokenTerminationOrderIsFoundAndMinimized) {
       Violates(harness, ReplayChoices(harness.Factory(), minimized), "no-premature-exit"));
 }
 
+TEST(McForkJoinIdlenessTest, BrokenLazyPublishIsCaughtOnlyByBoundedIdleness) {
+  MC_SKIP_UNDER_TSAN();
+  // The seeded publication fault: a busy owner never peeks at the idle
+  // count, so a sibling that parked while the owner ran the root waits
+  // through the owner's next item with the spawns it could run private. No
+  // item is lost, every join fires and the run ends, so only the idleness
+  // bound sees it. A depth-2 tree is the smallest whose owner still keeps a
+  // spawn one item after the sibling parked; one preemption suffices.
+  Schedule config;
+  config.harness = "forkjoin";
+  config.policy = "thread-count";
+  config.initial_loads = {0, 0};
+  config.attempts_per_worker = 2;
+  config.tree_depth = 2;
+  config.fanout = 2;
+  config.fault = "broken_lazy_publish";
+  const std::vector<uint32_t> minimized = FindAndMinimize(config, 1, "bounded-idleness");
+  ASSERT_FALSE(minimized.empty()) << "checker missed the lazy spawn-segment publication";
+  StealHarness harness(config);
+  const ExecutionResult result = ReplayChoices(harness.Factory(), minimized);
+  for (const PropertyReport& report : harness.Evaluate(result)) {
+    EXPECT_EQ(report.holds, report.name != "bounded-idleness") << report.name;
+  }
+}
+
 // Every committed counterexample, tests/golden/mc_*.json.
 std::vector<std::string> GoldenNames() {
   std::vector<std::string> names;

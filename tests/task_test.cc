@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <deque>
 #include <numeric>
@@ -313,19 +315,14 @@ uint64_t FibInternalNodes(uint64_t n, uint64_t cutoff) {
 
 TEST_P(TaskExecutorTest, FibRunsInAnArenaAFractionOfItsNodes) {
   // fib(36, cutoff 12) executes 3 * I(36) + 1 = 589,252 tasks on three
-  // workers. On chase_lev the owner pops its newest item, so the live nodes
-  // stay O(W * depth) and an arena sized for fib(30) — 32,836 nodes, 1/18 of
-  // the tasks — holds the run. DEVIATION: the locked backend pops its oldest
-  // item, so its live set is breadth-first. The run-next handoff runs each
-  // fork's second child and each fired continuation depth-first, which cut
-  // its high-water from 87k–121k nodes to 25k–79k (20 runs, 4-vCPU VM), but
-  // a single run can still pass the fib(30) arena, so it gets the full-tree
-  // arena, and the run must still be exact. Either way every worker's fork
-  // count must settle.
-  const bool lifo = GetParam() == runtime::QueueBackend::kChaseLev;
+  // workers in an arena sized for fib(30) — 32,836 nodes, 1/18 of the tasks.
+  // Each worker runs its spawn segment newest first, and only publishes to
+  // its queue while a sibling is idle, so the live nodes stay O(W * depth)
+  // on both backends even though the locked backend pops its oldest item:
+  // 96-112 nodes on chase_lev and 128-144 on locked (20 runs, 4-vCPU VM).
+  // Every worker's fork count must settle.
   const uint64_t tasks = 3 * FibInternalNodes(36, 12) + 1;
-  const uint32_t capacity =
-      static_cast<uint32_t>(lifo ? 3 * FibInternalNodes(30, 12) + 1 : tasks);
+  const uint32_t capacity = static_cast<uint32_t>(3 * FibInternalNodes(30, 12) + 1);
   TaskGraph graph(TaskGraphOptions{.max_workers = 3, .arena_capacity = capacity});
   runtime::Executor executor(policies::MakeThreadCount(), BaseConfig(GetParam(), graph, 3));
   uint64_t result = 0;
@@ -333,8 +330,8 @@ TEST_P(TaskExecutorTest, FibRunsInAnArenaAFractionOfItsNodes) {
   const runtime::ExecutorReport report = executor.Run();
   EXPECT_TRUE(graph.done());
   EXPECT_EQ(result, workload::FibSequential(36));
-  // A fork's second child and a fired continuation never enter a queue (the
-  // run-next handoff), yet each is submitted and executed exactly once.
+  // Kept items never enter a queue unless published, yet each is submitted
+  // and executed exactly once.
   uint64_t executed = 0;
   for (const runtime::WorkerStats& w : report.workers) {
     executed += w.items_executed;
@@ -342,10 +339,8 @@ TEST_P(TaskExecutorTest, FibRunsInAnArenaAFractionOfItsNodes) {
   EXPECT_EQ(report.total_items, tasks);
   EXPECT_EQ(executed, tasks);
   EXPECT_EQ(report.items_left_unexecuted, 0u);
-  if (lifo) {
-    EXPECT_EQ(capacity, 32836u);
-    EXPECT_GT(tasks, 17u * capacity);
-  }
+  EXPECT_EQ(capacity, 32836u);
+  EXPECT_GT(tasks, 17u * capacity);
   EXPECT_LE(graph.nodes_allocated(), capacity);
   for (uint32_t w = 0; w < 3; ++w) {
     EXPECT_EQ(graph.OutstandingFor(w), 0) << "worker " << w;
@@ -460,12 +455,7 @@ TEST_P(TaskExecutorTest, WatchdogCountsOutstandingContinuationsAsPending) {
   }
 }
 
-// A chain of `env[1]` links, each forking one child under a one-child
-// continuation; every body bumps the counter at env[0] and spins env[2]
-// iterations. Every body but the last ends with a flush of exactly one item
-// (the child, or the continuation its completion fired), so every body hands
-// its worker the item it runs next, nothing is ever pushed, and exactly one
-// item is outstanding at any time. 2 * links + 1 items in all.
+// Spins `iterations` times: a task body's stand-in for work.
 void SpinFor(uint64_t iterations) {
   volatile uint64_t sink = 0;
   for (uint64_t i = 0; i < iterations; ++i) {
@@ -473,49 +463,104 @@ void SpinFor(uint64_t iterations) {
   }
 }
 
-void ChainCont(TaskContext& /*ctx*/, TaskNode& self) {
-  *reinterpret_cast<uint64_t*>(self.env[0]) += 1;
+// A ladder of `levels` links: link k forks a leaf and link k - 1 under one
+// continuation and spawns the leaf first, so the link runs next and every
+// level leaves its leaf in the worker's spawn segment — a left-deep chain
+// whose kept items grow by one per level. Each body marks its own slot of a
+// hit table (link k: 3k, its leaf: 3k - 2, its continuation: 3k - 1) and
+// spins env[2] iterations; 3 * levels + 1 items in all. env[3], when set,
+// points at a LadderBottom that link 0 fills in.
+struct LadderBottom {
+  runtime::Executor* executor = nullptr;
+  int64_t queued = -1;  // items on link 0's own queue while it runs
+};
+
+void LadderHit(TaskNode& self) {
+  reinterpret_cast<std::atomic<uint32_t>*>(self.env[0])[self.env[1]].fetch_add(
+      1, std::memory_order_relaxed);
   SpinFor(self.env[2]);
 }
 
-void ChainLink(TaskContext& ctx, TaskNode& self) {
-  *reinterpret_cast<uint64_t*>(self.env[0]) += 1;
-  SpinFor(self.env[2]);
-  if (self.env[1] == 0) {
+void LadderLeaf(TaskContext& /*ctx*/, TaskNode& self) { LadderHit(self); }
+
+void LadderLink(TaskContext& ctx, TaskNode& self) {
+  LadderHit(self);
+  const uint64_t level = self.env[1] / 3;
+  if (level == 0) {
+    if (auto* bottom = reinterpret_cast<LadderBottom*>(self.env[3])) {
+      bottom->queued = bottom->executor->machine().queue(ctx.worker()).ExactLoad().task_count;
+    }
     return;
   }
-  TaskNode& cont = ctx.ForkN(ChainCont, 1);
-  cont.env[0] = self.env[0];
-  cont.env[2] = self.env[2];
-  TaskNode& child = ctx.NewChild(ChainLink, cont);
-  child.env[0] = self.env[0];
-  child.env[1] = self.env[1] - 1;
-  child.env[2] = self.env[2];
-  ctx.Spawn(child);
+  TaskContext::Fork2Nodes fork = ctx.Fork2(LadderLeaf, LadderLeaf, LadderLink);
+  for (TaskNode* node : {&fork.cont, &fork.left, &fork.right}) {
+    node->env[0] = self.env[0];
+    node->env[2] = self.env[2];
+    node->env[3] = self.env[3];
+  }
+  fork.left.env[1] = 3 * level - 2;
+  fork.cont.env[1] = 3 * level - 1;
+  fork.right.env[1] = 3 * (level - 1);
+  ctx.Spawn(fork.left);
+  ctx.Spawn(fork.right);
 }
 
-WorkItem ChainRoot(TaskGraph& graph, uint64_t links, uint64_t spins, uint64_t* counter) {
-  TaskNode& root = graph.NewRoot(ChainLink);
-  root.env[0] = reinterpret_cast<uint64_t>(counter);
-  root.env[1] = links;
+// The hit table of a ladder of `levels` links, all zero.
+std::vector<std::atomic<uint32_t>> LadderHits(uint64_t levels) {
+  return std::vector<std::atomic<uint32_t>>(3 * levels + 1);
+}
+
+WorkItem LadderRoot(TaskGraph& graph, uint64_t levels, uint64_t spins,
+                    std::vector<std::atomic<uint32_t>>& hits, LadderBottom* bottom = nullptr) {
+  TaskNode& root = graph.NewRoot(LadderLink);
+  root.env[0] = reinterpret_cast<uint64_t>(hits.data());
+  root.env[1] = 3 * levels;
   root.env[2] = spins;
+  root.env[3] = reinterpret_cast<uint64_t>(bottom);
   return graph.ItemFor(root);
 }
 
-TEST_P(TaskExecutorTest, CrashAfterAHandoffPushesTheHandedItemBack) {
-  // Every item of the chain but the last ends in a handoff, so every crash
-  // at the end of an item strikes a worker holding a handed item. The loop
-  // must push it back (counted since the handoff) for the restarted worker
-  // or a thief: the chain completes and every item runs exactly once.
-  constexpr uint64_t kLinks = 2000;
-  TaskGraph graph(TaskGraphOptions{.max_workers = 4});
-  runtime::ExecutorConfig config = BaseConfig(GetParam(), graph);
+// Slots hit other than exactly once: lost items and items run twice.
+uint64_t MissedOrRepeated(const std::vector<std::atomic<uint32_t>>& hits) {
+  return static_cast<uint64_t>(std::count_if(hits.begin(), hits.end(), [](const auto& hit) {
+    return hit.load(std::memory_order_relaxed) != 1;
+  }));
+}
+
+TEST_P(TaskExecutorTest, LadderDeeperThanTheSpawnSegmentSpillsIntoTheQueue) {
+  // One worker has no idle sibling, so only overflow publishes: at the
+  // ladder's bottom every level's leaf is still kept, and all but at most a
+  // segment's worth of them must have spilled onto the queue.
+  constexpr uint64_t kLevels = 4 * runtime::Executor::kSpawnSegmentCapacity;
+  TaskGraph graph(TaskGraphOptions{.max_workers = 1});
+  runtime::Executor executor(policies::MakeThreadCount(), BaseConfig(GetParam(), graph, 1));
+  std::vector<std::atomic<uint32_t>> hits = LadderHits(kLevels);
+  LadderBottom bottom{.executor = &executor};
+  executor.Seed(0, {LadderRoot(graph, kLevels, /*spins=*/0, hits, &bottom)});
+  const runtime::ExecutorReport report = executor.Run();
+  EXPECT_TRUE(graph.done());
+  EXPECT_EQ(MissedOrRepeated(hits), 0u);
+  EXPECT_EQ(report.total_items, 3 * kLevels + 1);
+  EXPECT_EQ(report.workers[0].items_executed, 3 * kLevels + 1);
+  // Link 0 itself runs, so the queue shows it on top of the spilled leaves.
+  EXPECT_GE(bottom.queued,
+            static_cast<int64_t>(kLevels - runtime::Executor::kSpawnSegmentCapacity));
+}
+
+TEST_P(TaskExecutorTest, CrashWithKeptSpawnsLosesNoItemAndRunsNoneTwice) {
+  // Every link ends with a two-item flush into the spawn segment, so a crash
+  // at the end of a link strikes a worker with kept items, and with no idle
+  // sibling to publish to the segment grows to its capacity. The loop must
+  // push the whole segment back, counted since its handoff.
+  constexpr uint64_t kLevels = 3000;
+  TaskGraph graph(TaskGraphOptions{.max_workers = 2, .arena_capacity = 3 * kLevels + 64});
+  runtime::ExecutorConfig config = BaseConfig(GetParam(), graph, 2);
   config.fault_plan.crash_rate = 0.01;
   config.fault_plan.crash_restart_us = 20;
-  config.fault_plan.seed = 3;
+  config.fault_plan.seed = 5;
   runtime::Executor executor(policies::MakeThreadCount(), config);
-  uint64_t counter = 0;
-  executor.Seed(0, {ChainRoot(graph, kLinks, /*spins=*/0, &counter)});
+  std::vector<std::atomic<uint32_t>> hits = LadderHits(kLevels);
+  executor.Seed(0, {LadderRoot(graph, kLevels, /*spins=*/0, hits)});
   const runtime::ExecutorReport report = executor.Run();
   uint64_t executed = 0;
   for (const runtime::WorkerStats& w : report.workers) {
@@ -523,45 +568,79 @@ TEST_P(TaskExecutorTest, CrashAfterAHandoffPushesTheHandedItemBack) {
   }
   EXPECT_GT(report.Totals().crashes, 0u);
   EXPECT_TRUE(graph.done());
-  EXPECT_EQ(counter, 2 * kLinks + 1);
-  EXPECT_EQ(report.total_items, 2 * kLinks + 1) << report.ToString();
+  EXPECT_EQ(MissedOrRepeated(hits), 0u);
+  EXPECT_EQ(report.total_items, 3 * kLevels + 1) << report.ToString();
   EXPECT_EQ(executed, report.total_items);
 }
 
-TEST_P(TaskExecutorTest, DeadlineWithAHandoffPendingKeepsItCountedAndQueued) {
-  // The chain outlasts the deadline, so the worker running it holds a handed
-  // item when it sees the stop. It pushes the item back: the report counts
-  // exactly that one item as left unexecuted, it sits on a queue, and the
-  // next closed run finishes the chain from it.
-  constexpr uint64_t kLinks = 20000;
-  TaskGraph graph(TaskGraphOptions{.max_workers = 4, .arena_capacity = 2 * kLinks + 64});
-  runtime::Executor executor(policies::MakeThreadCount(), BaseConfig(GetParam(), graph));
-  uint64_t counter = 0;
-  executor.Seed(0, {ChainRoot(graph, kLinks, /*spins=*/2000, &counter)});
+TEST_P(TaskExecutorTest, DeadlineWithKeptSpawnsCarriesThemIntoTheNextRun) {
+  // One worker descends the ladder with no sibling to publish to, so at the
+  // deadline its segment holds many leaves. It pushes all of them back: the
+  // report counts them as left unexecuted, they sit on the queue, and the
+  // next closed run finishes the ladder from them, each counted once.
+  constexpr uint64_t kLevels = 20000;
+  TaskGraph graph(TaskGraphOptions{.max_workers = 1, .arena_capacity = 3 * kLevels + 64});
+  runtime::Executor executor(policies::MakeThreadCount(), BaseConfig(GetParam(), graph, 1));
+  std::vector<std::atomic<uint32_t>> hits = LadderHits(kLevels);
+  executor.Seed(0, {LadderRoot(graph, kLevels, /*spins=*/2000, hits)});
   const runtime::ExecutorReport first = executor.RunFor(/*duration_ms=*/5);
-  ASSERT_FALSE(graph.done()) << "the chain finished before the deadline: lengthen it";
-  uint64_t executed_first = 0;
-  for (const runtime::WorkerStats& w : first.workers) {
-    executed_first += w.items_executed;
-  }
-  EXPECT_EQ(first.items_left_unexecuted, 1u) << first.ToString();
-  EXPECT_EQ(first.total_items, executed_first + 1);
-  int64_t queued = 0;
-  for (uint32_t q = 0; q < 4; ++q) {
-    queued += executor.machine().queue(q).ExactLoad().task_count;
-  }
-  EXPECT_EQ(queued, 1);
+  ASSERT_FALSE(graph.done()) << "the ladder finished before the deadline: lengthen it";
+  const uint64_t executed_first = first.workers[0].items_executed;
+  EXPECT_GT(first.items_left_unexecuted, 1u) << first.ToString();
+  EXPECT_EQ(first.total_items, executed_first + first.items_left_unexecuted);
+  EXPECT_EQ(executor.machine().queue(0).ExactLoad().task_count,
+            static_cast<int64_t>(first.items_left_unexecuted));
 
   const runtime::ExecutorReport second = executor.Run();
-  uint64_t executed_second = 0;
-  for (const runtime::WorkerStats& w : second.workers) {
-    executed_second += w.items_executed;
-  }
+  const uint64_t executed_second = second.workers[0].items_executed;
   EXPECT_TRUE(graph.done());
-  EXPECT_EQ(counter, 2 * kLinks + 1);
-  EXPECT_EQ(executed_first + executed_second, 2 * kLinks + 1);
+  EXPECT_EQ(MissedOrRepeated(hits), 0u);
+  EXPECT_EQ(executed_first + executed_second, 3 * kLevels + 1);
+  EXPECT_EQ(first.total_items + second.total_items - first.items_left_unexecuted,
+            3 * kLevels + 1);
   EXPECT_EQ(second.total_items, executed_second);
   EXPECT_EQ(second.items_left_unexecuted, 0u);
+}
+
+// Runs the graph's items, but until worker 1 has run one, every item worker
+// 0 runs first waits up to 1 ms for that, so worker 1 has time to start and
+// go idle however loaded the host is.
+class WaitForSibling final : public runtime::TaskRunner {
+ public:
+  explicit WaitForSibling(TaskGraph& graph) : graph_(graph) {}
+
+  void RunItem(const WorkItem& item, runtime::Executor& executor, uint32_t worker) override {
+    if (worker != 0) {
+      sibling_ran_.store(true, std::memory_order_relaxed);
+    } else {
+      const auto until = std::chrono::steady_clock::now() + std::chrono::milliseconds(1);
+      while (!sibling_ran_.load(std::memory_order_relaxed) &&
+             std::chrono::steady_clock::now() < until) {
+      }
+    }
+    graph_.RunItem(item, executor, worker);
+  }
+  int64_t OutstandingFor(uint32_t worker) const override { return graph_.OutstandingFor(worker); }
+
+ private:
+  TaskGraph& graph_;
+  std::atomic<bool> sibling_ran_{false};
+};
+
+TEST_P(TaskExecutorTest, AnIdleSiblingGetsPublishedWork) {
+  // The root is worker 0's only queued item, and a queue of one item is
+  // never stealable, so every item worker 1 runs was published from worker
+  // 0's spawn segment after worker 1 announced itself idle.
+  TaskGraph graph(TaskGraphOptions{.max_workers = 2});
+  WaitForSibling runner(graph);
+  runtime::ExecutorConfig config = BaseConfig(GetParam(), graph, 2);
+  config.task_runner = &runner;
+  runtime::Executor executor(policies::MakeThreadCount(), config);
+  uint64_t result = 0;
+  executor.Seed(0, {workload::MakeFibRoot(graph, 20, 8, &result)});
+  const runtime::ExecutorReport report = executor.Run();
+  EXPECT_EQ(result, workload::FibSequential(20));
+  EXPECT_GT(report.workers[1].items_executed, 0u) << report.ToString();
 }
 
 INSTANTIATE_TEST_SUITE_P(Backends, TaskExecutorTest,
