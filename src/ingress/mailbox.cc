@@ -21,15 +21,14 @@ bool BoundedMailbox::TryPush(const WorkItem& item, bool* was_empty_out) {
   bool pushed = false;
   {
     LockGuard guard(lock_);
-    if (size_ < capacity_) {
-      was_empty = (size_ == 0);
-      ring_[(head_ + size_) % capacity_] = item;
-      ++size_;
+    if (ring_.size() < capacity_) {
+      was_empty = ring_.empty();
+      ring_.PushBack(item);  // below capacity: lands in a preexisting slot
       // Published AFTER the slot write, inside the critical section: a
       // reader that observes the new depth and then drains is ordered
       // behind this store by the lock; lock-free depth readers only need
       // the count, never the slots.
-      depth_.store(static_cast<int64_t>(size_), std::memory_order_release);
+      depth_.store(static_cast<int64_t>(ring_.size()), std::memory_order_release);
       pushed = true;
     }
   }
@@ -49,16 +48,14 @@ uint32_t BoundedMailbox::DrainInto(std::vector<WorkItem>& out, uint32_t max_item
   uint32_t moved = 0;
   {
     LockGuard guard(lock_);
-    while (size_ > 0 && moved < max_items) {
-      out.push_back(ring_[head_]);
-      head_ = (head_ + 1) % capacity_;
-      --size_;
+    while (!ring_.empty() && moved < max_items) {
+      out.push_back(ring_.PopFront());
       ++moved;
     }
     if (moved > 0) {
       // One publish per drain action, not per item (publish batching, the
       // same discipline StealTailLocked follows for the runqueue's load).
-      depth_.store(static_cast<int64_t>(size_), std::memory_order_release);
+      depth_.store(static_cast<int64_t>(ring_.size()), std::memory_order_release);
     }
   }
   if (moved > 0) {

@@ -31,6 +31,7 @@
 #include "src/base/thread_annotations.h"
 #include "src/runtime/concurrent_machine.h"
 #include "src/runtime/ingress_source.h"
+#include "src/runtime/item_ring.h"
 #include "src/runtime/spinlock.h"
 
 namespace optsched::ingress {
@@ -80,9 +81,7 @@ class BoundedMailbox {
   // of this subsystem are the spill-probing producers and the watchdog, and
   // their depth polls must not contend with the owner's drain.
   alignas(runtime::kCacheLineSize) mutable runtime::SpinLock lock_;
-  std::vector<WorkItem> ring_ OPTSCHED_GUARDED_BY(lock_);  // fixed, capacity_ slots
-  uint32_t head_ OPTSCHED_GUARDED_BY(lock_) = 0;
-  uint32_t size_ OPTSCHED_GUARDED_BY(lock_) = 0;
+  runtime::ItemRing ring_ OPTSCHED_GUARDED_BY(lock_);  // sized once, capacity_ slots
 
   // Written only under lock_, read lock-free (ApproxDepth / PendingFor).
   // mc: kMailboxPush, kMailboxDrain, kMailboxDepth

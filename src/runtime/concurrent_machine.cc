@@ -2,12 +2,24 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <utility>
 
 #include "src/base/check.h"
 #include "src/base/mutex.h"
 #include "src/runtime/mc_hooks.h"
 
 namespace optsched::runtime {
+namespace {
+
+int64_t SumWeight(const WorkItem* items, uint32_t count) {
+  int64_t weight = 0;
+  for (uint32_t i = 0; i < count; ++i) {
+    weight += items[i].weight;
+  }
+  return weight;
+}
+
+}  // namespace
 
 const char* QueueBackendName(QueueBackend backend) {
   switch (backend) {
@@ -86,9 +98,8 @@ std::optional<WorkItem> ConcurrentRunQueue::PopForRunChaseLev() {
   if (!item.has_value()) {
     return std::nullopt;
   }
-  // The popped item stays in the published count (it is the core's
-  // "current" until
-  // FinishCurrent) — only the running flag and its weight attribution move.
+  // The popped item stays in the published count (it is the core's "current"
+  // until FinishCurrent): only the running flag and its weight move.
   mc_hooks::SyncPoint(mc_hooks::SyncOp::kLoadWrite, this);
   running_a_.store(1, std::memory_order_relaxed);  // order: single-writer-store
   running_weight_a_.store(item->weight, std::memory_order_relaxed);  // order: single-writer-store
@@ -129,9 +140,8 @@ OPTSCHED_HOT_PATH void ConcurrentRunQueue::DrainInboxToDeque() {
   mc_hooks::SyncPoint(mc_hooks::SyncOp::kLoadWrite, this);
   inbox_count_.fetch_sub(moved, std::memory_order_release);
   for (int64_t i = 0; i < moved; ++i) {
-    const bool pushed = deque_->PushBottom(inbox_.front());
+    const bool pushed = deque_->PushBottom(inbox_.PopFront());
     OPTSCHED_CHECK(pushed);
-    inbox_.pop_front();
   }
 }
 
@@ -220,11 +230,7 @@ OPTSCHED_HOT_PATH void ConcurrentRunQueue::PushBatchOwner(const WorkItem* items,
     PushBatchLocked(items, count);
     return;
   }
-  int64_t weight = 0;
-  for (uint32_t i = 0; i < count; ++i) {
-    weight += items[i].weight;
-  }
-  CountOwnerEnqueue(count, weight);
+  CountOwnerEnqueue(count, SumWeight(items, count));
   PushToDeque(items, count);
 }
 
@@ -257,10 +263,8 @@ void ConcurrentRunQueue::PushToDeque(const WorkItem* items, uint32_t count) {
   // allocation-free without dropping work.
   {
     LockGuard guard(lock_);
-    for (uint32_t i = pushed; i < count; ++i) {
-      // optsched-lint: allow(hot-path-alloc): ring-overflow spill path — off the steady-state fast path by construction (the ring absorbs the working set; E14 alloc audit)
-      inbox_.push_back(items[i]);
-    }
+    // optsched-lint: allow(hot-path-alloc): ring-overflow spill path — off the steady-state fast path by construction (the ring absorbs the working set; E14 alloc audit)
+    inbox_.PushBatch(items + pushed, count - pushed);
   }
   mc_hooks::SyncPoint(mc_hooks::SyncOp::kLoadWrite, this);
   inbox_count_.fetch_add(count - pushed, std::memory_order_release);
@@ -279,13 +283,10 @@ void ConcurrentRunQueue::PushBatchExternal(const WorkItem* items, uint32_t count
   // single-writer owner state, so the batch lands in the inbox and is charged
   // to the external-submitter counters: one lock acquisition and one counter
   // RMW triple per batch.
-  int64_t weight = 0;
+  const int64_t weight = SumWeight(items, count);
   {
     LockGuard guard(lock_);
-    for (uint32_t i = 0; i < count; ++i) {
-      inbox_.push_back(items[i]);
-      weight += items[i].weight;
-    }
+    inbox_.PushBatch(items, count);
   }
   mc_hooks::SyncPoint(mc_hooks::SyncOp::kLoadWrite, this);
   inbox_count_.fetch_add(count, std::memory_order_release);
@@ -321,8 +322,8 @@ LoadPair ConcurrentRunQueue::ExactLoad() {
   }
   LoadPair load;
   int64_t inbox_weight = 0;
-  for (const WorkItem& item : inbox_) {
-    inbox_weight += item.weight;
+  for (size_t i = 0; i < inbox_.size(); ++i) {
+    inbox_weight += inbox_[i].weight;
   }
   load.task_count = deque_->SizeRelaxed() + static_cast<int64_t>(inbox_.size()) +
                     running_a_.load(std::memory_order_relaxed);  // order: quiescent-report
@@ -371,11 +372,8 @@ OPTSCHED_HOT_PATH void ConcurrentRunQueue::PushBatchLocked(const WorkItem* items
   if (count == 0) {
     return;
   }
-  for (uint32_t i = 0; i < count; ++i) {
-    queued_weight_ += items[i].weight;
-  }
-  // The ring grows only past its high-water size and never shrinks (E14a
-  // audits the steady state allocation-free).
+  queued_weight_ += SumWeight(items, count);
+  // optsched-lint: allow(hot-path-alloc): the ring grows only past its high-water size and never shrinks (E14a audits the steady state allocation-free)
   ready_.PushBatch(items, count);
   PublishLocked();
 }
@@ -411,9 +409,8 @@ OPTSCHED_HOT_PATH void ConcurrentRunQueue::CommitStealAccounting(uint32_t items,
   // Deliberately NO SyncPoint: under the checker the deferred decrement
   // merges into the adjacent step, so the hook sequence (and every committed
   // golden schedule) is the one a take with its accounting inside the CAS
-  // step would produce. The
-  // overcount window this hides is benign by the safe-direction argument in
-  // the header — the checker still discharges the end-state properties.
+  // step would produce. The overcount window this hides is benign (see the
+  // header); the checker still discharges the end-state properties.
   stolen_tasks_.fetch_add(items, std::memory_order_relaxed);  // order: steal-commit-batch
   stolen_weight_.fetch_add(weight, std::memory_order_relaxed);  // order: steal-commit-batch
 }
@@ -425,11 +422,7 @@ OPTSCHED_HOT_PATH WorkItem ConcurrentRunQueue::LandAndRunOwner(const WorkItem* i
   // The running item is counted in own_enq like a pushed one (tasks =
   // enqueued − finished − stolen covers running items too), and the whole
   // batch is counted before any of it becomes stealable (CountOwnerEnqueue).
-  int64_t weight = 0;
-  for (uint32_t i = 0; i < count; ++i) {
-    weight += items[i].weight;
-  }
-  CountOwnerEnqueue(count, weight);
+  CountOwnerEnqueue(count, SumWeight(items, count));
   running_a_.store(1, std::memory_order_relaxed);  // order: single-writer-store
   running_weight_a_.store(run.weight, std::memory_order_relaxed);  // order: single-writer-store
   PushToDeque(items, count - 1);
@@ -493,6 +486,212 @@ LoadSnapshot ConcurrentMachine::LockedSnapshot() {
   return snap;
 }
 
+namespace {
+
+// The migration rule applied item by item as a batch grows (§4.2): each
+// candidate is judged against the pair view's loads less what the batch has
+// moved, so every move strictly lowers the potential and the victim is never
+// idled. `unbounded` is the mc fault break_batch_bound: no cap, no rule.
+struct BatchGate {
+  const BalancePolicy& policy;
+  bool by_count;  // the policy's metric: task count, else weight
+  bool unbounded;
+  int64_t victim;  // pair-view loads in that metric
+  int64_t thief;
+  uint32_t max_items = 0;
+  int64_t moved = 0;  // metric units the batch has moved so far
+
+  // Whether `item` may move off a victim whose load reads `victim_load()` now
+  // (not called under the fault). An admitted item is charged to the thief.
+  template <typename VictimLoad>
+  bool Admit(const WorkItem& item, VictimLoad victim_load) {
+    if (unbounded) {
+      return true;
+    }
+    const int64_t w = by_count ? 1 : static_cast<int64_t>(item.weight);
+    if (!policy.ShouldMigrate(w, victim_load(), thief + moved)) {
+      return false;
+    }
+    moved += w;
+    return true;
+  }
+};
+
+// kLocked synchronization: the caller holds both queue locks, so the pair's
+// loads are exact and the victim cannot run. The lock ranking was decided at
+// runtime, which the thread-safety analysis cannot follow, so each member
+// that calls a *Locked member re-anchors it with AssertHeld().
+struct LockedPair {
+  ConcurrentRunQueue& victim;
+  ConcurrentRunQueue& thief;
+  static constexpr bool lost = false;  // a lock holder races no one
+
+  bool ThiefRunning() const {
+    thief.lock().AssertHeld();
+    return thief.RunningLocked();
+  }
+  std::pair<LoadPair, LoadPair> ReadLoads() const {  // {victim, thief}
+    victim.lock().AssertHeld();
+    thief.lock().AssertHeld();
+    return {victim.ExactLoadLocked(), thief.ExactLoadLocked()};
+  }
+  // The newest-first skip scan: an item the rule rejects is passed over.
+  // Nothing else moves under the locks, so the running victim load is exact.
+  OPTSCHED_HOT_PATH uint32_t Take(BatchGate& gate, std::vector<WorkItem>& out) {
+    victim.lock().AssertHeld();
+    return victim.StealTailLocked(
+        [&](const WorkItem& item) {
+          return gate.Admit(item, [&] { return gate.victim - gate.moved; });
+        },
+        gate.max_items, out);
+  }
+  // Either landing publishes the thief once, inside the two-lock section.
+  WorkItem LandAndRun(const WorkItem* items, uint32_t count) {
+    thief.lock().AssertHeld();
+    return thief.LandAndRunLocked(items, count);
+  }
+  void Land(const WorkItem* items, uint32_t count) {
+    thief.lock().AssertHeld();
+    thief.PushBatchLocked(items, count);
+  }
+  // victim_finished_delta stays 0: the victim is frozen under its lock.
+  void ReadAfter(StealObservation& observation) const {
+    victim.lock().AssertHeld();
+    thief.lock().AssertHeld();
+    observation.victim_tasks_after = victim.ExactLoadLocked().task_count;
+    observation.thief_tasks_after = thief.ExactLoadLocked().task_count;
+  }
+};
+
+// kChaseLev synchronization: there is no lock to take. The pair view reads
+// the published loads, which may go stale at once. The safety argument rests
+// on the per-item gate: it judges the state at the peeked top index, and the
+// commit CAS succeeds only if no thief (and no owner pop of the last item)
+// moved that index since. A lost CAS is the lock-free failed re-check.
+struct ChaseLevPair {
+  ConcurrentRunQueue& victim;
+  ConcurrentRunQueue& thief;
+  bool lost = false;
+  uint64_t finished_before = 0;  // the victim's FinishedCount() before the take
+
+  // The thief reads its own run flag: single writer, so exact.
+  bool ThiefRunning() const { return thief.RunningRelaxed() != 0; }
+  // Victim first: braced initializers are evaluated in order.
+  std::pair<LoadPair, LoadPair> ReadLoads() const { return {victim.ReadLoad(), thief.ReadLoad()}; }
+  // Peek -> gate -> top CAS per item, stopping at the first item the rule
+  // rejects. Owner progress between gate and commit can only LOWER the
+  // victim's count, via FinishCurrent, which the steal-safety property
+  // excuses through the FinishedCount bracket (ReadAfter).
+  OPTSCHED_HOT_PATH uint32_t Take(BatchGate& gate, std::vector<WorkItem>& out) {
+    finished_before = victim.FinishedCount();
+    // The owner's running flag is read before the first peek and its inbox
+    // count after each one. The owner lowers bottom before it raises the flag
+    // (PopForRun) and drops the inbox count before its refill pushes
+    // (DrainInboxToDeque), so neither read counts an item the peek already
+    // saw. Counted twice, an item could make the gate strip the owner bare.
+    const int64_t victim_running = victim.RunningRelaxed();
+    uint32_t moved = 0;
+    int64_t moved_weight = 0;  // victim-side weight to commit after the loop
+    while (moved < gate.max_items) {
+      const ChaseLevDeque::TopPeek peek = victim.PeekSteal();
+      if (!peek.found || !gate.Admit(peek.item, [&] {
+            // By count, peek.size is exact at the top the commit validates.
+            // By weight, ReadLoad still counts this batch's deferred takes.
+            return gate.by_count ? peek.size + victim_running + victim.InboxCountRelaxed()
+                                 : victim.ReadLoad().weighted_load - moved_weight;
+          })) {
+        break;
+      }
+      if (!victim.TakeStealDeferred(peek)) {
+        lost = true;  // top moved since the peek: a stale observation
+        break;
+      }
+      // optsched-lint: allow(hot-path-alloc): scratch batch at high-water capacity after warmup (E14 alloc audit)
+      out.push_back(peek.item);
+      ++moved;
+      moved_weight += static_cast<int64_t>(peek.item.weight);
+    }
+    victim.CommitStealAccounting(moved, moved_weight);
+    return moved;
+  }
+  // The thief owns its queue: landing the batch is an owner push.
+  WorkItem LandAndRun(const WorkItem* items, uint32_t count) {
+    return thief.LandAndRunOwner(items, count);
+  }
+  void Land(const WorkItem* items, uint32_t count) { thief.PushBatchOwner(items, count); }
+  // Tasks are read BEFORE the finished count: a FinishCurrent landing between
+  // the reads then inflates the sum (safe direction — the property asserts a
+  // lower bound) instead of deflating it into a spurious violation.
+  void ReadAfter(StealObservation& observation) const {
+    observation.victim_tasks_after = victim.TasksRelaxed();
+    observation.thief_tasks_after = thief.TasksRelaxed();
+    observation.victim_finished_delta =
+        static_cast<int64_t>(victim.FinishedCount() - finished_before);
+  }
+};
+
+// The stealing phase, one body over either substrate: refresh the pair view,
+// re-check the filter on it (Listing 1 line 12), move the batch the migration
+// rule admits and land it on the thief.
+template <typename Pair>
+OPTSCHED_HOT_PATH bool StealPhase(Pair& pair, const BalancePolicy& policy,
+                                  const SelectionView& view, CpuId victim,
+                                  const StealOptions& options, StealCounters& counters,
+                                  StealObservation* observation_out, StealScratch& s,
+                                  WorkItem* run_next) {
+  // Checked before anything moves, like PopForRun's single-current check.
+  OPTSCHED_CHECK_MSG(run_next == nullptr || !pair.ThiefRunning(),
+                     "owner already runs an item");
+  // The pair's loads as the backend reads them now; other cores stay as the
+  // (stale) snapshot observed them. The copy assignment reuses the scratch
+  // snapshot's capacity (no allocation).
+  LoadSnapshot& pair_view = s.pair_view;
+  pair_view.task_count = view.snapshot.task_count;
+  pair_view.weighted_load = view.snapshot.weighted_load;
+  const auto [victim_load, thief_load] = pair.ReadLoads();
+  pair_view.task_count[victim] = victim_load.task_count;
+  pair_view.weighted_load[victim] = victim_load.weighted_load;
+  pair_view.task_count[view.self] = thief_load.task_count;
+  pair_view.weighted_load[view.self] = thief_load.weighted_load;
+  if (options.recheck &&
+      !policy.CanSteal({.self = view.self, .snapshot = pair_view, .topology = view.topology},
+                       victim)) {
+    ++counters.failed_recheck;
+    return false;
+  }
+
+  const bool by_count = policy.metric() == LoadMetric::kTaskCount;
+  const int64_t v = by_count ? victim_load.task_count : victim_load.weighted_load;
+  const int64_t t = by_count ? thief_load.task_count : thief_load.weighted_load;
+  BatchGate gate{.policy = policy, .by_count = by_count,
+                 .unbounded = options.break_batch_bound, .victim = v, .thief = t};
+  gate.max_items = gate.unbounded ? ~0u
+                                  : std::min(std::max(options.max_batch, 1u),
+                                             std::max(policy.StealBatchHint(v, t), 1u));
+  s.batch.clear();
+  const uint32_t moved = pair.Take(gate, s.batch);
+  if (moved == 0) {
+    // A lost top CAS is the lock-free analogue of losing the locked re-check,
+    // counted as one so ablation comparisons line up across backends.
+    ++(pair.lost ? counters.failed_recheck : counters.failed_no_task);
+    return false;
+  }
+  if (run_next != nullptr) {
+    *run_next = pair.LandAndRun(s.batch.data(), moved);
+  } else {
+    pair.Land(s.batch.data(), moved);
+  }
+  ++counters.successes;
+  counters.items_stolen += moved;
+  if (observation_out != nullptr) {
+    *observation_out = StealObservation{.item_id = s.batch.front().id, .items_moved = moved};
+    pair.ReadAfter(*observation_out);
+  }
+  return true;
+}
+
+}  // namespace
+
 OPTSCHED_HOT_PATH bool ConcurrentMachine::TrySteal(
     const BalancePolicy& policy, CpuId thief, const LoadSnapshot& snapshot, Rng& rng,
     const StealOptions& options, StealCounters& counters, const Topology* topology,
@@ -515,239 +714,22 @@ OPTSCHED_HOT_PATH bool ConcurrentMachine::TrySteal(
   }
   ++counters.attempts;
 
-  if (options_.backend == QueueBackend::kChaseLev) {
-    return TryStealChaseLev(policy, thief, snapshot, victim, options, counters, topology,
-                            observation_out, s, run_next);
-  }
-  return TryStealLocked(policy, thief, snapshot, victim, options, counters, topology,
-                        observation_out, s, run_next);
-}
-
-OPTSCHED_HOT_PATH bool ConcurrentMachine::TryStealLocked(
-    const BalancePolicy& policy, CpuId thief, const LoadSnapshot& snapshot, CpuId victim,
-    const StealOptions& options, StealCounters& counters, const Topology* topology,
-    StealObservation* observation_out, StealScratch& s, WorkItem* run_next) {
-  // --- Stealing phase (two locks, queue-index order) -------------------------
+  // --- Stealing phase (step 3) -----------------------------------------------
   ConcurrentRunQueue& victim_queue = *queues_[victim];
   ConcurrentRunQueue& thief_queue = *queues_[thief];
-  // Index order, the machine-wide lock ranking (see DualLockGuard). The rank
-  // is decided at runtime, so the thread-safety analysis cannot map the
-  // guard's {lower, higher} pair back to {victim, thief} by itself; the
-  // AssertHeld() pair below re-anchors it — the REQUIRES(lock_) checks on
-  // every *Locked call in this phase are live again from there on.
+  if (options_.backend == QueueBackend::kChaseLev) {
+    ChaseLevPair pair{.victim = victim_queue, .thief = thief_queue};
+    return StealPhase(pair, policy, view, victim, options, counters, observation_out, s,
+                      run_next);
+  }
+  // Two locks in index order, the machine-wide lock ranking (see
+  // DualLockGuard), held until the observation is read.
   ConcurrentRunQueue& lower_queue = thief < victim ? thief_queue : victim_queue;
   ConcurrentRunQueue& higher_queue = thief < victim ? victim_queue : thief_queue;
   DualLockGuard guard(lower_queue.lock(), higher_queue.lock());
-  victim_queue.lock().AssertHeld();
-  thief_queue.lock().AssertHeld();
-  // Checked before anything moves, like PopForRun's single-current check.
-  OPTSCHED_CHECK_MSG(run_next == nullptr || !thief_queue.RunningLocked(),
-                     "owner already runs an item");
-
-  // Exact loads for the locked pair; other cores stay as the (stale) snapshot
-  // observed them — a thief can only be sure of what it locked. The copy
-  // assignment reuses the scratch snapshot's capacity (no allocation).
-  LoadSnapshot& locked_snapshot = s.locked_snapshot;
-  locked_snapshot.task_count = snapshot.task_count;
-  locked_snapshot.weighted_load = snapshot.weighted_load;
-  const LoadPair victim_load = victim_queue.ExactLoadLocked();
-  const LoadPair thief_load = thief_queue.ExactLoadLocked();
-  locked_snapshot.task_count[victim] = victim_load.task_count;
-  locked_snapshot.weighted_load[victim] = victim_load.weighted_load;
-  locked_snapshot.task_count[thief] = thief_load.task_count;
-  locked_snapshot.weighted_load[thief] = thief_load.weighted_load;
-
-  const SelectionView locked_view{.self = thief, .snapshot = locked_snapshot,
-                                  .topology = topology};
-  if (options.recheck && !policy.CanSteal(locked_view, victim)) {
-    ++counters.failed_recheck;
-    return false;
-  }
-
-  const LoadMetric metric = policy.metric();
-  // Running pair loads, updated as the batch grows so every migration is
-  // judged against the loads it would actually act on.
-  int64_t v = metric == LoadMetric::kTaskCount ? victim_load.task_count
-                                               : victim_load.weighted_load;
-  int64_t t = metric == LoadMetric::kTaskCount ? thief_load.task_count
-                                               : thief_load.weighted_load;
-  uint32_t max_items;
-  if (options.break_batch_bound) {
-    // mc fault mode: no cap — the harness wants the victim stripped bare.
-    max_items = ~0u;
-  } else {
-    max_items = std::min(std::max(options.max_batch, 1u),
-                         std::max(policy.StealBatchHint(v, t), 1u));
-  }
-  s.batch.clear();
-  const uint32_t moved = victim_queue.StealTailLocked(
-      [&](const WorkItem& item) {
-        if (options.break_batch_bound) {
-          return true;  // ignore the migration rule: provoke the violation
-        }
-        const int64_t w =
-            metric == LoadMetric::kTaskCount ? 1 : static_cast<int64_t>(item.weight);
-        if (!policy.ShouldMigrate(w, v, t)) {
-          return false;
-        }
-        v -= w;  // returning true commits the removal; keep the running
-        t += w;  // loads exact for the next candidate
-        return true;
-      },
-      max_items, s.batch);
-  if (moved == 0) {
-    ++counters.failed_no_task;
-    return false;
-  }
-  if (run_next != nullptr) {
-    *run_next = thief_queue.LandAndRunLocked(s.batch.data(), moved);
-  } else {
-    thief_queue.PushBatchLocked(s.batch.data(), moved);
-  }
-  ++counters.successes;
-  counters.items_stolen += moved;
-  if (observation_out != nullptr) {
-    observation_out->item_id = s.batch.front().id;
-    observation_out->items_moved = moved;
-    observation_out->victim_tasks_after = victim_queue.ExactLoadLocked().task_count;
-    observation_out->thief_tasks_after = thief_queue.ExactLoadLocked().task_count;
-    observation_out->victim_finished_delta = 0;  // victim frozen under its lock
-  }
-  return true;
-}
-
-OPTSCHED_HOT_PATH bool ConcurrentMachine::TryStealChaseLev(
-    const BalancePolicy& policy, CpuId thief, const LoadSnapshot& snapshot, CpuId victim,
-    const StealOptions& options, StealCounters& counters, const Topology* topology,
-    StealObservation* observation_out, StealScratch& s, WorkItem* run_next) {
-  ConcurrentRunQueue& victim_queue = *queues_[victim];
-  ConcurrentRunQueue& thief_queue = *queues_[thief];
-  // The thief reads its own running flag: single writer, so exact.
-  OPTSCHED_CHECK_MSG(run_next == nullptr || thief_queue.RunningRelaxed() == 0,
-                     "owner already runs an item");
-
-  // --- Optimistic re-check (no locks exist to take) --------------------------
-  // Refresh the pair's published loads; other cores stay as the (stale)
-  // snapshot observed them. This is the same CanSteal gate the locked
-  // backend runs under its two locks — here it runs on loads that can go
-  // stale again immediately, which is fine: the per-item gate below plus the
-  // top CAS carry the actual safety argument.
-  LoadSnapshot& fresh_snapshot = s.locked_snapshot;
-  fresh_snapshot.task_count = snapshot.task_count;
-  fresh_snapshot.weighted_load = snapshot.weighted_load;
-  const LoadPair victim_load = victim_queue.ReadLoad();
-  const LoadPair thief_load = thief_queue.ReadLoad();
-  fresh_snapshot.task_count[victim] = victim_load.task_count;
-  fresh_snapshot.weighted_load[victim] = victim_load.weighted_load;
-  fresh_snapshot.task_count[thief] = thief_load.task_count;
-  fresh_snapshot.weighted_load[thief] = thief_load.weighted_load;
-  const SelectionView fresh_view{.self = thief, .snapshot = fresh_snapshot,
-                                 .topology = topology};
-  if (options.recheck && !policy.CanSteal(fresh_view, victim)) {
-    ++counters.failed_recheck;
-    return false;
-  }
-
-  const uint64_t finished_before = victim_queue.FinishedCount();
-  const LoadMetric metric = policy.metric();
-  const int64_t v0 = metric == LoadMetric::kTaskCount ? victim_load.task_count
-                                                      : victim_load.weighted_load;
-  const int64_t t0 = metric == LoadMetric::kTaskCount ? thief_load.task_count
-                                                      : thief_load.weighted_load;
-  uint32_t max_items;
-  if (options.break_batch_bound) {
-    max_items = ~0u;  // mc fault mode: strip the victim bare
-  } else {
-    max_items = std::min(std::max(options.max_batch, 1u),
-                         std::max(policy.StealBatchHint(v0, t0), 1u));
-  }
-
-  s.batch.clear();
-  uint32_t moved = 0;
-  int64_t moved_metric = 0;   // what the batch has added to the thief so far
-  int64_t moved_weight = 0;   // victim-side weight to commit after the loop
-  bool cas_lost = false;
-  // The owner's running flag is read before the first peek and its inbox
-  // count after each one. The owner lowers bottom before it raises the flag
-  // (PopForRun) and drops the inbox count before its refill pushes
-  // (DrainInboxToDeque), so neither read counts an item the peek already
-  // saw. Counted twice, an item could make the gate strip the owner bare.
-  const int64_t victim_running = victim_queue.RunningRelaxed();
-  while (moved < max_items) {
-    const ChaseLevDeque::TopPeek peek = victim_queue.PeekSteal();
-    if (!peek.found) {
-      break;
-    }
-    if (!options.break_batch_bound) {
-      // Per-item migration gate, anchored to the SAME top index the commit
-      // CAS validates: if TakeStealDeferred succeeds, no competing thief (and no
-      // owner-last-item pop) intervened since this peek, so the gate judged
-      // the state it acted on. The victim load is recomputed from the peek
-      // each iteration — peek.size counts exactly the still-stealable items
-      // at that top, plus the owner's current item and any inbox residents.
-      // Owner progress between gate and commit can only LOWER the victim's
-      // count via FinishCurrent, which the steal-safety property excuses
-      // through victim_finished_delta.
-      const int64_t w =
-          metric == LoadMetric::kTaskCount ? 1 : static_cast<int64_t>(peek.item.weight);
-      int64_t v_now;
-      if (metric == LoadMetric::kTaskCount) {
-        // peek.size is exact at the top index the commit validates.
-        v_now = peek.size + victim_running + victim_queue.InboxCountRelaxed();
-      } else {
-        // Deferred accounting: ReadLoad still counts this batch's takes, so
-        // subtract them to judge the load a fresh observer would see.
-        v_now = victim_queue.ReadLoad().weighted_load - moved_weight;
-      }
-      const int64_t t_now = t0 + moved_metric;
-      if (!policy.ShouldMigrate(w, v_now, t_now)) {
-        break;
-      }
-    }
-    if (!victim_queue.TakeStealDeferred(peek)) {
-      cas_lost = true;  // top moved since the peek: a stale observation
-      break;
-    }
-    // optsched-lint: allow(hot-path-alloc): scratch batch at high-water capacity after warmup (E14 alloc audit)
-    s.batch.push_back(peek.item);
-    ++moved;
-    moved_weight += static_cast<int64_t>(peek.item.weight);
-    moved_metric +=
-        metric == LoadMetric::kTaskCount ? 1 : static_cast<int64_t>(peek.item.weight);
-  }
-  victim_queue.CommitStealAccounting(moved, moved_weight);
-
-  if (moved == 0) {
-    if (cas_lost) {
-      // The lock-free analogue of losing the locked re-check: another core
-      // changed the state between observation and commit. Counted as
-      // failed_recheck so ablation comparisons line up across backends.
-      ++counters.failed_recheck;
-    } else {
-      ++counters.failed_no_task;
-    }
-    return false;
-  }
-  // The thief owns its queue: landing the batch is an owner push.
-  if (run_next != nullptr) {
-    *run_next = thief_queue.LandAndRunOwner(s.batch.data(), moved);
-  } else {
-    thief_queue.PushBatchOwner(s.batch.data(), moved);
-  }
-  ++counters.successes;
-  counters.items_stolen += moved;
-  if (observation_out != nullptr) {
-    observation_out->item_id = s.batch.front().id;
-    observation_out->items_moved = moved;
-    // Read tasks BEFORE the finished count: a FinishCurrent landing between
-    // the reads then inflates the sum (safe direction — the property asserts
-    // a lower bound) instead of deflating it into a spurious violation.
-    observation_out->victim_tasks_after = victim_queue.TasksRelaxed();
-    observation_out->thief_tasks_after = thief_queue.TasksRelaxed();
-    observation_out->victim_finished_delta =
-        static_cast<int64_t>(victim_queue.FinishedCount() - finished_before);
-  }
-  return true;
+  LockedPair pair{.victim = victim_queue, .thief = thief_queue};
+  return StealPhase(pair, policy, view, victim, options, counters, observation_out, s,
+                    run_next);
 }
 
 }  // namespace optsched::runtime

@@ -1,46 +1,38 @@
-// Concurrent (real-thread) implementation of the paper's scheduler model,
-// behind a pluggable QUEUE-BACKEND concept.
+// Concurrent (real-thread) implementation of the paper's scheduler model: one
+// ConcurrentRunQueue per worker, each a facade over one of two
+// synchronization substrates (docs/runtime.md#queue-backends), and one
+// three-step protocol over both.
 //
-// One ConcurrentRunQueue per worker. The queue is a facade over one of two
-// synchronization substrates (docs/runtime.md#queue-backends):
+// SELECTION reads every queue's published load lock-free (possibly stale: the
+// optimistic part), filters and picks a victim. STEALING is one body on both
+// backends: refresh the thief/victim pair view, re-check the policy's filter
+// on it, move the batch the migration rule admits item by item, and land it
+// on the thief. A substrate supplies only the synchronization around it:
 //
-//   * QueueBackend::kLocked — the reference/ablation backend: a
-//     spinlock-protected ready ring plus a load published under the lock. The
-//     SELECTION phase reads loads of all cores lock-free (possibly stale — the
-//     optimistic part); the STEALING phase locks exactly the thief's and the
-//     victim's queues (queue-index order), re-checks the policy's filter
-//     against the now-exact loads of the pair, and migrates a batch with
-//     every item individually gated by the migration rule.
+//   * QueueBackend::kLocked, the reference: a spinlock-protected ready ring
+//     and a load published under the lock. A thief locks exactly the pair
+//     (queue-index order), re-checks on exact loads and scans the victim
+//     newest first, skipping items the rule rejects.
 //
-//   * QueueBackend::kChaseLev — the lock-free backend: a bounded Chase-Lev
-//     work-stealing deque (chase_lev_deque.h). The owner pushes/pops at
-//     bottom with no CAS in the common case; a thief observes (PeekTop),
-//     runs the SAME policy gate against the observed state, and commits with
-//     a single CAS on top anchored to the observed index. A lost CAS is
-//     surfaced as `failed_recheck`: the paper's filter -> choice -> steal
-//     proof structure carries over with the CAS playing the role of the
-//     locked re-check. External producers cannot touch bottom (single-owner
-//     discipline), so PushBatchExternal lands in a small spinlock-protected
-//     INBOX the owner drains into the deque at its next pop; the published
-//     load is a pair of relaxed counters covering deque + inbox + running.
+//   * QueueBackend::kChaseLev, lock-free: a bounded Chase-Lev deque
+//     (chase_lev_deque.h). The re-check reads the published loads; the thief
+//     then peeks the top, gates the item and commits with one CAS anchored to
+//     the peeked index. The CAS plays the role of the locked re-check, so a
+//     lost CAS counts as `failed_recheck`. External producers cannot touch
+//     bottom, so PushBatchExternal lands in a spinlock-protected INBOX that
+//     the owner drains at its next pop; the published load is a set of
+//     relaxed counters covering deque + inbox + running.
 //
-// Steals that fail the re-check (or the CAS) are counted, not retried — they
-// are the paper's legitimate failures.
-//
-// Hot-path cost model (docs/runtime.md): the selection + steal path performs
-// ZERO heap allocations in the steady state on both backends. Snapshots
-// refill caller-owned buffers in place, the eligibility gate allocates
-// nothing, and the steal batch lands in a reusable scratch vector. On
-// kLocked the owner pays one lock hold and one publish per item
-// (FinishCurrentAndPop), and a thief lands the first stolen item as its
-// running item inside the steal's two-lock section.
+// Failed steals are counted, not retried: they are the paper's legitimate
+// failures. The selection + steal path makes ZERO heap allocations in the
+// steady state on both backends (docs/runtime.md): snapshots and the batch
+// refill caller-owned buffers in place.
 
 #ifndef OPTSCHED_SRC_RUNTIME_CONCURRENT_MACHINE_H_
 #define OPTSCHED_SRC_RUNTIME_CONCURRENT_MACHINE_H_
 
 #include <atomic>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <optional>
 #include <string_view>
@@ -149,22 +141,19 @@ class ConcurrentRunQueue {
   // Must hold lock(): exact loads / queue access.
   LoadPair ExactLoadLocked() const OPTSCHED_REQUIRES(lock_);
   // Removes up to `max_items` items from the tail, newest first, appending
-  // them to `out`. `eligible` is consulted once per candidate; returning true
-  // COMMITS the removal (callers update their running victim/thief loads
-  // inside the callback). Ineligible items are skipped, the scan continues
-  // toward the head. The published load is written ONCE, after the last
-  // removal — not per item — so a steal publishes once per queue however
-  // many items it moves. Returns the number of items taken.
+  // them to `out`. `eligible` is consulted once per candidate; true COMMITS
+  // the removal, false skips the item and the scan goes on toward the head.
+  // The load is published ONCE, after the last removal, however many items
+  // move. Returns the number of items taken.
   uint32_t StealTailLocked(FunctionRef<bool(const WorkItem&)> eligible, uint32_t max_items,
                            std::vector<WorkItem>& out) OPTSCHED_REQUIRES(lock_);
   // Appends `count` items and publishes the new load once.
   void PushBatchLocked(const WorkItem* items, uint32_t count) OPTSCHED_REQUIRES(lock_);
   // Whether the owner currently runs an item (PopForRun..FinishCurrent).
   bool RunningLocked() const OPTSCHED_REQUIRES(lock_) { return running_; }
-  // Steal landing with run-next (TrySteal's `run_next`): items[0] becomes
-  // the owner's running item — the one PopForRun would have taken next from
-  // an empty queue — and the rest are appended; one publish. The owner must
-  // not be running. Returns the running item.
+  // Steal landing with run-next (TrySteal's `run_next`): items[0], the one
+  // PopForRun would take next from an empty queue, becomes the running item
+  // and the rest are appended; one publish. The owner must not be running.
   WorkItem LandAndRunLocked(const WorkItem* items, uint32_t count) OPTSCHED_REQUIRES(lock_);
 
   // --- Cross-core steal support: kChaseLev -----------------------------------
@@ -172,22 +161,17 @@ class ConcurrentRunQueue {
   // index TakeStealDeferred's CAS will validate, so the policy gate between
   // peek and take judges exactly the state the commit acts on.
   ChaseLevDeque::TopPeek PeekSteal() const;
-  // Commits the peeked steal's CAS. False = top moved since the peek — a
-  // failed re-check, never retried here. The victim-side counter decrements
-  // are DEFERRED: the caller accumulates the batch and applies it once via
-  // CommitStealAccounting. Between the two calls the
-  // victim's published load overcounts the taken items, which is the safe
-  // direction for every consumer: steal gates judge an inflated victim (they
-  // under-steal, never over-steal), and the quiescent properties
-  // (published-depth, no-lost-items) evaluate only after the batch has
-  // landed. Cuts the per-item RMWs on the shared counter lines to one pair
-  // per batch.
+  // Commits the peeked steal's CAS. False = top moved since the peek, a
+  // failed re-check, never retried here. The victim's counter decrements are
+  // DEFERRED to one CommitStealAccounting per batch, one RMW pair instead of
+  // one per item. In between, the victim's load overcounts the taken items,
+  // the safe direction: steal gates under-steal, and the quiescent properties
+  // (published-depth, no-lost-items) evaluate only after the batch landed.
   bool TakeStealDeferred(const ChaseLevDeque::TopPeek& peek);
   void CommitStealAccounting(uint32_t items, int64_t weight);
-  // Owner-side steal landing with run-next: items[count - 1] — the item
-  // PopForRun would take from the bottom — becomes the running item, the rest
-  // are pushed at bottom. The counters and the run flag are stored before
-  // the bottom push. The owner must not be running. Returns the running item.
+  // Owner-side steal landing with run-next: items[count - 1], the one PopForRun
+  // would take from the bottom, becomes the running item and the rest are
+  // pushed at bottom, after the counters and the run flag. Owner not running.
   WorkItem LandAndRunOwner(const WorkItem* items, uint32_t count) OPTSCHED_EXCLUDES(lock_);
   // Published task count / inbox depth / running flag, relaxed. The steal
   // gate combines peek.size + running + inbox into its victim load so the
@@ -203,10 +187,8 @@ class ConcurrentRunQueue {
   // order: torn-read-tolerated
   int64_t RunningRelaxed() const { return running_a_.load(std::memory_order_relaxed); }
   // Items this owner has fully executed (FinishCurrent count). A thief
-  // brackets its steal with two reads: the delta excuses exactly the
-  // decrements the owner's execution progress — the only non-CAS-guarded
-  // path that lowers tasks — applied to the victim load between the gate
-  // and the post-steal observation (see StealObservation).
+  // brackets its take with two reads; the delta excuses the owner's finishes
+  // in between (StealObservation::victim_finished_delta).
   uint64_t FinishedCount() const {
     // order: torn-read-tolerated
     return static_cast<uint64_t>(fin_tasks_.load(std::memory_order_relaxed));
@@ -252,18 +234,16 @@ class ConcurrentRunQueue {
 
   // --- kChaseLev state (idle on kLocked) -------------------------------------
   std::unique_ptr<ChaseLevDeque> deque_;  // null on kLocked
-  std::deque<WorkItem> inbox_ OPTSCHED_GUARDED_BY(lock_);
+  ItemRing inbox_ OPTSCHED_GUARDED_BY(lock_);
   // Published load for the lock-free backend, DECOMPOSED BY WRITER so the
   // owner's per-item path is store-only:
   //   tasks  = own_enq_tasks + ext_enq_tasks − fin_tasks − stolen_tasks
   //   weight = the same formula over the *_weight counters.
-  // Each counter is monotonic and has exactly one writer class — the owner
-  // (plain load+store, no lock-prefixed RMW on its hot path), external
-  // submitters (fetch_add in PushBatchExternal), thieves (one fetch_add pair per steal
-  // batch) — so a reader may see a torn combination, the same staleness the
-  // selection phase already tolerates from the locked backend's two words
-  // (and the re-check absorbs); the decomposition is exact at quiescence
-  // (published-depth).
+  // Each counter is monotonic and has one writer class: the owner (plain
+  // load+store, no lock-prefixed RMW on its hot path), external submitters
+  // (fetch_add in PushBatchExternal), thieves (one fetch_add pair per steal
+  // batch). A reader may see a torn combination, the staleness the re-check
+  // absorbs; the decomposition is exact at quiescence (published-depth).
   //
   // Owner-written line: single-writer plain stores, read by any thread.
   // mc: kLoadRead, kLoadWrite
@@ -301,11 +281,9 @@ class ConcurrentRunQueue {
 };
 
 // Outcome counters for one worker's stealing activity. `successes` counts
-// steal ACTIONS (critical sections that moved >= 1 item); `items_stolen`
-// counts migrated items. Invariant: successes <= items_stolen <=
-// successes * max_batch (mirrors BalanceStats successes/tasks_moved).
-// On kChaseLev, `failed_recheck` additionally counts lost top-CAS races —
-// the lock-free shape of the same stale-observation failure.
+// steal ACTIONS (ones that moved >= 1 item); `items_stolen` counts migrated
+// items: successes <= items_stolen <= successes * max_batch (as BalanceStats'
+// successes/tasks_moved). `failed_recheck` includes lost top-CAS races.
 struct StealCounters {
   uint64_t attempts = 0;
   uint64_t successes = 0;
@@ -336,10 +314,9 @@ struct StealOptions {
   // behaviour, larger values enable steal-half batching.
   uint32_t max_batch = 1;
   // FAULT KNOB for the model-checking harness only (docs/model_checking.md):
-  // ignore both the migration rule and the batch cap and strip the victim
-  // bare. Deliberately violates steal safety — exists so the checker can
-  // demonstrate it finds and minimizes the resulting counterexample. Never
-  // set in production paths.
+  // ignore the migration rule and the batch cap, stripping the victim bare,
+  // so the checker can show it finds and minimizes the violation. Never set
+  // in production paths.
   bool break_batch_bound = false;
 };
 
@@ -349,7 +326,7 @@ struct StealOptions {
 // steady-state allocations).
 struct StealScratch {
   std::vector<CpuId> candidates;
-  LoadSnapshot locked_snapshot;
+  LoadSnapshot pair_view;  // the snapshot with the pair's loads refreshed
   std::vector<WorkItem> batch;
 };
 
@@ -363,13 +340,10 @@ struct StealObservation {
   int64_t victim_tasks_after = 0;
   int64_t thief_tasks_after = 0;
   // kChaseLev only (0 on kLocked, where the victim lock freezes execution):
-  // items the victim OWNER finished between the steal's first peek and the
-  // post-steal load read. FinishCurrent is the only path that lowers the
-  // victim's task count without going through the top CAS, so
-  // victim_tasks_after + victim_finished_delta is what the count would have
-  // been had the victim not executed concurrently — the steal-safety
-  // property asserts on that sum, keeping the proof obligation uniform
-  // across backends.
+  // items the victim OWNER finished between the take and the post-steal
+  // read. FinishCurrent is the only path that lowers the victim's task count
+  // without the top CAS, so the steal-safety property asserts on
+  // victim_tasks_after + victim_finished_delta on both backends.
   int64_t victim_finished_delta = 0;
 };
 
@@ -402,22 +376,16 @@ class ConcurrentMachine {
   LoadSnapshot LockedSnapshot();
   void LockedSnapshotInto(LoadSnapshot& out) OPTSCHED_NO_THREAD_SAFETY_ANALYSIS;
 
-  // Full three-step attempt by `thief`: filter+choice on `snapshot`, then
-  // the backend's stealing phase — two locks + re-check + batched migration
-  // on kLocked; per-item peek -> gate -> top-CAS on kChaseLev, with a lost
-  // CAS counted as failed_recheck. On success the stolen items land on the
-  // thief's own queue (the thief is that queue's owner). Updates `counters`.
-  // When the filter was non-empty, `victim_out` (if given) receives the
-  // chosen victim — trace events want to attribute the outcome to the pair,
-  // not just the thief. `observation_out` (if given) is filled on success
-  // (see StealObservation). `scratch` (if given) supplies the reusable
-  // buffers that make the attempt allocation-free; null falls back to
-  // call-local buffers (tests, harness). `run_next` (if given) lands one
-  // stolen item as the thief's RUNNING item and receives it — the item a
-  // PopForRun right after the steal would have returned — so the thief runs
-  // it without another pop; the thief must not be running. On kLocked the
-  // landing happens inside the two-lock section (one publish for the
-  // thief). Null keeps the plain landing: every item queued.
+  // Full three-step attempt by `thief`: filter + choice on `snapshot`, then
+  // the stealing phase (see the top of this file). Updates `counters`; a lost
+  // CAS counts as failed_recheck. Optional outputs: `victim_out` receives the
+  // chosen victim once the filter was non-empty (trace events attribute the
+  // outcome to the pair); `observation_out` is filled on success (see
+  // StealObservation). `scratch` supplies the reusable buffers that make the
+  // attempt allocation-free; null falls back to call-local ones (tests, the
+  // harness). `run_next` lands one stolen item as the thief's RUNNING item
+  // and receives it, the item a PopForRun right after the steal would have
+  // returned; the thief must not be running. Null queues every item.
   bool TrySteal(const BalancePolicy& policy, CpuId thief, const LoadSnapshot& snapshot,
                 Rng& rng, const StealOptions& options, StealCounters& counters,
                 const Topology* topology = nullptr, CpuId* victim_out = nullptr,
@@ -425,16 +393,6 @@ class ConcurrentMachine {
                 StealScratch* scratch = nullptr, WorkItem* run_next = nullptr);
 
  private:
-  bool TryStealLocked(const BalancePolicy& policy, CpuId thief, const LoadSnapshot& snapshot,
-                      CpuId victim, const StealOptions& options, StealCounters& counters,
-                      const Topology* topology, StealObservation* observation_out,
-                      StealScratch& s, WorkItem* run_next);
-  bool TryStealChaseLev(const BalancePolicy& policy, CpuId thief,
-                        const LoadSnapshot& snapshot, CpuId victim,
-                        const StealOptions& options, StealCounters& counters,
-                        const Topology* topology, StealObservation* observation_out,
-                        StealScratch& s, WorkItem* run_next);
-
   const MachineOptions options_;
   std::vector<std::unique_ptr<ConcurrentRunQueue>> queues_;
 };

@@ -1,4 +1,5 @@
-// Growable FIFO ring of WorkItems: the locked backend's ready queue.
+// Growable FIFO ring of WorkItems: the locked backend's ready queue, the
+// chase_lev backend's inbox and a bounded mailbox's slots.
 //
 // Used in place of std::deque, whose push_back/pop_front cycle (the worker
 // loop's steady state: pushes at the tail, owner pops at the head) allocates
@@ -11,7 +12,10 @@
 // whichever is larger), so seeding a 300k-item burst in one batch allocates
 // 300k slots, not the next power of two.
 //
-// Not thread-safe: ConcurrentRunQueue guards it with the queue lock.
+// A ring built with a capacity allocates it once, up front; a user that never
+// holds more than that many items (BoundedMailbox) never allocates again.
+//
+// Not thread-safe: each user guards it with its own lock.
 
 #ifndef OPTSCHED_SRC_RUNTIME_ITEM_RING_H_
 #define OPTSCHED_SRC_RUNTIME_ITEM_RING_H_
@@ -28,6 +32,7 @@ namespace optsched::runtime {
 class ItemRing {
  public:
   ItemRing() = default;
+  explicit ItemRing(size_t capacity) { Grow(capacity); }
   ItemRing(const ItemRing&) = delete;
   ItemRing& operator=(const ItemRing&) = delete;
   ~ItemRing() { Allocator().deallocate(slots_, capacity_); }

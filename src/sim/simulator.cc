@@ -395,7 +395,7 @@ void Simulator::OnLbTick() {
   }
   ReconcileAfterBalance();
   if (config_.watchdog &&
-      watchdog_.ObserveRound(now_, machine_.Loads(LoadMetric::kTaskCount), &trace_)) {
+      watchdog_.ObserveRound(now_, machine_.Loads(LoadMetric::kTaskCount), {}, &trace_)) {
     // Persistent violation: the convergence bound was missed. Escalate with a
     // fault-free global *sequential* round (§4.2's simple context, where
     // steals cannot fail) — the ladder-outermost, stop-the-world rebalance.
@@ -412,7 +412,7 @@ void Simulator::OnLbTick() {
     ReconcileAfterBalance();
     // Re-observe so the recovery (if the forced round cleared the violation)
     // is classified at escalation time, not one period later.
-    watchdog_.ObserveRound(now_, machine_.Loads(LoadMetric::kTaskCount), &trace_);
+    watchdog_.ObserveRound(now_, machine_.Loads(LoadMetric::kTaskCount), {}, &trace_);
   }
   if (alive_tasks_ > 0) {
     Push(now_ + config_.lb_period_us, EventKind::kLbTick);

@@ -118,11 +118,6 @@ ConservationWatchdog::ConservationWatchdog(uint32_t num_cpus, WatchdogConfig con
 }
 
 bool ConservationWatchdog::ObserveRound(SimTime now, const std::vector<int64_t>& loads,
-                                        TraceBuffer* trace) {
-  return ObserveRound(now, loads, std::vector<int64_t>{}, trace);
-}
-
-bool ConservationWatchdog::ObserveRound(SimTime now, const std::vector<int64_t>& loads,
                                         const std::vector<int64_t>& mailbox_pending,
                                         TraceBuffer* trace) {
   OPTSCHED_CHECK(loads.size() == num_cpus_);

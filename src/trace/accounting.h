@@ -139,10 +139,8 @@ class ConservationWatchdog {
   // idle == 0, overloaded >= 2). Returns true iff some core's streak crossed
   // the threshold at THIS observation — the caller should escalate. Records
   // kViolation / kRecovery events into `trace` when given.
-  bool ObserveRound(SimTime now, const std::vector<int64_t>& loads,
-                    TraceBuffer* trace = nullptr);
-
-  // Ingress-aware variant (docs/serving.md): `mailbox_pending[cpu]` is the
+  //
+  // Ingress (docs/serving.md): `mailbox_pending[cpu]` is the
   // admitted-but-undrained mailbox depth for `cpu` (empty = no ingress). A
   // core that looks idle but has mailbox-resident work is NOT violating work
   // conservation — the items are already assigned to it and will enter its
@@ -153,7 +151,8 @@ class ConservationWatchdog {
   // `any_overloaded` still considers runqueue loads only: mailbox backlog is
   // not stealable, so it cannot obligate OTHER cores.
   bool ObserveRound(SimTime now, const std::vector<int64_t>& loads,
-                    const std::vector<int64_t>& mailbox_pending, TraceBuffer* trace);
+                    const std::vector<int64_t>& mailbox_pending = {},
+                    TraceBuffer* trace = nullptr);
 
   // The caller escalated (forced a global round); tallies and traces it.
   void RecordEscalation(SimTime now, TraceBuffer* trace = nullptr);

@@ -6,6 +6,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -25,88 +26,114 @@ runtime::WorkItem Item(uint64_t id) {
   return runtime::WorkItem{.id = id, .work_units = 1, .weight = 1024};
 }
 
+// Seeds `queue` with ids 1..count through the owner push. On kChaseLev an
+// external push would land in the inbox, where no thief can take it.
+void SeedOwner(runtime::ConcurrentRunQueue& queue, uint64_t count) {
+  std::vector<runtime::WorkItem> items;
+  for (uint64_t id = 1; id <= count; ++id) {
+    items.push_back(Item(id));
+  }
+  queue.PushBatchOwner(items.data(), static_cast<uint32_t>(items.size()));
+}
+
+std::string BackendParamName(const ::testing::TestParamInfo<runtime::QueueBackend>& info) {
+  return runtime::QueueBackendName(info.param);
+}
+
+// The stealing phase is one protocol on both backends; they differ in the end
+// a thief takes from. kLocked scans the victim's ring from the tail, newest
+// first; kChaseLev takes at the deque's top, oldest first. With unit weights
+// the migration rule admits the same number of items at either end.
+class BatchSteal : public ::testing::TestWithParam<runtime::QueueBackend> {
+ protected:
+  // The first item a thief migrates from a victim seeded with ids 1..seeded.
+  uint64_t FirstTaken(uint64_t seeded) const {
+    return GetParam() == runtime::QueueBackend::kLocked ? seeded : 1;
+  }
+  runtime::ConcurrentMachine machine_{2, {.backend = GetParam()}};
+};
+
 // gap 6 between victim and thief: the migration rule admits moves while
 // 1 < victim - thief, i.e. exactly floor(6/2) = 3 items, and the policy's
 // steal-half hint asks for ceil(6/2) = 3 — one action, three items.
-TEST(BatchSteal, StealHalfMovesHalfTheGapInOneAction) {
-  runtime::ConcurrentMachine machine(2);
-  for (uint64_t id = 1; id <= 6; ++id) {
-    PushOne(machine.queue(0), Item(id));
-  }
+TEST_P(BatchSteal, StealHalfMovesHalfTheGapInOneAction) {
+  SeedOwner(machine_.queue(0), 6);
   const auto policy = policies::MakeThreadCount();
   runtime::StealCounters counters;
   runtime::StealObservation observation;
   Rng rng(1);
   const runtime::StealOptions options{.recheck = true, .max_batch = 8};
-  EXPECT_TRUE(machine.TrySteal(*policy, /*thief=*/1, machine.Snapshot(), rng, options,
-                               counters, nullptr, nullptr, &observation));
+  EXPECT_TRUE(machine_.TrySteal(*policy, /*thief=*/1, machine_.Snapshot(), rng, options,
+                                counters, nullptr, nullptr, &observation));
   EXPECT_EQ(counters.successes, 1u);
   EXPECT_EQ(counters.items_stolen, 3u);
   EXPECT_EQ(observation.items_moved, 3u);
-  EXPECT_EQ(machine.queue(0).ReadLoad().task_count, 3);
-  EXPECT_EQ(machine.queue(1).ReadLoad().task_count, 3);
+  EXPECT_EQ(observation.item_id, FirstTaken(6));
+  EXPECT_EQ(machine_.queue(0).ReadLoad().task_count, 3);
+  EXPECT_EQ(machine_.queue(1).ReadLoad().task_count, 3);
   EXPECT_EQ(observation.victim_tasks_after, 3);
   EXPECT_EQ(observation.thief_tasks_after, 3);
+  EXPECT_EQ(observation.victim_finished_delta, 0);
 }
 
 // max_batch = 1 is the steal_one ablation: identical to the original
 // protocol, one item per successful action regardless of the policy hint.
-TEST(BatchSteal, CapOfOnePreservesStealOne) {
-  runtime::ConcurrentMachine machine(2);
-  for (uint64_t id = 1; id <= 6; ++id) {
-    PushOne(machine.queue(0), Item(id));
-  }
+TEST_P(BatchSteal, CapOfOnePreservesStealOne) {
+  SeedOwner(machine_.queue(0), 6);
   const auto policy = policies::MakeThreadCount();
   runtime::StealCounters counters;
+  runtime::StealObservation observation;
   Rng rng(1);
-  EXPECT_TRUE(machine.TrySteal(*policy, 1, machine.Snapshot(), rng,
-                               runtime::StealOptions{.recheck = true, .max_batch = 1},
-                               counters));
+  EXPECT_TRUE(machine_.TrySteal(*policy, 1, machine_.Snapshot(), rng,
+                                runtime::StealOptions{.recheck = true, .max_batch = 1},
+                                counters, nullptr, nullptr, &observation));
   EXPECT_EQ(counters.successes, 1u);
   EXPECT_EQ(counters.items_stolen, 1u);
-  EXPECT_EQ(machine.queue(0).ReadLoad().task_count, 5);
+  EXPECT_EQ(observation.item_id, FirstTaken(6));
+  EXPECT_EQ(machine_.queue(0).ReadLoad().task_count, 5);
 }
 
 // An oversized cap cannot idle the victim: each item is still gated by
 // ShouldMigrate against loads updated move-by-move, so the batch stops the
 // moment another move would not strictly shrink the gap.
-TEST(BatchSteal, VictimNeverIdledEvenWithOversizedCap) {
-  runtime::ConcurrentMachine machine(2);
-  for (uint64_t id = 1; id <= 3; ++id) {
-    PushOne(machine.queue(0), Item(id));
-  }
+TEST_P(BatchSteal, VictimNeverIdledEvenWithOversizedCap) {
+  SeedOwner(machine_.queue(0), 3);
   const auto policy = policies::MakeThreadCount();
   runtime::StealCounters counters;
   runtime::StealObservation observation;
   Rng rng(1);
   const runtime::StealOptions options{.recheck = true, .max_batch = 1000};
-  EXPECT_TRUE(machine.TrySteal(*policy, 1, machine.Snapshot(), rng, options, counters,
-                               nullptr, nullptr, &observation));
+  EXPECT_TRUE(machine_.TrySteal(*policy, 1, machine_.Snapshot(), rng, options, counters,
+                                nullptr, nullptr, &observation));
   EXPECT_EQ(counters.items_stolen, 1u);  // floor(3/2): v=2,t=1 stops the batch
+  EXPECT_EQ(observation.item_id, FirstTaken(3));
   EXPECT_GE(observation.victim_tasks_after, 1);
-  EXPECT_EQ(machine.queue(0).ReadLoad().task_count, 2);
+  EXPECT_EQ(machine_.queue(0).ReadLoad().task_count, 2);
 }
 
 // The mc fault knob really does violate steal safety: with the migration
 // rule and the cap disabled the victim is stripped bare in one action. The
 // model checker depends on this to demonstrate counterexample minimization.
-TEST(BatchSteal, BrokenBatchBoundStripsVictimBare) {
-  runtime::ConcurrentMachine machine(2);
-  for (uint64_t id = 1; id <= 4; ++id) {
-    PushOne(machine.queue(0), Item(id));
-  }
+TEST_P(BatchSteal, BrokenBatchBoundStripsVictimBare) {
+  SeedOwner(machine_.queue(0), 4);
   const auto policy = policies::MakeThreadCount();
   runtime::StealCounters counters;
   runtime::StealObservation observation;
   Rng rng(1);
   const runtime::StealOptions options{
       .recheck = true, .max_batch = 1, .break_batch_bound = true};
-  EXPECT_TRUE(machine.TrySteal(*policy, 1, machine.Snapshot(), rng, options, counters,
-                               nullptr, nullptr, &observation));
+  EXPECT_TRUE(machine_.TrySteal(*policy, 1, machine_.Snapshot(), rng, options, counters,
+                                nullptr, nullptr, &observation));
   EXPECT_EQ(observation.items_moved, 4u);
+  EXPECT_EQ(observation.item_id, FirstTaken(4));
   EXPECT_EQ(observation.victim_tasks_after, 0);  // the violation
-  EXPECT_EQ(machine.queue(0).ReadLoad().task_count, 0);
+  EXPECT_EQ(machine_.queue(0).ReadLoad().task_count, 0);
 }
+
+INSTANTIATE_TEST_SUITE_P(Backends, BatchSteal,
+                         ::testing::Values(runtime::QueueBackend::kLocked,
+                                           runtime::QueueBackend::kChaseLev),
+                         BackendParamName);
 
 // PopForRun checks the single-current invariant BEFORE mutating: popping
 // while an item is already running must abort, with the queue left exactly
@@ -131,13 +158,15 @@ TEST(RunQueueDeath, PopWhileRunningAbortsBeforeMutation) {
 // (and each other). Steal safety is asserted from inside every successful
 // critical section via StealObservation — no victim may be observed idle
 // after a batch leaves, no matter how the threads interleave.
-TEST(BatchStealStress, NoVictimObservedIdleUnderConcurrentBatchSteals) {
+// On kChaseLev no owner runs, so no finish lowers a victim's count between
+// the take and the observation (victim_finished_delta stays 0).
+class BatchStealStress : public ::testing::TestWithParam<runtime::QueueBackend> {};
+
+TEST_P(BatchStealStress, NoVictimObservedIdleUnderConcurrentBatchSteals) {
   constexpr uint32_t kThieves = 4;
   constexpr int kAttemptsPerThief = 3000;
-  runtime::ConcurrentMachine machine(kThieves + 1);
-  for (uint64_t id = 1; id <= 512; ++id) {
-    PushOne(machine.queue(0), Item(id));
-  }
+  runtime::ConcurrentMachine machine(kThieves + 1, {.backend = GetParam()});
+  SeedOwner(machine.queue(0), 512);
   const auto policy = policies::MakeThreadCount();
   std::atomic<bool> victim_idled{false};
   std::atomic<uint64_t> total_batches{0};
@@ -174,6 +203,11 @@ TEST(BatchStealStress, NoVictimObservedIdleUnderConcurrentBatchSteals) {
   }
   EXPECT_EQ(total, 512);
 }
+
+INSTANTIATE_TEST_SUITE_P(Backends, BatchStealStress,
+                         ::testing::Values(runtime::QueueBackend::kLocked,
+                                           runtime::QueueBackend::kChaseLev),
+                         BackendParamName);
 
 // Regression for the Submit/SubmitBatch ordering unification: batches are
 // submitted concurrently with workers draining, and the closed accounting

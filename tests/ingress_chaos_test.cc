@@ -302,13 +302,13 @@ TEST(IngressWatchdog, MailboxBacklogCountsAsPending) {
   // Same loads, no backlog: the streak crosses the threshold.
   EXPECT_GT(charged.stats().persistent_violations, 0u);
 
-  // The two-argument overload is exactly the empty-backlog case.
-  trace::ConservationWatchdog legacy(2, {.threshold_rounds = 4});
+  // The defaulted backlog is exactly the empty-backlog case.
+  trace::ConservationWatchdog defaulted(2, {.threshold_rounds = 4});
   for (uint64_t round = 0; round < 16; ++round) {
-    legacy.ObserveRound(round, loads);
+    defaulted.ObserveRound(round, loads);
   }
-  legacy.Finalize();
-  EXPECT_EQ(legacy.stats().persistent_violations, charged.stats().persistent_violations);
+  defaulted.Finalize();
+  EXPECT_EQ(defaulted.stats().persistent_violations, charged.stats().persistent_violations);
 }
 
 // A mailbox-resident item never excuses OTHER cores: overload is judged on

@@ -1,8 +1,9 @@
-// ItemRing — the locked backend's ready queue: FIFO order across the wrap
-// point, exact growth for batches, erase of the items a steal scan takes
-// past skipped ones, and no allocator calls once the ring is at its
-// high-water size. Also the packed 32-byte WorkItem through every item
-// store: the ring, the chase_lev deque and its inbox, and a mailbox.
+// ItemRing — the locked backend's ready queue, the chase_lev inbox and the
+// mailbox slots: FIFO order across the wrap point, exact growth for batches,
+// erase of the items a steal scan takes past skipped ones, and no allocator
+// calls once the ring is at its high-water size or within its sized
+// capacity. Also the packed 32-byte WorkItem through every item store: the
+// ring, the chase_lev deque and its inbox, and a mailbox.
 
 #include "src/runtime/item_ring.h"
 
@@ -182,6 +183,27 @@ TEST(ItemRing, AllocatesNothingOnceAtItsHighWaterSize) {
   }
   EXPECT_EQ(g_allocs.load(std::memory_order_relaxed) - before, 0u);
   EXPECT_EQ(ring.capacity(), 24u);
+}
+
+// A ring sized up front holds that many items without another allocator
+// call: the bounded mailbox's admission path relies on it.
+TEST(ItemRing, SizedRingAllocatesNothingUpToItsCapacity) {
+  const uint64_t before_construct = g_allocs.load(std::memory_order_relaxed);
+  ItemRing ring(5);
+  EXPECT_EQ(g_allocs.load(std::memory_order_relaxed) - before_construct, 1u);
+  EXPECT_EQ(ring.capacity(), 5u);
+  EXPECT_TRUE(ring.empty());
+  const uint64_t before = g_allocs.load(std::memory_order_relaxed);
+  for (int round = 0; round < 100; ++round) {
+    while (ring.size() < 5) {
+      ring.PushBack(Item(ring.size() + 1));
+    }
+    ring.PopFront();
+    ring.PopFront();
+  }
+  EXPECT_EQ(g_allocs.load(std::memory_order_relaxed) - before, 0u);
+  EXPECT_EQ(ring.capacity(), 5u);
+  EXPECT_EQ(ring.size(), 3u);
 }
 
 // --- The packed record through every item store -----------------------------

@@ -10,12 +10,30 @@
 
 namespace fixture {
 
+struct Item {};
+struct Ring {
+  void PushBack(const Item&);
+  void PushBatch(const Item*, int);
+};
+
 OPTSCHED_HOT_PATH void BadDrain(std::vector<int>& out, int item) {
   out.push_back(item);  // expect-lint: hot-path-alloc
 }
 
 OPTSCHED_HOT_PATH int* BadNew() {
   return new int(7);  // expect-lint: hot-path-alloc
+}
+
+// ItemRing's growth calls are container growth too.
+OPTSCHED_HOT_PATH void BadRingPush(Ring& ring, const Item* items, int count) {
+  ring.PushBack(items[0]);  // expect-lint: hot-path-alloc
+  ring.PushBatch(items, count);  // expect-lint: hot-path-alloc
+}
+
+// A function template is checked like any other function.
+template <typename Sink>
+OPTSCHED_HOT_PATH void BadTemplateGrow(Sink& out, int item) {
+  out.push_back(item);  // expect-lint: hot-path-alloc
 }
 
 OPTSCHED_HOT_PATH void SuppressedGrow(std::vector<int>& out, int item) {

@@ -5,7 +5,9 @@
 
 #include <algorithm>
 #include <atomic>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "src/core/policies/thread_count.h"
 #include "src/core/policies/weighted.h"
@@ -122,63 +124,89 @@ TEST(ConcurrentRunQueue, ReadLoadSeesPublishedColumnsAgainstANonstopPublisher) {
   EXPECT_EQ(out_of_range, 0u);
 }
 
-TEST(ConcurrentMachine, StealMovesTailToThief) {
-  runtime::ConcurrentMachine machine(2);
-  PushOne(machine.queue(0), {.id = 1, .work_units = 1, .weight = 1024});
-  PushOne(machine.queue(0), {.id = 2, .work_units = 1, .weight = 1024});
-  PushOne(machine.queue(0), {.id = 3, .work_units = 1, .weight = 1024});
-  const auto policy = policies::MakeThreadCount();
-  runtime::StealCounters counters;
-  Rng rng(1);
-  EXPECT_TRUE(machine.TrySteal(*policy, /*thief=*/1, machine.Snapshot(), rng,
-                               runtime::StealOptions{}, counters));
-  EXPECT_EQ(counters.successes, 1u);
-  EXPECT_EQ(machine.queue(1).ReadLoad().task_count, 1);
-  EXPECT_EQ(machine.queue(0).ReadLoad().task_count, 2);
+// Seeds `queue` through the owner push. On kChaseLev an external push would
+// land in the inbox, where no thief can take it.
+void SeedOwner(runtime::ConcurrentRunQueue& queue, std::vector<runtime::WorkItem> items) {
+  queue.PushBatchOwner(items.data(), static_cast<uint32_t>(items.size()));
 }
 
-TEST(ConcurrentMachine, StaleSnapshotFailsRecheck) {
-  runtime::ConcurrentMachine machine(2);
-  PushOne(machine.queue(0), {.id = 1, .work_units = 1, .weight = 1024});
-  PushOne(machine.queue(0), {.id = 2, .work_units = 1, .weight = 1024});
+// The stealing phase on both backends. A kLocked thief takes the victim's
+// newest item (tail first); a kChaseLev thief takes its oldest (the deque's
+// top). Each test states what the migration rule admits at that end.
+class ConcurrentMachineSteal : public ::testing::TestWithParam<runtime::QueueBackend> {
+ protected:
+  bool Locked() const { return GetParam() == runtime::QueueBackend::kLocked; }
+  runtime::ConcurrentMachine machine_{2, {.backend = GetParam()}};
+};
+
+// Thread-count gap 3: the rule admits a move at either end, and the default
+// steal_one cap moves exactly one item.
+TEST_P(ConcurrentMachineSteal, StealMovesOneItemToThief) {
+  SeedOwner(machine_.queue(0), {{.id = 1, .work_units = 1, .weight = 1024},
+                                {.id = 2, .work_units = 1, .weight = 1024},
+                                {.id = 3, .work_units = 1, .weight = 1024}});
   const auto policy = policies::MakeThreadCount();
-  const LoadSnapshot stale = machine.Snapshot();  // loads (2, 0)
+  runtime::StealCounters counters;
+  runtime::StealObservation observation;
+  Rng rng(1);
+  EXPECT_TRUE(machine_.TrySteal(*policy, /*thief=*/1, machine_.Snapshot(), rng,
+                                runtime::StealOptions{}, counters, nullptr, nullptr,
+                                &observation));
+  EXPECT_EQ(counters.successes, 1u);
+  EXPECT_EQ(observation.item_id, Locked() ? 3u : 1u);
+  EXPECT_EQ(machine_.queue(1).ReadLoad().task_count, 1);
+  EXPECT_EQ(machine_.queue(0).ReadLoad().task_count, 2);
+}
+
+TEST_P(ConcurrentMachineSteal, StaleSnapshotFailsRecheck) {
+  SeedOwner(machine_.queue(0), {{.id = 1, .work_units = 1, .weight = 1024},
+                                {.id = 2, .work_units = 1, .weight = 1024}});
+  const auto policy = policies::MakeThreadCount();
+  const LoadSnapshot stale = machine_.Snapshot();  // loads (2, 0)
   // The queue drains behind the snapshot's back.
-  (void)machine.queue(0).PopForRun();
-  machine.queue(0).FinishCurrent();
-  (void)machine.queue(0).PopForRun();
-  machine.queue(0).FinishCurrent();
+  (void)machine_.queue(0).PopForRun();
+  machine_.queue(0).FinishCurrent();
+  (void)machine_.queue(0).PopForRun();
+  machine_.queue(0).FinishCurrent();
   runtime::StealCounters counters;
   Rng rng(1);
-  EXPECT_FALSE(machine.TrySteal(*policy, 1, stale, rng, runtime::StealOptions{}, counters));
+  EXPECT_FALSE(machine_.TrySteal(*policy, 1, stale, rng, runtime::StealOptions{}, counters));
   EXPECT_EQ(counters.failed_recheck, 1u);
   EXPECT_EQ(counters.successes, 0u);
 }
 
-TEST(ConcurrentMachine, EmptyFilterIsNotAnAttempt) {
-  runtime::ConcurrentMachine machine(2);
+TEST_P(ConcurrentMachineSteal, EmptyFilterIsNotAnAttempt) {
   const auto policy = policies::MakeThreadCount();
   runtime::StealCounters counters;
   Rng rng(1);
-  EXPECT_FALSE(machine.TrySteal(*policy, 1, machine.Snapshot(), rng,
-                                runtime::StealOptions{}, counters));
+  EXPECT_FALSE(machine_.TrySteal(*policy, 1, machine_.Snapshot(), rng,
+                                 runtime::StealOptions{}, counters));
   EXPECT_EQ(counters.empty_filter, 1u);
   EXPECT_EQ(counters.attempts, 0u);
 }
 
-TEST(ConcurrentMachine, WeightedMigrationRespectsDiff) {
-  runtime::ConcurrentMachine machine(2);
-  // Victim: two heavy items. Thief weighted load 0 -> only items lighter
-  // than the diff migrate; both qualify here, tail goes first.
-  PushOne(machine.queue(0), {.id = 1, .work_units = 1, .weight = 9000});
-  PushOne(machine.queue(0), {.id = 2, .work_units = 1, .weight = 100});
+TEST_P(ConcurrentMachineSteal, WeightedMigrationRespectsDiff) {
+  // Victim: a heavy item (oldest) and a light one (newest); thief weighted
+  // load 0, so the diff is 9100. The rule admits any item lighter than the
+  // diff, so both qualify and the thief takes the one at its end: the light
+  // newest item on kLocked, the heavy oldest one on kChaseLev.
+  SeedOwner(machine_.queue(0), {{.id = 1, .work_units = 1, .weight = 9000},
+                                {.id = 2, .work_units = 1, .weight = 100}});
   const auto policy = policies::MakeWeightedLoad();
   runtime::StealCounters counters;
   Rng rng(1);
-  EXPECT_TRUE(machine.TrySteal(*policy, 1, machine.Snapshot(), rng,
-                               runtime::StealOptions{}, counters));
-  EXPECT_EQ(machine.queue(1).ReadLoad().weighted_load, 100);  // tail item
+  EXPECT_TRUE(machine_.TrySteal(*policy, 1, machine_.Snapshot(), rng,
+                                runtime::StealOptions{}, counters));
+  EXPECT_EQ(machine_.queue(1).ReadLoad().weighted_load, Locked() ? 100 : 9000);
+  EXPECT_EQ(machine_.queue(0).ReadLoad().weighted_load, Locked() ? 9000 : 100);
 }
+
+INSTANTIATE_TEST_SUITE_P(Backends, ConcurrentMachineSteal,
+                         ::testing::Values(runtime::QueueBackend::kLocked,
+                                           runtime::QueueBackend::kChaseLev),
+                         [](const ::testing::TestParamInfo<runtime::QueueBackend>& info) {
+                           return std::string(runtime::QueueBackendName(info.param));
+                         });
 
 TEST(ConcurrentMachine, LockedSnapshotIsExact) {
   runtime::ConcurrentMachine machine(3);

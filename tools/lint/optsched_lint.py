@@ -30,7 +30,9 @@ docs/static_analysis.md for the full rationale):
   hot-path-alloc         OPTSCHED_HOT_PATH function bodies contain no
                          allocation or container growth (operator new,
                          malloc/calloc/realloc, make_unique/make_shared,
-                         push_back/emplace/resize/reserve/insert/append).
+                         push_back/emplace/resize/reserve/insert/append,
+                         ItemRing's PushBack/PushBatch); function
+                         templates included.
 
 Suppressions: "// optsched-lint: allow(<rule>): <reason>" on the offending
 line or on its own line directly above. The reason is mandatory; a
@@ -105,9 +107,11 @@ BANNED_ALLOC = (
     (re.compile(r"\bnew\b"), "operator new"),
     (re.compile(r"\b(?:std::)?(?:malloc|calloc|realloc)\s*\("), "C allocation"),
     (re.compile(r"\bmake_(?:unique|shared)\b"), "smart-pointer allocation"),
+    # std containers plus ItemRing, whose PushBack/PushBatch grow the ring
+    # past its high-water size.
     (re.compile(
-        r"\.\s*(push_back|emplace_back|emplace|resize|reserve|insert|append)"
-        r"\s*\("), "container growth"),
+        r"\.\s*(push_back|emplace_back|emplace|resize|reserve|insert|append|"
+        r"PushBack|PushBatch)\s*\("), "container growth"),
 )
 
 # Keywords that open a block but are not function definitions.
@@ -222,6 +226,23 @@ class Directives:
         return None
 
 
+def strip_template_head(header):
+    """Drops a leading `template <...>` so a function template is classified
+    by the declaration that follows it."""
+    m = re.match(r"template\s*<", header)
+    if not m:
+        return header
+    depth = 0
+    for k in range(m.end() - 1, len(header)):
+        if header[k] == "<":
+            depth += 1
+        elif header[k] == ">":
+            depth -= 1
+            if depth == 0:
+                return header[k + 1:].strip()
+    return header
+
+
 class Block:
     __slots__ = ("open_line", "close_line", "header", "name", "is_function",
                  "hot")
@@ -234,6 +255,7 @@ class Block:
         self.is_function = False
         self.hot = HOT_PATH_TOKEN in header
         h = re.sub(r"\b(public|private|protected)\s*:", " ", header).strip()
+        h = strip_template_head(h)
         if "(" not in h:
             return
         first = re.match(r"[A-Za-z_~][\w]*", h)
