@@ -47,8 +47,9 @@ struct FaultPlan {
   double stale_snapshot_rate = 0.0;
   // The entire periodic balancing round is dropped (lost timer tick).
   double drop_round_rate = 0.0;
-  // Worker crash-and-restart (threaded executor only): the worker thread
-  // exits at a protocol seam and is respawned after crash_restart_us.
+  // Worker crash-and-restart (threaded executor only): the worker leaves its
+  // loop at a protocol seam, and its thread re-enters the loop after
+  // crash_restart_us.
   double crash_rate = 0.0;
   uint64_t crash_restart_us = 200;
   // --- Serving-ingress seams (src/ingress, docs/serving.md) -----------------

@@ -112,7 +112,6 @@ class StealHarness::Tasks final : public runtime::TaskRunner, public task::Spawn
     graph_.RunItemOn(item, worker, *this);
     in_body_[worker] = false;
   }
-  int64_t OutstandingFor(uint32_t worker) const override { return graph_.OutstandingFor(worker); }
 
   void SubmitBatch(uint32_t worker, const WorkItem* items, uint32_t count) override {
     executor_->SubmitFromWorker(worker, items, count);

@@ -303,8 +303,7 @@ uint32_t Executor::DrainIngress(uint32_t worker, WorkerStats& stats,
 // The whole worker loop is on the D7 allocation-free budget: after the
 // warm-up allocations below, a full pop-execute or selection+steal iteration
 // must not touch the allocator (rule hot-path-alloc; audited by bench_e14).
-OPTSCHED_HOT_PATH void Executor::WorkerMain(uint32_t worker_index, WorkerStats& stats,
-                                            std::atomic<uint32_t>& state,
+OPTSCHED_HOT_PATH bool Executor::WorkerMain(uint32_t worker_index, WorkerStats& stats,
                                             trace::SpscTraceRing* ring) {
   Rng rng(config_.seed * 1000003 + worker_index);
   ConcurrentRunQueue& own = machine_.queue(worker_index);
@@ -370,7 +369,6 @@ OPTSCHED_HOT_PATH void Executor::WorkerMain(uint32_t worker_index, WorkerStats& 
       ring->TryPush({.time = trace_now_us(), .type = trace::EventType::kCrash,
                      .cpu = worker_index});
     }
-    state.store(kCrashed, std::memory_order_release);
   };
 
   // The item this worker runs, carried between iterations: popped at the
@@ -392,10 +390,10 @@ OPTSCHED_HOT_PATH void Executor::WorkerMain(uint32_t worker_index, WorkerStats& 
       wakeup_before = wakeup_.Sample();
       // Crash seam: only where no item is held — fail-stop between
       // scheduling decisions, so the shared queues stay consistent and the
-      // supervisor can respawn this slot without losing work.
+      // restarted loop loses no work.
       if (injector != nullptr && injector->CrashWorker(worker_index)) {
         crash();
-        return;
+        return true;
       }
       // Run everything queued locally first.
       item = own.PopForRun();
@@ -466,7 +464,7 @@ OPTSCHED_HOT_PATH void Executor::WorkerMain(uint32_t worker_index, WorkerStats& 
       }
       if (crashing) {
         crash();
-        return;
+        return true;
       }
       // Items the drain cadence below moved into the own queue: with no
       // carried item they are popped at the loop top, never left behind by a
@@ -630,7 +628,7 @@ OPTSCHED_HOT_PATH void Executor::WorkerMain(uint32_t worker_index, WorkerStats& 
     }
   }
   retract();
-  state.store(kDone, std::memory_order_release);
+  return false;
 }
 
 bool Executor::ParkMayEnd(const void* wait) {
@@ -651,7 +649,7 @@ void Executor::BeginRun(bool deadline_mode) {
   injector_ = config_.fault_plan.any()
                   ? std::make_unique<fault::FaultInjector>(config_.fault_plan, config_.num_workers)
                   : nullptr;
-  // One ring per worker plus a supervisor lane (watchdog verdicts, restarts).
+  // One ring per worker plus a supervisor lane (watchdog verdicts).
   collector_ = config_.trace_ring_capacity > 0
                    ? std::make_unique<trace::TraceCollector>(config_.num_workers + 1,
                                                              config_.trace_ring_capacity)
@@ -667,9 +665,8 @@ void Executor::BeginCheckedRun(bool deadline_mode) {
 
 void Executor::RunWorker(uint32_t worker, WorkerStats& stats) {
   OPTSCHED_CHECK(worker < config_.num_workers);
-  // optsched-lint: allow(mc-hook-coverage): the lifecycle word only a supervisor reads, and checked runs have none
-  std::atomic<uint32_t> state{kRunning};
-  WorkerMain(worker, stats, state, /*ring=*/nullptr);
+  // Checked runs take no fault plan, so the loop never crashes.
+  WorkerMain(worker, stats, /*ring=*/nullptr);
 }
 
 ExecutorReport Executor::RunInternal(uint64_t duration_ms,
@@ -695,30 +692,32 @@ ExecutorReport Executor::RunInternal(uint64_t duration_ms,
   const uint64_t start = run_start_ns_;
   const uint64_t stop_at = deadline_mode_ ? start + duration_ms * 1'000'000ull : 0;
 
-  std::vector<std::unique_ptr<WorkerSlot>> slots;
-  slots.reserve(config_.num_workers);
-  for (uint32_t i = 0; i < config_.num_workers; ++i) {
-    slots.push_back(std::make_unique<WorkerSlot>());
-  }
-  const auto spawn = [&](uint32_t i) {
-    WorkerSlot& slot = *slots[i];
-    slot.state.store(kRunning, std::memory_order_release);
+  // Each worker thread runs its loop until the run is over. A crash is
+  // fail-stop between items: the same thread waits out the plan's restart
+  // delay and enters the loop afresh, which leaves at once if the run ended
+  // meanwhile.
+  const auto worker_thread = [this, &report](uint32_t i) {
     trace::SpscTraceRing* ring = collector_ != nullptr ? &collector_->ring(i) : nullptr;
-    slot.thread = std::thread(
-        [this, i, &report, &slot, ring] { WorkerMain(i, report.workers[i], slot.state, ring); });
+    while (WorkerMain(i, report.workers[i], ring)) {
+      std::this_thread::sleep_for(std::chrono::microseconds(config_.fault_plan.crash_restart_us));
+      if (ring != nullptr) {
+        ring->TryPush({.time = (NowNs() - run_start_ns_) / 1000,
+                       .type = trace::EventType::kRestart, .cpu = i});
+      }
+    }
   };
+  std::vector<std::thread> threads;
+  threads.reserve(config_.num_workers);
   for (uint32_t i = 0; i < config_.num_workers; ++i) {
-    spawn(i);
+    threads.emplace_back(worker_thread, i);
   }
   std::thread producer_thread;
   if (producer) {
     producer_thread = std::thread([this, &producer] { producer(*this); });
   }
 
-  // Supervisor loop: watches the deadline, respawns crashed workers after the
-  // plan's restart delay, and feeds the watchdog. A crashed worker's slot is
-  // joined here before its thread object is reused.
-  const uint64_t restart_delay_ns = config_.fault_plan.crash_restart_us * 1000ull;
+  // Supervisor loop: polls until the run is over, at the deadline or once
+  // the quiescence sum reads drained, and feeds the watchdog meanwhile.
   LoadSnapshot watchdog_snapshot;  // reused across polls
   std::vector<int64_t> watchdog_pending;  // per worker: work it has that no queue shows
   // Each worker thread's CPU time and executed count at the previous poll.
@@ -726,48 +725,7 @@ ExecutorReport Executor::RunInternal(uint64_t duration_ms,
   std::vector<uint64_t> watchdog_executed(config_.num_workers, 0);
   for (;;) {
     const uint64_t now = NowNs();
-    if (deadline_mode_ && !stop_.load(std::memory_order_acquire) && now >= stop_at) {
-      stop_.store(true, std::memory_order_release);
-    }
-    const bool stopping =
-        deadline_mode_ ? stop_.load(std::memory_order_acquire) : counts_.Drained(machine_);
-    bool all_done = true;
-    for (uint32_t i = 0; i < config_.num_workers; ++i) {
-      WorkerSlot& slot = *slots[i];
-      switch (slot.state.load(std::memory_order_acquire)) {
-        case kRunning:
-          all_done = false;
-          break;
-        case kCrashed:
-          slot.thread.join();
-          if (stopping) {
-            slot.state.store(kDone, std::memory_order_relaxed);  // order: supervisor-private-state
-            break;
-          }
-          // order: supervisor-private-state
-          slot.state.store(kAwaitingRestart, std::memory_order_relaxed);
-          slot.restart_at_ns = now + restart_delay_ns;
-          all_done = false;
-          break;
-        case kAwaitingRestart:
-          if (stopping) {
-            slot.state.store(kDone, std::memory_order_relaxed);  // order: supervisor-private-state
-          } else if (now >= slot.restart_at_ns) {
-            spawn(i);
-            if (supervisor_ring != nullptr) {
-              supervisor_ring->TryPush({.time = (now - start) / 1000,
-                                        .type = trace::EventType::kRestart, .cpu = i});
-            }
-            all_done = false;
-          } else {
-            all_done = false;
-          }
-          break;
-        case kDone:
-          break;
-      }
-    }
-    if (all_done) {
+    if (deadline_mode_ ? now >= stop_at : counts_.Drained(machine_)) {
       break;
     }
     if (config_.watchdog) {
@@ -776,11 +734,6 @@ ExecutorReport Executor::RunInternal(uint64_t duration_ms,
       // docs/serving.md): an idle worker with a backlogged mailbox is about
       // to drain, not violating conservation — without this, sustained
       // ingress overload escalates the watchdog against a healthy scheduler.
-      // Outstanding join continuations get the same treatment (docs/tasks.md):
-      // a forked-but-unfired continuation is work already promised to the
-      // system — its children are running elsewhere and the last arriver will
-      // submit it — so a deep fork-join drain must read as pending load, not
-      // as a persistent conservation violation.
       // A worker the OS did not run since the previous sample is excused the
       // same way: it was shown no load it could act on, so a descheduled
       // thread is not an idle core. Without this, a host with more runnable
@@ -797,10 +750,7 @@ ExecutorReport Executor::RunInternal(uint64_t duration_ms,
         if (config_.ingress != nullptr) {
           watchdog_pending[i] += config_.ingress->PendingFor(i);
         }
-        if (config_.task_runner != nullptr) {
-          watchdog_pending[i] += config_.task_runner->OutstandingFor(i);
-        }
-        const uint64_t cpu_ns = ThreadCpuNs(slots[i]->thread);
+        const uint64_t cpu_ns = ThreadCpuNs(threads[i]);
         const uint64_t executed = TerminationCounts::Executed(machine_.queue(i).counts());
         if (cpu_ns == watchdog_cpu_ns[i] || executed != watchdog_executed[i]) {
           ++watchdog_pending[i];
@@ -828,10 +778,12 @@ ExecutorReport Executor::RunInternal(uint64_t duration_ms,
     }
     std::this_thread::sleep_for(std::chrono::microseconds(config_.supervisor_poll_us));
   }
-  for (uint32_t i = 0; i < config_.num_workers; ++i) {
-    if (slots[i]->thread.joinable()) {
-      slots[i]->thread.join();
-    }
+  // RunFor's deadline: each worker finishes its carried item and leaves.
+  if (deadline_mode_) {
+    stop_.store(true, std::memory_order_release);
+  }
+  for (std::thread& thread : threads) {
+    thread.join();
   }
   if (producer_thread.joinable()) {
     producer_thread.join();

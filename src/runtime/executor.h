@@ -18,9 +18,10 @@
 //    more.
 //  * A FaultPlan (src/fault) perturbs the seams: stalled stragglers, forced
 //    steal aborts, artificially stale snapshots, and worker crash-and-restart
-//    — the worker thread genuinely exits and a supervisor respawns it after
-//    the plan's restart delay (queues are shared memory, so no item is lost:
-//    fail-stop between items, as in the paper's model).
+//    — the worker genuinely leaves its loop, and its own thread waits out
+//    the plan's restart delay and enters the loop afresh (queues are shared
+//    memory, so no item is lost: fail-stop between items, as in the paper's
+//    model).
 //  * A work-conservation watchdog samples the lock-free load snapshot,
 //    tracks idle-while-overloaded streaks, and escalates a persistent
 //    violation by notifying the wakeup gate, which snaps every parked worker
@@ -47,7 +48,6 @@
 #include <functional>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "src/core/policy.h"
@@ -83,12 +83,9 @@ class TaskRunner {
   // deadline.
   virtual void RunItem(const WorkItem& item, Executor& executor, uint32_t worker) = 0;
 
-  // Join continuations forked by `worker` that have not yet been submitted
-  // (their children are still running). The supervisor's watchdog counts
-  // them as PENDING work, mirroring the mailbox-backlog rule: a deep
-  // fork-join drain must classify as transient load, never as a
-  // work-conservation violation. Lock-free, may be stale by one fork.
-  virtual int64_t OutstandingFor(uint32_t worker) const = 0;
+  // Residue (ROADMAP item 2): the runtime never calls this. It stays only
+  // because the benchmark's tracing runner overrides and calls it.
+  virtual int64_t OutstandingFor(uint32_t /*worker*/) const { return 0; }
 };
 
 struct ExecutorConfig {
@@ -130,9 +127,9 @@ struct ExecutorConfig {
   uint64_t watchdog_threshold_samples = 0;
   uint64_t supervisor_poll_us = 50;
   // Concurrent observability (docs/observability.md): per-worker lock-free
-  // SPSC trace rings, plus one supervisor ring for watchdog verdicts and
-  // restarts, merged into ExecutorReport::trace_events after the run. Steal
-  // outcomes, backoff parks, park wakeups and crashes are recorded
+  // SPSC trace rings, plus one supervisor ring for watchdog verdicts, merged
+  // into ExecutorReport::trace_events after the run. Steal outcomes, backoff
+  // parks, park wakeups, crashes and restarts are recorded
   // WITHOUT any lock on the selection fast path. 0 disables recording; the
   // disabled path costs one null-pointer check per event site, so throughput
   // numbers don't move.
@@ -342,23 +339,11 @@ class Executor {
   ConcurrentMachine& machine() { return machine_; }
 
  private:
-  // Worker lifecycle, observed by the supervisor loop. A worker publishes
-  // kCrashed/kDone itself; kAwaitingRestart is supervisor-private.
-  enum WorkerState : uint32_t { kRunning = 0, kCrashed = 1, kAwaitingRestart = 2, kDone = 3 };
-
-  struct WorkerSlot {
-    std::thread thread;
-    // optsched-lint: allow(mc-hook-coverage): crash/restart supervision handshake — the mc harness fail-stops fibers itself, outside this seam
-    std::atomic<uint32_t> state{kRunning};
-    uint64_t restart_at_ns = 0;  // supervisor-only
-  };
-
-  // `ring` is this worker's SPSC trace ring (null when tracing is off). A
-  // respawned worker reuses its predecessor's ring: the supervisor joins the
-  // crashed thread before spawning the replacement, so there is never more
-  // than one live producer per ring.
-  void WorkerMain(uint32_t worker_index, WorkerStats& stats, std::atomic<uint32_t>& state,
-                  trace::SpscTraceRing* ring);
+  // Runs worker `worker_index`'s loop until the run is over, and returns
+  // false, or until an injected crash, and returns true. `ring` is this
+  // worker's SPSC trace ring (null when tracing is off). A crashed worker's
+  // own thread restarts it, so each ring keeps one producer.
+  bool WorkerMain(uint32_t worker_index, WorkerStats& stats, trace::SpscTraceRing* ring);
   // Moves up to kIngressDrainBatch items from config_.ingress into
   // `worker`'s own runqueue (count bumped BEFORE the items become poppable,
   // same ordering contract as SubmitBatch). `batch` is the worker's reusable
@@ -376,9 +361,9 @@ class Executor {
   static bool ParkMayEnd(const void* wait);
   // Resets the per-run state shared by Run, RunFor and BeginCheckedRun.
   void BeginRun(bool deadline_mode);
-  // Shared driver behind Run and RunFor: spawns workers, supervises
-  // crash-and-restart and the watchdog, joins, reports. duration_ms == 0
-  // means closed-system mode (run until drained).
+  // Shared body of Run and RunFor: spawns workers, feeds the watchdog
+  // until the run is over, joins, reports. duration_ms == 0 means
+  // closed-system mode (run until drained).
   ExecutorReport RunInternal(uint64_t duration_ms, const std::function<void(Executor&)>& producer);
 
   std::shared_ptr<const BalancePolicy> policy_;

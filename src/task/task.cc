@@ -45,8 +45,6 @@ TaskGraph::TaskGraph(const TaskGraphOptions& options)
       arena_(static_cast<TaskNode*>(::operator new(sizeof(TaskNode) * options.arena_capacity,
                                                    std::align_val_t{alignof(TaskNode)}))),
       worker_state_(std::make_unique<WorkerState[]>(options.max_workers)),
-      fire_lines_per_row_((options.max_workers + FireLine::kSlots - 1) / FireLine::kSlots),
-      fires_(std::make_unique<FireLine[]>(options.max_workers * fire_lines_per_row_)),
       pool_(std::make_unique_for_overwrite<uint32_t[]>(options.arena_capacity / kChunk + 1)),
       pool_capacity_(options.arena_capacity / kChunk + 1) {
   OPTSCHED_CHECK(options_.max_workers >= 1);
@@ -76,11 +74,6 @@ void TaskGraph::Reset() {
   for (uint32_t w = 0; w < options_.max_workers; ++w) {
     worker_state_[w].free_head = TaskNode::kNoNode;
     worker_state_[w].free_count = 0;
-    worker_state_[w].forks.store(0, std::memory_order_relaxed);  // order: setup-single-threaded
-    for (uint32_t f = 0; f < options_.max_workers; ++f) {
-      std::atomic<int64_t>& fired = FireCount(f, w);
-      fired.store(0, std::memory_order_relaxed);  // order: setup-single-threaded
-    }
   }
   done_.store(false, std::memory_order_relaxed);  // order: setup-single-threaded
 }
@@ -90,21 +83,6 @@ uint32_t TaskGraph::nodes_allocated() const {
   // chunks on the free lists; fine for a headroom metric.
   const uint32_t next = arena_next_.load(std::memory_order_relaxed);  // order: arena-chunk-commutes
   return next < options_.arena_capacity ? next : options_.arena_capacity;
-}
-
-int64_t TaskGraph::OutstandingFor(uint32_t worker) const {
-  if (worker >= options_.max_workers) {
-    return 0;
-  }
-  // Fires first, with acquire: a fire read here carries the fork it settles,
-  // so the difference never goes negative.
-  int64_t settled = 0;
-  for (uint32_t f = 0; f < options_.max_workers; ++f) {
-    const std::atomic<int64_t>& fired = FireCount(f, worker);
-    settled += fired.load(std::memory_order_acquire);
-  }
-  // order: watchdog-pending
-  return worker_state_[worker].forks.load(std::memory_order_relaxed) - settled;
 }
 
 // Node handout is on the spawn hot path: a pop off the worker's own LIFO
@@ -121,7 +99,6 @@ OPTSCHED_HOT_PATH TaskNode* TaskGraph::AllocNode(uint32_t worker) {
   ++node->generation;
   node->parent = TaskNode::kNoNode;
   node->join.store(0, std::memory_order_relaxed);  // order: join-init-prepublish
-  node->forker = worker;
   return node;
 }
 
@@ -215,11 +192,7 @@ OPTSCHED_HOT_PATH void TaskGraph::CompleteTask(uint32_t parent_index, TaskContex
     }
     return;
   }
-  // Last arriver: the continuation's inputs are all written; settle the
-  // forker's count on this worker's own row and queue the continuation.
-  std::atomic<int64_t>& fired = FireCount(ctx.worker_, parent->forker);
-  // order: single-writer-count
-  fired.store(fired.load(std::memory_order_relaxed) + 1, std::memory_order_release);
+  // Last arriver: the continuation's inputs are all written; queue it.
   ctx.sink_->OnJoinFire(ctx.worker_, ItemFor(*parent).id);
   ctx.Enqueue(*parent);
 }
@@ -262,9 +235,6 @@ OPTSCHED_HOT_PATH TaskNode& TaskContext::ForkN(TaskBody continuation, uint32_t c
   // order: join-init-prepublish
   cont->join.store(static_cast<int32_t>(children), std::memory_order_relaxed);
   deferred_ = true;
-  std::atomic<int64_t>& forked = graph_->worker_state_[worker_].forks;
-  // order: single-writer-count
-  forked.store(forked.load(std::memory_order_relaxed) + 1, std::memory_order_relaxed);
   sink_->OnFork(worker_, graph_->ItemFor(*cont).id, children);
   return *cont;
 }

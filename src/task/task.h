@@ -12,8 +12,8 @@
 //     own runqueue. No task ever waits: a worker that finishes a child goes
 //     straight back to its deque, so joins cost one atomic RMW, never a
 //     blocked worker (the no-worker-blocks-on-join property, discharged by
-//     the mc `forkjoin` harness). That decrement is the only shared-line RMW
-//     on the fork/join path: fork and fire counts are single-writer stores.
+//     the mc `forkjoin` harness). That counter is the task layer's only
+//     shared bookkeeping on the fork/join path.
 //   * Nodes live in an arena preallocated by the graph. A node is dead once
 //     its own RunItemOn returns (children point at the continuation, never
 //     at the node that forked them), so the worker that ran it pushes it on
@@ -32,9 +32,10 @@
 //     and the worker publishes them, so while every worker is busy a
 //     fork-join run touches no deque at all.
 //   * The graph implements runtime::TaskRunner, so the executor dispatches
-//     items with WorkItem::task != 0 here instead of the calibrated spin,
-//     and the conservation watchdog counts forked-but-unfired continuations
-//     as pending work (OutstandingFor), mirroring the mailbox-backlog rule.
+//     items with WorkItem::task != 0 here instead of the calibrated spin.
+//     The conservation watchdog reads a worker that owes a continuation like
+//     any other: it is busy while it runs items, and idle beside an
+//     overloaded queue otherwise.
 //
 // Body-side invariant (continuation counting): every task either RETURNS
 // COMPLETE (it forked nothing) or calls ForkN/Fork2 exactly once and spawns
@@ -87,9 +88,6 @@ struct alignas(runtime::kCacheLineSize) TaskNode {
   // whichever worker pops the continuation.
   // mc: kTaskJoinDec, kTaskJoinLoad
   std::atomic<int32_t> join{0};
-  // Worker that forked this continuation — the fork count it was charged to
-  // (see TaskGraph::OutstandingFor).
-  uint32_t forker = 0;
   // Lifetimes this arena slot has begun: the high half of the item id, so a
   // reused slot never repeats an id (TaskGraph::ItemFor).
   uint32_t generation = 0;
@@ -139,8 +137,8 @@ class SpawnSink {
 };
 
 struct TaskGraphOptions {
-  // Workers that may run tasks from this graph (per-worker spawn batching and
-  // outstanding-continuation accounting are sized by this).
+  // Workers that may run tasks from this graph (the per-worker free lists
+  // are sized by this).
   uint32_t max_workers = 4;
   // Nodes preallocated per graph. Nodes are reused as tasks finish, so the
   // arena must hold the nodes live at once plus the free-list slack (up to
@@ -183,9 +181,9 @@ class TaskGraph : public runtime::TaskRunner {
   // True once the root task's subgraph fully completed.
   bool done() const { return done_.load(std::memory_order_acquire); }
 
-  // Rewinds the arena, the free lists, the pool, the counts and the done
-  // flag for the next run. All nodes handed out so far are invalidated;
-  // steady-state reruns allocate nothing.
+  // Rewinds the arena, the free lists, the pool and the done flag for the
+  // next run. All nodes handed out so far are invalidated; steady-state
+  // reruns allocate nothing.
   void Reset();
 
   // Arena high-water since construction/Reset: nodes ever bumped out of the
@@ -202,7 +200,6 @@ class TaskGraph : public runtime::TaskRunner {
   // runtime::TaskRunner:
   void RunItem(const runtime::WorkItem& item, runtime::Executor& executor,
                uint32_t worker) override;
-  int64_t OutstandingFor(uint32_t worker) const override;
 
   const TaskGraphOptions& options() const { return options_; }
 
@@ -214,33 +211,16 @@ class TaskGraph : public runtime::TaskRunner {
   // A free list longer than this spills its kChunk coldest nodes to the pool.
   static constexpr uint32_t kFreeListMax = 32;
 
-  // Owner-private except `forks`, which the watchdog reads.
+  // Owner-private.
   struct alignas(runtime::kCacheLineSize) WorkerState {
     // LIFO free list, linked through TaskNode::parent: the head is the node
     // this worker freed last, still hot in its cache.
     uint32_t free_head = TaskNode::kNoNode;
     uint32_t free_count = 0;
-    // Continuations this worker forked since Reset. Single writer (this
-    // worker) bumping with load+store; the watchdog subtracts the fires.
-    // optsched-lint: allow(mc-hook-coverage): watchdog pending-work bookkeeping, read only by the supervisor outside the checked protocol
-    std::atomic<int64_t> forks{0};
-  };
-
-  // One firer's row: continuations it fired, indexed by their forker.
-  struct alignas(runtime::kCacheLineSize) FireLine {
-    static constexpr uint32_t kSlots = runtime::kCacheLineSize / sizeof(int64_t);
-    // Single writer (the firing worker), release stores so OutstandingFor's
-    // acquire reads of the fires see every fork they settle.
-    // optsched-lint: allow(mc-hook-coverage): watchdog pending-work bookkeeping, read only by the supervisor outside the checked protocol
-    std::atomic<int64_t> by_forker[kSlots];
   };
 
   uint32_t IndexOf(const TaskNode& node) const {
     return static_cast<uint32_t>(&node - arena_.get());
-  }
-  std::atomic<int64_t>& FireCount(uint32_t firer, uint32_t forker) const {
-    return fires_[firer * fire_lines_per_row_ + forker / FireLine::kSlots]
-        .by_forker[forker % FireLine::kSlots];
   }
 
   TaskNode* AllocNode(uint32_t worker);
@@ -272,8 +252,6 @@ class TaskGraph : public runtime::TaskRunner {
   // optsched-lint: allow(mc-hook-coverage): arena chunk cursor — handout order is protocol-irrelevant, any interleaving yields distinct indices
   std::atomic<uint32_t> arena_next_{0};
   std::unique_ptr<WorkerState[]> worker_state_;
-  uint32_t fire_lines_per_row_;
-  std::unique_ptr<FireLine[]> fires_;
   // Graph-wide pool of kChunk-node free lists, by head index. Sized for
   // every node at once, so pushing never allocates.
   runtime::SpinLock pool_lock_;

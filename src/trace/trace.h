@@ -35,8 +35,8 @@ enum class EventType {
   // Real-thread executor events (recorded into per-worker SPSC rings):
   kBackoffPark,  // bounded backoff park; detail = measured duration (ns)
   kWakeup,       // a park cut short by the wakeup gate (new work or an escalation)
-  kCrash,        // injected worker crash (thread exits)
-  kRestart,      // supervisor respawned a crashed worker slot
+  kCrash,        // injected worker crash (the worker leaves its loop)
+  kRestart,      // the crashed worker's own thread re-enters its loop
   // Serving-ingress events (docs/serving.md). Executor side:
   kMailboxDrain,    // owner moved a batch mailbox->runqueue; detail = items
   // Router side (per-shard buffers; cpu = home worker, task = item id):

@@ -292,7 +292,6 @@ class StealGate final : public runtime::TaskRunner {
       std::this_thread::yield();
     }
   }
-  int64_t OutstandingFor(uint32_t /*worker*/) const override { return 0; }
 
   bool timed_out() const { return timed_out_; }
 

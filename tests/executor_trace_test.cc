@@ -119,6 +119,42 @@ TEST(ExecutorTrace, FullRingsDropAndReportInsteadOfBlocking) {
   EXPECT_EQ(executed, 600u);
 }
 
+TEST(ExecutorTrace, EveryRestartFollowsACrashOfTheSameWorker) {
+  ExecutorConfig config;
+  config.num_workers = 3;
+  config.trace_ring_capacity = 1 << 12;
+  config.seed = 17;
+  config.fault_plan.crash_rate = 0.02;  // per scheduling decision: about a dozen per run
+  config.fault_plan.crash_restart_us = 100;
+  config.fault_plan.seed = 17;
+  Executor executor(policies::MakeThreadCount(), config);
+  executor.Seed(0, Items(600, 500));
+  const ExecutorReport report = executor.Run();
+  SCOPED_TRACE(report.ToString());
+  // A crashed worker's own thread pushes its restart to its own ring, so in
+  // the merged stream each restart comes after a crash of that worker that
+  // no earlier restart answered.
+  std::vector<uint64_t> unanswered(config.num_workers, 0);
+  for (const TraceEvent& e : report.trace_events) {
+    if (e.type == EventType::kCrash) {
+      ++unanswered[e.cpu];
+    } else if (e.type == EventType::kRestart) {
+      ASSERT_GT(unanswered[e.cpu], 0u) << "restart of worker " << e.cpu << " at " << e.time;
+      --unanswered[e.cpu];
+    }
+  }
+  const uint64_t crashes = CountType(report.trace_events, EventType::kCrash);
+  const uint64_t restarts = CountType(report.trace_events, EventType::kRestart);
+  EXPECT_GT(restarts, 0u);
+  EXPECT_LE(restarts, crashes);
+  uint64_t executed = 0;
+  for (const auto& w : report.workers) {
+    executed += w.items_executed;
+  }
+  EXPECT_EQ(executed, report.total_items);
+  EXPECT_EQ(report.total_items, 600u);
+}
+
 TEST(ExecutorTrace, ChromeExportRoundTrips) {
   ExecutorConfig config;
   config.num_workers = 3;

@@ -161,7 +161,6 @@ class SpawnThenHoldRunner : public runtime::TaskRunner {
       std::this_thread::sleep_for(1ms);
     }
   }
-  int64_t OutstandingFor(uint32_t /*worker*/) const override { return 0; }
   uint32_t spawner() const { return spawner_.load(std::memory_order_relaxed); }
 
  private:

@@ -288,7 +288,6 @@ class LedgerRunner : public runtime::TaskRunner {
     for (volatile int spin = 0; spin < 200; ++spin) {
     }
   }
-  int64_t OutstandingFor(uint32_t /*worker*/) const override { return 0; }
   // Ids that did not run exactly once (read after the run joined).
   size_t Mismatches() const {
     size_t bad = 0;
@@ -320,7 +319,7 @@ uint64_t Executed(const runtime::ExecutorReport& report) {
 
 // Regression: a worker carries the next item out of each fused finish+pop
 // (and out of each landing steal). Crashing or exiting while holding it
-// would leave its queue's running slot set, and the respawned worker's
+// would leave its queue's running slot set, and the restarted worker's
 // first pop would abort with "owner already runs an item". The crash seam
 // sits in front of the fused pop, so every crash leaves no item behind and
 // every id runs exactly once.

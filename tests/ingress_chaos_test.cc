@@ -152,7 +152,7 @@ TEST(IngressChaos, CrashRestartAndIngressFaultsLoseNothingAndStayVisible) {
   config.spin_per_unit = 50;
   config.seed = 7;
   config.watchdog = true;
-  // Workers genuinely die (between items) and get respawned; the mailboxes
+  // Workers genuinely die (between items) and get restarted; the mailboxes
   // and runqueues are shared, so admitted items must survive every crash.
   config.fault_plan.crash_rate = 0.0005;
   config.fault_plan.crash_restart_us = 100;

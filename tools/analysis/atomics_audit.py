@@ -115,13 +115,8 @@ DERIVED_FAILURE = {"relaxed": "relaxed", "consume": "consume",
                    "acquire": "acquire", "release": "relaxed",
                    "acq_rel": "acquire", "seq_cst": "seq_cst"}
 
-ALLOW_RE = re.compile(
-    r"//\s*atomics-audit:\s*allow\((?P<check>[a-z-]+)\)\s*:\s*(?P<reason>\S.*)")
-MALFORMED_ALLOW_RE = re.compile(
-    r"//\s*atomics-audit:\s*allow\((?P<check>[a-z-]+)\)\s*:?\s*$")
 ORDER_TAG_RE = re.compile(
     r"//\s*order:\s*(?P<rules>[a-z0-9-]+(?:\s*,\s*[a-z0-9-]+)*)\s*$")
-EXPECT_RE = re.compile(r"//\s*expect-atomics:\s*(?P<check>[a-z-]+)")
 FENCE_RE = re.compile(r"\batomic_thread_fence\s*\(\s*std::memory_order_(\w+)")
 # Member declarations, including atomic arrays and atomics behind
 # unique_ptr<T[]> / vector<T> storage (e.g. slots_) that the
@@ -192,44 +187,11 @@ def base_identifier(line, dot_col):
     return line[i + 1:end]
 
 
-class AuditDirectives:
-    """Audit-specific comment directives ("// order:", "// atomics-audit:
-    allow(...)", "// expect-atomics:"), same binding rules as the lint's
-    Directives: a directive binds to its own line and the line below."""
-
-    def __init__(self, raw_lines):
-        self.allow = {}      # 0-based line -> {check: reason}
-        self.order_tags = {}  # 0-based line -> [rule ids]
-        self.expects = []    # (0-based binding line, check)
-        self.malformed = []
-        for idx, line in enumerate(raw_lines):
-            m = ALLOW_RE.search(line)
-            if m:
-                self.allow.setdefault(idx, {})[m.group("check")] = \
-                    m.group("reason")
-            elif MALFORMED_ALLOW_RE.search(line):
-                self.malformed.append(idx)
-            m = ORDER_TAG_RE.search(line)
-            if m:
-                self.order_tags[idx] = [r.strip()
-                                        for r in m.group("rules").split(",")]
-            m = EXPECT_RE.search(line)
-            if m:
-                standalone = line.lstrip().startswith("//")
-                bind = idx + 1 if standalone else idx
-                self.expects.append((bind, m.group("check")))
-
-    def suppressed(self, idx, check):
-        for at in (idx, idx - 1):
-            if check in self.allow.get(at, {}):
-                return True
-        return False
-
-    def tag_for(self, idx):
-        for at in (idx, idx - 1):
-            if at in self.order_tags:
-                return self.order_tags[at]
-        return None
+def audit_directives(raw_lines):
+    """The audit's "// order:", "// atomics-audit: allow(...)" and
+    "// expect-atomics:" directives, parsed by the lint's Directives."""
+    return lint.Directives(raw_lines, tool="atomics-audit",
+                           expect="expect-atomics", tag_re=ORDER_TAG_RE)
 
 
 class Spec:
@@ -321,7 +283,7 @@ class Auditor:
     def audit_file(self, path, rel):
         raw, stripped = lint.load_stripped(path)
         lint_dirs = lint.Directives(raw)   # mc tags ride the lint syntax
-        audit_dirs = AuditDirectives(raw)
+        audit_dirs = audit_directives(raw)
 
         def report(idx, check, message):
             if not audit_dirs.suppressed(idx, check):
@@ -716,7 +678,7 @@ def run_fixtures(args):
         checked += 1
         path = os.path.join(fixtures, name)
         raw, _ = lint.load_stripped(path)
-        for bind, check in AuditDirectives(raw).expects:
+        for bind, check in audit_directives(raw).expects:
             expected.add((name, bind + 1, check))
         auditor.audit_file(path, name)
     auditor.finish()

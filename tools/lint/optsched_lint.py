@@ -81,12 +81,7 @@ RULE_SCOPES = {
     "hot-path-alloc": ("src/",),
 }
 
-ALLOW_RE = re.compile(
-    r"//\s*optsched-lint:\s*allow\((?P<rule>[a-z-]+)\)\s*:\s*(?P<reason>\S.*)")
-MALFORMED_ALLOW_RE = re.compile(
-    r"//\s*optsched-lint:\s*allow\((?P<rule>[a-z-]+)\)\s*:?\s*$")
 MC_TAG_RE = re.compile(r"//\s*mc:\s*(?P<ops>k\w+(?:\s*,\s*k\w+)*)\s*$")
-EXPECT_RE = re.compile(r"//\s*expect-lint:\s*(?P<rule>[a-z-]+)")
 
 ATOMIC_OP_RE = re.compile(
     r"\.\s*(load|store|exchange|fetch_add|fetch_sub|fetch_or|fetch_and|"
@@ -187,27 +182,40 @@ def strip_code(text):
 
 
 class Directives:
-    """Suppressions, mc tags and fixture expectations parsed from the raw
+    """Suppressions, tags and fixture expectations parsed from the raw
     (unstripped) source. A directive on its own comment line binds to the
-    next line as well as its own."""
+    next line as well as its own.
 
-    def __init__(self, raw_lines):
+    The syntax is shared by both analyzers; each passes its own prefixes and
+    tag regex. `tool` heads a suppression ("// <tool>: allow(<rule>):
+    <reason>"), `expect` a fixture expectation ("// <expect>: <rule>"), and
+    `tag_re` matches a site tag whose first group lists comma-separated
+    items: the lint's mc hook ops, the atomics audit's order rules."""
+
+    def __init__(self, raw_lines, tool="optsched-lint", expect="expect-lint",
+                 tag_re=MC_TAG_RE):
+        allow_head = (r"//\s*" + re.escape(tool) +
+                      r":\s*allow\((?P<rule>[a-z-]+)\)")
+        allow_re = re.compile(allow_head + r"\s*:\s*(?P<reason>\S.*)")
+        malformed_re = re.compile(allow_head + r"\s*:?\s*$")
+        expect_re = re.compile(
+            r"//\s*" + re.escape(expect) + r":\s*(?P<rule>[a-z-]+)")
         self.allow = {}    # 0-based line -> {rule: reason}
-        self.mc_tags = {}  # 0-based line -> [ops]
+        self.tags = {}     # 0-based line -> [items]
         self.expects = []  # (0-based binding line, rule)
         self.malformed = []  # 0-based lines with reason-less suppressions
         for idx, line in enumerate(raw_lines):
-            m = ALLOW_RE.search(line)
+            m = allow_re.search(line)
             if m:
                 self.allow.setdefault(idx, {})[m.group("rule")] = \
                     m.group("reason")
-            elif MALFORMED_ALLOW_RE.search(line):
+            elif malformed_re.search(line):
                 self.malformed.append(idx)
-            m = MC_TAG_RE.search(line)
+            m = tag_re.search(line)
             if m:
-                self.mc_tags[idx] = [op.strip()
-                                     for op in m.group("ops").split(",")]
-            m = EXPECT_RE.search(line)
+                self.tags[idx] = [item.strip()
+                                  for item in m.group(1).split(",")]
+            m = expect_re.search(line)
             if m:
                 standalone = line.lstrip().startswith("//")
                 bind = idx + 1 if standalone else idx
@@ -221,8 +229,8 @@ class Directives:
 
     def tag_for(self, idx):
         for at in (idx, idx - 1):
-            if at in self.mc_tags:
-                return self.mc_tags[at]
+            if at in self.tags:
+                return self.tags[at]
         return None
 
 
