@@ -11,9 +11,9 @@
 //
 // Concurrency structure mirrors ConcurrentRunQueue: a SpinLock-protected
 // fixed ring plus a lock-free published depth. The depth is the optimistic
-// part — producers read it to pick spill targets and the watchdog reads it
-// to count pending work, both tolerating staleness exactly like the
-// selection phase tolerates stale load snapshots. Every synchronization
+// part — producers read it to pick spill targets and the owner reads it to
+// decide whether a drain is worthwhile, both tolerating staleness exactly
+// like the selection phase tolerates stale load snapshots. Every synchronization
 // action announces itself through the mc_hooks seam (kMailboxPush /
 // kMailboxDrain / kMailboxDepth), so the model checker can interleave
 // producers against the draining owner and discharge no-lost-admitted-items
@@ -78,8 +78,8 @@ class BoundedMailbox {
   const uint32_t capacity_;
 
   // Lock + ring on one line group, published depth on its own line: thieves
-  // of this subsystem are the spill-probing producers and the watchdog, and
-  // their depth polls must not contend with the owner's drain.
+  // of this subsystem are the spill-probing producers, and their depth polls
+  // must not contend with the owner's drain.
   alignas(runtime::kCacheLineSize) mutable runtime::SpinLock lock_;
   runtime::ItemRing ring_ OPTSCHED_GUARDED_BY(lock_);  // sized once, capacity_ slots
 
@@ -96,7 +96,7 @@ class BoundedMailbox {
 
 // One BoundedMailbox per worker plus the empty->non-empty notification hook.
 // Implements runtime::IngressSource, which is the only face the executor
-// sees: Drain() on the owner's thread, PendingFor() on the supervisor's.
+// sees: Drain() and PendingFor(), both on the owner's thread.
 class MailboxSet : public runtime::IngressSource {
  public:
   // `notify` (optional) is invoked with the worker index after a push that

@@ -1,10 +1,7 @@
 #include "src/runtime/executor.h"
 
-#include <pthread.h>
-
 #include <algorithm>
 #include <chrono>
-#include <ctime>
 #include <thread>
 
 #include "src/base/check.h"
@@ -37,15 +34,27 @@ uint64_t NowNs() {
                                    .count());
 }
 
-// CPU time `thread` has consumed; 0 once it has exited or been joined.
-uint64_t ThreadCpuNs(std::thread& thread) {
-  clockid_t clock;
-  timespec now;
-  if (!thread.joinable() || pthread_getcpuclockid(thread.native_handle(), &clock) != 0 ||
-      clock_gettime(clock, &now) != 0) {
-    return 0;
-  }
-  return static_cast<uint64_t>(now.tv_sec) * 1'000'000'000ull + static_cast<uint64_t>(now.tv_nsec);
+// A worker's idle word (Executor::SpawnSegment::idle_word). Only its worker
+// steps it: a new episode at Announce and at Retract, which also flips bit
+// 32, or one beat.
+constexpr uint64_t kBeatMask = 0xffff'ffffull;
+void StepIdleWord(std::atomic<uint64_t>& idle_word, bool new_episode) {
+  // order: idle-word-single-writer
+  const uint64_t now = idle_word.load(std::memory_order_relaxed);
+  const uint64_t next =
+      new_episode ? (now | kBeatMask) + 1 : (now & ~kBeatMask) | ((now + 1) & kBeatMask);
+  // order: idle-word-single-writer
+  idle_word.store(next, std::memory_order_relaxed);
+}
+
+// The watchdog's verdict on a worker whose idle word read `before` and then
+// `after` at two samples: idle over the interval if it stayed announced in
+// one episode and beat. A worker that ran an item in between has retracted,
+// a worker the OS did not run has not beaten, and an announced worker
+// drained its mailbox at the boundary of the round that found no work.
+bool IdleBetween(uint64_t before, uint64_t after) {
+  const uint64_t episode = after >> 32;
+  return (episode & 1) != 0 && episode == before >> 32 && after != before;
 }
 
 // Opaque spin so the optimizer cannot delete the "work". Out of line and
@@ -281,8 +290,7 @@ uint32_t Executor::DrainIngress(uint32_t worker, WorkerStats& stats,
   // Same ordering contract as SubmitBatch: this worker's submitted count is
   // bumped before any drained item becomes poppable. (Between the mailbox
   // removal and this bump the items are in neither PendingFor nor the
-  // count — that window is one drain long and only defers the watchdog's
-  // pending view by a round, it cannot terminate a run early because ingress
+  // count — that window cannot terminate a run early because ingress
   // requires deadline mode.)
   ConcurrentRunQueue& own = machine_.queue(worker);
   TerminationCounts::AddSubmitted(own.counts(), moved);
@@ -324,17 +332,15 @@ OPTSCHED_HOT_PATH bool Executor::WorkerMain(uint32_t worker_index, WorkerStats& 
   std::vector<WorkItem> drain_batch;  // reaches high-water capacity once
   const StealOptions steal_options{.recheck = config_.recheck_filter,
                                    .max_batch = std::max(config_.max_steal_batch, 1u)};
-  // Last snapshot this worker took; a StaleSnapshot fault makes the next
-  // selection run against it instead of a fresh read.
-  LoadSnapshot stale_view;
-  bool has_stale_view = false;
   // True while this worker is counted idle by the wakeup gate: from its
   // first fruitless round until it gets an item (or leaves the loop). Its
-  // fruitless rounds and backoff window end with it.
+  // fruitless rounds and backoff window end with it, and its idle word
+  // (executor.h) tells the watchdog.
   bool announced = false;
   const auto retract = [&] {
     if (announced) {
       wakeup_.Retract();
+      StepIdleWord(segment.idle_word, /*new_episode=*/true);
       announced = false;
       fruitless = 0;
       backoff_spins = 0;
@@ -487,9 +493,9 @@ OPTSCHED_HOT_PATH bool Executor::WorkerMain(uint32_t worker_index, WorkerStats& 
     }
     // Round boundary (queue empty): drain the mailbox before looking for
     // work to steal — admitted items beat stolen items, they are already
-    // ours. A DelayDrain fault skips this one opportunity (the items stay
-    // mailbox-resident one round longer; the watchdog must read that as
-    // pending, not as a violation).
+    // ours. A DelayDrain fault skips this one opportunity: the items stay
+    // mailbox-resident one round longer, and an announced worker keeps
+    // beating through that round.
     if (ingress != nullptr && ingress->PendingFor(worker_index) > 0) {
       if (injector == nullptr || !injector->DelayDrain(worker_index)) {
         executed_since_drain = 0;
@@ -504,16 +510,15 @@ OPTSCHED_HOT_PATH bool Executor::WorkerMain(uint32_t worker_index, WorkerStats& 
     if ((injector == nullptr || !injector->StallCore(worker_index)) &&
         (probe_ == nullptr || probe_->MaySteal(worker_index))) {
       const uint64_t select_start = NowNs();
-      if (injector != nullptr && has_stale_view && injector->StaleSnapshot(worker_index)) {
-        snapshot = stale_view;  // selection over a deliberately outdated view
-      } else {
+      // `snapshot` still holds the last view this worker read (TrySteal only
+      // reads it), so a StaleSnapshot fault selects over it again.
+      if (injector == nullptr || snapshot.task_count.empty() ||
+          !injector->StaleSnapshot(worker_index)) {
         if (config_.locked_selection) {
           machine_.LockedSnapshotInto(snapshot);
         } else {
           machine_.SnapshotInto(snapshot);
         }
-        stale_view = snapshot;  // copy-assign: reuses capacity, no allocation
-        has_stale_view = true;
       }
       stats.selection_latency_ns.Add(NowNs() - select_start);
       if (injector != nullptr && injector->AbortSteal(worker_index)) {
@@ -569,12 +574,16 @@ OPTSCHED_HOT_PATH bool Executor::WorkerMain(uint32_t worker_index, WorkerStats& 
       // the announcement (wakeup_gate.h) — never on this round's. The
       // checker's broken_wakeup_gate parks on this round's sample at once.
       wakeup_.Announce();
+      StepIdleWord(segment.idle_word, /*new_episode=*/true);
       announced = true;
       if (!broken_wakeup_gate_) {
         continue;
       }
-    } else if (++fruitless < (probe_ != nullptr ? 1 : kIdleRoundsBeforePark)) {
-      continue;
+    } else {
+      StepIdleWord(segment.idle_word, /*new_episode=*/false);
+      if (++fruitless < (probe_ != nullptr ? 1 : kIdleRoundsBeforePark)) {
+        continue;
+      }
     }
     fruitless = 0;
     // Park: CpuRelax for a window that doubles up to the cap, ending early
@@ -605,6 +614,7 @@ OPTSCHED_HOT_PATH bool Executor::WorkerMain(uint32_t worker_index, WorkerStats& 
       for (uint64_t i = 0; i < backoff_spins && !woken; ++i) {
         CpuRelax();
         if (blocked || (i & 255u) == 255u) {
+          StepIdleWord(segment.idle_word, /*new_episode=*/false);
           if (!keep_running()) {
             break;
           }
@@ -716,50 +726,28 @@ ExecutorReport Executor::RunInternal(uint64_t duration_ms,
     producer_thread = std::thread([this, &producer] { producer(*this); });
   }
 
-  // Supervisor loop: polls until the run is over, at the deadline or once
-  // the quiescence sum reads drained, and feeds the watchdog meanwhile.
+  // Supervisor loop, run only while the watchdog or the trace rings need it:
+  // polls until the run is over, at the deadline or once the quiescence sum
+  // reads drained. Without it a closed run just joins, since each worker
+  // leaves on its own quiescence sum.
+  const bool supervise = config_.watchdog || collector_ != nullptr;
+  const uint64_t poll_ns = config_.supervisor_poll_us * 1000;
   LoadSnapshot watchdog_snapshot;  // reused across polls
-  std::vector<int64_t> watchdog_pending;  // per worker: work it has that no queue shows
-  // Each worker thread's CPU time and executed count at the previous poll.
-  std::vector<uint64_t> watchdog_cpu_ns(config_.num_workers, 0);
-  std::vector<uint64_t> watchdog_executed(config_.num_workers, 0);
-  for (;;) {
-    const uint64_t now = NowNs();
-    if (deadline_mode_ ? now >= stop_at : counts_.Drained(machine_)) {
-      break;
-    }
+  // Each worker's idle word at the previous sample, and this sample's verdict.
+  std::vector<uint64_t> idle_words(config_.num_workers, 0);
+  std::vector<bool> idle(config_.num_workers, false);
+  for (uint64_t now = NowNs();
+       supervise && (deadline_mode_ ? now < stop_at : !counts_.Drained(machine_)); now = NowNs()) {
     if (config_.watchdog) {
       machine_.SnapshotInto(watchdog_snapshot);
-      // Mailbox-resident items are PENDING for their owner (satellite of
-      // docs/serving.md): an idle worker with a backlogged mailbox is about
-      // to drain, not violating conservation — without this, sustained
-      // ingress overload escalates the watchdog against a healthy scheduler.
-      // A worker the OS did not run since the previous sample is excused the
-      // same way: it was shown no load it could act on, so a descheduled
-      // thread is not an idle core. Without this, a host with more runnable
-      // threads than CPUs read its time-slice waits as persistent violations
-      // (ingress_chaos_test; ROADMAP item 7).
-      // So is a worker that finished an item since the previous sample: it
-      // was not idle over the interval, whatever its load reads at the
-      // sample. A thief whose steal rounds cost more than the items it steals
-      // reads load 0 at most samples while it runs an item every few
-      // microseconds (ThreadSanitizer's slowdown does this; EXPERIMENTS.md
-      // E24).
-      watchdog_pending.assign(config_.num_workers, 0);
       for (uint32_t i = 0; i < config_.num_workers; ++i) {
-        if (config_.ingress != nullptr) {
-          watchdog_pending[i] += config_.ingress->PendingFor(i);
-        }
-        const uint64_t cpu_ns = ThreadCpuNs(threads[i]);
-        const uint64_t executed = TerminationCounts::Executed(machine_.queue(i).counts());
-        if (cpu_ns == watchdog_cpu_ns[i] || executed != watchdog_executed[i]) {
-          ++watchdog_pending[i];
-        }
-        watchdog_cpu_ns[i] = cpu_ns;
-        watchdog_executed[i] = executed;
+        // order: idle-word-single-writer
+        const uint64_t word = segments_[i].idle_word.load(std::memory_order_relaxed);
+        idle[i] = IdleBetween(idle_words[i], word);
+        idle_words[i] = word;
       }
-      if (watchdog.ObserveRound((now - start) / 1000, watchdog_snapshot.task_count,
-                                watchdog_pending, &watchdog_trace)) {
+      if (watchdog.ObserveRound((now - start) / 1000, watchdog_snapshot.task_count, idle,
+                                &watchdog_trace)) {
         watchdog.RecordEscalation((now - start) / 1000, &watchdog_trace);
         // Snap every parked worker awake through the wakeup gate: an
         // immediate full-rate balancing attempt is the runtime's "forced
@@ -776,10 +764,14 @@ ExecutorReport Executor::RunInternal(uint64_t duration_ms,
       // drop under genuine bursts, not steady-state volume.
       collector_->Collect();
     }
-    std::this_thread::sleep_for(std::chrono::microseconds(config_.supervisor_poll_us));
+    // Never past the deadline: a poll longer than the run must not stretch it.
+    std::this_thread::sleep_for(
+        std::chrono::nanoseconds(deadline_mode_ ? std::min(poll_ns, stop_at - now) : poll_ns));
   }
   // RunFor's deadline: each worker finishes its carried item and leaves.
   if (deadline_mode_) {
+    std::this_thread::sleep_until(
+        std::chrono::steady_clock::time_point(std::chrono::nanoseconds(stop_at)));
     stop_.store(true, std::memory_order_release);
   }
   for (std::thread& thread : threads) {

@@ -22,8 +22,11 @@
 //    the plan's restart delay and enters the loop afresh (queues are shared
 //    memory, so no item is lost: fail-stop between items, as in the paper's
 //    model).
-//  * A work-conservation watchdog samples the lock-free load snapshot,
-//    tracks idle-while-overloaded streaks, and escalates a persistent
+//  * A work-conservation watchdog samples the lock-free load snapshot and
+//    each worker's idle word, which the worker writes only on its idle path,
+//    and charges a worker at load 0 beside an overloaded queue only if it
+//    stayed announced idle in one episode and beat between two samples. It
+//    tracks idle-while-overloaded streaks and escalates a persistent
 //    violation by notifying the wakeup gate, which snaps every parked worker
 //    out of backoff into an immediate full-rate balancing attempt. The gate
 //    is the idle path's one wakeup protocol: new work and escalations end a
@@ -119,10 +122,12 @@ struct ExecutorConfig {
   uint64_t max_backoff_spins = 1 << 15;
   // Fault injection (all-zero plan = no injector, zero overhead in the loop).
   fault::FaultPlan fault_plan;
-  // Work-conservation watchdog (supervisor thread): samples loads every
-  // `supervisor_poll_us`, escalates when a worker sits idle-while-overloaded
-  // for more than `watchdog_threshold_samples` consecutive samples
-  // (0 = 2 * num_workers).
+  // Work-conservation watchdog (supervisor thread): samples loads and the
+  // workers' idle words every `supervisor_poll_us`, escalates when a worker
+  // sits idle-while-overloaded for more than `watchdog_threshold_samples`
+  // consecutive samples (0 = 2 * num_workers). The supervisor polls only
+  // while the watchdog or the trace rings are on; otherwise a closed run
+  // just joins its workers and RunFor sleeps once to its deadline.
   bool watchdog = false;
   uint64_t watchdog_threshold_samples = 0;
   uint64_t supervisor_poll_us = 50;
@@ -361,8 +366,9 @@ class Executor {
   static bool ParkMayEnd(const void* wait);
   // Resets the per-run state shared by Run, RunFor and BeginCheckedRun.
   void BeginRun(bool deadline_mode);
-  // Shared body of Run and RunFor: spawns workers, feeds the watchdog
-  // until the run is over, joins, reports. duration_ms == 0 means
+  // Shared body of Run and RunFor: spawns workers, feeds the watchdog and
+  // drains the trace rings (when on) until the run is over, joins, reports.
+  // duration_ms == 0 means
   // closed-system mode (run until drained).
   ExecutorReport RunInternal(uint64_t duration_ms, const std::function<void(Executor&)>& producer);
 
@@ -400,6 +406,15 @@ class Executor {
   struct alignas(kCacheLineSize) SpawnSegment {
     WorkItem items[kSpawnSegmentCapacity];
     uint32_t depth = 0;
+    // The worker's idle word, in what was the block's padding. Written only
+    // by the worker on its idle path, read only by the supervisor's
+    // watchdog. Bits 0-31 are the beat, moved at every fruitless round and
+    // every epoch poll of a park; bit 32 is set while the worker is
+    // announced to the wakeup gate; bits 33-63 number its idle episodes.
+    // Announce and Retract each add 1 to bits 32-63 and clear the beat, so
+    // no episode number repeats, also across a crash.
+    // optsched-lint: allow(mc-hook-coverage): watchdog input only, read by the supervisor, which checked runs do not have
+    std::atomic<uint64_t> idle_word{0};
   };
   // Pushes the `count` oldest items of `worker`'s segment onto its own queue
   // and notifies the wakeup gate once. They were counted when they entered.

@@ -15,10 +15,9 @@
 //     the harness standing in for it) — MPSC, the owner is the single
 //     consumer.
 //   * PendingFor(worker)       — lock-free: admitted-but-undrained item count.
-//     Consulted by the worker to decide whether a drain is worthwhile and by
-//     the supervisor's watchdog so mailbox-resident work counts as PENDING,
-//     not lost (an overloaded ingress must classify as transient overload,
-//     never as a work-conservation violation).
+//     Consulted by the worker to decide whether a drain is worthwhile. The
+//     watchdog needs no view of the mailboxes: an idle worker drains its
+//     own at every round boundary (docs/robustness.md).
 
 #ifndef OPTSCHED_SRC_RUNTIME_INGRESS_SOURCE_H_
 #define OPTSCHED_SRC_RUNTIME_INGRESS_SOURCE_H_

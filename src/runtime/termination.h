@@ -79,13 +79,6 @@ class TerminationCounts {
     slot.executed_items.store(mine + n, std::memory_order_release);
   }
 
-  // One worker's executed count, for the supervisor's watchdog: a count
-  // that moved since the previous sample means the worker ran an item.
-  static uint64_t Executed(WorkerCounts& slot) {
-    mc_hooks::SyncPoint(mc_hooks::SyncOp::kCountLoad, &slot.executed_items);
-    return slot.executed_items.load(std::memory_order_acquire);
-  }
-
   // The quiescence sum over every queue's slot of `machine`: executed first,
   // then external + submitted. sums.executed <= sums.submitted always holds;
   // equality means drained.

@@ -118,10 +118,10 @@ ConservationWatchdog::ConservationWatchdog(uint32_t num_cpus, WatchdogConfig con
 }
 
 bool ConservationWatchdog::ObserveRound(SimTime now, const std::vector<int64_t>& loads,
-                                        const std::vector<int64_t>& mailbox_pending,
+                                        const std::vector<bool>& idle,
                                         TraceBuffer* trace) {
   OPTSCHED_CHECK(loads.size() == num_cpus_);
-  OPTSCHED_CHECK(mailbox_pending.empty() || mailbox_pending.size() == num_cpus_);
+  OPTSCHED_CHECK(idle.empty() || idle.size() == num_cpus_);
   ++stats_.observations;
   bool any_overloaded = false;
   for (int64_t l : loads) {
@@ -129,10 +129,7 @@ bool ConservationWatchdog::ObserveRound(SimTime now, const std::vector<int64_t>&
   }
   bool escalate = false;
   for (CpuId cpu = 0; cpu < num_cpus_; ++cpu) {
-    // Admitted-but-undrained mailbox work counts as pending for its owner:
-    // an "idle" core about to drain is converging, not violating.
-    const bool has_pending = !mailbox_pending.empty() && mailbox_pending[cpu] > 0;
-    const bool violating = loads[cpu] == 0 && !has_pending && any_overloaded;
+    const bool violating = loads[cpu] == 0 && (idle.empty() || idle[cpu]) && any_overloaded;
     if (violating) {
       ++streak_[cpu];
       stats_.max_streak_rounds = std::max(stats_.max_streak_rounds, streak_[cpu]);

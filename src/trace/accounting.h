@@ -140,18 +140,13 @@ class ConservationWatchdog {
   // the threshold at THIS observation — the caller should escalate. Records
   // kViolation / kRecovery events into `trace` when given.
   //
-  // Ingress (docs/serving.md): `mailbox_pending[cpu]` is the
-  // admitted-but-undrained mailbox depth for `cpu` (empty = no ingress). A
-  // core that looks idle but has mailbox-resident work is NOT violating work
-  // conservation — the items are already assigned to it and will enter its
-  // runqueue at its next drain, and no other core could legally steal them
-  // from the mailbox anyway. Without this, sustained overload at the ingress
-  // edge reads as a persistent conservation violation and the watchdog
-  // escalates against a scheduler that is doing nothing wrong.
-  // `any_overloaded` still considers runqueue loads only: mailbox backlog is
-  // not stealable, so it cannot obligate OTHER cores.
+  // `idle[cpu]` is the caller's own verdict on whether `cpu` was idle over
+  // the round (the executor reads it from each worker's idle word); empty
+  // means load 0 alone decides. A core is charged only at load 0 and with a
+  // true verdict. `any_overloaded` still reads the loads alone, so a core's
+  // verdict never excuses another.
   bool ObserveRound(SimTime now, const std::vector<int64_t>& loads,
-                    const std::vector<int64_t>& mailbox_pending = {},
+                    const std::vector<bool>& idle = {},
                     TraceBuffer* trace = nullptr);
 
   // The caller escalated (forced a global round); tallies and traces it.

@@ -209,8 +209,9 @@ TEST(ExecutorWakeup, WatchdogEscalationWakesParkedWorkers) {
   config.fault_plan.steal_abort_rate = 1.0;
   config.watchdog = true;
   // A streak of two samples escalates. The watchdog excuses a sample in
-  // which a worker got no CPU time, so on a loaded host a short poll breaks
-  // streaks; a 500 us poll over about 100 ms of work leaves enough unbroken.
+  // which a worker's idle word did not beat, as when it got no CPU time, so
+  // on a loaded host a short poll breaks streaks; a 500 us poll over about
+  // 100 ms of work leaves enough unbroken.
   config.watchdog_threshold_samples = 1;
   config.supervisor_poll_us = 500;
   runtime::Executor executor(policies::MakeThreadCount(), config);

@@ -7,9 +7,10 @@
 //     still runqueued at the deadline, or still mailbox-resident; the only
 //     way out of the system is an explicit, counted shed;
 //   * faults are visible (counted and traced), never silent;
-//   * the watchdog reads admitted-but-undrained backlog as PENDING, so
-//     ingress overload and delayed drains produce zero persistent
-//     work-conservation violations against a healthy scheduler.
+//   * the watchdog charges only a worker that stays announced idle, and an
+//     idle worker drains its mailbox at every round boundary, so ingress
+//     overload and delayed drains produce zero persistent work-conservation
+//     violations against a healthy scheduler.
 
 #include <gtest/gtest.h>
 
@@ -191,27 +192,23 @@ TEST(IngressChaos, CrashRestartAndIngressFaultsLoseNothingAndStayVisible) {
 
 // An ingress source with nothing to admit whose PendingFor puts worker 1's
 // thread to sleep on its first call, as a host with more runnable threads
-// than CPUs does to a thread waiting for its time slice. The supervisor calls
-// PendingFor too, from the thread that called RunFor; it never sleeps.
+// than CPUs does to a thread waiting for its time slice.
 class DeschedulingIngress final : public runtime::IngressSource {
  public:
-  explicit DeschedulingIngress(std::chrono::milliseconds nap)
-      : supervisor_(std::this_thread::get_id()), nap_(nap) {}
+  explicit DeschedulingIngress(std::chrono::milliseconds nap) : nap_(nap) {}
 
   uint32_t Drain(uint32_t /*worker*/, std::vector<runtime::WorkItem>& /*out*/,
                  uint32_t /*max_items*/) override {
     return 0;
   }
   int64_t PendingFor(uint32_t worker) const override {
-    if (worker == 1 && std::this_thread::get_id() != supervisor_ &&
-        !napped_.exchange(true)) {
+    if (worker == 1 && !napped_.exchange(true)) {
       std::this_thread::sleep_for(nap_);
     }
     return 0;
   }
 
  private:
-  const std::thread::id supervisor_;
   const std::chrono::milliseconds nap_;
   mutable std::atomic<bool> napped_{false};
 };
@@ -253,14 +250,12 @@ TEST(IngressWatchdog, ExcusesAWorkerTheOsDidNotRun) {
 // is the shape ThreadSanitizer's slowdown gave ExcusesAWorkerTheOsDidNotRun.
 class SlowBoundaryIngress final : public runtime::IngressSource {
  public:
-  SlowBoundaryIngress() : supervisor_(std::this_thread::get_id()) {}
-
   uint32_t Drain(uint32_t /*worker*/, std::vector<runtime::WorkItem>& /*out*/,
                  uint32_t /*max_items*/) override {
     return 0;
   }
   int64_t PendingFor(uint32_t worker) const override {
-    if (worker == 1 && std::this_thread::get_id() != supervisor_) {
+    if (worker == 1) {
       const auto until = std::chrono::steady_clock::now() + std::chrono::microseconds(40);
       while (std::chrono::steady_clock::now() < until) {
         runtime::CpuRelax();
@@ -268,9 +263,6 @@ class SlowBoundaryIngress final : public runtime::IngressSource {
     }
     return 0;
   }
-
- private:
-  const std::thread::id supervisor_;
 };
 
 TEST(IngressWatchdog, ExcusesAThiefThatRanItemsBetweenSamples) {
@@ -281,28 +273,28 @@ TEST(IngressWatchdog, ExcusesAThiefThatRanItemsBetweenSamples) {
   EXPECT_EQ(report.watchdog.persistent_violations, 0u) << report.ToString();
 }
 
-// The satellite-2 semantics in isolation: a core whose runqueue is empty but
-// whose mailbox holds admitted work is NOT violating work conservation, while
-// a core with neither still is.
-TEST(IngressWatchdog, MailboxBacklogCountsAsPending) {
+// The per-core verdict in isolation: a core its caller reports not idle is
+// never charged, even at load 0 beside an overloaded core, while the same
+// core reported idle is; an empty verdict is exactly the verdict load == 0.
+TEST(IngressWatchdog, NotIdleVerdictIsNeverCharged) {
   trace::ConservationWatchdog excused(2, {.threshold_rounds = 4});
   trace::ConservationWatchdog charged(2, {.threshold_rounds = 4});
-  const std::vector<int64_t> loads = {0, 5};          // core 0 idle, core 1 overloaded
-  const std::vector<int64_t> backlog = {3, 0};        // ...but core 0 has mailbox items
-  const std::vector<int64_t> no_backlog = {0, 0};
+  const std::vector<int64_t> loads = {0, 5};           // core 0 at load 0, core 1 overloaded
+  const std::vector<bool> not_idle = {false, false};   // ...but core 0 was not idle
+  const std::vector<bool> load_zero = {true, false};   // the verdict load == 0
   for (uint64_t round = 0; round < 16; ++round) {
-    EXPECT_FALSE(excused.ObserveRound(round, loads, backlog, nullptr));
-    charged.ObserveRound(round, loads, no_backlog, nullptr);
+    EXPECT_FALSE(excused.ObserveRound(round, loads, not_idle, nullptr));
+    charged.ObserveRound(round, loads, load_zero, nullptr);
   }
   excused.Finalize();
   charged.Finalize();
   EXPECT_EQ(excused.stats().persistent_violations, 0u);
   EXPECT_EQ(excused.stats().transient_violations, 0u);
   EXPECT_EQ(excused.stats().max_streak_rounds, 0u);
-  // Same loads, no backlog: the streak crosses the threshold.
+  // Same loads, reported idle: the streak crosses the threshold.
   EXPECT_GT(charged.stats().persistent_violations, 0u);
 
-  // The defaulted backlog is exactly the empty-backlog case.
+  // The defaulted verdict is exactly load == 0.
   trace::ConservationWatchdog defaulted(2, {.threshold_rounds = 4});
   for (uint64_t round = 0; round < 16; ++round) {
     defaulted.ObserveRound(round, loads);
@@ -311,17 +303,17 @@ TEST(IngressWatchdog, MailboxBacklogCountsAsPending) {
   EXPECT_EQ(defaulted.stats().persistent_violations, charged.stats().persistent_violations);
 }
 
-// A mailbox-resident item never excuses OTHER cores: overload is judged on
-// runqueue loads alone, because mailbox items are not stealable.
-TEST(IngressWatchdog, BacklogDoesNotExcuseOtherCores) {
+// A not-idle report never excuses OTHER cores: overload is judged on loads
+// alone, so an overloaded core reported not idle still obliges the others.
+TEST(IngressWatchdog, NotIdleVerdictDoesNotExcuseOtherCores) {
   trace::ConservationWatchdog watchdog(3, {.threshold_rounds = 2});
-  // Core 0 idle with backlog (excused), core 1 idle WITHOUT backlog
-  // (violating — core 2 is overloaded and core 1 could steal from it).
+  // Core 0 at load 0 but not idle (excused), core 1 idle (violating — core 2
+  // is overloaded and core 1 could steal from it).
   const std::vector<int64_t> loads = {0, 0, 6};
-  const std::vector<int64_t> backlog = {4, 0, 0};
+  const std::vector<bool> idle = {false, true, false};
   bool escalated = false;
   for (uint64_t round = 0; round < 8; ++round) {
-    escalated |= watchdog.ObserveRound(round, loads, backlog, nullptr);
+    escalated |= watchdog.ObserveRound(round, loads, idle, nullptr);
   }
   EXPECT_TRUE(escalated);
   EXPECT_EQ(watchdog.stats().persistent_violations, 1u);  // core 1 only

@@ -265,5 +265,46 @@ TEST(ExecutorReport, ThroughputAndToString) {
   EXPECT_NE(report.ToString().find("items=1"), std::string::npos);
 }
 
+// The supervisor runs only while the watchdog or the trace rings need it, and
+// never sleeps past a RunFor deadline. A 200 ms poll makes a run that waits
+// on one read about 200 ms; each run here must end well before that.
+runtime::ExecutorConfig SlowPollConfig() {
+  runtime::ExecutorConfig config;
+  config.num_workers = 2;
+  config.supervisor_poll_us = 200'000;
+  return config;
+}
+constexpr uint64_t kUnderOnePollNs = 100'000'000;
+
+TEST(ExecutorSupervisor, ClosedRunWithoutWatchdogWaitsOnNoPoll) {
+  runtime::Executor executor(policies::MakeThreadCount(), SlowPollConfig());
+  std::vector<runtime::WorkItem> items(4000);
+  for (size_t i = 0; i < items.size(); ++i) {
+    items[i] = {.id = i + 1, .work_units = 1, .weight = 1024};
+  }
+  executor.Seed(0, items);
+  const runtime::ExecutorReport report = executor.Run();
+  EXPECT_EQ(report.total_items, 4000u);
+  EXPECT_EQ(report.items_left_unexecuted, 0u);
+  EXPECT_LT(report.wall_time_ns, kUnderOnePollNs) << report.ToString();
+}
+
+TEST(ExecutorSupervisor, RunForWithoutWatchdogEndsAtItsDeadline) {
+  runtime::Executor executor(policies::MakeThreadCount(), SlowPollConfig());
+  const runtime::ExecutorReport report = executor.RunFor(20);
+  EXPECT_GE(report.wall_time_ns, 20'000'000u);
+  EXPECT_LT(report.wall_time_ns, kUnderOnePollNs) << report.ToString();
+}
+
+TEST(ExecutorSupervisor, WatchdogPollStopsAtTheDeadline) {
+  runtime::ExecutorConfig config = SlowPollConfig();
+  config.watchdog = true;
+  runtime::Executor executor(policies::MakeThreadCount(), config);
+  const runtime::ExecutorReport report = executor.RunFor(20);
+  EXPECT_GT(report.watchdog.observations, 0u);
+  EXPECT_GE(report.wall_time_ns, 20'000'000u);
+  EXPECT_LT(report.wall_time_ns, kUnderOnePollNs) << report.ToString();
+}
+
 }  // namespace
 }  // namespace optsched
